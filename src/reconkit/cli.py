@@ -102,7 +102,8 @@ def _cmd_recon(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep checks: each takes a graph with e >= 1 and returns failure strings
+# sweep checks: each takes a graph with e >= 1 to which it applies (see
+# _CHECKS) and returns failure strings
 # ---------------------------------------------------------------------------
 
 def _check_roundtrip(g: Graph) -> list:
@@ -131,8 +132,6 @@ def _check_nrecon(g: Graph) -> list:
 
 
 def _check_rankpoly(g: Graph) -> list:
-    if g.e > RANKPOLY_EDGE_LIMIT:
-        return []
     rec = reconstruct(deckmod.strip(deckmod.nmatrix(g)))
     return [] if rec.rankpoly() == rankpoly_oracle(g) else ["rank polynomial mismatch"]
 
@@ -155,15 +154,11 @@ def _check_polydeck(g: Graph) -> list:
 
 
 def _check_vertexdeck(g: Graph) -> list:
-    if g.n < 3:
-        return []
     got = charpoly_from_vertex_deck(vertex_deck(g))
     return [] if got.coeffs == charpoly_oracle(g).coeffs else ["vertex deck charpoly mismatch"]
 
 
 def _check_whitney_chain(g: Graph) -> list:
-    if g.n > 5:
-        return []
     fails = []
     pool = [path(2), complete(3), cycle(4)]
     for r in (1, 2, 3):
@@ -186,8 +181,6 @@ def _small_types(max_n: int, with_isolated: bool) -> tuple:
 
 
 def _check_kelly(g: Graph) -> list:
-    if g.n < 3 or g.n > 5:
-        return []
     fails = []
     d = vertex_deck(g)
     for f in _small_types(g.n - 1, with_isolated=False):
@@ -202,8 +195,6 @@ def _check_kelly(g: Graph) -> list:
 
 
 def _check_kocay(g: Graph) -> list:
-    if g.n > 5:
-        return []
     from .isotype import subgraph_type_table
     fails = []
     pool = [path(2), path(3), complete(3), cycle(4)]
@@ -287,32 +278,50 @@ def _check_elp_aut(g: Graph) -> list:
     return [f"nontrivial ELP automorphism {a}" for a in auts]
 
 
+def _always(g: Graph) -> bool:
+    return True
+
+
+def _small(g: Graph) -> bool:
+    return g.n <= 5
+
+
+# name -> (applies to the graph, check)
 _CHECKS = {
-    "roundtrip": _check_roundtrip,
-    "nrecon": _check_nrecon,
-    "rankpoly": _check_rankpoly,
-    "polydeck": _check_polydeck,
-    "vertexdeck": _check_vertexdeck,
-    "whitney-chain": _check_whitney_chain,
-    "kelly": _check_kelly,
-    "kocay-identity": _check_kocay,
-    "derivative": _check_derivative,
-    "childdeck": _check_childdeck,
-    "eq1": _check_eq1,
-    "emptycount": _check_emptycount,
-    "elp-aut": _check_elp_aut,
+    "roundtrip": (_always, _check_roundtrip),
+    "nrecon": (_always, _check_nrecon),
+    "rankpoly": (lambda g: g.e <= RANKPOLY_EDGE_LIMIT, _check_rankpoly),
+    "polydeck": (_always, _check_polydeck),
+    "vertexdeck": (lambda g: g.n >= 3, _check_vertexdeck),
+    "whitney-chain": (_small, _check_whitney_chain),
+    "kelly": (lambda g: 3 <= g.n <= 5, _check_kelly),
+    "kocay-identity": (_small, _check_kocay),
+    "derivative": (_always, _check_derivative),
+    "childdeck": (_always, _check_childdeck),
+    "eq1": (_always, _check_eq1),
+    "emptycount": (_always, _check_emptycount),
+    "elp-aut": (_always, _check_elp_aut),
 }
 
 # elp-aut reports candidates, never failures
 _CANDIDATE_CHECKS = {"elp-aut"}
 
 
+class _Raised(str):
+    """The failure text of a check that raised: a failure even for a candidate check."""
+
+
 def _run_graph(job) -> tuple:
+    """Run the named checks on one graph6; a check that does not apply gives []."""
     g6, names = job
     g = parse_graph6(g6)
     out = {}
     for name in names:
-        out[name] = _CHECKS[name](g)
+        applies, check = _CHECKS[name]
+        try:
+            out[name] = check(g) if applies(g) else []
+        except ReconkitError as exc:
+            out[name] = [_Raised(f"{type(exc).__name__}: {exc}")]
     return g6, out
 
 
@@ -353,15 +362,16 @@ def _cmd_sweep(args) -> int:
     names = [n for n in names if n != "golden"]
     if args.corpus:
         with open(args.corpus) as fh:
-            corpus = [ln.strip() for ln in fh if ln.strip()]
-        corpus = [s for s in corpus if parse_graph6(s).e >= 1
-                  and parse_graph6(s).n <= args.max_n]
+            corpus = [(ln.strip(), parse_graph6(ln.strip())) for ln in fh if ln.strip()]
+        corpus = [(s, g) for s, g in corpus if g.e >= 1 and g.n <= args.max_n]
     else:
-        corpus = [write_graph6(g) for g in all_graphs(args.max_n, min_edges=1)]
+        corpus = [(write_graph6(g), g) for g in all_graphs(args.max_n, min_edges=1)]
     jobs = args.jobs or int(os.environ.get("RECONKIT_JOBS", "1"))
-    results = {name: {"graphs": 0, "failures": []} for name in names}
+    results = {name: {"graphs": sum(1 for _s, g in corpus if _CHECKS[name][0](g)),
+                      "failures": []}
+               for name in names}
     candidates = []
-    work = [(g6, tuple(names)) for g6 in corpus]
+    work = [(g6, tuple(names)) for g6, _g in corpus]
     if jobs > 1:
         from multiprocessing import Pool
         with Pool(jobs) as pool:
@@ -370,12 +380,12 @@ def _cmd_sweep(args) -> int:
         outputs = map(_run_graph, work)
     for g6, per_check in outputs:
         for name, fails in per_check.items():
-            results[name]["graphs"] += 1
-            if fails:
-                if name in _CANDIDATE_CHECKS:
-                    candidates.append({"graph6": g6, "detail": fails})
-                else:
-                    results[name]["failures"].append({"graph6": g6, "detail": fails})
+            if not fails:
+                continue
+            if name in _CANDIDATE_CHECKS and not isinstance(fails[0], _Raised):
+                candidates.append({"graph6": g6, "detail": fails})
+            else:
+                results[name]["failures"].append({"graph6": g6, "detail": fails})
     report = {
         "max_n": args.max_n,
         "graphs": len(corpus),

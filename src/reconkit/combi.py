@@ -6,11 +6,14 @@ from functools import cache, lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
-from .errors import InvalidMatrixError
+from .errors import InconsistentDeckError, InvalidMatrixError
 
 __all__ = [
     "stirling2",
     "exact_div",
+    "multiset_symmetry",
+    "sachs_constant",
+    "card_sum_coeffs",
     "partitions_min2",
     "is_refinement",
     "strict_refinements",
@@ -36,6 +39,45 @@ def exact_div(a: int, b: int, what: str = "value") -> int:
     if r:
         raise InvalidMatrixError(f"{what}: {a} is not divisible by {b}")
     return q
+
+
+def multiset_symmetry(items) -> int:
+    """Product of m! over the multiplicities m of a multiset given as a sequence."""
+    sym = 1
+    for x in set(items):
+        sym *= factorial(items.count(x))
+    return sym
+
+
+def sachs_constant(n: int, count) -> int:
+    """c_n = (-1)^n * sum over lambda of (-1)^(n - len lambda) 2^cyc(lambda) count(lambda).
+
+    lambda runs over the partitions of n into parts >= 2 (the one-part,
+    hamiltonian partition first); `count(lambda)` is the number of spanning
+    elementary subgraphs with one K2 per part 2 and one C_r per part r >= 3.
+    """
+    acc = 0
+    for parts in partitions_min2(n):
+        cyc = sum(1 for p in parts if p >= 3)
+        acc += (-1) ** (n - len(parts)) * 2 ** cyc * count(parts)
+    return (-1) ** n * acc
+
+
+def card_sum_coeffs(cards, n: int) -> tuple:
+    """c_0 .. c_{n-1} of an n-vertex graph from the polynomials of its n vertex-deleted cards.
+
+    Derivative identity: P'(G) is the sum of the card polynomials, so c_i(G)
+    is the sum of the cards' c_i divided by n - i.
+    """
+    out = []
+    for i in range(n):
+        total = sum(p[i] for p in cards)
+        q, r = divmod(total, n - i)
+        if r:
+            raise InconsistentDeckError(
+                f"coefficient sum {total} at index {i} not divisible by {n - i}")
+        out.append(q)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -135,27 +177,10 @@ def labeled_partition_count(values: tuple, listing: tuple) -> int:
     `values` whose parts, read as value multisets with their labels, form
     exactly this multiset of pairs.
     """
-    mult = {}
-    for w in values:
-        mult[w] = mult.get(w, 0) + 1
-    num = 1
-    for w, m in mult.items():
-        num *= factorial(m)
-    den = 1
+    den = multiset_symmetry(listing)
     for part, _b in listing:
-        cw = {}
-        for w in part:
-            cw[w] = cw.get(w, 0) + 1
-        for m in cw.values():
-            den *= factorial(m)
-    dup = {}
-    for pair in listing:
-        dup[pair] = dup.get(pair, 0) + 1
-    for m in dup.values():
-        den *= factorial(m)
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+        den *= multiset_symmetry(part)
+    return exact_div(multiset_symmetry(values), den, "labelled partition count")
 
 
 def grouped_cover_partitions(values: tuple, v: int):

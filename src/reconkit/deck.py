@@ -320,7 +320,6 @@ def canonical_nmatrix(nm: NMatrix) -> NMatrix:
     best = [None]
 
     def flatten(perm):
-        pos = {orig: p for p, orig in enumerate(perm)}
         return tuple(rows[perm[p]][perm[q]] for p in range(nm.size) for q in range(nm.size))
 
     def rec(cell_idx, prefix):

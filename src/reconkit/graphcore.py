@@ -20,6 +20,7 @@ __all__ = [
     "complete",
     "cycle",
     "path",
+    "elementary_blocks",
     "elementary_graph",
     "disjoint_union",
     "parse_graph6",
@@ -103,16 +104,16 @@ def disjoint_union(*gs: Graph) -> Graph:
     return graph(n, edges)
 
 
+def elementary_blocks(parts: Sequence[int]) -> list:
+    """The components of an elementary graph: part 2 gives K2, part r >= 3 gives C_r."""
+    if any(p < 2 for p in parts):
+        raise DomainError(f"elementary part {min(parts)} < 2")
+    return [path(2) if p == 2 else cycle(p) for p in parts]
+
+
 def elementary_graph(parts: Sequence[int]) -> Graph:
-    """Disjoint union of cycles and single edges: part 2 gives K2, part r >= 3 gives C_r."""
-    pieces = []
-    for p in parts:
-        if p == 2:
-            pieces.append(path(2))
-        elif p >= 3:
-            pieces.append(cycle(p))
-        else:
-            raise DomainError(f"elementary part {p} < 2")
+    """Disjoint union of the elementary blocks of `parts`."""
+    pieces = elementary_blocks(parts)
     return disjoint_union(*pieces) if pieces else empty_graph(0)
 
 

@@ -18,7 +18,8 @@ from itertools import product
 from math import comb, factorial
 
 from .combi import (edge_profiles, exact_div, grouped_cover_partitions,
-                    partitions_min2, stirling2)
+                    multiset_symmetry, partitions_min2, sachs_constant,
+                    stirling2)
 from .deck import NMatrix, _top_row, infer_v_e
 from .errors import DomainError, InvalidMatrixError
 from .oracle import Polynomial
@@ -113,19 +114,14 @@ class Reconstruction:
         for i in range(2, v):
             tot = sum(self._rows[t][j] * self._poly[j][i] for j in self._children(t))
             coeffs.append(exact_div(tot, v - i, f"c_{i} at node {t}"))
-        acc = 0
-        for parts in partitions_min2(v):
+
+        def count(parts):
             if len(parts) == 1:
-                cnt = self._ham[t]
-            else:
-                sym = 1
-                for p in set(parts):
-                    sym *= factorial(parts.count(p))
-                cnt = exact_div(self.c(t, parts), sym,
-                                f"elementary count {parts} at node {t}")
-            cyc = sum(1 for p in parts if p >= 3)
-            acc += (-1) ** (v - len(parts)) * (2 ** cyc) * cnt
-        coeffs.append((-1) ** v * acc)
+                return self._ham[t]
+            return exact_div(self.c(t, parts), multiset_symmetry(parts),
+                             f"elementary count {parts} at node {t}")
+
+        coeffs.append(sachs_constant(v, count))
         return Polynomial(tuple(coeffs))
 
     # -- cycle-cover machinery ----------------------------------------------
@@ -255,8 +251,8 @@ class Reconstruction:
             coef = 1
             for (n, m), q in zip(spec, qs):
                 coef *= factorial(q) * stirling2(m, q)
-            val -= coef * _pair_symmetry(pairs) * self.lcompo(t, pairs)
-        denom = _pair_symmetry(spec)
+            val -= coef * multiset_symmetry(pairs) * self.lcompo(t, pairs)
+        denom = multiset_symmetry(spec)
         for _n, m in spec:
             denom *= factorial(m)
         val = exact_div(val, denom, f"family count {spec} at node {t}")
@@ -300,13 +296,6 @@ class Reconstruction:
             out["rankpoly"] = [{"r": r, "s": s, "count": c}
                                for (r, s), c in sorted(self.rankpoly().items())]
         return out
-
-
-def _pair_symmetry(pairs) -> int:
-    sym = 1
-    for p in set(pairs):
-        sym *= factorial(pairs.count(p))
-    return sym
 
 
 def reconstruct(nm: NMatrix) -> Reconstruction:

@@ -64,7 +64,8 @@ class Polynomial:
         return Polynomial(tuple(c * (n - i) for i, c in enumerate(self.coeffs[:-1])))
 
     def add(self, other: "Polynomial") -> "Polynomial":
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise DomainError(f"cannot add polynomials of degrees {self.degree} and {other.degree}")
         return Polynomial(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __str__(self):
@@ -136,11 +137,9 @@ def _endpoint_mask(subset) -> int:
     return m
 
 
-def _connected_mask(edges_subset, vmask) -> bool:
-    """Whether the subgraph on `edges_subset` connects every vertex of vmask."""
-    if vmask == 0:
-        return True
-    parent = {}
+def _roots(verts, edges) -> dict:
+    """Union-find: each vertex of `verts` mapped to the root of its component."""
+    parent = {v: v for v in verts}
 
     def find(x):
         while parent[x] != x:
@@ -148,17 +147,17 @@ def _connected_mask(edges_subset, vmask) -> bool:
             x = parent[x]
         return x
 
-    m = vmask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        parent[v] = v
-    for u, v in edges_subset:
+    for u, v in edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-    roots = {find(v) for v in parent}
-    return len(roots) == 1
+    return {v: find(v) for v in parent}
+
+
+def _connected_mask(edges_subset, vmask) -> bool:
+    """Whether the subgraph on `edges_subset` connects every vertex of vmask."""
+    verts = [v for v in range(vmask.bit_length()) if (vmask >> v) & 1]
+    return len(set(_roots(verts, edges_subset).values())) <= 1
 
 
 def tr_oracle(g: Graph) -> int:
@@ -303,20 +302,7 @@ def rankpoly_oracle(g: Graph) -> dict:
     for m in range(1, g.e + 1):
         for subset in combinations(edges, m):
             verts = {x for e in subset for x in e}
-            parent = {v: v for v in verts}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            comp = len(verts)
-            for u, v in subset:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-                    comp -= 1
+            comp = len(set(_roots(verts, subset).values()))
             r = len(verts) - comp
             s = m - len(verts) + comp
             out[(r, s)] = out.get((r, s), 0) + 1
@@ -492,34 +478,22 @@ def lcompo_oracle(g: Graph, spec) -> int:
     for subset in combinations(g.sorted_edges(), total_edges):
         if _endpoint_mask(subset) != full:
             continue
-        profile = _component_profile(subset, g.n)
+        profile = _component_profile(subset)
         if profile == spec:
             count += 1
     return count
 
 
-def _component_profile(edges_subset, n) -> tuple:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges_subset:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    verts = {}
+def _component_profile(edges_subset) -> tuple:
+    """Non-increasing (order, size) pairs of the components of an edge set."""
+    roots = _roots({x for e in edges_subset for x in e}, edges_subset)
+    orders = {}
     sizes = {}
-    for u, v in edges_subset:
-        for x in (u, v):
-            r = find(x)
-            verts.setdefault(r, set()).add(x)
-        r = find(u)
-        sizes[r] = sizes.get(r, 0) + 1
-    return tuple(sorted(((len(verts[r]), sizes[r]) for r in verts), reverse=True))
+    for r in roots.values():
+        orders[r] = orders.get(r, 0) + 1
+    for u, _v in edges_subset:
+        sizes[roots[u]] = sizes.get(roots[u], 0) + 1
+    return tuple(sorted(((orders[r], sizes[r]) for r in orders), reverse=True))
 
 
 def laplacian_tree_count(g: Graph) -> int:

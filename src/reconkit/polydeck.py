@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .combi import partitions_min2, strict_refinements
+from .combi import card_sum_coeffs, sachs_constant, strict_refinements
 from .errors import DomainError, InconsistentDeckError, NotReconstructibleError
 from .graphcore import Graph, elementary_graph, induced_subgraph
 from .oracle import Polynomial, charpoly_oracle, signed_exact_cover_oracle
@@ -69,16 +69,7 @@ def build_polydeck(g: Graph) -> PolyDeck:
 
 def low_coeffs(d: PolyDeck) -> tuple:
     """c_0 .. c_{n-1} of G from the degree-(n-1) deck entries (derivative identity)."""
-    cards = d.entries_of_degree(d.n - 1)
-    out = []
-    for i in range(d.n):
-        total = sum(p[i] for p in cards)
-        q, r = divmod(total, d.n - i)
-        if r:
-            raise InconsistentDeckError(
-                f"coefficient sum {total} at index {i} not divisible by {d.n - i}")
-        out.append(q)
-    return tuple(out)
+    return card_sum_coeffs(d.entries_of_degree(d.n - 1), d.n)
 
 
 def _p_value(coeffs, parts) -> int:
@@ -209,17 +200,14 @@ def charpoly_from_polydeck(d: PolyDeck, assert_nonhamiltonian: bool = False) -> 
         if 1 not in degs:
             raise NotReconstructibleError(
                 "no degree-1 vertex recognised and non-hamiltonicity not asserted")
-    coeffs = list(low_coeffs(d))
-    acc = 0
     memo = {}
-    for parts in partitions_min2(d.n):
+
+    def count(parts):
         if len(parts) == 1:
-            continue  # hamiltonian term, zero by premise
-        cnt = count_elementary(d, parts, _memo=memo)
-        cyc = sum(1 for p in parts if p >= 3)
-        acc += (-1) ** (d.n - len(parts)) * (2 ** cyc) * cnt
-    coeffs.append((-1) ** d.n * acc)
-    return Polynomial(tuple(coeffs))
+            return 0  # hamiltonian term, zero by premise
+        return count_elementary(d, parts, _memo=memo)
+
+    return Polynomial(low_coeffs(d) + (sachs_constant(d.n, count),))
 
 
 def polydeck_to_json(d: PolyDeck) -> dict:

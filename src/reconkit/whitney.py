@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
-from .combi import exact_div, partitions_min2
+from .combi import (card_sum_coeffs, multiset_symmetry, partitions_min2,
+                    sachs_constant)
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
-from .graphcore import Graph, blocks, cycle, graph, path
+from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
 from .isotype import (canonical_code, canonical_rep, count_subgraphs,
                       kelly_count)
 from .oracle import Polynomial, charpoly_oracle, cover_count_oracle
@@ -34,7 +35,6 @@ __all__ = [
     "count_type",
     "count_type_chain",
     "charpoly_from_vertex_deck",
-    "clear_cover_cache",
 ]
 
 
@@ -68,10 +68,6 @@ class CoverTable:
 
 
 _COVER_CACHE: dict = {}
-
-
-def clear_cover_cache():
-    _COVER_CACHE.clear()
 
 
 def _glue(u: Graph, f: Graph, vmax: int):
@@ -138,48 +134,45 @@ def covers_of_type(members, vmax: int) -> CoverTable:
                     f"cover count differs within a type: {prev_c} vs {c}")
         else:
             by_type[tk] = (c, tuple(blocks(x)))
-    self_cover = by_type[root][0] if root in by_type else _type_symmetry(root)
-    if root in by_type and by_type[root][0] != _type_symmetry(root):
+    self_cover = by_type[root][0] if root in by_type else multiset_symmetry(root)
+    if root in by_type and by_type[root][0] != multiset_symmetry(root):
         raise ConsistencyError("self cover count disagrees with block symmetry")
     table = CoverTable(root, vmax, member_table, by_type, self_cover)
     _COVER_CACHE[key] = table
     return table
 
 
-def _type_symmetry(root: tuple) -> int:
-    sym = 1
-    for code in set(root):
-        sym *= factorial(root.count(code))
-    return sym
-
-
 def count_type(g: Graph, members, _memo=None) -> int:
-    """Number of subgraphs of g whose block multiset matches `members`.
-
-    Memoised recursion on the type order: strictly smaller types have strictly
-    fewer blocks, so the recursion terminates.
-    """
+    """Number of subgraphs of g whose block multiset matches `members`."""
     memo = {} if _memo is None else _memo
-    return _count_type_rec(g, tuple(members), memo)
+    return _expand(lambda f: count_subgraphs(g, f), g.n, tuple(members), memo)
 
 
-def _count_type_rec(g: Graph, fams: tuple, memo: dict) -> int:
+def _expand(count, n: int, fams: tuple, memo: dict) -> int:
+    """<G, type(fams)> for a graph G of order n, by Kocay's identity.
+
+    `count(f)` is the number of subgraphs of G isomorphic to the block f.
+    Memoised per type: strictly smaller types have strictly fewer blocks, so
+    the recursion terminates.
+    """
     root = type_key(fams)
     if root in memo:
         return memo[root]
     total = 1
     for f in fams:
-        total *= count_subgraphs(g, f)
+        total *= count(f)
         if total == 0:
             break
-    table = covers_of_type(fams, g.n)
+    table = covers_of_type(fams, n)
     for tk, (c, reps) in table.by_type.items():
         if tk == root:
             continue
-        total -= c * _count_type_rec(g, reps, memo)
-    val = exact_div(total, table.self_cover, f"type count {root}")
-    memo[root] = val
-    return val
+        total -= c * _expand(count, n, reps, memo)
+    q, r = divmod(total, table.self_cover)
+    if r:
+        raise InconsistentDeckError(f"type count for {root} is not integral")
+    memo[root] = q
+    return q
 
 
 def count_type_chain(g: Graph, members) -> int:
@@ -214,10 +207,6 @@ def count_type_chain(g: Graph, members) -> int:
 # Characteristic polynomial from the vertex deck
 # ---------------------------------------------------------------------------
 
-def _elementary_blocks(parts) -> list:
-    return [path(2) if p == 2 else cycle(p) for p in parts]
-
-
 def charpoly_from_vertex_deck(deck) -> Polynomial:
     """P(G) from the multiset of vertex-deleted subgraphs, n >= 3.
 
@@ -235,15 +224,7 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
             raise InconsistentDeckError(
                 f"card has {card.n} vertices, expected {n - 1}")
 
-    coeffs = []
-    card_polys = [charpoly_oracle(card) for card in deck]
-    for i in range(n):
-        total = sum(p[i] for p in card_polys)
-        q, r = divmod(total, n - i)
-        if r:
-            raise InconsistentDeckError(
-                f"coefficient sum {total} at index {i} not divisible by {n - i}")
-        coeffs.append(q)
+    coeffs = card_sum_coeffs([charpoly_oracle(card) for card in deck], n)
 
     kelly_memo = {}
 
@@ -254,58 +235,36 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
         return kelly_memo[code]
 
     w_memo = {}
-
-    def w_count(fams: tuple) -> int:
-        """<G, type(fams)> via the expansion, with Kelly-sourced products."""
-        root = type_key(fams)
-        if root in w_memo:
-            return w_memo[root]
-        total = 1
-        for f in fams:
-            total *= kelly(f)
-            if total == 0:
-                break
-        table = covers_of_type(fams, n)
-        for tk, (c, reps) in table.by_type.items():
-            if tk == root:
-                continue
-            total -= c * w_count(reps)
-        q, r = divmod(total, table.self_cover)
-        if r:
-            raise InconsistentDeckError(f"type count for {root} is not integral")
-        w_memo[root] = q
-        return q
-
-    acc = 0
+    # the non-hamiltonian counts go first: the memo keeps the first block
+    # representatives it meets for a type, and they decide the Kelly lookups
+    spanning = {}
     for parts in partitions_min2(n):
         if len(parts) == 1:
             continue
-        fams = tuple(_elementary_blocks(parts))
+        fams = tuple(elementary_blocks(parts))
         root = type_key(fams)
-        spanning = w_count(fams)
+        cnt = _expand(kelly, n, fams, w_memo)
         # strip the non-spanning members of the same type
         table = covers_of_type(fams, n)
         for _code, (x, _c) in table.members.items():
             if x.n < n and block_type(x) == root:
-                spanning -= kelly(x)
-        cyc = sum(1 for p in parts if p >= 3)
-        acc += (-1) ** (n - len(parts)) * (2 ** cyc) * spanning
+                cnt -= kelly(x)
+        spanning[parts] = cnt
 
     # hamiltonian cycles from the n-fold K2 type: no subgraph has n K2 blocks
-    fams = tuple(path(2) for _ in range(n))
+    fams = tuple(elementary_blocks((2,) * n))
     table = covers_of_type(fams, n)
     cn_key = type_key([cycle(n)])
     rhs = kelly(path(2)) ** n
     for tk, (c, reps) in table.by_type.items():
         if tk == cn_key:
             continue
-        rhs -= c * w_count(reps)
+        rhs -= c * _expand(kelly, n, reps, w_memo)
     if cn_key not in table.by_type:
         raise ConsistencyError("n-cycle type missing from the all-K2 cover table")
     ham, r = divmod(rhs, table.by_type[cn_key][0])
     if r:
         raise InconsistentDeckError("hamiltonian count is not integral")
-    acc += (-1) ** (n - 1) * 2 * ham
+    spanning[(n,)] = ham
 
-    coeffs.append((-1) ** n * acc)
-    return Polynomial(tuple(coeffs))
+    return Polynomial(coeffs + (sachs_constant(n, spanning.__getitem__),))

@@ -1,6 +1,8 @@
 import json
 
+from reconkit import cli
 from reconkit.cli import main
+from reconkit.errors import ConsistencyError
 from reconkit.graphcore import cycle, path, vertex_deck, write_graph6
 from reconkit.oracle import charpoly_oracle
 
@@ -113,6 +115,33 @@ def test_sweep_corpus_file_and_jobs(tmp_path, capsys, monkeypatch):
                               "--corpus", str(f)])
     assert code == 0
     assert out["graphs"] == 2
+
+
+def test_sweep_counts_only_the_graphs_a_check_applies_to(capsys):
+    code, out = _run(capsys, ["sweep", "--max-n", "4",
+                              "--checks", "kelly,vertexdeck,whitney-chain"])
+    assert code == 0 and out["graphs"] == 14
+    assert {name: c["graphs"] for name, c in out["checks"].items()} == {
+        "kelly": 13, "vertexdeck": 13, "whitney-chain": 14}
+
+
+def test_sweep_records_a_check_error_and_goes_on(capsys, monkeypatch):
+    def broken(g):
+        if write_graph6(g) == "Bw":
+            raise ConsistencyError("boom")
+        return []
+
+    # the candidate probe too: an error is a failure, never a candidate
+    for name in ("roundtrip", "elp-aut"):
+        monkeypatch.setitem(cli._CHECKS, name, (cli._always, broken))
+    code, out = _run(capsys, ["sweep", "--max-n", "3", "--checks",
+                              "roundtrip,elp-aut", "--jobs", "1"])
+    assert code == 1 and out["ok"] is False
+    assert out["candidates"] == []
+    for name in ("roundtrip", "elp-aut"):
+        assert out["checks"][name] == {
+            "graphs": 4,
+            "failures": [{"graph6": "Bw", "detail": ["ConsistencyError: boom"]}]}
 
 
 def test_sweep_rejects_unknown_check(capsys):

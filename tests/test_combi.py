@@ -1,9 +1,15 @@
 from itertools import product
 
-from reconkit.combi import (edge_profiles, grouped_cover_partitions,
-                            is_refinement, labeled_partition_count,
-                            multiset_partitions, partitions_min2,
-                            stirling2, strict_refinements)
+import pytest
+
+from reconkit.combi import (card_sum_coeffs, edge_profiles,
+                            grouped_cover_partitions, is_refinement,
+                            labeled_partition_count, multiset_partitions,
+                            multiset_symmetry, partitions_min2,
+                            sachs_constant, stirling2, strict_refinements)
+from reconkit.errors import InconsistentDeckError
+from reconkit.graphcore import path, vertex_deck
+from reconkit.oracle import charpoly_oracle, elementary_count_oracle
 
 
 def test_stirling2_table():
@@ -111,3 +117,26 @@ def test_edge_profiles():
     assert profs == {((3, 2), (2, 1)), ((3, 3), (2, 1))}
     profs = set(edge_profiles((4,), 4))
     assert profs == {((4, 3),), ((4, 4),)}
+
+
+def test_multiset_symmetry():
+    assert multiset_symmetry(()) == 1
+    assert multiset_symmetry((4, 3, 2)) == 1
+    assert multiset_symmetry((3, 2, 2)) == 2
+    assert multiset_symmetry((2, 2, 2, 3, 3)) == 12
+    assert multiset_symmetry(((2,), (2,), (2, 2))) == 2
+
+
+def test_sachs_constant_matches_the_oracle_charpoly(corpus6):
+    assert len(corpus6) == 208
+    for g in corpus6:
+        got = sachs_constant(g.n, lambda parts: elementary_count_oracle(g, parts))
+        assert got == charpoly_oracle(g).coeffs[g.n], g
+
+
+def test_card_sum_coeffs():
+    g = path(4)
+    cards = [charpoly_oracle(c) for c in vertex_deck(g)]
+    assert card_sum_coeffs(cards, g.n) == charpoly_oracle(g).coeffs[:g.n]
+    with pytest.raises(InconsistentDeckError):
+        card_sum_coeffs([(1, 0), (0, 0)], 2)  # c_0 sums to 1, not divisible by 2

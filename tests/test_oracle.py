@@ -78,6 +78,11 @@ def test_derivative_identity(corpus6):
         assert lhs.coeffs == total.coeffs
 
 
+def test_polynomial_add_rejects_a_degree_mismatch():
+    with pytest.raises(DomainError):
+        Polynomial((1, 0)).add(Polynomial((1, 0, -1)))
+
+
 def test_polynomial_str():
     assert str(Polynomial((1, 0, -2, 0))) == "+1x^3 -2x"
     assert str(Polynomial((1,))) == "+1"
