@@ -183,15 +183,18 @@ def labeled_partition_count(values: tuple, listing: tuple) -> int:
     return exact_div(multiset_symmetry(values), den, "labelled partition count")
 
 
-def grouped_cover_partitions(values: tuple, v: int):
+@lru_cache(maxsize=4096)
+def grouped_cover_partitions(values: tuple, v: int) -> tuple:
     """Signatures (listing, count) of labelled partitions with >= 2 parts.
 
     Enumerates multisets of (sub-multiset of `values`, size b) pairs where the
     sub-multisets partition `values`, every b >= max(2, max of its part), and
     the b values sum to `v`.  `count` is the number of labelled set partitions
-    realising the signature.
+    realising the signature.  The result is a cached tuple: the key space is
+    the partitions of at most `v`, and callers share each entry.
     """
     values = tuple(sorted(values, reverse=True))
+    out = []
     for parts in multiset_partitions(values):
         q = len(parts)
         if q < 2:
@@ -223,8 +226,9 @@ def grouped_cover_partitions(values: tuple, v: int):
                     yield from assign(gi + 1, budget - s,
                                       acc + [(part, b) for b in sorted(bs, reverse=True)])
 
-        for listing in assign(0, v, []):
-            yield listing, labeled_partition_count(values, listing)
+        out += [(listing, labeled_partition_count(values, listing))
+                for listing in assign(0, v, [])]
+    return tuple(out)
 
 
 def edge_profiles(n_parts: tuple, max_total: int):

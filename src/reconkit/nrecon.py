@@ -3,9 +3,14 @@
 A single bottom-up pass over the poset ranks computes, per node: cycle counts
 by length, spanning-tree / unicyclic / hamiltonian counts, and the full
 characteristic polynomial.  Connected-spanning-cover counts and the
-subset-aggregated quantities Q_m and T_m are memoised per node and drive both
-the hamiltonian count and, on demand, spanning-subgraph family counts and the
-rank polynomial.
+subset-aggregated quantities Q_m and T_m drive both the hamiltonian count and,
+on demand, spanning-subgraph family counts and the rank polynomial.
+
+Three memos hold the hot quantities: `con` per (node, sequence), the inner sum
+of `q_m` per (row, sequence, order), and `t_m` per (node, m, listing).  They
+live on the `Reconstruction` instance, so nothing is shared between matrices.
+The rows below each node are bucketed by order, so each scan visits only the
+rows of the order it needs.
 
 Every division is exact on a valid matrix; a remainder or a negative count is
 raised as proof of matrix invalidity.  All arithmetic is arbitrary-precision.
@@ -50,12 +55,19 @@ class Reconstruction:
         self._top = _top_row(nm)
         self._below = [tuple(j for j in range(self._size) if self._rows[i][j])
                        for i in range(self._size)]
+        self._by_order = []
+        for below in self._below:
+            buckets = {}
+            for j in below:
+                buckets.setdefault(self._ve[j][0], []).append(j)
+            self._by_order.append({v: tuple(js) for v, js in buckets.items()})
         self._psi = [dict() for _ in range(self._size)]
         self._tr = [0] * self._size
         self._ham = [0] * self._size
         self._uni = [dict() for _ in range(self._size)]
         self._poly = [None] * self._size
         self._con_memo = {}
+        self._inner_memo = {}
         self._t_memo = {}
         self._kedge_memo = {}
         self._lcompo_memo = {}
@@ -76,9 +88,8 @@ class Reconstruction:
 
     # -- the bottom-up pass -------------------------------------------------
 
-    def _children(self, t: int) -> list:
-        v = self._ve[t][0]
-        return [j for j in self._below[t] if self._ve[j][0] == v - 1]
+    def _children(self, t: int) -> tuple:
+        return self._by_order[t].get(self._ve[t][0] - 1, ())
 
     def _process(self, t: int):
         v, e = self._ve[t]
@@ -176,16 +187,19 @@ class Reconstruction:
 
         `listing` pairs each cycle sequence with the order of the subset it
         must span: Q sums, over rows of order m, the product of per-sequence
-        row-weighted connected cover counts.
+        row-weighted connected cover counts.  Each inner sum depends only on
+        (row, sequence, order), not on t, and is memoised on that key.
         """
         total = 0
-        for s in self._below[t]:
-            if self._ve[s][0] != m:
-                continue
+        for s in self._by_order[t].get(m, ()):
             term = self._rows[t][s]
             for part, b in listing:
-                inner = sum(self._rows[s][j] * self.con(j, part)
-                            for j in self._below[s] if self._ve[j][0] == b)
+                key = (s, part, b)
+                inner = self._inner_memo.get(key)
+                if inner is None:
+                    inner = sum(self._rows[s][j] * self.con(j, part)
+                                for j in self._by_order[s].get(b, ()))
+                    self._inner_memo[key] = inner
                 term *= inner
                 if term == 0:
                     break
@@ -193,14 +207,18 @@ class Reconstruction:
         return total
 
     def t_m(self, t: int, m: int, listing) -> int:
-        """Exactly-m-vertex variant of q_m, by binomial inversion."""
+        """Exactly-m-vertex variant of q_m, by binomial inversion.
+
+        q_m vanishes for every p below the largest order b in the listing: a
+        row of order p < b has no row of order b below it.  The sum starts there.
+        """
         listing = tuple(sorted(listing))
         key = (t, m, listing)
         if key in self._t_memo:
             return self._t_memo[key]
         v_t = self._ve[t][0]
         total = 0
-        for p in range(2, m + 1):
+        for p in range(max((b for _part, b in listing), default=2), m + 1):
             qp = self.q_m(t, p, listing)
             if qp:
                 total += (-1) ** (m - p) * comb(v_t - p, m - p) * qp

@@ -13,7 +13,6 @@ caller asserts non-hamiltonicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .combi import card_sum_coeffs, sachs_constant, strict_refinements
@@ -27,7 +26,6 @@ __all__ = [
     "low_coeffs",
     "c_lambda",
     "count_elementary",
-    "count_elementary_chain",
     "charpoly_from_polydeck",
     "polydeck_to_json",
     "polydeck_from_json",
@@ -42,9 +40,11 @@ class PolyDeck:
     polys: tuple  # tuple of coefficient tuples c_0..c_d
 
     def __post_init__(self):
-        if len(self.polys) != 2 ** self.n - 2:
+        # n comes from untrusted JSON: bound it by the entry count before 2^n is formed
+        size = len(self.polys) + 2
+        if self.n < 2 or self.n > size.bit_length() or size != 1 << self.n:
             raise InconsistentDeckError(
-                f"expected {2 ** self.n - 2} entries for n={self.n}, got {len(self.polys)}")
+                f"expected 2^n - 2 entries for n={self.n}, got {len(self.polys)}")
         degs = [len(p) - 1 for p in self.polys]
         if degs.count(self.n - 1) != self.n:
             raise InconsistentDeckError("wrong number of degree n-1 entries")
@@ -136,29 +136,6 @@ def _count_rec(d: PolyDeck, parts, memo) -> int:
         raise InconsistentDeckError(f"count for {parts} is not integral")
     memo[parts] = q
     return q
-
-
-def count_elementary_chain(d: PolyDeck, parts) -> int:
-    """Chain-sum evaluation of the same count; cross-check for the recursion.
-
-    Sums over all strict refinement chains below `parts`, with alternating
-    sign and products of transition values.
-    """
-    parts = tuple(sorted(parts, reverse=True))
-    _check_nontrivial(d, parts)
-    total = Fraction(0)
-
-    def walk(lam, q, acc):
-        nonlocal total
-        total += Fraction((-1) ** q * c_lambda(d, lam), _signed_c_on(lam, lam)) * acc
-        for finer in strict_refinements(lam):
-            step = Fraction(_signed_c_on(lam, finer), _signed_c_on(lam, lam))
-            walk(finer, q + 1, acc * step)
-
-    walk(parts, 0, Fraction(1))
-    if total.denominator != 1:
-        raise InconsistentDeckError(f"chain sum for {parts} is not integral")
-    return int(total)
 
 
 def _check_nontrivial(d: PolyDeck, parts):

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import reconkit
 from reconkit import cli
 from reconkit.cli import main
 from reconkit.errors import ConsistencyError
@@ -77,6 +82,20 @@ def test_recon_polydeck_not_reconstructible(tmp_path, capsys):
                               "--assert-nonhamiltonian", str(f)])
     assert code == 0  # the flag overrides; C4 is hamiltonian so this is a lie,
     # but the tool honours the caller's assertion
+
+
+def test_recon_polydeck_huge_n_is_refused_before_any_work(tmp_path):
+    f = tmp_path / "huge.json"
+    f.write_text('{"n": 100000000, "polys": []}')
+    env = dict(os.environ, PYTHONPATH=str(Path(reconkit.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "reconkit.cli", "recon",
+                           "--source", "polydeck", str(f)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["error"] == "domain"
+    assert "\n" not in out["reason"] and "n=100000000" in out["reason"]
 
 
 def test_recon_vertexdeck(tmp_path, capsys):

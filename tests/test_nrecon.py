@@ -1,8 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
 import pytest
 
+import reconkit
+from reconkit.combi import grouped_cover_partitions
 from reconkit.deck import NMatrix, canonical_nmatrix, nmatrix, strip
 from reconkit.errors import InvalidMatrixError
-from reconkit.graphcore import complete, cycle, path
+from reconkit.graphcore import complete, cycle, path, write_graph6
 from reconkit.nrecon import reconstruct
 from reconkit.oracle import (c_oracle, charpoly_oracle, con_oracle,
                              elementary_count_oracle, ham_oracle,
@@ -70,6 +79,46 @@ def test_qm_tm_examples():
     assert rec4.t_m(t4, 4, listing) == 4
     # with m = v and b = v the subset sum collapses to a single con value
     assert rec4.q_m(t4, 4, (((4,), 4),)) == rec4.con(t4, (4,)) == 1
+
+
+def _listings(v):
+    """Every listing that con passes to t_m on a node of order v."""
+    return [listing for seq in _seqs_upto(v) if sum(seq) >= v
+            for listing, _cnt in grouped_cover_partitions(seq, v)]
+
+
+@pytest.mark.parametrize("name", ["cycle5", "prism"])
+def test_q_m_vanishes_below_the_largest_order_and_t_m_skips_it(name, prism):
+    g = {"cycle5": cycle(5), "prism": prism}[name]
+    rec = reconstruct(strip(nmatrix(g)))
+    for t, node in enumerate(rec.nodes):
+        for listing in _listings(node.v):
+            top_b = max(b for _part, b in listing)
+            assert all(rec.q_m(t, p, listing) == 0 for p in range(2, top_b))
+            for m in range(2, node.v + 1):
+                full = sum((-1) ** (m - p) * comb(node.v - p, m - p)
+                           * rec.q_m(t, p, listing) for p in range(2, m + 1))
+                assert rec.t_m(t, m, listing) == full, (t, m, listing)
+
+
+def test_reports_do_not_leak_between_instances(prism):
+    code = ("import json, sys\n"
+            "from reconkit.deck import nmatrix, strip\n"
+            "from reconkit.graphcore import parse_graph6\n"
+            "from reconkit.nrecon import reconstruct\n"
+            "g = parse_graph6(sys.argv[1])\n"
+            "print(json.dumps(reconstruct(strip(nmatrix(g))).report()))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(reconkit.__file__).parent.parent))
+    fresh = {}
+    for g in (complete(4), prism):
+        g6 = write_graph6(g)
+        proc = subprocess.run([sys.executable, "-c", code, g6], capture_output=True,
+                              text=True, env=env, timeout=60, check=True)
+        fresh[g6] = json.loads(proc.stdout)
+    # the prism after K4 in this interpreter matches the prism in a fresh one
+    for g in (complete(4), prism):
+        rep = reconstruct(strip(nmatrix(g))).report()
+        assert json.loads(json.dumps(rep)) == fresh[write_graph6(g)]
 
 
 def test_con_matches_oracle_on_every_node(corpus5):

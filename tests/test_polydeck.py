@@ -1,20 +1,43 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from reconkit.combi import partitions_min2
+from reconkit.combi import partitions_min2, strict_refinements
 from reconkit.errors import (DomainError, InconsistentDeckError,
                              NotReconstructibleError)
 from reconkit.graphcore import (complete, cycle, disjoint_union,
                                 empty_graph, graph, path)
 from reconkit.oracle import (charpoly_oracle, elementary_count_oracle,
                              ham_oracle, signed_c_oracle)
-from reconkit.polydeck import (PolyDeck, build_polydeck, c_lambda,
+from reconkit.polydeck import (PolyDeck, _check_nontrivial, _signed_c_on,
+                               build_polydeck, c_lambda,
                                charpoly_from_polydeck, count_elementary,
-                               count_elementary_chain, degree_sequence,
-                               low_coeffs, polydeck_from_json,
-                               polydeck_to_json)
+                               degree_sequence, low_coeffs,
+                               polydeck_from_json, polydeck_to_json)
+
+
+def count_elementary_chain(d: PolyDeck, parts) -> int:
+    """Chain-sum evaluation of `count_elementary`; cross-check for its recursion.
+
+    Sums over all strict refinement chains below `parts`, with alternating
+    sign and products of transition values.
+    """
+    parts = tuple(sorted(parts, reverse=True))
+    _check_nontrivial(d, parts)
+    total = Fraction(0)
+
+    def walk(lam, q, acc):
+        nonlocal total
+        total += Fraction((-1) ** q * c_lambda(d, lam), _signed_c_on(lam, lam)) * acc
+        for finer in strict_refinements(lam):
+            step = Fraction(_signed_c_on(lam, finer), _signed_c_on(lam, lam))
+            walk(finer, q + 1, acc * step)
+
+    walk(parts, 0, Fraction(1))
+    assert total.denominator == 1, f"chain sum for {parts} is not integral"
+    return int(total)
 
 
 def test_build_polydeck_examples():
@@ -41,6 +64,10 @@ def test_polydeck_validation():
         PolyDeck(3, ((1, 0),) * 5)  # wrong entry count
     with pytest.raises(InconsistentDeckError):
         PolyDeck(2, ((1, 0), (1, 1)))  # single-vertex entry must be lambda
+    # n is checked against the entry count before 2^n is formed
+    for n in (-1, 0, 1, 10 ** 8):
+        with pytest.raises(InconsistentDeckError):
+            PolyDeck(n, ())
 
 
 def test_low_coeffs():

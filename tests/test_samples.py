@@ -1,9 +1,10 @@
-"""Seeded 7-vertex samples: the pipelines beyond the exhaustive-sweep orders."""
+"""Seeded 7- and 8-vertex samples: the pipelines beyond the exhaustive-sweep orders."""
 
 import random
+from itertools import combinations
 
 from reconkit.deck import elp_from_nmatrix, nmatrix, nmatrix_from_elp, strip
-from reconkit.graphcore import all_graphs, vertex_deck, write_graph6
+from reconkit.graphcore import all_graphs, graph, vertex_deck, write_graph6
 from reconkit.nrecon import reconstruct
 from reconkit.oracle import (charpoly_oracle, ham_oracle, psi_oracle,
                              rankpoly_oracle, tr_oracle, uni_oracle)
@@ -25,6 +26,22 @@ def test_nrecon_sample_seven_vertices():
         assert tp.tr == tr_oracle(g)
         assert all(tp.psi.get(i, 0) == psi_oracle(g, i) for i in range(2, 8))
         assert all(tp.uni.get(r, 0) == uni_oracle(g, r) for r in range(3, 8))
+
+
+def test_nrecon_sample_eight_vertices():
+    rng = random.Random(8)
+    pairs = list(combinations(range(8), 2))
+    for m in (9, 11, 13, 15, 17, 19):
+        g = graph(8, rng.sample(pairs, m))
+        rec = reconstruct(strip(nmatrix(g)))
+        tp = rec.top
+        assert tp.charpoly.coeffs == charpoly_oracle(g).coeffs, write_graph6(g)
+        assert tp.ham == ham_oracle(g)
+        assert tp.tr == tr_oracle(g)
+        assert all(tp.psi.get(i, 0) == psi_oracle(g, i) for i in range(2, 9))
+        assert all(tp.uni.get(r, 0) == uni_oracle(g, r) for r in range(3, 9))
+        if m <= 13:
+            assert rec.rankpoly() == rankpoly_oracle(g), write_graph6(g)
 
 
 def test_vertexdeck_sample_seven_vertices():
