@@ -3,18 +3,15 @@
 Runs every reconstruction pipeline against its brute-force oracle over all
 graphs with edges up to a given order, and probes the poset-rigidity question:
 a nontrivial automorphism of any edge-labelled poset would be counterexample
-material, not a bug.
+material, not a bug.  The checks are those of the `reconkit.verify` registry,
+which `reconkit sweep` runs too.
 """
 
 import sys
 import time
 
-from reconkit import (all_graphs, elp_automorphisms, elp_from_nmatrix,
-                      nmatrix, reconstruct, strip, write_graph6)
-from reconkit.oracle import charpoly_oracle, ham_oracle, tr_oracle
-from reconkit.polydeck import build_polydeck, charpoly_from_polydeck, degree_sequence
-from reconkit.whitney import charpoly_from_vertex_deck
-from reconkit.graphcore import vertex_deck
+from reconkit import all_graphs, write_graph6
+from reconkit.verify import is_candidate, run_checks
 
 max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 t0 = time.time()
@@ -24,24 +21,11 @@ print(f"corpus: {len(corpus)} graphs with edges, n <= {max_n}")
 bad = []
 aut_candidates = []
 for g in corpus:
-    nm = strip(nmatrix(g))
-    rec = reconstruct(nm)
-    if rec.top.charpoly.coeffs != charpoly_oracle(g).coeffs:
-        bad.append(("charpoly", g))
-    if rec.top.ham != ham_oracle(g) or rec.top.tr != tr_oracle(g):
-        bad.append(("counts", g))
-    if g.n >= 3:
-        if charpoly_from_vertex_deck(vertex_deck(g)).coeffs != \
-                charpoly_oracle(g).coeffs:
-            bad.append(("vertexdeck", g))
-        d = build_polydeck(g)
-        degs = degree_sequence(d)
-        if degs and 1 in degs:
-            if charpoly_from_polydeck(d).coeffs != charpoly_oracle(g).coeffs:
-                bad.append(("polydeck", g))
-    auts = elp_automorphisms(elp_from_nmatrix(nm))
-    if auts:
-        aut_candidates.append(g)
+    for name, fails in run_checks(g, ["nrecon", "vertexdeck", "polydeck", "elp-aut"]).items():
+        if is_candidate(name, fails):
+            aut_candidates.append(g)
+        elif fails:
+            bad.append((name, g))
 
 print(f"elapsed: {time.time() - t0:.1f}s")
 if bad:

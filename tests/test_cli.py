@@ -1,11 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import reconkit
-from reconkit import cli
+from reconkit import verify
 from reconkit.cli import main
 from reconkit.errors import ConsistencyError
 from reconkit.graphcore import cycle, path, vertex_deck, write_graph6
@@ -18,6 +21,13 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def _run_process(argv):
+    """Run the CLI in a fresh interpreter, so that a traceback would show on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(reconkit.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "reconkit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def test_build_nmatrix_prism(capsys):
@@ -87,15 +97,25 @@ def test_recon_polydeck_not_reconstructible(tmp_path, capsys):
 def test_recon_polydeck_huge_n_is_refused_before_any_work(tmp_path):
     f = tmp_path / "huge.json"
     f.write_text('{"n": 100000000, "polys": []}')
-    env = dict(os.environ, PYTHONPATH=str(Path(reconkit.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-m", "reconkit.cli", "recon",
-                           "--source", "polydeck", str(f)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_process(["recon", "--source", "polydeck", str(f)])
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     out = json.loads(proc.stdout)
     assert out["error"] == "domain"
     assert "\n" not in out["reason"] and "n=100000000" in out["reason"]
+
+
+@pytest.mark.parametrize("source", ["nmatrix", "polydeck"])
+@pytest.mark.parametrize("text", ['{"n": ' + "9" * 5000 + ', "polys": []}', "[" * 100000],
+                         ids=["long-integer", "deep-nesting"])
+def test_recon_json_that_json_loads_refuses_otherwise_is_a_parse_error(tmp_path, source, text):
+    # neither int()'s 4300-digit limit nor the decoder's recursion limit raises JSONDecodeError
+    f = tmp_path / "input.json"
+    f.write_text(text)
+    proc = _run_process(["recon", "--source", source, str(f)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "parse"
 
 
 def test_recon_vertexdeck(tmp_path, capsys):
@@ -152,7 +172,7 @@ def test_sweep_records_a_check_error_and_goes_on(capsys, monkeypatch):
 
     # the candidate probe too: an error is a failure, never a candidate
     for name in ("roundtrip", "elp-aut"):
-        monkeypatch.setitem(cli._CHECKS, name, (cli._always, broken))
+        monkeypatch.setitem(verify.CHECKS, name, verify.CHECKS[name]._replace(run=broken))
     code, out = _run(capsys, ["sweep", "--max-n", "3", "--checks",
                               "roundtrip,elp-aut", "--jobs", "1"])
     assert code == 1 and out["ok"] is False
@@ -161,6 +181,15 @@ def test_sweep_records_a_check_error_and_goes_on(capsys, monkeypatch):
         assert out["checks"][name] == {
             "graphs": 4,
             "failures": [{"graph6": "Bw", "detail": ["ConsistencyError: boom"]}]}
+
+
+def test_sweep_all_runs_every_registry_check_and_the_readme_lists_them(capsys):
+    names = set(verify.CHECKS) | {"golden"}
+    code, out = _run(capsys, ["sweep", "--max-n", "3", "--checks", "all"])
+    assert code == 0 and set(out["checks"]) == names
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = readme.split("Available sweep checks:")[1].split(".")[0]
+    assert set(re.findall(r"`([^`]+)`", listed)) == names
 
 
 def test_sweep_rejects_unknown_check(capsys):

@@ -15,7 +15,6 @@ UNBOUNDED_ALLOWED = {
     "combi.stirling2", "combi.partitions_min2", "combi.strict_refinements",
     "isotype._canon", "isotype.induced_type_table", "isotype.subgraph_type_table",
     "oracle._cycles", "oracle._elementary_by_order",
-    "cli._small_types",
 }
 
 
