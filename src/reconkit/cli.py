@@ -133,9 +133,20 @@ def _cmd_sweep(args) -> int:
             raise DomainError(f"unknown check '{name}'")
     run_golden = args.checks == "all" or "golden" in names
     names = [n for n in names if n != "golden"]
+    unparsed = []
     if args.corpus:
+        corpus = []
         with open(args.corpus) as fh:
-            corpus = [(ln.strip(), parse_graph6(ln.strip())) for ln in fh if ln.strip()]
+            for k, line in enumerate(fh, 1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    corpus.append((text, parse_graph6(text)))
+                except Graph6ParseError as exc:
+                    # one bad line is reported, and the rest of the corpus is swept
+                    unparsed.append({"line": k, "graph6": text,
+                                     "detail": [f"Graph6ParseError: {exc}"]})
         corpus = [(s, g) for s, g in corpus if g.e >= 1 and g.n <= args.max_n]
     else:
         corpus = [(write_graph6(g), g) for g in all_graphs(args.max_n, min_edges=1)]
@@ -164,6 +175,7 @@ def _cmd_sweep(args) -> int:
         "graphs": len(corpus),
         "checks": results,
         "candidates": candidates,
+        "unparsed": unparsed,
         "elapsed_seconds": round(time.time() - t0, 3),
     }
     if run_golden:
@@ -172,7 +184,7 @@ def _cmd_sweep(args) -> int:
             "graphs": 1,
             "failures": [{"graph6": "E{Sw", "detail": gfails}] if gfails else [],
         }
-    failed = any(v["failures"] for v in report["checks"].values())
+    failed = bool(unparsed) or any(v["failures"] for v in report["checks"].values())
     report["ok"] = not failed
     _emit(report)
     return EXIT_CHECK_FAILED if failed else EXIT_OK

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb, factorial
 
 from .errors import InconsistentDeckError, InvalidMatrixError
@@ -199,18 +199,11 @@ def grouped_cover_partitions(values: tuple, v: int) -> tuple:
         q = len(parts)
         if q < 2:
             continue
-        lows = [max(2, p[0]) for p in parts]
-        if sum(lows) > v:
-            continue
         # assign b per part; identical parts get non-increasing b to avoid duplicates
-        groups = []
-        i = 0
-        while i < len(parts):
-            j = i
-            while j < len(parts) and parts[j] == parts[i]:
-                j += 1
-            groups.append((parts[i], j - i, lows[i]))
-            i = j
+        groups = [(part, len(list(run)), max(2, part[0]))
+                  for part, run in groupby(parts)]
+        if sum(cnt * low for _part, cnt, low in groups) > v:
+            continue
 
         def assign(gi, budget, acc):
             if gi == len(groups):
@@ -237,14 +230,7 @@ def edge_profiles(n_parts: tuple, max_total: int):
     `n_parts` is a non-increasing tuple of component orders.  Equal orders get
     non-increasing edge counts so each multiset appears once.
     """
-    groups = []
-    i = 0
-    while i < len(n_parts):
-        j = i
-        while j < len(n_parts) and n_parts[j] == n_parts[i]:
-            j += 1
-        groups.append((n_parts[i], j - i))
-        i = j
+    groups = [(nn, len(list(run))) for nn, run in groupby(n_parts)]
 
     def assign(gi, budget, acc):
         if gi == len(groups):

@@ -247,14 +247,11 @@ def child_nmatrices(nm: NMatrix) -> list:
         if any(rows[i][j] for i in range(size) if i != j and i != top):
             continue
         keep = [k for k in range(size) if rows[j][k]]
-        sub = NMatrix(tuple(tuple(rows[a][b] for b in keep) for a in keep), None)
-        key = canonical_nmatrix(sub).rows
-        if key in merged:
-            merged[key] = (merged[key][0], merged[key][1] + rows[top][j])
-        else:
-            merged[key] = (sub, rows[top][j])
-    return [(canonical_nmatrix(sub), mult)
-            for _key, (sub, mult) in sorted(merged.items())]
+        canon = canonical_nmatrix(
+            NMatrix(tuple(tuple(rows[a][b] for b in keep) for a in keep), None))
+        _canon, mult = merged.get(canon.rows, (canon, 0))
+        merged[canon.rows] = (canon, mult + rows[top][j])
+    return [pair for _key, pair in sorted(merged.items())]
 
 
 def count_empty_induced(nm: NMatrix, r: int) -> int:

@@ -53,13 +53,12 @@ class Reconstruction:
         self._ve = infer_v_e(nm)
         self._size = nm.size
         self._top = _top_row(nm)
-        self._below = [tuple(j for j in range(self._size) if self._rows[i][j])
-                       for i in range(self._size)]
         self._by_order = []
-        for below in self._below:
+        for row in self._rows:
             buckets = {}
-            for j in below:
-                buckets.setdefault(self._ve[j][0], []).append(j)
+            for j, entry in enumerate(row):
+                if entry:
+                    buckets.setdefault(self._ve[j][0], []).append(j)
             self._by_order.append({v: tuple(js) for v, js in buckets.items()})
         self._psi = [dict() for _ in range(self._size)]
         self._tr = [0] * self._size
@@ -151,14 +150,20 @@ class Reconstruction:
 
         Rows of edgeless vertex subsets are absent from the matrix, but their
         cycle-tuple products vanish (every sequence entry is >= 2), so the sum
-        over matrix rows is the full subset sum.
+        over matrix rows is the full subset sum.  The product also vanishes
+        on rows of order below max(seq), so only the orders from there up are
+        scanned.
         """
         v_t = self._ve[t][0]
+        low = max(seq, default=0)
         total = 0
-        for j in self._below[t]:
-            pj = self.p(j, seq)
-            if pj:
-                total += (-1) ** (v_t - self._ve[j][0]) * self._rows[t][j] * pj
+        for order, js in self._by_order[t].items():
+            if order < low:
+                continue
+            for j in js:
+                pj = self.p(j, seq)
+                if pj:
+                    total += (-1) ** (v_t - order) * self._rows[t][j] * pj
         return total
 
     def con(self, t: int, seq) -> int:

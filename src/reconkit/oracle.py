@@ -1,9 +1,17 @@
 """Brute-force oracles for every invariant the reconstruction pipelines produce.
 
 Everything here enumerates explicitly (vertex subsets, edge subsets, tuples of
-subgraphs) and shares no code with the pipelines it validates.  That makes the
+subgraphs) and calls none of the pipelines it validates.  That makes the
 oracles slow but trustworthy: they are the ground truth for all tests, and the
-exhaustive sweeps pit each pipeline against them.
+exhaustive sweeps pit each pipeline against them.  Each enumeration (the
+cycles, the connected spanning edge subsets, the unions of tuples) is written
+once and shared by every oracle that needs it.
+
+The independence runs one way only, for now: `whitney` takes its card
+polynomials from `charpoly_oracle` and its cover counts from
+`cover_count_oracle`, and `polydeck` builds decks with `charpoly_oracle` and
+takes its transition coefficients from `signed_exact_cover_oracle`.  A check
+of those pipelines against these oracles shares that part of the computation.
 
 Conventions:
   * a cycle of length 2 is a single edge (K2), so `psi(g, 2) == e(g)`;
@@ -15,6 +23,7 @@ Conventions:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -81,7 +90,8 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Cycle and elementary-subgraph enumeration
+# The enumerations every oracle shares: cycles, connected spanning edge
+# subsets and unions of tuples
 # ---------------------------------------------------------------------------
 
 def _edge_index(g: Graph):
@@ -89,52 +99,74 @@ def _edge_index(g: Graph):
     return edges, {e: i for i, e in enumerate(edges)}
 
 
-@lru_cache(maxsize=None)
-def _cycles(g: Graph, length: int) -> tuple:
-    """All cycles of a given length >= 3 as (vertex mask, edge mask) pairs."""
-    masks = adjacency_masks(g)
-    edges, eidx = _edge_index(g)
-    found = []
-
-    def extend(start, v, vmask, emask, depth, second):
-        m = masks[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if u == start and depth == length:
-                if second < v:
-                    found.append((vmask, emask | (1 << eidx[(min(v, u), max(v, u))])))
-                continue
-            if u <= start or (vmask >> u) & 1 or depth >= length:
-                continue
-            extend(start, u, vmask | (1 << u), emask | (1 << eidx[(min(v, u), max(v, u))]),
-                   depth + 1, u if depth == 1 else second)
-
-    for s in range(g.n):
-        extend(s, s, 1 << s, 0, 1, g.n)
-    return tuple(found)
-
-
-def psi_oracle(g: Graph, i: int) -> int:
-    """Number of cycles of length i; psi_2 counts edges by the C2 = K2 convention."""
-    if i < 2:
-        raise DomainError(f"cycle length {i} < 2")
-    if i == 2:
-        return g.e
-    if i > g.n:
-        return 0
-    return len(_cycles(g, i))
-
-
-def ham_oracle(g: Graph) -> int:
-    return psi_oracle(g, g.n)
-
-
 def _endpoint_mask(subset) -> int:
     m = 0
     for u, v in subset:
         m |= (1 << u) | (1 << v)
     return m
+
+
+@lru_cache(maxsize=128)
+def _cycles(g: Graph) -> tuple:
+    """Every cycle of length >= 3 once, as (vertex mask, edge mask, length).
+
+    Entry v lists the cycles whose minimum vertex is v.  A walk from v closes
+    each cycle in both directions; only the one whose second vertex is below
+    its last is kept.
+    """
+    masks = adjacency_masks(g)
+    _edges, eidx = _edge_index(g)
+
+    def walk(start, v, vmask, emask, depth, second, found):
+        m = masks[v]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            eb = 1 << eidx[(min(v, u), max(v, u))]
+            if u == start and depth >= 3:
+                if second < v:
+                    found.append((vmask, emask | eb, depth))
+                continue
+            if u <= start or (vmask >> u) & 1:
+                continue
+            walk(start, u, vmask | (1 << u), emask | eb, depth + 1,
+                 u if depth == 1 else second, found)
+
+    out = []
+    for s in range(g.n):
+        found = []
+        walk(s, s, 1 << s, 0, 1, g.n, found)
+        out.append(tuple(found))
+    return tuple(out)
+
+
+def _spanning_connected(g: Graph, k: int):
+    """The k-edge subsets of g whose edges reach and connect every vertex."""
+    full = (1 << g.n) - 1
+    for subset in combinations(g.sorted_edges(), k):
+        if _endpoint_mask(subset) == full and \
+                len(set(_roots(range(g.n), subset).values())) <= 1:
+            yield subset
+
+
+def _unions(item_lists) -> dict:
+    """mask -> summed weight of the tuples whose masks OR to it.
+
+    A tuple takes one (mask, weight) item from each list in turn, and its
+    weight is the product of theirs.  The lists are read lazily, so none is
+    built once no tuple is left.
+    """
+    states = {0: 1}
+    for items in item_lists:
+        nxt = {}
+        for mask, val in states.items():
+            for m, w in items:
+                key = mask | m
+                nxt[key] = nxt.get(key, 0) + val * w
+        states = nxt
+        if not states:
+            break
+    return states
 
 
 def _roots(verts, edges) -> dict:
@@ -154,54 +186,68 @@ def _roots(verts, edges) -> dict:
     return {v: find(v) for v in parent}
 
 
-def _connected_mask(edges_subset, vmask) -> bool:
-    """Whether the subgraph on `edges_subset` connects every vertex of vmask."""
-    verts = [v for v in range(vmask.bit_length()) if (vmask >> v) & 1]
-    return len(set(_roots(verts, edges_subset).values())) <= 1
+def _component_profile(edges_subset) -> tuple:
+    """Non-increasing (order, size) pairs of the components of an edge set."""
+    roots = _roots({x for e in edges_subset for x in e}, edges_subset)
+    orders = {}
+    sizes = {}
+    for r in roots.values():
+        orders[r] = orders.get(r, 0) + 1
+    for u, _v in edges_subset:
+        sizes[roots[u]] = sizes.get(roots[u], 0) + 1
+    return tuple(sorted(((orders[r], sizes[r]) for r in orders), reverse=True))
+
+
+def psi_oracle(g: Graph, i: int) -> int:
+    """Number of cycles of length i; psi_2 counts edges by the C2 = K2 convention."""
+    if i < 2:
+        raise DomainError(f"cycle length {i} < 2")
+    if i == 2:
+        return g.e
+    return sum(1 for found in _cycles(g) for _vm, _em, length in found if length == i)
+
+
+def ham_oracle(g: Graph) -> int:
+    return psi_oracle(g, g.n)
 
 
 def tr_oracle(g: Graph) -> int:
     """Spanning trees, by enumerating (n-1)-edge subsets."""
-    if g.n == 0:
-        return 0
-    if g.n == 1:
-        return 1
-    full = (1 << g.n) - 1
-    count = 0
-    for subset in combinations(g.sorted_edges(), g.n - 1):
-        if _endpoint_mask(subset) == full and _connected_mask(subset, full):
-            count += 1
-    return count
+    if g.n <= 1:
+        return g.n
+    return sum(1 for _subset in _spanning_connected(g, g.n - 1))
+
+
+@lru_cache(maxsize=64)
+def _unicyclic_by_length(g: Graph) -> dict:
+    """cycle length -> spanning unicyclic subgraphs of g, in one pass.
+
+    A connected spanning subgraph with n edges has exactly one cycle, which
+    is what is left once leaf edges are peeled off until none remains.
+    """
+    out = {}
+    for subset in _spanning_connected(g, g.n):
+        core = subset
+        while True:
+            deg = Counter(x for e in core for x in e)
+            kept = [(u, v) for u, v in core if deg[u] > 1 and deg[v] > 1]
+            if len(kept) == len(core):
+                break
+            core = kept
+        out[len(core)] = out.get(len(core), 0) + 1
+    return out
 
 
 def uni_oracle(g: Graph, r: int) -> int:
     """Spanning unicyclic subgraphs whose unique cycle has length r."""
     if not (3 <= r <= g.n):
         raise DomainError(f"cycle length {r} outside [3, {g.n}]")
-    full = (1 << g.n) - 1
-    count = 0
-    for subset in combinations(g.sorted_edges(), g.n):
-        if _endpoint_mask(subset) != full or not _connected_mask(subset, full):
-            continue
-        # connected, n vertices, n edges: unicyclic; the 2-core is the cycle
-        deg = {}
-        alive = set(subset)
-        for u, v in subset:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        changed = True
-        while changed:
-            changed = False
-            for e in list(alive):
-                u, v = e
-                if deg[u] == 1 or deg[v] == 1:
-                    alive.discard(e)
-                    deg[u] -= 1
-                    deg[v] -= 1
-                    changed = True
-        if len(alive) == r:
-            count += 1
-    return count
+    return _unicyclic_by_length(g).get(r, 0)
+
+
+def kedge_connected_oracle(g: Graph, k: int) -> int:
+    """Connected spanning subgraphs with exactly k edges."""
+    return sum(1 for _subset in _spanning_connected(g, k))
 
 
 @lru_cache(maxsize=None)
@@ -214,34 +260,13 @@ def _elementary_by_order(g: Graph) -> dict:
     """
     masks = adjacency_masks(g)
     _edges, eidx = _edge_index(g)
+    cycles = _cycles(g)
     out = {}
 
     def record(vmask, emask, weight, profile):
         order = bin(vmask).count("1")
         out.setdefault(order, []).append(
             (vmask, emask, weight, tuple(sorted(profile, reverse=True))))
-
-    def cycles_from(start, avail):
-        """Cycles with minimum vertex `start` inside avail."""
-        res = []
-
-        def walk(v, vmask, emask, depth, second):
-            m = masks[v] & avail
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                eb = 1 << eidx[(min(v, u), max(v, u))]
-                if u == start and depth >= 3:
-                    if second < v:
-                        res.append((vmask, emask | eb, depth))
-                    continue
-                if u <= start or (vmask >> u) & 1:
-                    continue
-                walk(u, vmask | (1 << u), emask | eb, depth + 1,
-                     u if depth == 1 else second)
-
-        walk(start, 1 << start, 0, 1, g.n)
-        return res
 
     def rec(avail, vmask, emask, weight, profile):
         # each elementary subgraph reaches `avail == 0` along exactly one path:
@@ -263,7 +288,9 @@ def _elementary_by_order(g: Graph) -> dict:
             rec(rest & ~(1 << u), vmask | (1 << v) | (1 << u), emask | eb,
                 -weight, profile + (2,))
         # v on a cycle where it is the minimum vertex
-        for cyc_mask, cyc_emask, length in cycles_from(v, avail):
+        for cyc_mask, cyc_emask, length in cycles[v]:
+            if cyc_mask & ~avail:
+                continue
             w = weight * 2 * (-1 if length % 2 == 0 else 1)  # (-1)^(length-1) * 2
             rec(avail & ~cyc_mask, vmask | cyc_mask, emask | cyc_emask, w,
                 profile + (length,))
@@ -301,11 +328,8 @@ def rankpoly_oracle(g: Graph) -> dict:
     out = {(0, 0): 1}
     for m in range(1, g.e + 1):
         for subset in combinations(edges, m):
-            verts = {x for e in subset for x in e}
-            comp = len(set(_roots(verts, subset).values()))
-            r = len(verts) - comp
-            s = m - len(verts) + comp
-            out[(r, s)] = out.get((r, s), 0) + 1
+            r = sum(order - 1 for order, _size in _component_profile(subset))
+            out[(r, m - r)] = out.get((r, m - r), 0) + 1
     return out
 
 
@@ -314,7 +338,7 @@ def rankpoly_oracle(g: Graph) -> dict:
 # ---------------------------------------------------------------------------
 
 def _copies(h: Graph, f: Graph) -> list:
-    """All subgraphs of h isomorphic to f, as (edge mask, vertex mask) pairs."""
+    """All subgraphs of h isomorphic to f, each as its vertex mask shifted above its edge mask."""
     edges, _ = _edge_index(h)
     code = canonical_code(f)
     res = []
@@ -329,7 +353,7 @@ def _copies(h: Graph, f: Graph) -> list:
             emask = 0
             for i in subset:
                 emask |= 1 << i
-            res.append((emask, _endpoint_mask(chosen)))
+            res.append((_endpoint_mask(chosen) << h.e) | emask)
     return res
 
 
@@ -338,20 +362,8 @@ def cover_count_oracle(S, h: Graph) -> int:
     for f in S:
         if any(f.degree(v) == 0 for v in range(f.n)):
             raise DomainError("cover members may not have isolated vertices")
-    full_e = (1 << h.e) - 1
-    full_v = (1 << h.n) - 1
-    states = {(0, 0): 1}
-    for f in S:
-        copies = _copies(h, f)
-        nxt = {}
-        for (em, vm), cnt in states.items():
-            for ce, cv in copies:
-                key = (em | ce, vm | cv)
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-        if not states:
-            return 0
-    return states.get((full_e, full_v), 0)
+    unions = _unions([(m, 1) for m in _copies(h, f)] for f in S)
+    return unions.get((1 << (h.n + h.e)) - 1, 0)
 
 
 def p_oracle(g: Graph, seq) -> int:
@@ -363,50 +375,27 @@ def p_oracle(g: Graph, seq) -> int:
 
 
 def _cycle_items(g: Graph, a: int) -> list:
-    """(edge mask, vertex mask) items for cycles of length a (edges when a == 2)."""
+    """(vertex mask, edge mask) of each cycle of length a (each edge when a == 2)."""
     if a == 2:
-        edges, eidx = _edge_index(g)
-        return [(1 << eidx[e], _endpoint_mask([e])) for e in edges]
-    return [(em, vm) for vm, em in _cycles(g, a)]
+        return [((1 << u) | (1 << v), 1 << i) for i, (u, v) in enumerate(g.sorted_edges())]
+    return [(vm, em) for found in _cycles(g) for vm, em, length in found if length == a]
 
 
 def c_oracle(g: Graph, seq) -> int:
     """Cycle tuples whose vertex sets jointly cover V(g)."""
-    full_v = (1 << g.n) - 1
-    states = {0: 1}
-    for a in seq:
-        items = _cycle_items(g, a)
-        nxt = {}
-        for vm, cnt in states.items():
-            for _em, cv in items:
-                key = vm | cv
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-        if not states:
-            return 0
-    return states.get(full_v, 0)
+    unions = _unions([(vm, 1) for vm, _em in _cycle_items(g, a)] for a in seq)
+    return unions.get((1 << g.n) - 1, 0)
 
 
 def con_oracle(g: Graph, seq) -> int:
     """Cycle tuples spanning V(g) whose union is connected."""
-    edges, _ = _edge_index(g)
-    states = {0: 1}
-    for a in seq:
-        items = _cycle_items(g, a)
-        nxt = {}
-        for em, cnt in states.items():
-            for ce, _cv in items:
-                key = em | ce
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-        if not states:
-            return 0
-    full_v = (1 << g.n) - 1
+    edges = g.sorted_edges()
+    unions = _unions([(em, 1) for _vm, em in _cycle_items(g, a)] for a in seq)
     total = 0
-    for em, cnt in states.items():
-        subset = [edges[i] for i in range(len(edges)) if (em >> i) & 1]
-        if _endpoint_mask(subset) == full_v and _connected_mask(subset, full_v):
-            total += cnt
+    for em, cnt in unions.items():
+        union = Graph(g.n, frozenset(e for i, e in enumerate(edges) if (em >> i) & 1))
+        # 1 when the union itself connects every vertex, else 0
+        total += cnt * kedge_connected_oracle(union, union.e)
     return total
 
 
@@ -418,19 +407,8 @@ def signed_c_oracle(g: Graph, seq) -> int:
     cycle-cover sum.
     """
     by_order = _elementary_by_order(g)
-    full_v = (1 << g.n) - 1
-    states = {0: 1}
-    for a in seq:
-        items = [(vm, w) for vm, _em, w, _prof in by_order.get(a, ())]
-        nxt = {}
-        for vm, val in states.items():
-            for cv, w in items:
-                key = vm | cv
-                nxt[key] = nxt.get(key, 0) + val * w
-        states = nxt
-        if not states:
-            return 0
-    return states.get(full_v, 0)
+    unions = _unions([(vm, w) for vm, _em, w, _prof in by_order.get(a, ())] for a in seq)
+    return unions.get((1 << g.n) - 1, 0)
 
 
 def signed_exact_cover_oracle(g: Graph, seq) -> int:
@@ -441,30 +419,9 @@ def signed_exact_cover_oracle(g: Graph, seq) -> int:
     partition-refinement recursion, evaluated on concrete elementary hosts.
     """
     by_order = _elementary_by_order(g)
-    full_e = (1 << g.e) - 1
-    full_v = (1 << g.n) - 1
-    states = {(0, 0): 1}
-    for a in seq:
-        items = [(vm, em, w) for vm, em, w, _prof in by_order.get(a, ())]
-        nxt = {}
-        for (vm, em), val in states.items():
-            for cv, ce, w in items:
-                key = (vm | cv, em | ce)
-                nxt[key] = nxt.get(key, 0) + val * w
-        states = nxt
-        if not states:
-            return 0
-    return states.get((full_v, full_e), 0)
-
-
-def kedge_connected_oracle(g: Graph, k: int) -> int:
-    """Connected spanning subgraphs with exactly k edges."""
-    full = (1 << g.n) - 1
-    count = 0
-    for subset in combinations(g.sorted_edges(), k):
-        if _endpoint_mask(subset) == full and _connected_mask(subset, full):
-            count += 1
-    return count
+    unions = _unions([((vm << g.e) | em, w) for vm, em, w, _prof in by_order.get(a, ())]
+                     for a in seq)
+    return unions.get((1 << (g.n + g.e)) - 1, 0)
 
 
 def lcompo_oracle(g: Graph, spec) -> int:
@@ -472,28 +429,9 @@ def lcompo_oracle(g: Graph, spec) -> int:
     spec = tuple(sorted(spec, reverse=True))
     if sum(n for n, _m in spec) != g.n:
         raise DomainError("component orders must sum to v(g)")
-    total_edges = sum(m for _n, m in spec)
     full = (1 << g.n) - 1
-    count = 0
-    for subset in combinations(g.sorted_edges(), total_edges):
-        if _endpoint_mask(subset) != full:
-            continue
-        profile = _component_profile(subset)
-        if profile == spec:
-            count += 1
-    return count
-
-
-def _component_profile(edges_subset) -> tuple:
-    """Non-increasing (order, size) pairs of the components of an edge set."""
-    roots = _roots({x for e in edges_subset for x in e}, edges_subset)
-    orders = {}
-    sizes = {}
-    for r in roots.values():
-        orders[r] = orders.get(r, 0) + 1
-    for u, _v in edges_subset:
-        sizes[roots[u]] = sizes.get(roots[u], 0) + 1
-    return tuple(sorted(((orders[r], sizes[r]) for r in orders), reverse=True))
+    return sum(1 for subset in combinations(g.sorted_edges(), sum(m for _n, m in spec))
+               if _endpoint_mask(subset) == full and _component_profile(subset) == spec)
 
 
 def laplacian_tree_count(g: Graph) -> int:

@@ -143,7 +143,7 @@ def test_sweep_small(capsys):
     assert code == 0 and out["ok"] is True
     assert out["graphs"] == 14
     assert out["checks"]["golden"]["failures"] == []
-    assert out["candidates"] == []
+    assert out["candidates"] == [] and out["unparsed"] == []
 
 
 def test_sweep_corpus_file_and_jobs(tmp_path, capsys, monkeypatch):
@@ -154,6 +154,18 @@ def test_sweep_corpus_file_and_jobs(tmp_path, capsys, monkeypatch):
                               "--corpus", str(f)])
     assert code == 0
     assert out["graphs"] == 2
+
+
+def test_sweep_corpus_reports_an_unparsable_line_and_sweeps_the_rest(tmp_path, capsys):
+    f = tmp_path / "corpus.g6"
+    f.write_text("Bw\n~~~\nCF\n")
+    code, out = _run(capsys, ["sweep", "--max-n", "4", "--checks", "nrecon",
+                              "--corpus", str(f)])
+    assert code == 1 and out["ok"] is False
+    assert out["graphs"] == 2 and out["checks"]["nrecon"]["failures"] == []
+    [record] = out["unparsed"]
+    assert record["line"] == 2 and record["graph6"] == "~~~"
+    assert record["detail"][0].startswith("Graph6ParseError: ")
 
 
 def test_sweep_counts_only_the_graphs_a_check_applies_to(capsys):

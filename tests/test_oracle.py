@@ -26,6 +26,18 @@ def test_psi_examples(prism):
     assert psi_oracle(complete(3), 7) == 0
 
 
+def test_psi_matches_networkx_cycle_counts(corpus6):
+    """psi, the cycle-cover oracles and charpoly_oracle share one cycle list;
+    networkx enumerates the cycles independently."""
+    import networkx as nx
+    for g in corpus6:
+        h = nx.Graph(list(g.edges))
+        h.add_nodes_from(range(g.n))
+        lengths = [len(c) for c in nx.simple_cycles(h)]
+        for i in range(3, g.n + 1):
+            assert psi_oracle(g, i) == lengths.count(i), (g, i)
+
+
 def test_tr_ham_uni_examples():
     assert tr_oracle(cycle(5)) == 5
     assert ham_oracle(complete(4)) == 3
