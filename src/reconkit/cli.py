@@ -127,6 +127,8 @@ def _cmd_sweep(args) -> int:
     t0 = time.time()
     if not (2 <= args.max_n <= 8):
         raise DomainError("max-n must be between 2 and 8")
+    if args.jobs < 1:
+        raise DomainError("jobs must be at least 1")
     names = sorted(verify.CHECKS) if args.checks == "all" else args.checks.split(",")
     for name in names:
         if name not in verify.CHECKS and name != "golden":
@@ -150,15 +152,15 @@ def _cmd_sweep(args) -> int:
         corpus = [(s, g) for s, g in corpus if g.e >= 1 and g.n <= args.max_n]
     else:
         corpus = [(write_graph6(g), g) for g in all_graphs(args.max_n, min_edges=1)]
-    jobs = args.jobs or int(os.environ.get("RECONKIT_JOBS", "1"))
     results = {name: {"graphs": sum(1 for _s, g in corpus if verify.CHECKS[name].applies(g)),
                       "failures": []}
                for name in names}
     candidates = []
     work = [(g6, tuple(names)) for g6, _g in corpus]
-    if jobs > 1:
+    workers = min(args.jobs, os.cpu_count() or 1, len(work))
+    if workers > 1:
         from multiprocessing import Pool
-        with Pool(jobs) as pool:
+        with Pool(workers) as pool:
             outputs = pool.map(_run_graph, work)
     else:
         outputs = map(_run_graph, work)
@@ -213,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="run verification checks over a graph corpus")
     s.add_argument("--max-n", type=int, required=True)
     s.add_argument("--checks", default="all")
-    s.add_argument("--jobs", type=int, default=0)
+    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--corpus", default=None)
     s.set_defaults(func=_cmd_sweep)
     return ap

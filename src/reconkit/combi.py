@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, groupby
 from math import comb, factorial
 
 from .errors import InconsistentDeckError, InvalidMatrixError
 
 __all__ = [
-    "stirling2",
     "exact_div",
     "multiset_symmetry",
     "sachs_constant",
@@ -22,16 +21,6 @@ __all__ = [
     "grouped_cover_partitions",
     "edge_profiles",
 ]
-
-
-@cache
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind."""
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
 def exact_div(a: int, b: int, what: str = "value") -> int:

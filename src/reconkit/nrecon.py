@@ -3,12 +3,13 @@
 A single bottom-up pass over the poset ranks computes, per node: cycle counts
 by length, spanning-tree / unicyclic / hamiltonian counts, and the full
 characteristic polynomial.  Connected-spanning-cover counts and the
-subset-aggregated quantities Q_m and T_m drive both the hamiltonian count and,
-on demand, spanning-subgraph family counts and the rank polynomial.
+subset-aggregated quantities Q_m and T_m drive the tree, unicyclic and
+hamiltonian counts; the spanning-subgraph families behind the rank polynomial
+are counted on demand by inclusion-exclusion over a node's rows (Tutte).
 
-Three memos hold the hot quantities: `con` per (node, sequence), the inner sum
-of `q_m` per (row, sequence, order), and `t_m` per (node, m, listing).  They
-live on the `Reconstruction` instance, so nothing is shared between matrices.
+Memos on the `Reconstruction` instance hold the hot quantities: `con` per
+(node, sequence) and the inner sums of `q_m` per (row, sequence, order) and
+of `lcompo` per (row, order, size), so nothing is shared between matrices.
 The rows below each node are bucketed by order, so each scan visits only the
 rows of the order it needs.
 
@@ -19,12 +20,10 @@ raised as proof of matrix invalidity.  All arithmetic is arbitrary-precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb, factorial
 
 from .combi import (edge_profiles, exact_div, grouped_cover_partitions,
-                    multiset_symmetry, partitions_min2, sachs_constant,
-                    stirling2)
+                    multiset_symmetry, partitions_min2, sachs_constant)
 from .deck import NMatrix, _top_row, infer_v_e
 from .errors import DomainError, InvalidMatrixError
 from .oracle import Polynomial
@@ -70,6 +69,7 @@ class Reconstruction:
         self._t_memo = {}
         self._kedge_memo = {}
         self._lcompo_memo = {}
+        self._component_memo = {}
         for t in sorted(range(self._size), key=lambda i: self._ve[i][0]):
             self._process(t)
         self.nodes = [NodeInvariants(self._ve[i][0], self._ve[i][1],
@@ -108,7 +108,8 @@ class Reconstruction:
                 self._uni[t][r] = exact_div(self.con(t, (r,) + (2,) * (v - r)),
                                             factorial(v - r), f"uni_{r} at node {t}")
             rhs = self.con(t, (2,) * v)
-            rhs -= factorial(v - 1) * stirling2(v, v - 1) * self._tr[t]
+            # (v - 1)! S(v, v - 1) v-tuples map onto a tree's edges; S(v, v - 1) = C(v, 2)
+            rhs -= factorial(v - 1) * comb(v, 2) * self._tr[t]
             rhs -= sum(factorial(v) * self._uni[t][r] for r in range(3, v))
             ham = exact_div(rhs, factorial(v), f"ham count at node {t}")
             if ham < 0:
@@ -233,7 +234,12 @@ class Reconstruction:
     # -- spanning-subgraph families ------------------------------------------
 
     def kedge(self, t: int, k: int) -> int:
-        """Connected spanning subgraphs of the node with exactly k edges."""
+        """Connected spanning subgraphs of the node with exactly k edges.
+
+        sum_s (-1)^(v_t - v_s) N[t][s] C(e_s, k) counts the k-edge sets touching
+        every vertex (edgeless subsets have no row, and C(0, k) = 0); lcompo's
+        families of two or more parts are the disconnected ones among them.
+        """
         v_t, e_t = self._ve[t]
         if k < v_t - 1 or k > e_t:
             return 0
@@ -242,17 +248,23 @@ class Reconstruction:
         key = (t, k)
         if key in self._kedge_memo:
             return self._kedge_memo[key]
-        val = self.con(t, (2,) * k)
-        for i in range(v_t - 1, k):
-            val -= factorial(i) * stirling2(k, i) * self.kedge(t, i)
-        val = exact_div(val, factorial(k), f"kedge({k}) at node {t}")
+        val = sum((-1) ** (v_t - order) * self._rows[t][s] * comb(self._ve[s][1], k)
+                  for order, ss in self._by_order[t].items() for s in ss)
+        for nparts in partitions_min2(v_t)[1:]:  # [0] is the one part (v_t,)
+            val -= sum(self.lcompo(t, spec) for spec in edge_profiles(nparts, k)
+                       if sum(m for _n, m in spec) == k)
         if val < 0:
             raise InvalidMatrixError(f"negative {k}-edge count at node {t}")
         self._kedge_memo[key] = val
         return val
 
     def lcompo(self, t: int, spec) -> int:
-        """Spanning subgraphs whose component (order, size) multiset is `spec`."""
+        """Spanning subgraphs whose component (order, size) multiset is `spec`.
+
+        With two or more parts, sum_s (-1)^(v_t - v_s) N[t][s] prod_i sum_{j <= s,
+        v_j = n_i} N[s][j] kedge(j, m_i) counts each family once per ordering of
+        its parts: connected parts whose orders sum to v_t cover t only if disjoint.
+        """
         spec = tuple(sorted(spec, reverse=True))
         v_t = self._ve[t][0]
         if sum(n for n, _m in spec) != v_t:
@@ -264,21 +276,18 @@ class Reconstruction:
         key = (t, spec)
         if key in self._lcompo_memo:
             return self._lcompo_memo[key]
-        listing = tuple(sorted(((2,) * m, n) for n, m in spec))
-        val = self.t_m(t, v_t, listing)
-        tops = tuple(m for _n, m in spec)
-        for qs in product(*[range(n - 1, m + 1) for n, m in spec]):
-            if qs == tops:
-                continue
-            pairs = tuple(sorted(zip((n for n, _m in spec), qs), reverse=True))
-            coef = 1
-            for (n, m), q in zip(spec, qs):
-                coef *= factorial(q) * stirling2(m, q)
-            val -= coef * multiset_symmetry(pairs) * self.lcompo(t, pairs)
-        denom = multiset_symmetry(spec)
-        for _n, m in spec:
-            denom *= factorial(m)
-        val = exact_div(val, denom, f"family count {spec} at node {t}")
+        val = 0
+        for order, ss in self._by_order[t].items():
+            for s in ss:
+                term = (-1) ** (v_t - order) * self._rows[t][s]
+                for n, m in spec:
+                    if (s, n, m) not in self._component_memo:
+                        self._component_memo[s, n, m] = sum(
+                            self._rows[s][j] * self.kedge(j, m)
+                            for j in self._by_order[s].get(n, ()))
+                    term *= self._component_memo[s, n, m]
+                val += term
+        val = exact_div(val, multiset_symmetry(spec), f"family count {spec} at node {t}")
         if val < 0:
             raise InvalidMatrixError(f"negative family count {spec} at node {t}")
         self._lcompo_memo[key] = val

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -146,14 +147,39 @@ def test_sweep_small(capsys):
     assert out["candidates"] == [] and out["unparsed"] == []
 
 
-def test_sweep_corpus_file_and_jobs(tmp_path, capsys, monkeypatch):
+def test_sweep_corpus_file_and_jobs(tmp_path, capsys):
     f = tmp_path / "corpus.g6"
     f.write_text("Bw\nA_\nA?\n")  # edgeless entry must be dropped
-    monkeypatch.setenv("RECONKIT_JOBS", "2")
     code, out = _run(capsys, ["sweep", "--max-n", "6", "--checks", "nrecon",
-                              "--corpus", str(f)])
+                              "--jobs", "2", "--corpus", str(f)])
     assert code == 0
     assert out["graphs"] == 2
+
+
+def test_sweep_jobs_is_checked_and_capped(capsys, monkeypatch):
+    code, out = _run(capsys, ["sweep", "--max-n", "3", "--jobs", "0"])
+    assert code == 3 and out["error"] == "domain"
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return list(map(fn, work))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, out = _run(capsys, ["sweep", "--max-n", "4", "--checks", "nrecon",
+                              "--jobs", str(10 ** 9)])
+    assert code == 0 and out["graphs"] == 14
+    assert sizes == [3]
 
 
 def test_sweep_corpus_reports_an_unparsable_line_and_sweeps_the_rest(tmp_path, capsys):

@@ -6,18 +6,10 @@ from reconkit.combi import (card_sum_coeffs, edge_profiles,
                             grouped_cover_partitions, is_refinement,
                             labeled_partition_count, multiset_partitions,
                             multiset_symmetry, partitions_min2,
-                            sachs_constant, stirling2, strict_refinements)
+                            sachs_constant, strict_refinements)
 from reconkit.errors import InconsistentDeckError
 from reconkit.graphcore import path, vertex_deck
 from reconkit.oracle import charpoly_oracle, elementary_count_oracle
-
-
-def test_stirling2_table():
-    assert stirling2(0, 0) == 1
-    assert stirling2(4, 2) == 7
-    assert stirling2(5, 3) == 25
-    assert stirling2(6, 1) == 1
-    assert stirling2(3, 5) == 0
 
 
 def test_partitions_min2():

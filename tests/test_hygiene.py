@@ -1,18 +1,22 @@
 """Source hygiene.
 
-Data-dependent checks must not rely on `assert`, which -O strips, and every
-process-wide cache must be bounded unless it is on the allowlist below.
+Data-dependent checks must not rely on `assert`, which -O strips, every
+process-wide cache must be bounded unless it is on the allowlist below, and
+every layer the benchmark tracer wraps must exist.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "reconkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "reconkit"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # The unbounded caches that exist today; a new cache gets an explicit maxsize
 # or lives on an instance (ROADMAP aim 3).
 UNBOUNDED_ALLOWED = {
-    "combi.stirling2", "combi.partitions_min2", "combi.strict_refinements",
+    "combi.partitions_min2", "combi.strict_refinements",
     "isotype._canon", "isotype.induced_type_table", "isotype.subgraph_type_table",
     "oracle._elementary_by_order",
 }
@@ -71,3 +75,20 @@ def test_the_cache_guard_sees_every_spelling():
         assert _is_unbounded_cache(dec) is unbounded, spelling
     call = ast.parse("f = lru_cache(maxsize=None)(g)").body[0].value
     assert _is_unbounded_cache(call.func)
+
+
+def test_every_traced_layer_resolves():
+    """Each `module.name` or `module.Class.method` in the tracer's LAYERS is in reconkit."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    [layers] = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(_name(target) == "LAYERS" for target in node.targets)]
+    missing = []
+    for layer in layers:
+        mod, *attrs = layer.split(".")
+        obj = importlib.import_module(f"reconkit.{mod}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(layer)
+    assert layers and missing == []

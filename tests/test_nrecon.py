@@ -169,14 +169,16 @@ def test_kedge_examples():
     assert rec4.kedge(rec4.top_index, 6) == 1
 
 
-def test_kedge_matches_oracle(corpus5):
-    for g in corpus5:
+def test_kedge_matches_oracle(corpus6):
+    for g in corpus6:
         if g.e == 0:
             continue
-        rec = reconstruct(strip(nmatrix(g)))
-        t = rec.top_index
-        for k in range(g.n - 1, g.e + 1):
-            assert rec.kedge(t, k) == kedge_connected_oracle(g, k), (g, k)
+        labelled = nmatrix(g)
+        rec = reconstruct(strip(labelled))
+        for idx, cls in enumerate(labelled.labels.classes):
+            h = cls.rep
+            for k in range(h.n - 1, h.e + 1):
+                assert rec.kedge(idx, k) == kedge_connected_oracle(h, k), (g, h, k)
 
 
 def test_lcompo_examples():
@@ -186,22 +188,22 @@ def test_lcompo_examples():
     assert rec.lcompo(rec.top_index, ((2, 1), (2, 1))) == 3
 
 
-def test_lcompo_matches_oracle(corpus5):
+def test_lcompo_matches_oracle(corpus6):
     from reconkit.combi import edge_profiles, partitions_min2
-    for g in corpus5:
+    for g in corpus6:
         if g.e == 0:
             continue
-        rec = reconstruct(strip(nmatrix(g)))
-        t = rec.top_index
-        for nparts in partitions_min2(g.n):
-            if len(nparts) < 2:
-                continue
-            for spec in edge_profiles(nparts, g.e):
-                assert rec.lcompo(t, spec) == lcompo_oracle(g, spec), (g, spec)
+        labelled = nmatrix(g)
+        rec = reconstruct(strip(labelled))
+        for idx, cls in enumerate(labelled.labels.classes):
+            h = cls.rep
+            for nparts in partitions_min2(h.n)[1:]:
+                for spec in edge_profiles(nparts, h.e):
+                    assert rec.lcompo(idx, spec) == lcompo_oracle(h, spec), (g, h, spec)
 
 
-def test_rankpoly_small(corpus5):
-    for g in corpus5:
+def test_rankpoly_small(corpus6):
+    for g in corpus6:
         if g.e == 0:
             continue
         assert reconstruct(strip(nmatrix(g))).rankpoly() == rankpoly_oracle(g), g
