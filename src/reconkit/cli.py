@@ -29,6 +29,10 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NOT_RECONSTRUCTIBLE = 4
 
+# The most vertices `build` and `recon --source direct|vertexdeck` accept: their
+# work grows at least as 2^n, so a larger graph is refused before it starts.
+VERTEX_LIMIT = 10
+
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
@@ -46,6 +50,11 @@ def _load_json(text: str):
         raise _BadJSON(str(exc)) from exc
 
 
+def _check_order(n: int) -> None:
+    if n > VERTEX_LIMIT:
+        raise DomainError(f"{n} vertices is over the limit of {VERTEX_LIMIT}")
+
+
 def _read_input(arg: str) -> str:
     if arg == "-":
         return sys.stdin.read()
@@ -61,6 +70,7 @@ def _read_input(arg: str) -> str:
 
 def _cmd_build(args) -> int:
     g = parse_graph6(args.graph6)
+    _check_order(g.n)
     if args.what == "polydeck":
         _emit(pdmod.polydeck_to_json(pdmod.build_polydeck(g)))
         return EXIT_OK
@@ -102,10 +112,13 @@ def _cmd_recon(args) -> int:
         _emit({"charpoly": list(poly.coeffs)})
     elif args.source == "vertexdeck":
         cards = [parse_graph6(line) for line in text.splitlines() if line.strip()]
+        _check_order(len(cards))
         poly = charpoly_from_vertex_deck(cards)
         _emit({"charpoly": list(poly.coeffs)})
     else:
-        _emit(_direct_report(parse_graph6(text.strip())))
+        g = parse_graph6(text.strip())
+        _check_order(g.n)
+        _emit(_direct_report(g))
     return EXIT_OK
 
 

@@ -1,9 +1,23 @@
 """Isomorphism certificates and subgraph counting.
 
-The canonical code of a graph is the lexicographically smallest upper-triangle
-adjacency bitstring over all vertex orderings, found by partition refinement
-plus backtracking.  Two graphs are isomorphic iff their codes are equal, so
-codes double as dictionary keys for all counting done in this package.
+The canonical code of a graph is the smallest upper-triangle adjacency
+bitstring over the leaves of a search tree: each node refines an ordered
+vertex partition to an equitable one and branches on the vertices of its first
+non-singleton cell, and each leaf is a vertex ordering.  The witness is the
+first leaf, in depth-first order, that attains the minimum.  Two graphs are
+isomorphic iff their codes are equal, so codes double as dictionary keys for
+all counting done in this package.
+
+The search prunes with the automorphisms it finds (McKay & Piperno, "Practical
+graph isomorphism, II", J. Symb. Comput. 2014).  A leaf that ties the best
+bitstring so far gives the automorphism mapping the best witness onto it.  A
+node skips a child when the automorphisms found so far that fix the node's
+path pointwise map an already explored child onto it.  Refinement commutes
+with relabelling, so such an automorphism maps the explored subtree onto the
+skipped one, leaf values included: the skipped subtree holds no smaller value,
+and each of its values already occurs at an earlier leaf.  The minimum and
+its first witness are therefore those of the full search, and codes, witness
+orderings and canonical forms are unchanged by the pruning.
 
 `count_subgraphs(g, f)` is the number of subgraphs of g isomorphic to f, where
 a subgraph is identified with its edge set (its vertex set is the set of edge
@@ -35,7 +49,10 @@ __all__ = [
 
 
 def _refine(masks, cells):
-    """Equitable refinement of an ordered partition by neighbour counts."""
+    """Equitable refinement of an ordered partition by neighbour counts.
+
+    A cell whose vertices all have the same counts is kept as it is.
+    """
     while True:
         cellmasks = []
         for cell in cells:
@@ -51,10 +68,13 @@ def _refine(masks, cells):
                 continue
             groups = {}
             for v in cell:
-                sig = tuple(bin(masks[v] & cm).count("1") for cm in cellmasks)
+                mv = masks[v]
+                sig = tuple([(mv & cm).bit_count() for cm in cellmasks])
                 groups.setdefault(sig, []).append(v)
-            if len(groups) > 1:
-                changed = True
+            if len(groups) == 1:
+                new_cells.append(cell)
+                continue
+            changed = True
             for sig in sorted(groups):
                 new_cells.append(groups[sig])
         cells = new_cells
@@ -71,30 +91,63 @@ def _bits_int(masks, perm, n):
     return val
 
 
+def _join_orbits(orbit, gamma):
+    """Merge the orbit labels (vertex -> label) of each x and gamma[x]."""
+    for x in orbit:
+        a, b = orbit[x], orbit[gamma[x]]
+        if a != b:
+            for y in orbit:
+                if orbit[y] == b:
+                    orbit[y] = a
+
+
 @lru_cache(maxsize=None)
 def _canon(g: Graph):
-    """Return (minimal bitstring as int, witness permutation new->old)."""
+    """Return (minimal bitstring as int, witness permutation new->old).
+
+    The search prunes by automorphism, as the module docstring describes.
+    """
     n = g.n
     if n == 0:
         return 0, ()
     masks = adjacency_masks(g)
     best = [None, None]
+    autos = []  # automorphisms as lists old -> old; they live for this call only
 
-    def search(cells):
+    def search(cells, path):
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             perm = tuple(c[0] for c in cells)
             val = _bits_int(masks, perm, n)
             if best[0] is None or val < best[0]:
                 best[0], best[1] = val, perm
+            elif val == best[0]:
+                gamma = [0] * n
+                for a, b in zip(best[1], perm):
+                    gamma[a] = b
+                autos.append(gamma)
             return
         cell = cells[target]
-        for v in sorted(cell):
-            rest = [u for u in cell if u != v]
-            split = cells[:target] + [[v], rest] + cells[target + 1:]
-            search(_refine(masks, split))
+        orbit = {v: v for v in cell}
+        folded = 0
+        explored = []
+        taken = set()  # orbit labels of the explored children
+        for w in sorted(cell):
+            if folded < len(autos):
+                for gamma in autos[folded:]:
+                    if all(gamma[p] == p for p in path):
+                        _join_orbits(orbit, gamma)
+                folded = len(autos)
+                taken = {orbit[u] for u in explored}
+            if orbit[w] in taken:
+                continue
+            explored.append(w)
+            taken.add(orbit[w])
+            rest = [u for u in cell if u != w]
+            split = cells[:target] + [[w], rest] + cells[target + 1:]
+            search(_refine(masks, split), path + (w,))
 
-    search(_refine(masks, [list(range(n))]))
+    search(_refine(masks, [list(range(n))]), ())
     return best[0], best[1]
 
 

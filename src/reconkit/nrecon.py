@@ -168,8 +168,11 @@ class Reconstruction:
         return total
 
     def con(self, t: int, seq) -> int:
-        """Connected spanning cycle covers for the sequence, memoised."""
-        seq = tuple(sorted(seq, reverse=True))
+        """Connected spanning cycle covers for a non-increasing tuple, memoised.
+
+        The callers build `seq` non-increasing: the tree, unicyclic and
+        hamiltonian sequences, and the parts of `multiset_partitions`.
+        """
         key = (t, seq)
         if key in self._con_memo:
             return self._con_memo[key]

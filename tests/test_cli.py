@@ -119,6 +119,33 @@ def test_recon_json_that_json_loads_refuses_otherwise_is_a_parse_error(tmp_path,
     assert json.loads(proc.stdout)["error"] == "parse"
 
 
+@pytest.mark.parametrize("argv", [["build", "nmatrix"], ["build", "polydeck"],
+                                  ["recon", "--source", "direct"],
+                                  ["recon", "--source", "vertexdeck"]])
+def test_a_graph_over_the_vertex_limit_is_refused_before_any_work(tmp_path, argv):
+    from reconkit.cli import VERTEX_LIMIT
+    from reconkit.graphcore import complete
+    if argv[-1] == "vertexdeck":
+        # VERTEX_LIMIT + 1 cards of a (VERTEX_LIMIT + 1)-vertex graph
+        deck = vertex_deck(complete(VERTEX_LIMIT + 1))
+        target = tmp_path / "deck.g6"
+        target.write_text("\n".join(write_graph6(c) for c in deck) + "\n")
+        target = str(target)
+    else:
+        target = write_graph6(complete(62))  # the largest graph6 accepts
+    proc = _run_process(argv + [target])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["error"] == "domain" and f"limit of {VERTEX_LIMIT}" in out["reason"]
+
+
+def test_a_graph_at_the_vertex_limit_is_accepted(capsys):
+    from reconkit.cli import VERTEX_LIMIT
+    code, out = _run(capsys, ["build", "nmatrix", write_graph6(cycle(VERTEX_LIMIT))])
+    assert code == 0 and out["ve"][-1] == [VERTEX_LIMIT, VERTEX_LIMIT]
+
+
 def test_recon_vertexdeck(tmp_path, capsys):
     from reconkit.graphcore import complete
     deck = vertex_deck(complete(4))

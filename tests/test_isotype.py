@@ -1,12 +1,14 @@
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 from reconkit.errors import DomainError, InconsistentDeckError
-from reconkit.graphcore import (all_graphs, complete, cycle, disjoint_union,
-                                empty_graph, graph, path, vertex_deck)
-from reconkit.isotype import (IsoClass, are_isomorphic, canonical_code,
+from reconkit.graphcore import (adjacency_masks, all_graphs, complete, cycle,
+                                disjoint_union, empty_graph, graph, parse_graph6,
+                                path, vertex_deck)
+from reconkit.isotype import (IsoClass, _canon, are_isomorphic, canonical_code,
                               canonical_rep, count_induced, count_subgraphs,
                               kelly_count)
 
@@ -15,6 +17,127 @@ def _random_relabel(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _complete_multipartite(*sizes):
+    part = [i for i, k in enumerate(sizes) for _ in range(k)]
+    n = len(part)
+    return graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if part[u] != part[v]])
+
+
+def _reference_canon(g):
+    """The search without automorphism pruning: every leaf of the refinement
+    tree is visited and the first minimal leaf is the witness."""
+    n = g.n
+    if n == 0:
+        return 0, ()
+    masks = adjacency_masks(g)
+
+    def refine(cells):
+        while True:
+            cellmasks = [sum(1 << v for v in cell) for cell in cells]
+            new_cells = []
+            for cell in cells:
+                groups = {}
+                for v in cell:
+                    sig = tuple(bin(masks[v] & cm).count("1") for cm in cellmasks)
+                    groups.setdefault(sig, []).append(v)
+                new_cells += [groups[sig] for sig in sorted(groups)]
+            if len(new_cells) == len(cells):
+                return cells
+            cells = new_cells
+
+    best = []
+
+    def search(cells):
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            perm = tuple(c[0] for c in cells)
+            val = int("".join(str((masks[perm[i]] >> perm[j]) & 1)
+                              for i in range(n) for j in range(i + 1, n)) or "0", 2)
+            if not best or val < best[0]:
+                best[:] = [val, perm]
+            return
+        cell = cells[target]
+        for v in sorted(cell):
+            rest = [u for u in cell if u != v]
+            search(refine(cells[:target] + [[v], rest] + cells[target + 1:]))
+
+    search(refine([list(range(n))]))
+    return best[0], best[1]
+
+
+def test_pruned_search_matches_the_reference(corpus6):
+    """Automorphism pruning changes neither the minimal code nor its witness."""
+    rng = random.Random(7)
+    graphs = list(corpus6) + [_random_relabel(g, rng) for g in corpus6]
+    # K8 minus a perfect matching is K2,2,2,2; the two differ here in labelling
+    k8_minus_matching = graph(8, [e for e in complete(8).edges if e[1] - e[0] != 4])
+    for g in (k8_minus_matching, _complete_multipartite(4, 4),
+              _complete_multipartite(2, 2, 2, 2)):
+        graphs += [g] + [_random_relabel(g, rng) for _ in range(3)]
+    # On these the first leaf is not minimal, so the search finds a new best
+    # later on; the last is two triangles and a 4-cycle in a labelling where a
+    # map taken from a new best, not from a tie, changes the witness.
+    graphs += [parse_graph6(s) for s in ("FCXc_", "FyU|o", "IGA?oqCW?")]
+    for g in graphs:
+        assert _canon(g) == _reference_canon(g), g
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _symmetric_shapes():
+    """Graphs on 7-9 vertices with large automorphism groups."""
+    cube = graph(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3)
+                     if u < u ^ (1 << b)])
+
+    def circulant(n, steps):
+        return graph(n, {tuple(sorted((u, (u + s) % n))) for u in range(n) for s in steps})
+
+    wheel = graph(8, list(cycle(7).edges) + [(v, 7) for v in range(7)])
+    return [cycle(7), cycle(9), _complete_multipartite(2, 2, 2, 2), cube, circulant(8, (1, 2)),
+            circulant(9, (1, 3)), circulant(9, (1, 2, 4)), wheel,
+            _complete_multipartite(3, 4), _complete_multipartite(3, 3, 3),
+            disjoint_union(cycle(4), cycle(4)), disjoint_union(complete(3), cycle(5))]
+
+
+def test_are_isomorphic_agrees_with_networkx():
+    rng = random.Random(2024)
+    graphs = _symmetric_shapes()
+    for n in (7, 8, 9):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for m in (n - 1, n + 2, len(pairs) // 2, len(pairs) - n):
+            graphs += [graph(n, rng.sample(pairs, m)) for _ in range(3)]
+    outcomes = Counter()
+    for g in graphs:
+        relabelled = _random_relabel(g, rng)
+        assert are_isomorphic(g, relabelled), g
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        for _ in range(3):
+            gone = rng.choice(sorted(relabelled.edges))
+            new = rng.choice([p for p in pairs if p not in relabelled.edges])
+            moved = graph(g.n, (relabelled.edges - {gone}) | {new})
+            expected = nx.is_isomorphic(_nx(g), _nx(moved))
+            assert are_isomorphic(g, moved) == expected, (g, moved)
+            outcomes[expected] += 1
+    # some moved copies are still isomorphic, so both answers are exercised
+    assert outcomes[True] and outcomes[False]
+
+
+def test_canonical_code_of_twelve_vertex_symmetric_graphs():
+    """Each of these is a 12!-leaf search without automorphism pruning."""
+    nbits = 12 * 11 // 2
+    assert int.from_bytes(canonical_code(complete(12))[1:], "big") == (1 << nbits) - 1
+    assert int.from_bytes(canonical_code(empty_graph(12))[1:], "big") == 0
+    k66 = _complete_multipartite(6, 6)
+    rng = random.Random(12)
+    assert canonical_code(_random_relabel(k66, rng)) == canonical_code(k66)
 
 
 def test_code_is_relabelling_invariant(corpus5):
