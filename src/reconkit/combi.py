@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby
 from math import comb, factorial
 
 from .errors import InconsistentDeckError, InvalidMatrixError
@@ -12,9 +12,10 @@ __all__ = [
     "exact_div",
     "multiset_symmetry",
     "sachs_constant",
+    "sachs_weight",
     "card_sum_coeffs",
     "partitions_min2",
-    "is_refinement",
+    "groupings",
     "strict_refinements",
     "multiset_partitions",
     "labeled_partition_count",
@@ -39,17 +40,23 @@ def multiset_symmetry(items) -> int:
 
 
 def sachs_constant(n: int, count) -> int:
-    """c_n = (-1)^n * sum over lambda of (-1)^(n - len lambda) 2^cyc(lambda) count(lambda).
+    """c_n = (-1)^n * sum over lambda of sachs_weight(lambda) * count(lambda).
 
     lambda runs over the partitions of n into parts >= 2 (the one-part,
     hamiltonian partition first); `count(lambda)` is the number of spanning
     elementary subgraphs with one K2 per part 2 and one C_r per part r >= 3.
     """
-    acc = 0
-    for parts in partitions_min2(n):
-        cyc = sum(1 for p in parts if p >= 3)
-        acc += (-1) ** (n - len(parts)) * 2 ** cyc * count(parts)
-    return (-1) ** n * acc
+    return (-1) ** n * sum(sachs_weight(parts) * count(parts)
+                           for parts in partitions_min2(n))
+
+
+def sachs_weight(parts) -> int:
+    """(-1)^(n - len) * 2^cycles: the Sachs weight of the elementary graph of `parts`.
+
+    n is the sum of the parts, and every part r >= 3 is a cycle C_r.
+    """
+    cycles = sum(1 for p in parts if p >= 3)
+    return (-1) ** (sum(parts) - len(parts)) * 2 ** cycles
 
 
 def card_sum_coeffs(cards, n: int) -> tuple:
@@ -85,30 +92,16 @@ def partitions_min2(n: int, largest: int | None = None) -> tuple:
     return tuple(out)
 
 
-def _can_group(values: tuple, targets: tuple) -> bool:
-    if not targets:
-        return not values
-    t = targets[0]
-    idxs = range(len(values))
-    seen = set()
-    for r in range(1, len(values) + 1):
-        for pick in combinations(idxs, r):
-            chosen = tuple(values[i] for i in pick)
-            if sum(chosen) != t or chosen in seen:
-                continue
-            seen.add(chosen)
-            rest = tuple(v for i, v in enumerate(values) if i not in set(pick))
-            if _can_group(rest, targets[1:]):
-                return True
-    return False
+def groupings(fine: tuple, coarse: tuple) -> int:
+    """Ways to place fine's parts, as distinct items, into coarse's slots with exact sums.
 
-
-def is_refinement(fine: tuple, coarse: tuple) -> bool:
-    """Whether `fine` refines `coarse`: parts of fine group into sums giving coarse."""
-    if sum(fine) != sum(coarse) or len(fine) < len(coarse):
-        return False
-    return _can_group(tuple(sorted(fine, reverse=True)),
-                      tuple(sorted(coarse, reverse=True)))
+    Nonzero exactly when `fine` refines `coarse`.
+    """
+    if not fine:
+        return int(not any(coarse))
+    first, rest = fine[0], fine[1:]
+    return sum(groupings(rest, coarse[:j] + (room - first,) + coarse[j + 1:])
+               for j, room in enumerate(coarse) if room >= first)
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +109,7 @@ def strict_refinements(parts: tuple) -> tuple:
     """All partitions strictly below `parts` in the refinement order (parts >= 2)."""
     parts = tuple(sorted(parts, reverse=True))
     return tuple(mu for mu in partitions_min2(sum(parts))
-                 if mu != parts and is_refinement(mu, parts))
+                 if mu != parts and groupings(mu, parts))
 
 
 def _sub_multisets(ms: tuple):

@@ -11,7 +11,7 @@ matrix and poset determine each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations, product
 from math import comb
 
 from .combi import exact_div
@@ -304,6 +304,21 @@ def _intern(sig: dict, size: int) -> dict:
     return {i: lookup[sig[i]] for i in range(size)}
 
 
+def _orderings(nm: NMatrix):
+    """Every admissible row ordering, paired with the matrix it flattens to.
+
+    An ordering lists the `_stable_cells` in turn, each cell in some order.
+    No automorphism is lost by this restriction: an automorphism keeps every
+    refinement signature, so it maps each cell onto itself.  The first
+    ordering lists every cell in increasing row order.
+    """
+    rows = nm.rows
+    cells = _stable_cells(nm, infer_v_e(nm))
+    for parts in product(*(permutations(cell) for cell in cells)):
+        perm = tuple(chain.from_iterable(parts))
+        yield perm, tuple(rows[a][b] for a in perm for b in perm)
+
+
 def canonical_nmatrix(nm: NMatrix) -> NMatrix:
     """Canonical representative under admissible simultaneous row/column orderings.
 
@@ -311,73 +326,28 @@ def canonical_nmatrix(nm: NMatrix) -> NMatrix:
     posets.  The ordering respects non-decreasing (v, e); remaining freedom is
     resolved by minimising the flattened matrix.
     """
-    ve = infer_v_e(nm)
-    cells = _stable_cells(nm, ve)
-    rows = nm.rows
-    best = [None]
-
-    def flatten(perm):
-        return tuple(rows[perm[p]][perm[q]] for p in range(nm.size) for q in range(nm.size))
-
-    def rec(cell_idx, prefix):
-        if cell_idx == len(cells):
-            flat = flatten(prefix)
-            if best[0] is None or flat < best[0]:
-                best[0] = flat
-            return
-        for order in permutations(cells[cell_idx]):
-            rec(cell_idx + 1, prefix + list(order))
-
-    rec(0, [])
-    flat = best[0]
+    flat = min(flat for _perm, flat in _orderings(nm))
     size = nm.size
-    out = tuple(tuple(flat[p * size:(p + 1) * size]) for p in range(size))
-    return NMatrix(out, None)
+    return NMatrix(tuple(flat[p:p + size] for p in range(0, size * size, size)), None)
 
 
 def elp_automorphisms(elp: Elp) -> list:
-    """All nontrivial label-preserving poset automorphisms.
+    """All nontrivial label-preserving poset automorphisms, in lexicographic order.
 
     A bijection of nodes preserves the edge-labelled poset iff it preserves
-    every entry of the reconstructed matrix, so the search runs on the matrix
-    with refinement cells as candidate classes.
+    every entry of the reconstructed matrix.  It then keeps the refinement
+    cells, so it maps the first admissible ordering onto another one that
+    flattens to the same matrix.  Each automorphism sigma is given as the
+    tuple (sigma(0), ..., sigma(n-1)).
     """
-    nm = nmatrix_from_elp(elp)
-    ve = infer_v_e(nm)
-    size = nm.size
-    rows = nm.rows
-    cells = _stable_cells(nm, ve)
-    cell_of = {}
-    for c, cell in enumerate(cells):
-        for i in cell:
-            cell_of[i] = c
+    orderings = _orderings(nmatrix_from_elp(elp))
+    base, fixed = next(orderings)
     found = []
-    sigma = [None] * size
-    used = [False] * size
-
-    def rec(i):
-        if i == size:
-            perm = tuple(sigma)
-            if perm != tuple(range(size)):
-                found.append(perm)
-            return
-        for t in cells[cell_of[i]]:
-            if used[t]:
-                continue
-            ok = True
-            for j in range(i):
-                if rows[i][j] != rows[t][sigma[j]] or rows[j][i] != rows[sigma[j]][t]:
-                    ok = False
-                    break
-            if ok:
-                sigma[i] = t
-                used[t] = True
-                rec(i + 1)
-                used[t] = False
-                sigma[i] = None
-
-    rec(0)
-    return found
+    for perm, flat in orderings:
+        if flat == fixed:
+            sigma = dict(zip(base, perm))
+            found.append(tuple(sigma[i] for i in range(len(base))))
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

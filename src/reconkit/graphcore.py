@@ -60,6 +60,9 @@ class Graph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
+    def has_isolated_vertex(self) -> bool:
+        return len({x for e in self.edges for x in e}) < self.n
+
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 

@@ -218,14 +218,6 @@ def count_induced(g: Graph, f: Graph) -> int:
     return induced_type_table(g, f.n).get(canonical_code(f), (0, None))[0]
 
 
-def _isolated_vertices(g: Graph) -> list:
-    deg = [0] * g.n
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return [v for v in range(g.n) if deg[v] == 0]
-
-
 @lru_cache(maxsize=None)
 def subgraph_type_table(g: Graph, m: int) -> dict:
     """code -> count over all m-edge subgraphs of g (vertex set = edge endpoints)."""
@@ -242,7 +234,7 @@ def subgraph_type_table(g: Graph, m: int) -> dict:
 
 def count_subgraphs(g: Graph, f: Graph) -> int:
     """The number of subgraphs of g isomorphic to f; f may not have isolated vertices."""
-    if _isolated_vertices(f):
+    if f.has_isolated_vertex():
         raise DomainError("count_subgraphs requires f without isolated vertices")
     if f.n > g.n or f.e > g.e:
         return 0

@@ -317,20 +317,18 @@ class Reconstruction:
                         rho[(r, m - r)] = rho.get((r, m - r), 0) + mult * cnt
         return rho
 
-    def report(self, include_rankpoly: bool = True) -> dict:
+    def report(self) -> dict:
         """The InvariantReport for the top node, JSON-shaped."""
         tp = self.top
-        out = {
+        return {
             "charpoly": list(tp.charpoly.coeffs),
             "tr": tp.tr,
             "ham": tp.ham,
             "psi": {str(i): tp.psi[i] for i in sorted(tp.psi)},
             "uni": {str(r): tp.uni[r] for r in sorted(tp.uni)},
+            "rankpoly": [{"r": r, "s": s, "count": c}
+                         for (r, s), c in sorted(self.rankpoly().items())],
         }
-        if include_rankpoly:
-            out["rankpoly"] = [{"r": r, "s": s, "count": c}
-                               for (r, s), c in sorted(self.rankpoly().items())]
-        return out
 
 
 def reconstruct(nm: NMatrix) -> Reconstruction:

@@ -9,9 +9,9 @@ once and shared by every oracle that needs it.
 
 The independence runs one way only, for now: `whitney` takes its card
 polynomials from `charpoly_oracle` and its cover counts from
-`cover_count_oracle`, and `polydeck` builds decks with `charpoly_oracle` and
-takes its transition coefficients from `signed_exact_cover_oracle`.  A check
-of those pipelines against these oracles shares that part of the computation.
+`cover_count_oracle`, and `polydeck` builds decks with `charpoly_oracle`.  A
+check of those pipelines against these oracles shares that part of the
+computation.
 
 Conventions:
   * a cycle of length 2 is a single edge (K2), so `psi(g, 2) == e(g)`;
@@ -360,7 +360,7 @@ def _copies(h: Graph, f: Graph) -> list:
 def cover_count_oracle(S, h: Graph) -> int:
     """Number of tuples (X_1..X_k), X_i a subgraph of h isomorphic to S[i], with union h."""
     for f in S:
-        if any(f.degree(v) == 0 for v in range(f.n)):
+        if f.has_isolated_vertex():
             raise DomainError("cover members may not have isolated vertices")
     unions = _unions([(m, 1) for m in _copies(h, f)] for f in S)
     return unions.get((1 << (h.n + h.e)) - 1, 0)

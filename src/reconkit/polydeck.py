@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .combi import card_sum_coeffs, sachs_constant, strict_refinements
+from .combi import (card_sum_coeffs, groupings, sachs_constant, sachs_weight,
+                    strict_refinements)
 from .errors import DomainError, InconsistentDeckError, NotReconstructibleError
-from .graphcore import Graph, elementary_graph, induced_subgraph
-from .oracle import Polynomial, charpoly_oracle, signed_exact_cover_oracle
+from .graphcore import Graph, induced_subgraph
+from .oracle import Polynomial, charpoly_oracle
 
 __all__ = [
     "PolyDeck",
@@ -103,13 +104,14 @@ def c_lambda(d: PolyDeck, parts) -> int:
 
 
 def _signed_c_on(parts, host_parts) -> int:
-    """Transition coefficient c(parts -> F) on the elementary graph F.
+    """Transition coefficient c(parts -> F) on the elementary graph F of `host_parts`.
 
-    Counts Sachs-weighted tuples whose union is exactly F: grouping the
-    spanning tuples of G by their union graph requires the exact-cover count
-    on each host, not the vertex-spanning one.
+    It sums the Sachs weights of the tuples of elementary subgraphs, of orders
+    `parts`, whose union is exactly F.  The orders sum to v(F), so the members
+    are disjoint and each holds whole components of F: every tuple weighs
+    sachs_weight(F), and there is one tuple per grouping of F's components.
     """
-    return signed_exact_cover_oracle(elementary_graph(host_parts), parts)
+    return sachs_weight(host_parts) * groupings(host_parts, parts)
 
 
 def count_elementary(d: PolyDeck, parts, _memo=None) -> int:

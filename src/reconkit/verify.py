@@ -96,12 +96,8 @@ def _check_whitney_chain(g: Graph) -> list:
 
 @lru_cache(maxsize=16)  # orders 1..8, with and without isolated vertices
 def _small_types(max_n: int, with_isolated: bool) -> tuple:
-    out = []
-    for h in all_graphs(max_n):
-        if not with_isolated and any(h.degree(v) == 0 for v in range(h.n)):
-            continue
-        out.append(h)
-    return tuple(out)
+    return tuple(h for h in all_graphs(max_n)
+                 if with_isolated or not h.has_isolated_vertex())
 
 
 def _check_kelly(g: Graph) -> list:

@@ -40,7 +40,7 @@ __all__ = [
 
 def block_type(g: Graph) -> tuple:
     """The multiset of block certificates of g, as a sorted code tuple."""
-    if any(g.degree(v) == 0 for v in range(g.n)):
+    if g.has_isolated_vertex():
         raise DomainError("graph types are defined for graphs without isolated vertices")
     return tuple(sorted(canonical_code(b) for b in blocks(g)))
 
@@ -142,10 +142,9 @@ def covers_of_type(members, vmax: int) -> CoverTable:
     return table
 
 
-def count_type(g: Graph, members, _memo=None) -> int:
+def count_type(g: Graph, members) -> int:
     """Number of subgraphs of g whose block multiset matches `members`."""
-    memo = {} if _memo is None else _memo
-    return _expand(lambda f: count_subgraphs(g, f), g.n, tuple(members), memo)
+    return _expand(lambda f: count_subgraphs(g, f), g.n, tuple(members), {})
 
 
 def _expand(count, n: int, fams: tuple, memo: dict) -> int:

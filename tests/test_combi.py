@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from reconkit.combi import (card_sum_coeffs, edge_profiles,
-                            grouped_cover_partitions, is_refinement,
+                            grouped_cover_partitions, groupings,
                             labeled_partition_count, multiset_partitions,
                             multiset_symmetry, partitions_min2,
                             sachs_constant, strict_refinements)
@@ -20,10 +20,12 @@ def test_partitions_min2():
 
 
 def test_refinement_order():
-    assert is_refinement((2, 2), (4,))
-    assert is_refinement((2, 2, 2), (4, 2))
-    assert not is_refinement((3, 3), (4, 2))
-    assert is_refinement((4, 2), (4, 2))
+    assert groupings((2, 2), (4,)) == 1
+    assert groupings((2, 2, 2), (4, 2)) == 3  # any one of the three 2s fills the 2
+    assert groupings((3, 3), (4, 2)) == 0
+    assert groupings((4, 2), (4, 2)) == 1
+    assert groupings((2, 2), (2, 2)) == 2
+    assert groupings((2, 2), (2,)) == groupings((2,), (2, 2)) == 0
     assert set(strict_refinements((6,))) == {(4, 2), (3, 3), (2, 2, 2)}
     assert set(strict_refinements((4, 2))) == {(2, 2, 2)}
     assert strict_refinements((3, 3)) == ()

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from reconkit.deck import (Elp, NMatrix, canonical_nmatrix, child_nmatrices,
@@ -151,11 +153,33 @@ def test_elp_automorphisms_trivial(prism):
     assert elp_automorphisms(elp_from_nmatrix(nmatrix(path(2)))) == []
 
 
+def _brute_force_automorphisms(elp):
+    """Non-identity node permutations keeping every rank and labelled cover, in lexicographic order."""
+    size = elp.size
+    covers = set(elp.covers)
+    return [sigma for sigma in permutations(range(size))
+            if sigma != tuple(range(size))
+            and all(elp.ranks[sigma[i]] == elp.ranks[i] for i in range(size))
+            and {(sigma[j], sigma[i], lab) for j, i, lab in covers} == covers]
+
+
 def test_elp_automorphisms_find_planted_symmetry():
     # a hand-built labelled poset with two interchangeable middle nodes
     elp = Elp((2, 3, 3, 4), ((0, 1, 1), (0, 2, 1), (1, 3, 2), (2, 3, 2)))
     auts = elp_automorphisms(elp)
     assert (0, 2, 1, 3) in auts
+    # three rank-3 nodes over the K2 node, each pair of them under its own rank-4 node:
+    # two 3-node cells, 36 cell orderings, of which the 6 that move both alike are
+    # automorphisms.  The nodes are numbered top-down, so the cells do not come in
+    # row order and the order the orderings are met in is not the order returned.
+    triangle = Elp((5, 4, 4, 4, 3, 3, 3, 2),
+                   ((1, 0, 1), (2, 0, 1), (3, 0, 1),
+                    (4, 1, 1), (4, 2, 1), (5, 2, 1), (5, 3, 1), (6, 1, 1), (6, 3, 1),
+                    (7, 4, 2), (7, 5, 2), (7, 6, 2)))
+    for poset, count in ((elp, 1), (triangle, 5)):
+        want = _brute_force_automorphisms(poset)
+        assert len(want) == count
+        assert elp_automorphisms(poset) == want
 
 
 def test_canonical_nmatrix_properties(prism, corpus6):

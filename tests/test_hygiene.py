@@ -1,7 +1,8 @@
 """Source hygiene.
 
 Data-dependent checks must not rely on `assert`, which -O strips, every
-process-wide cache must be bounded unless it is on the allowlist below, and
+process-wide cache must be bounded unless it is on the allowlist below, a
+pipeline may borrow from the oracle module only the names allowed below, and
 every layer the benchmark tracer wraps must exist.
 """
 
@@ -20,6 +21,17 @@ UNBOUNDED_ALLOWED = {
     "isotype._canon", "isotype.induced_type_table", "isotype.subgraph_type_table",
     "oracle._elementary_by_order",
 }
+
+# The names each pipeline still takes from reconkit.oracle (ROADMAP item E).
+# A pipeline checked against an oracle it calls shares that part of the check,
+# so entries may only be removed.  `verify` and `cli` run the oracles on
+# purpose, and the package `__init__` re-exports some of them.
+ORACLE_IMPORTS_ALLOWED = {
+    "nrecon": {"Polynomial"},
+    "polydeck": {"Polynomial", "charpoly_oracle"},
+    "whitney": {"Polynomial", "charpoly_oracle", "cover_count_oracle"},
+}
+ORACLE_IMPORTS_EXEMPT = {"__init__", "cli", "oracle", "verify"}
 
 
 def _trees():
@@ -75,6 +87,42 @@ def test_the_cache_guard_sees_every_spelling():
         assert _is_unbounded_cache(dec) is unbounded, spelling
     call = ast.parse("f = lru_cache(maxsize=None)(g)").body[0].value
     assert _is_unbounded_cache(call.func)
+
+
+def _oracle_imports(tree) -> set:
+    """The names a module imports from reconkit.oracle; a whole-module import is `*`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in ((1, "oracle"), (0, "reconkit.oracle")):
+                found |= {alias.name for alias in node.names}
+            elif (node.level, node.module) in ((1, None), (0, "reconkit")) and \
+                    any(alias.name == "oracle" for alias in node.names):
+                found.add("*")
+        elif isinstance(node, ast.Import) and \
+                any(alias.name == "reconkit.oracle" for alias in node.names):
+            found.add("*")
+    return found
+
+
+def test_pipelines_borrow_only_the_allowed_oracle_names():
+    found = {}
+    for path, tree in _trees():
+        names = _oracle_imports(tree)
+        if names and path.stem not in ORACLE_IMPORTS_EXEMPT:
+            found[path.stem] = names
+    # equality, so a name a pipeline stops borrowing leaves the allowlist too
+    assert found == ORACLE_IMPORTS_ALLOWED
+
+
+def test_the_oracle_import_guard_sees_every_spelling():
+    spellings = {"from .oracle import a, b": {"a", "b"},
+                 "from reconkit.oracle import a": {"a"},
+                 "from . import oracle": {"*"}, "from reconkit import oracle": {"*"},
+                 "import reconkit.oracle": {"*"}, "from .isotype import oracle": set(),
+                 "from oracle import a": set()}
+    for spelling, names in spellings.items():
+        assert _oracle_imports(ast.parse(spelling)) == names, spelling
 
 
 def test_every_traced_layer_resolves():

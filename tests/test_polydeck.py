@@ -8,9 +8,10 @@ from reconkit.combi import partitions_min2, strict_refinements
 from reconkit.errors import (DomainError, InconsistentDeckError,
                              NotReconstructibleError)
 from reconkit.graphcore import (complete, cycle, disjoint_union,
-                                empty_graph, graph, path)
+                                elementary_graph, empty_graph, graph, path)
 from reconkit.oracle import (charpoly_oracle, elementary_count_oracle,
-                             ham_oracle, signed_c_oracle)
+                             ham_oracle, signed_c_oracle,
+                             signed_exact_cover_oracle)
 from reconkit.polydeck import (PolyDeck, _check_nontrivial, _signed_c_on,
                                build_polydeck, c_lambda,
                                charpoly_from_polydeck, count_elementary,
@@ -111,6 +112,16 @@ def test_count_elementary_examples(prism):
     assert count_elementary(build_polydeck(prism), (3, 3)) == 1
     assert count_elementary(build_polydeck(cycle(6)), (2, 2, 2)) == 2
     assert count_elementary(build_polydeck(path(4)), (2, 2)) == 1
+
+
+def test_transition_coefficients_match_the_exact_cover_oracle():
+    """The closed form sachs_weight(F) * groupings(F, parts) on every pair up to n = 9."""
+    pairs = [(host, parts) for n in range(2, 10) for parts in partitions_min2(n)
+             for host in partitions_min2(n)]
+    assert len(pairs) == 155
+    for host, parts in pairs:
+        assert _signed_c_on(parts, host) == \
+            signed_exact_cover_oracle(elementary_graph(host), parts), (host, parts)
 
 
 def test_count_elementary_matches_oracle(corpus5):
