@@ -21,8 +21,15 @@ orderings and canonical forms are unchanged by the pruning.
 
 `count_subgraphs(g, f)` is the number of subgraphs of g isomorphic to f, where
 a subgraph is identified with its edge set (its vertex set is the set of edge
-endpoints); f must therefore have no isolated vertices.  `count_induced(g, f)`
-counts vertex subsets of g inducing a copy of f.
+endpoints); f must therefore have no isolated vertices.  It is counted by
+embeddings, the injective maps V(f) -> V(g) that send every edge of f to an
+edge of g, found by a backtrack over adjacency bitmasks.  An embedding maps f
+onto the copy made of the images of f's edges, and since every vertex of f is
+an edge endpoint, two embeddings hit the same copy exactly when they differ by
+an automorphism of f.  Each copy is therefore hit |Aut f| times, and the count
+is emb(f -> g) // emb(f -> f).  `count_induced(g, f)` counts vertex subsets of
+g inducing a copy of f.  `subgraph_type_table(g, m)` canonicalises every
+m-edge subset of g, for when the counts of every type are wanted at once.
 """
 
 from __future__ import annotations
@@ -218,7 +225,6 @@ def count_induced(g: Graph, f: Graph) -> int:
     return induced_type_table(g, f.n).get(canonical_code(f), (0, None))[0]
 
 
-@lru_cache(maxsize=None)
 def subgraph_type_table(g: Graph, m: int) -> dict:
     """code -> count over all m-edge subgraphs of g (vertex set = edge endpoints)."""
     table = {}
@@ -232,13 +238,72 @@ def subgraph_type_table(g: Graph, m: int) -> dict:
     return table
 
 
+@lru_cache(maxsize=1024)
+def _pattern(f: Graph) -> tuple:
+    """(plan, |Aut f|): the order in which embeddings place f's vertices, and emb(f -> f).
+
+    The plan puts each vertex of f after as many of its neighbours as
+    possible, and gives each position the earlier positions adjacent to it
+    and its degree.
+    """
+    masks = adjacency_masks(f)
+    order, placed = [], 0
+    while len(order) < f.n:
+        v = max((u for u in range(f.n) if not placed >> u & 1),
+                key=lambda u: ((masks[u] & placed).bit_count(), masks[u].bit_count()))
+        order.append(v)
+        placed |= 1 << v
+    plan = tuple((tuple(j for j in range(i) if masks[v] >> order[j] & 1), masks[v].bit_count())
+                 for i, v in enumerate(order))
+    return plan, _embedding_count(plan, f)
+
+
+def _embedding_count(plan: tuple, g: Graph) -> int:
+    """Injective maps V(f) -> V(g) that send every edge of f to an edge of g.
+
+    f is given by its plan, and the backtrack places its vertices in the
+    plan's order.  A vertex's candidates are the common g-neighbours of its
+    placed neighbours' images, less the used vertices, kept where the g-degree
+    is at least its f-degree; the candidates of the last vertex are counted,
+    not visited.
+    """
+    gmasks = adjacency_masks(g)
+    gdeg = [m.bit_count() for m in gmasks]
+    levels = [(back, sum(1 << x for x in range(g.n) if gdeg[x] >= deg)) for back, deg in plan]
+    image = [0] * len(plan)
+    last = len(plan) - 1
+
+    def extend(i, used):
+        back, cand = levels[i]
+        cand &= ~used
+        for j in back:
+            cand &= gmasks[image[j]]
+        if i == last:
+            return cand.bit_count()
+        total = 0
+        while cand:
+            low = cand & -cand
+            image[i] = low.bit_length() - 1
+            total += extend(i + 1, used | low)
+            cand ^= low
+        return total
+
+    return extend(0, 0) if plan else 1
+
+
+@lru_cache(maxsize=8192)
 def count_subgraphs(g: Graph, f: Graph) -> int:
-    """The number of subgraphs of g isomorphic to f; f may not have isolated vertices."""
+    """The number of subgraphs of g isomorphic to f; f may not have isolated vertices.
+
+    Every copy of f in g is hit by exactly |Aut f| embeddings of f, so the
+    count is emb(f -> g) // emb(f -> f).
+    """
     if f.has_isolated_vertex():
         raise DomainError("count_subgraphs requires f without isolated vertices")
     if f.n > g.n or f.e > g.e:
         return 0
-    return subgraph_type_table(g, f.e).get(canonical_code(f), 0)
+    plan, automorphisms = _pattern(f)
+    return _embedding_count(plan, g) // automorphisms
 
 
 def kelly_count(deck, f: Graph, n: int, induced: bool = False) -> int:

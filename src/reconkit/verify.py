@@ -131,7 +131,7 @@ def _check_kocay(g: Graph) -> list:
     for i, fams in enumerate(_KOCAY_TYPES):
         lhs = 1
         for f in fams:
-            lhs *= count_subgraphs(g, f)
+            lhs *= counts.get(canonical_code(f), 0)
         rhs = sum(_kocay_covers(code)[i] * cnt for code, cnt in counts.items())
         if lhs != rhs:
             fails.append(f"kocay identity violated for {len(fams)} factors")
@@ -160,16 +160,25 @@ def _check_childdeck(g: Graph) -> list:
     return [] if got == want else ["child matrices disagree with direct computation"]
 
 
+@lru_cache(maxsize=16)
+def _eq1_rows(n: int) -> tuple:
+    """The side of eq1 that does not depend on g, for graphs of order n.
+
+    One row (f, ((h, s(f, h)), ...)) per type f with edges and v(f) <= n, over
+    the types h with v(h) = v(f) and s(f, h) > 0.
+    """
+    rows = []
+    for f in _small_types(n, with_isolated=False):
+        if f.e:
+            pairs = ((h, count_subgraphs(h, f))
+                     for h in _small_types(f.n, with_isolated=True) if h.n == f.n)
+            rows.append((f, tuple((h, s) for h, s in pairs if s)))
+    return tuple(rows)
+
+
 def _check_eq1(g: Graph) -> list:
-    for f in _small_types(g.n, with_isolated=False):
-        if f.e == 0:
-            continue
-        direct = count_subgraphs(g, f)
-        via = 0
-        for h in _small_types(f.n, with_isolated=True):
-            if h.n == f.n and h.e >= f.e:
-                via += count_induced(g, h) * count_subgraphs(h, f)
-        if direct != via:
+    for f, row in _eq1_rows(g.n):
+        if count_subgraphs(g, f) != sum(count_induced(g, h) * s for h, s in row):
             return ["subgraph/induced relation violated"]
     return []
 

@@ -1,16 +1,18 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import networkx as nx
 import pytest
 
+from reconkit import verify
 from reconkit.errors import DomainError, InconsistentDeckError
 from reconkit.graphcore import (adjacency_masks, all_graphs, complete, cycle,
-                                disjoint_union, empty_graph, graph, parse_graph6,
-                                path, vertex_deck)
+                                disjoint_union, elementary_graph, empty_graph,
+                                graph, parse_graph6, path, vertex_deck)
 from reconkit.isotype import (IsoClass, _canon, are_isomorphic, canonical_code,
                               canonical_rep, count_induced, count_subgraphs,
-                              kelly_count)
+                              kelly_count, subgraph_type_table)
 
 
 def _random_relabel(g, rng):
@@ -204,6 +206,46 @@ def test_subgraph_induced_relation(corpus5):
             via = sum(count_induced(g, h) * count_subgraphs(h, f)
                       for h in small if h.n == f.n and h.e >= f.e)
             assert via == count_subgraphs(g, f), (g, f)
+
+
+def test_count_subgraphs_matches_the_type_table():
+    """The embedding count against canonicalising every e(f)-edge subset of g,
+    and against networkx's monomorphisms divided by the automorphisms of f."""
+    small = all_graphs(5)
+    shapes = [f for f in small if f.e and not f.has_isolated_vertex()]
+    for g in small:
+        for f in shapes:
+            if f.n <= g.n:
+                want = subgraph_type_table(g, f.e).get(canonical_code(f), 0)
+                assert count_subgraphs(g, f) == want, (g, f)
+    # the shapes of the vertex deck's Kelly counts: cycles, matchings, their
+    # disjoint unions and their unions on shared vertices
+    blocks = [path(2), path(3), complete(3), cycle(4), cycle(5), cycle(6), complete(4),
+              elementary_graph((2, 2)), elementary_graph((2, 2, 2)),
+              elementary_graph((3, 2)), elementary_graph((4, 2)),
+              elementary_graph((3, 3)), elementary_graph((3, 2, 2)),
+              graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
+              graph(4, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)])]
+    rng = random.Random(9)
+    hosts = [graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+             for n in (7, 7, 8, 8)]
+    matcher = nx.algorithms.isomorphism.GraphMatcher
+    for g in hosts:
+        for f in blocks:
+            mono = sum(1 for _ in matcher(_nx(g), _nx(f)).subgraph_monomorphisms_iter())
+            auts = sum(1 for _ in matcher(_nx(f), _nx(f)).isomorphisms_iter())
+            assert count_subgraphs(g, f) == mono // auts, (g, f)
+
+
+def test_eq1_fails_on_a_wrong_induced_count(bowtie, monkeypatch):
+    """The tabulated rows of eq1 leave the check able to fail."""
+    g = bowtie
+    assert verify.run_checks(g, ["eq1"]) == {"eq1": []}
+    tri = canonical_code(complete(3))
+    real = verify.count_induced
+    monkeypatch.setattr(verify, "count_induced",
+                        lambda g, h: real(g, h) + (canonical_code(h) == tri))
+    assert verify.run_checks(g, ["eq1"]) == {"eq1": ["subgraph/induced relation violated"]}
 
 
 def test_kelly_count_examples(prism):
