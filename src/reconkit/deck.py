@@ -6,6 +6,14 @@ least one edge, ordered by non-decreasing vertex count with ties broken by
 type i.  The edge-labelled poset (ELP) is the Hasse diagram of Lambda(G) under
 the induced-subgraph order, each cover edge labelled with its multiplicity;
 matrix and poset determine each other.
+
+N is tallied over the subset lattice of V(G), from the codes of
+`isotype.subset_table(g)`.  Type i occurs as G[s] for its first mask s, so N[i][j]
+is the number of vertex subsets of G[s] inducing type j.  Those subsets are
+the submasks t of s, and G[s] restricted to t is G[t], whose code the table
+already holds: row i adds one to column j for each submask of s with code j.
+Submasks have at most v_i vertices and only s itself has v_i, which gives the
+zeros above order v_i and the 1 on the diagonal.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from math import comb
 from .combi import exact_div
 from .errors import DomainError, InvalidMatrixError
 from .graphcore import Graph, parse_graph6, write_graph6
-from .isotype import IsoClass, induced_type_table
+from .isotype import IsoClass, induced_type_table, subset_table
 
 __all__ = [
     "LambdaDeck",
@@ -81,26 +89,26 @@ def lambda_deck(g: Graph) -> LambdaDeck:
     """All induced-subgraph types of g with e >= 1, in the canonical row order."""
     if g.e == 0:
         raise DomainError("graph has no nonempty induced subgraphs")
-    seen = {}
-    for k in range(2, g.n + 1):
-        for code, (_cnt, rep) in induced_type_table(g, k).items():
-            if rep.e >= 1 and code not in seen:
-                seen[code] = IsoClass(code, rep)
-    classes = sorted(seen.values(), key=IsoClass.sort_key)
-    return LambdaDeck(tuple(classes))
+    classes = [IsoClass(code, rep) for k in range(2, g.n + 1)
+               for code, (_cnt, rep) in induced_type_table(g, k).items() if rep.e >= 1]
+    return LambdaDeck(tuple(sorted(classes, key=IsoClass.sort_key)))
 
 
 def nmatrix(g: Graph) -> NMatrix:
-    """The labelled N-matrix of g."""
+    """The labelled N-matrix of g, tallied over the submasks of each row's first mask."""
     deck = lambda_deck(g)
+    table = subset_table(g)
+    codes = table.codes
+    index = {c.code: j for j, c in enumerate(deck.classes)}
     rows = []
     for ci in deck.classes:
-        row = []
-        for cj in deck.classes:
-            if cj.v > ci.v:
-                row.append(0)
-            else:
-                row.append(induced_type_table(ci.rep, cj.v).get(cj.code, (0, None))[0])
+        row = [0] * len(index)
+        s = t = table.first[ci.code]
+        while t:
+            j = index.get(codes[t])
+            if j is not None:
+                row[j] += 1
+            t = (t - 1) & s
         rows.append(tuple(row))
     return NMatrix(tuple(rows), deck)
 
@@ -128,6 +136,21 @@ def _validate_shape(nm: NMatrix):
                 raise InvalidMatrixError(f"rows {i} and {j} contain each other")
 
 
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _containment(nm: NMatrix) -> tuple:
+    """(down, up): bit j of down[i], and bit i of up[j], is set iff N[i][j] != 0."""
+    down = [sum(1 << j for j, x in enumerate(row) if x) for row in nm.rows]
+    up = [sum(1 << i for i, row in enumerate(nm.rows) if row[j]) for j in range(nm.size)]
+    return down, up
+
+
 def infer_v_e(nm: NMatrix) -> tuple:
     """Recover (v, e) for every row of a valid unlabelled N-matrix.
 
@@ -137,52 +160,45 @@ def infer_v_e(nm: NMatrix) -> tuple:
     _validate_shape(nm)
     size = nm.size
     rows = nm.rows
-    singles = [i for i in range(size)
-               if sum(1 for x in rows[i] if x) == 1]
+    down, up = _containment(nm)
+    singles = [i for i in range(size) if down[i].bit_count() == 1]
     if len(singles) != 1:
         raise InvalidMatrixError(f"expected exactly one K2 row, found {len(singles)}")
     k2 = singles[0]
     for i in range(size):
         if rows[i][k2] == 0:
             raise InvalidMatrixError(f"row {i} contains no K2")
-    below = [tuple(j for j in range(size) if rows[i][j]) for i in range(size)]
     for i in range(size):
-        for j in below[i]:
-            for k in below[j]:
-                if rows[i][k] == 0:
-                    raise InvalidMatrixError(
-                        f"containment not transitive at rows {i},{j},{k}")
+        for j in _bits(down[i]):
+            missing = down[j] & ~down[i]
+            if missing:
+                raise InvalidMatrixError(
+                    f"containment not transitive at rows {i},{j},{next(_bits(missing))}")
     # rank = 2 + longest chain from the K2 row
     rank = [None] * size
-    order = sorted(range(size), key=lambda i: len(below[i]))
-    for i in order:
-        preds = [j for j in below[i] if j != i]
+    for i in sorted(range(size), key=lambda i: down[i].bit_count()):
+        preds = [rank[j] for j in _bits(down[i] & ~(1 << i))]
         if not preds:
             rank[i] = 2
         else:
-            if any(rank[j] is None for j in preds):
+            if None in preds:
                 raise InvalidMatrixError("containment relation is not acyclic")
-            rank[i] = 1 + max(rank[j] for j in preds)
-    for (j, i, _lab) in _covers(nm, below):
+            rank[i] = 1 + max(preds)
+    for (j, i, _lab) in _covers(nm, (down, up)):
         if rank[i] != rank[j] + 1:
             raise InvalidMatrixError(
                 f"no graded rank function: cover {j}->{i} spans ranks {rank[j]}->{rank[i]}")
     return tuple((rank[i], rows[i][k2]) for i in range(size))
 
 
-def _covers(nm: NMatrix, below=None) -> list:
-    rows = nm.rows
-    size = nm.size
-    if below is None:
-        below = [tuple(j for j in range(size) if rows[i][j]) for i in range(size)]
+def _covers(nm: NMatrix, masks=None) -> list:
+    """(j, i, N[i][j]) for each j covered by i: no k but i and j has N[i][k] and N[k][j] nonzero."""
+    down, up = masks or _containment(nm)
     out = []
-    for i in range(size):
-        for j in below[i]:
-            if j == i:
-                continue
-            if not any(k != i and k != j and rows[i][k] and rows[k][j]
-                       for k in below[i]):
-                out.append((j, i, rows[i][j]))
+    for i in range(nm.size):
+        for j in _bits(down[i] & ~(1 << i)):
+            if not down[i] & up[j] & ~(1 << i | 1 << j):
+                out.append((j, i, nm.rows[i][j]))
     return out
 
 

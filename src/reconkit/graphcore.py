@@ -209,8 +209,9 @@ def induced_subgraph(g: Graph, s: Iterable) -> Graph:
         if not (0 <= v < g.n):
             raise DomainError(f"vertex {v} out of range for n={g.n}")
     pos = {v: i for i, v in enumerate(verts)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    return graph(len(verts), edges)
+    # pos is increasing, so each pair keeps u < v and distinct edges stay distinct
+    return Graph(len(verts), frozenset((pos[u], pos[v]) for u, v in g.edges
+                                       if u in pos and v in pos))
 
 
 def vertex_deck(g: Graph) -> list:

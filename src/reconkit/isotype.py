@@ -27,9 +27,17 @@ edge of g, found by a backtrack over adjacency bitmasks.  An embedding maps f
 onto the copy made of the images of f's edges, and since every vertex of f is
 an edge endpoint, two embeddings hit the same copy exactly when they differ by
 an automorphism of f.  Each copy is therefore hit |Aut f| times, and the count
-is emb(f -> g) // emb(f -> f).  `count_induced(g, f)` counts vertex subsets of
-g inducing a copy of f.  `subgraph_type_table(g, m)` canonicalises every
+is emb(f -> g) // emb(f -> f).  `subgraph_type_table(g, m)` canonicalises every
 m-edge subset of g, for when the counts of every type are wanted at once.
+
+Induced subgraphs are counted from one table per graph, `subset_table(g)`:
+a single pass over the vertex subsets of g, as bitmasks 0 .. 2^n - 1, stores
+the canonical code of each g[mask], the number of masks per code, and the
+first mask and the canonical representative of each code.  Since a code
+starts with its vertex count, the one table answers every order:
+`count_induced(g, f)` is a lookup of f's code (the empty f counts once, from
+mask 0) and `induced_type_table(g, k)` is the table's slice at order k.  The
+N-matrix of `deck` is tallied from the same codes.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import DomainError, InconsistentDeckError
 from .graphcore import Graph, adjacency_masks, graph, induced_subgraph
@@ -49,6 +58,8 @@ __all__ = [
     "IsoClass",
     "count_induced",
     "count_subgraphs",
+    "SubsetTable",
+    "subset_table",
     "induced_type_table",
     "subgraph_type_table",
     "kelly_count",
@@ -204,25 +215,54 @@ class IsoClass:
         return (self.v, self.e, self.code)
 
 
-@lru_cache(maxsize=None)
+class SubsetTable(NamedTuple):
+    """The induced subgraphs of one graph g, tallied over its vertex subsets.
+
+    `codes[mask]` is the canonical code of g[mask], where bit v of the mask
+    is vertex v; `counts` maps each code to the number of masks that carry
+    it; `first` maps it to the smallest such mask; `reps` maps it to the
+    canonical representative.  A code's first byte is its vertex count, so
+    one table serves every order.  Tables are cached and shared: read them,
+    never modify them.
+    """
+
+    codes: tuple
+    counts: dict
+    first: dict
+    reps: dict
+
+
+@lru_cache(maxsize=256)
+def subset_table(g: Graph) -> SubsetTable:
+    """One pass over the 2^n vertex subsets of g, canonicalising each once."""
+    codes, counts, first, reps = [], {}, {}, {}
+    for mask in range(1 << g.n):
+        sub = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
+        code = canonical_code(sub)
+        codes.append(code)
+        if code in counts:
+            counts[code] += 1
+        else:
+            counts[code], first[code], reps[code] = 1, mask, canonical_rep(sub)
+    return SubsetTable(tuple(codes), counts, first, reps)
+
+
 def induced_type_table(g: Graph, k: int) -> dict:
     """code -> (count, representative) over all k-vertex induced subgraphs of g."""
-    table = {}
-    for subset in combinations(range(g.n), k):
-        sub = induced_subgraph(g, subset)
-        code = canonical_code(sub)
-        if code in table:
-            table[code][0] += 1
-        else:
-            table[code] = [1, canonical_rep(sub)]
-    return {c: (cnt, rep) for c, (cnt, rep) in table.items()}
+    table = subset_table(g)
+    return {code: (cnt, table.reps[code]) for code, cnt in table.counts.items()
+            if code[0] == k}
 
 
 def count_induced(g: Graph, f: Graph) -> int:
-    """The number of induced subgraphs of g isomorphic to f."""
+    """The number of induced subgraphs of g isomorphic to f.
+
+    It reads g's subset table, so the first count on a g visits all 2^n
+    vertex subsets whatever the order of f.
+    """
     if f.n > g.n:
         return 0
-    return induced_type_table(g, f.n).get(canonical_code(f), (0, None))[0]
+    return subset_table(g).counts.get(canonical_code(f), 0)
 
 
 def subgraph_type_table(g: Graph, m: int) -> dict:

@@ -19,7 +19,7 @@ from .errors import NotReconstructibleError, ReconkitError
 from .graphcore import (Graph, all_graphs, complete, cycle, empty_graph,
                         induced_subgraph, parse_graph6, path, vertex_deck)
 from .isotype import (canonical_code, count_induced, count_subgraphs,
-                      kelly_count, subgraph_type_table)
+                      kelly_count, subgraph_type_table, subset_table)
 from .nrecon import reconstruct
 from .oracle import (RANKPOLY_EDGE_LIMIT, charpoly_oracle, cover_count_oracle,
                      ham_oracle, psi_oracle, rankpoly_oracle, tr_oracle,
@@ -164,21 +164,22 @@ def _check_childdeck(g: Graph) -> list:
 def _eq1_rows(n: int) -> tuple:
     """The side of eq1 that does not depend on g, for graphs of order n.
 
-    One row (f, ((h, s(f, h)), ...)) per type f with edges and v(f) <= n, over
-    the types h with v(h) = v(f) and s(f, h) > 0.
+    One row (f, ((code of h, s(f, h)), ...)) per type f with edges and
+    v(f) <= n, over the types h with v(h) = v(f) and s(f, h) > 0.
     """
     rows = []
     for f in _small_types(n, with_isolated=False):
         if f.e:
             pairs = ((h, count_subgraphs(h, f))
                      for h in _small_types(f.n, with_isolated=True) if h.n == f.n)
-            rows.append((f, tuple((h, s) for h, s in pairs if s)))
+            rows.append((f, tuple((canonical_code(h), s) for h, s in pairs if s)))
     return tuple(rows)
 
 
 def _check_eq1(g: Graph) -> list:
+    counts = subset_table(g).counts
     for f, row in _eq1_rows(g.n):
-        if count_subgraphs(g, f) != sum(count_induced(g, h) * s for h, s in row):
+        if count_subgraphs(g, f) != sum(counts.get(code, 0) * s for code, s in row):
             return ["subgraph/induced relation violated"]
     return []
 

@@ -140,6 +140,28 @@ def test_a_graph_over_the_vertex_limit_is_refused_before_any_work(tmp_path, argv
     assert out["error"] == "domain" and f"limit of {VERTEX_LIMIT}" in out["reason"]
 
 
+def test_matrix_json_over_the_row_limit_is_refused_before_it_is_read(tmp_path, capsys,
+                                                                     monkeypatch):
+    from reconkit import cli
+    from reconkit.errors import InvalidMatrixError
+    limit = 2 ** cli.VERTEX_LIMIT
+    read = []
+
+    def reading(d):
+        read.append(len(d["rows"]))
+        raise InvalidMatrixError("read")
+
+    monkeypatch.setattr(cli.deckmod, "nmatrix_from_json", reading)
+    f = tmp_path / "matrix.json"
+    f.write_text(json.dumps({"rows": [[1]] * (limit + 1)}))
+    code, out = _run(capsys, ["recon", "--source", "nmatrix", str(f)])
+    assert code == 3 and out["error"] == "domain"
+    assert f"limit of {limit}" in out["reason"] and read == []
+    f.write_text(json.dumps({"rows": [[1]] * limit}))
+    code, out = _run(capsys, ["recon", "--source", "nmatrix", str(f)])
+    assert code == 3 and out["reason"] == "read" and read == [limit]
+
+
 def test_a_graph_at_the_vertex_limit_is_accepted(capsys):
     from reconkit.cli import VERTEX_LIMIT
     code, out = _run(capsys, ["build", "nmatrix", write_graph6(cycle(VERTEX_LIMIT))])

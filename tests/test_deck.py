@@ -1,5 +1,8 @@
-from itertools import permutations
+import random
+from collections import Counter
+from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
 
 from reconkit.deck import (Elp, NMatrix, canonical_nmatrix, child_nmatrices,
@@ -8,7 +11,7 @@ from reconkit.deck import (Elp, NMatrix, canonical_nmatrix, child_nmatrices,
                            infer_v_e, lambda_deck, nmatrix, nmatrix_from_elp,
                            nmatrix_from_json, nmatrix_to_json, strip)
 from reconkit.errors import DomainError, InvalidMatrixError
-from reconkit.graphcore import (complete, empty_graph,
+from reconkit.graphcore import (complete, empty_graph, graph,
                                 induced_subgraph, path)
 from reconkit.isotype import are_isomorphic, count_induced
 
@@ -23,6 +26,55 @@ PRISM_MATRIX = (
     (6, 3, 6, 1, 2, 2, 1, 1, 0),
     (9, 6, 12, 2, 6, 6, 3, 6, 1),
 )
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _shape(h):
+    return tuple(sorted(d for _v, d in h.degree()))
+
+
+def _induced_witness(rep, classes, memo):
+    """Copies of each class inside rep, by vertex subsets of rep tested with
+    `networkx.is_isomorphic` against the classes of equal degree sequence."""
+    if rep not in memo:
+        by_shape = {}
+        for c in classes:
+            h = _nx(c.rep)
+            by_shape.setdefault(_shape(h), []).append((c.rep, h))
+        big = _nx(rep)
+        tally = Counter()
+        for k in range(2, rep.n + 1):
+            for s in combinations(range(rep.n), k):
+                sub = nx.Graph(big.subgraph(s))
+                if sub.number_of_edges() == 0:
+                    continue
+                hits = [c for c, h in by_shape.get(_shape(sub), ())
+                        if nx.is_isomorphic(sub, h)]
+                assert len(hits) == 1, (rep, s, hits)
+                tally[hits[0]] += 1
+        memo[rep] = tally
+    return memo[rep]
+
+
+def test_nmatrix_matches_independent_induced_counts(corpus6):
+    """N[i][j] against subsets of class i's representative, for every graph on
+    at most 6 vertices and seeded 8-vertex graphs."""
+    rng = random.Random(8)
+    seeded = [graph(8, [e for e in combinations(range(8), 2) if rng.random() < p])
+              for p in (0.3, 0.5)]
+    memo = {}
+    for g in [g for g in corpus6 if g.e] + seeded:
+        nm = nmatrix(g)
+        classes = nm.labels.classes
+        for ci, row in zip(classes, nm.rows):
+            tally = _induced_witness(ci.rep, classes, memo)
+            assert list(row) == [tally[cj.rep] for cj in classes], (g, ci.rep)
 
 
 def test_lambda_deck_examples(prism):

@@ -20,7 +20,7 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 # so a cache that goes, or gets a bound, leaves the list too.
 UNBOUNDED_ALLOWED = {
     "combi.partitions_min2", "combi.strict_refinements",
-    "isotype._canon", "isotype.induced_type_table",
+    "isotype._canon",
     "oracle._elementary_by_order", "whitney._COVER_CACHE",
 }
 
