@@ -316,8 +316,13 @@ def blocks(g: Graph) -> list:
 def all_graphs(max_n: int, min_edges: int = 0) -> list:
     """All isomorphism types with 1..max_n vertices, via vertex augmentation.
 
-    Deduplication uses canonical codes from reconkit.isotype; results are
-    canonical representatives sorted by (n, e, code).
+    A candidate joins a new vertex to a parent of one vertex less and is kept
+    only when the new vertex has the largest degree in it, ties allowed
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  No
+    type is lost: deleting a vertex of largest degree from any graph leaves
+    a parent, and joining the vertex back passes the filter.  Deduplication
+    uses canonical codes from reconkit.isotype; results are canonical
+    representatives sorted by (n, e, code).
     """
     from .isotype import canonical_code, canonical_rep
 
@@ -325,7 +330,11 @@ def all_graphs(max_n: int, min_edges: int = 0) -> list:
     for n in range(2, max_n + 1):
         seen = {}
         for parent in levels[n - 1]:
+            pdeg = [m.bit_count() for m in adjacency_masks(parent)]
             for nbrs in range(1 << (n - 1)):
+                d = nbrs.bit_count()
+                if any(pdeg[i] + (nbrs >> i & 1) > d for i in range(n - 1)):
+                    continue
                 extra = [(i, n - 1) for i in range(n - 1) if (nbrs >> i) & 1]
                 cand = graph(n, list(parent.edges) + extra)
                 code = canonical_code(cand)

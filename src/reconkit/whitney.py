@@ -57,7 +57,8 @@ class CoverTable:
     `members` maps each union's canonical code to (representative, cover
     count); `by_type` maps a type key to (cover count, block representatives).
     `self_cover` is c(S0, S0), defined even when no member of the root type
-    fits under the vertex bound.
+    fits under the vertex bound.  `nonspanning_roots` holds the members of
+    the root type with fewer than vmax vertices.
     """
 
     root: tuple
@@ -65,6 +66,7 @@ class CoverTable:
     members: dict
     by_type: dict
     self_cover: int
+    nonspanning_roots: tuple = ()
 
 
 _COVER_CACHE: dict = {}
@@ -120,6 +122,7 @@ def covers_of_type(members, vmax: int) -> CoverTable:
         partials = nxt
     member_table = {}
     by_type = {}
+    nonspanning_roots = []
     for code, x in partials.items():
         if all_k2:
             c = _k2_cover_count(x, len(fams))
@@ -127,6 +130,8 @@ def covers_of_type(members, vmax: int) -> CoverTable:
             c = cover_count_oracle(fams, x)
         member_table[code] = (x, c)
         tk = block_type(x)
+        if tk == root and x.n < vmax:
+            nonspanning_roots.append(x)
         if tk in by_type:
             prev_c, _reps = by_type[tk]
             if prev_c != c:
@@ -137,7 +142,8 @@ def covers_of_type(members, vmax: int) -> CoverTable:
     self_cover = by_type[root][0] if root in by_type else multiset_symmetry(root)
     if root in by_type and by_type[root][0] != multiset_symmetry(root):
         raise ConsistencyError("self cover count disagrees with block symmetry")
-    table = CoverTable(root, vmax, member_table, by_type, self_cover)
+    table = CoverTable(root, vmax, member_table, by_type, self_cover,
+                       tuple(nonspanning_roots))
     _COVER_CACHE[key] = table
     return table
 
@@ -166,7 +172,7 @@ def _expand(count, n: int, fams: tuple, memo: dict) -> int:
     for tk, (c, reps) in table.by_type.items():
         if tk == root:
             continue
-        total -= c * _expand(count, n, reps, memo)
+        total -= c * (memo[tk] if tk in memo else _expand(count, n, reps, memo))
     q, r = divmod(total, table.self_cover)
     if r:
         raise InconsistentDeckError(f"type count for {root} is not integral")
@@ -213,6 +219,13 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
     polynomials.  Spanning elementary counts come from the type expansion
     with every subgraph count Kelly-sourced; hamiltonian cycles are solved
     from the all-K2 type equation, whose only non-Kelly term is the n-cycle.
+
+    Each card is replaced by its canonical representative, so isomorphic
+    cards, in one deck or across decks, are equal graphs and share the
+    cached card polynomials and subgraph counts.  The values cannot change:
+    a card's polynomial and its subgraph counts are invariant under
+    relabelling, and every Kelly count sums over the same multiset of card
+    types, so its exact division checks the same total.
     """
     deck = list(deck)
     n = len(deck)
@@ -222,6 +235,7 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
         if card.n != n - 1:
             raise InconsistentDeckError(
                 f"card has {card.n} vertices, expected {n - 1}")
+    deck = [canonical_rep(card) for card in deck]
 
     coeffs = card_sum_coeffs([charpoly_oracle(card) for card in deck], n)
 
@@ -233,21 +247,18 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
             kelly_memo[code] = kelly_count(deck, f, n)
         return kelly_memo[code]
 
+    # the type memo keeps whichever block representatives it meets first;
+    # Kelly lookups are keyed by canonical code, so the choice moves no count
     w_memo = {}
-    # the non-hamiltonian counts go first: the memo keeps the first block
-    # representatives it meets for a type, and they decide the Kelly lookups
     spanning = {}
     for parts in partitions_min2(n):
         if len(parts) == 1:
             continue
         fams = tuple(elementary_blocks(parts))
-        root = type_key(fams)
         cnt = _expand(kelly, n, fams, w_memo)
         # strip the non-spanning members of the same type
-        table = covers_of_type(fams, n)
-        for _code, (x, _c) in table.members.items():
-            if x.n < n and block_type(x) == root:
-                cnt -= kelly(x)
+        for x in covers_of_type(fams, n).nonspanning_roots:
+            cnt -= kelly(x)
         spanning[parts] = cnt
 
     # hamiltonian cycles from the n-fold K2 type: no subgraph has n K2 blocks
@@ -258,7 +269,7 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
     for tk, (c, reps) in table.by_type.items():
         if tk == cn_key:
             continue
-        rhs -= c * _expand(kelly, n, reps, w_memo)
+        rhs -= c * (w_memo[tk] if tk in w_memo else _expand(kelly, n, reps, w_memo))
     if cn_key not in table.by_type:
         raise ConsistencyError("n-cycle type missing from the all-K2 cover table")
     ham, r = divmod(rhs, table.by_type[cn_key][0])

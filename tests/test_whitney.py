@@ -1,7 +1,9 @@
+import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from reconkit import whitney
 from reconkit.errors import DomainError
 from reconkit.graphcore import (complete, cycle, disjoint_union, empty_graph,
                                 graph, path, vertex_deck)
@@ -133,3 +135,57 @@ def test_charpoly_from_vertex_deck_small(corpus5):
             continue
         got = charpoly_from_vertex_deck(vertex_deck(g))
         assert got.coeffs == charpoly_oracle(g).coeffs, g
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_card_labelling_and_order_do_not_matter(corpus6, monkeypatch):
+    """Relabelled, shuffled cards give the same polynomial, and every Kelly
+    count the pipeline takes on its canonical cards equals the raw deck's."""
+    rng = random.Random(11)
+    eights = [graph(8, [e for e in combinations(range(8), 2) if rng.random() < 0.5])
+              for _ in range(2)]
+    kelly_count = whitney.kelly_count
+    requested = []
+
+    def recording(deck, f, n):
+        requested.append((deck, f))
+        return kelly_count(deck, f, n)
+
+    monkeypatch.setattr(whitney, "kelly_count", recording)
+    for g in [h for h in corpus6 if h.n >= 3] + eights:
+        deck = vertex_deck(g)
+        requested.clear()
+        want = charpoly_from_vertex_deck(deck).coeffs
+        assert requested
+        for cards, f in requested:
+            assert kelly_count(cards, f, g.n) == kelly_count(deck, f, g.n), (g, f)
+        shuffled = [_relabel(card, rng) for card in deck]
+        rng.shuffle(shuffled)
+        assert charpoly_from_vertex_deck(shuffled).coeffs == want, g
+
+
+def test_nonspanning_roots_match_the_member_filter(corpus6, monkeypatch):
+    tables = {}
+    build = whitney.covers_of_type
+
+    def recording(members, vmax):
+        table = build(members, vmax)
+        tables[table.root, vmax] = table
+        return table
+
+    monkeypatch.setattr(whitney, "covers_of_type", recording)
+    for g in corpus6:
+        if g.n >= 3:
+            charpoly_from_vertex_deck(vertex_deck(g))
+    monkeypatch.undo()
+    assert tables
+    all_k2 = covers_of_type([path(2)] * 7, 7)
+    for t in [*tables.values(), all_k2]:
+        want = sorted(canonical_code(x) for x, _c in t.members.values()
+                      if x.n < t.vmax and block_type(x) == t.root)
+        assert sorted(canonical_code(x) for x in t.nonspanning_roots) == want, t.root
