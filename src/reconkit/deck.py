@@ -388,6 +388,8 @@ def nmatrix_from_json(d: dict) -> NMatrix:
         raise InvalidMatrixError(f"bad matrix JSON: {exc}") from exc
     labels = None
     if "labels" in d:
+        if not isinstance(d["labels"], list) or len(d["labels"]) != len(rows):
+            raise InvalidMatrixError(f"matrix JSON needs one label per row ({len(rows)})")
         classes = tuple(IsoClass.of(parse_graph6(s)) for s in d["labels"])
         labels = LambdaDeck(classes)
     nm = NMatrix(rows, labels)

@@ -58,6 +58,7 @@ __all__ = [
     "IsoClass",
     "count_induced",
     "count_subgraphs",
+    "automorphism_count",
     "SubsetTable",
     "subset_table",
     "induced_type_table",
@@ -296,6 +297,11 @@ def _pattern(f: Graph) -> tuple:
     plan = tuple((tuple(j for j in range(i) if masks[v] >> order[j] & 1), masks[v].bit_count())
                  for i, v in enumerate(order))
     return plan, _embedding_count(plan, f)
+
+
+def automorphism_count(f: Graph) -> int:
+    """|Aut f|, counted as emb(f -> f)."""
+    return _pattern(f)[1]
 
 
 def _embedding_count(plan: tuple, g: Graph) -> int:

@@ -66,7 +66,6 @@ class Reconstruction:
         self._poly = [None] * self._size
         self._con_memo = {}
         self._inner_memo = {}
-        self._t_memo = {}
         self._kedge_memo = {}
         self._lcompo_memo = {}
         self._component_memo = {}
@@ -184,7 +183,7 @@ class Reconstruction:
         else:
             val = self.c(t, seq)
             for listing, cnt in grouped_cover_partitions(seq, v_t):
-                val -= cnt * self.t_m(t, v_t, listing)
+                val -= cnt * self.t_m(t, listing)
             if val < 0:
                 raise InvalidMatrixError(
                     f"negative connected cover count for {seq} at node {t}")
@@ -215,23 +214,22 @@ class Reconstruction:
             total += term
         return total
 
-    def t_m(self, t: int, m: int, listing) -> int:
-        """Exactly-m-vertex variant of q_m, by binomial inversion.
+    def t_m(self, t: int, listing) -> int:
+        """Exactly-v_t-vertex variant of q_m, by inclusion-exclusion over the orders.
 
-        q_m vanishes for every p below the largest order b in the listing: a
-        row of order p < b has no row of order b below it.  The sum starts there.
+        T = sum over p of (-1)^(v_t - p) q_m(t, p, listing).  q_m vanishes for
+        every p below the largest order b in the listing, since a row of order
+        p < b has no row of order b below it, so the sum starts there.  The
+        listing is sorted first: q_m stops at its first zero factor, and in
+        sorted order it tends to reach one sooner.
         """
         listing = tuple(sorted(listing))
-        key = (t, m, listing)
-        if key in self._t_memo:
-            return self._t_memo[key]
         v_t = self._ve[t][0]
         total = 0
-        for p in range(max((b for _part, b in listing), default=2), m + 1):
+        for p in range(max((b for _part, b in listing), default=2), v_t + 1):
             qp = self.q_m(t, p, listing)
             if qp:
-                total += (-1) ** (m - p) * comb(v_t - p, m - p) * qp
-        self._t_memo[key] = total
+                total += (-1) ** (v_t - p) * qp
         return total
 
     # -- spanning-subgraph families ------------------------------------------

@@ -8,10 +8,10 @@ cycles, the connected spanning edge subsets, the unions of tuples) is written
 once and shared by every oracle that needs it.
 
 The independence runs one way only, for now: `whitney` takes its card
-polynomials from `charpoly_oracle` and its cover counts from
-`cover_count_oracle`, and `polydeck` builds decks with `charpoly_oracle`.  A
-check of those pipelines against these oracles shares that part of the
-computation.
+polynomials from `charpoly_oracle`, and `polydeck` builds decks with it.  A
+check of those pipelines against this oracle shares that part of the
+computation.  `whitney` counts its covers itself, from the gluings that build
+each cover table; `cover_count_oracle` is their witness.
 
 Conventions:
   * a cycle of length 2 is a single edge (K2), so `psi(g, 2) == e(g)`;

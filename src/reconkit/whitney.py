@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import prod
 
 from .combi import (card_sum_coeffs, multiset_symmetry, partitions_min2,
                     sachs_constant)
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
 from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
-from .isotype import (canonical_code, canonical_rep, count_subgraphs,
-                      kelly_count)
-from .oracle import Polynomial, charpoly_oracle, cover_count_oracle
+from .isotype import (automorphism_count, canonical_code, canonical_rep,
+                      count_subgraphs, kelly_count)
+from .oracle import Polynomial, charpoly_oracle
 
 __all__ = [
     "block_type",
@@ -72,10 +72,15 @@ class CoverTable:
 _COVER_CACHE: dict = {}
 
 
-def _glue(u: Graph, f: Graph, vmax: int):
-    """All unions of u with one fresh copy of f, up to vmax vertices."""
+def _glue(u: Graph, f: Graph, vmax: int) -> dict:
+    """The unions of u with one fresh copy of f, up to vmax vertices.
+
+    Maps each union's canonical code to [representative, ways]: the
+    canonical form of the first gluing that reached it, and the number of
+    gluings (shared vertices of f, their images in u) that reach it.
+    """
     from itertools import combinations, permutations
-    seen = set()
+    found = {}
     fverts = list(range(f.n))
     for k in range(0, min(u.n, f.n) + 1):
         if u.n + f.n - k > vmax:
@@ -89,45 +94,47 @@ def _glue(u: Graph, f: Graph, vmax: int):
                 cand = graph(u.n + f.n - k,
                              list(u.edges) + [(mapping[a], mapping[b]) for a, b in f.edges])
                 code = canonical_code(cand)
-                if code not in seen:
-                    seen.add(code)
-                    yield code, canonical_rep(cand)
-
-
-def _k2_cover_count(x: Graph, k: int) -> int:
-    """c({k K2}, X): surjections of k tuple slots onto the e(X) edges."""
-    e = x.e
-    return sum((-1) ** j * comb(e, j) * (e - j) ** k for j in range(e + 1))
+                if code in found:
+                    found[code][1] += 1
+                else:
+                    found[code] = [canonical_rep(cand), 1]
+    return found
 
 
 def covers_of_type(members, vmax: int) -> CoverTable:
     """Enumerate union graphs of one copy of each family member, with cover counts.
 
-    The count c(S0, X) is recomputed per member and checked to be constant on
-    each type; a violation raises ConsistencyError (it would contradict the
-    type-grouping identity, not merely signal bad input).
+    The unions are glued one member at a time, and D(X), the number of
+    gluing sequences that end in a union isomorphic to X, is carried along:
+    D(X) = sum over partial unions U of D(U) * ways(U -> X), from D(empty) = 1.
+    A sequence is a tuple of embeddings of the F_i covering X, taken up to
+    the automorphisms of X, which act on such tuples without fixed points, so
+    c(S0, X) = D(X) |Aut X| / prod |Aut F_i| (orbit-stabiliser).  A remainder
+    in that division, or a count that is not constant on a type, raises
+    ConsistencyError: either would contradict the type-grouping identity, not
+    merely signal bad input.
     """
     fams = sorted(members, key=lambda b: (b.n, b.e, canonical_code(b)))
     root = type_key(fams)
     key = (root, vmax)
     if key in _COVER_CACHE:
         return _COVER_CACHE[key]
-    all_k2 = all(canonical_code(b) == canonical_code(path(2)) for b in fams)
-    partials = {canonical_code(graph(0, ())): graph(0, ())}
+    empty = graph(0, ())
+    partials = {canonical_code(empty): [empty, 1]}
     for f in fams:
         nxt = {}
-        for u in partials.values():
-            for code, cand in _glue(u, f, vmax):
-                nxt.setdefault(code, cand)
+        for u, d in partials.values():
+            for code, (cand, ways) in _glue(u, f, vmax).items():
+                nxt.setdefault(code, [cand, 0])[1] += d * ways
         partials = nxt
+    fam_automorphisms = prod(automorphism_count(f) for f in fams)
     member_table = {}
     by_type = {}
     nonspanning_roots = []
-    for code, x in partials.items():
-        if all_k2:
-            c = _k2_cover_count(x, len(fams))
-        else:
-            c = cover_count_oracle(fams, x)
+    for code, (x, d) in partials.items():
+        c, r = divmod(d * automorphism_count(x), fam_automorphisms)
+        if r:
+            raise ConsistencyError(f"cover count of a union is not integral: {d} gluings")
         member_table[code] = (x, c)
         tk = block_type(x)
         if tk == root and x.n < vmax:
@@ -169,15 +176,18 @@ def _expand(count, n: int, fams: tuple, memo: dict) -> int:
         if total == 0:
             break
     table = covers_of_type(fams, n)
-    for tk, (c, reps) in table.by_type.items():
-        if tk == root:
-            continue
-        total -= c * (memo[tk] if tk in memo else _expand(count, n, reps, memo))
+    total -= _other_types(table, root, count, memo)
     q, r = divmod(total, table.self_cover)
     if r:
         raise InconsistentDeckError(f"type count for {root} is not integral")
     memo[root] = q
     return q
+
+
+def _other_types(table: CoverTable, skip: tuple, count, memo: dict) -> int:
+    """Sum of c(S0, S) <G, S> over the types S of the table other than `skip`."""
+    return sum(c * (memo[tk] if tk in memo else _expand(count, table.vmax, reps, memo))
+               for tk, (c, reps) in table.by_type.items() if tk != skip)
 
 
 def count_type_chain(g: Graph, members) -> int:
@@ -265,11 +275,7 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
     fams = tuple(elementary_blocks((2,) * n))
     table = covers_of_type(fams, n)
     cn_key = type_key([cycle(n)])
-    rhs = kelly(path(2)) ** n
-    for tk, (c, reps) in table.by_type.items():
-        if tk == cn_key:
-            continue
-        rhs -= c * (w_memo[tk] if tk in w_memo else _expand(kelly, n, reps, w_memo))
+    rhs = kelly(path(2)) ** n - _other_types(table, cn_key, kelly, w_memo)
     if cn_key not in table.by_type:
         raise ConsistencyError("n-cycle type missing from the all-K2 cover table")
     ham, r = divmod(rhs, table.by_type[cn_key][0])

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import reconkit
-from reconkit import verify
+from reconkit import cli, verify
 from reconkit.cli import main
 from reconkit.errors import ConsistencyError
 from reconkit.graphcore import cycle, path, vertex_deck, write_graph6
@@ -160,6 +160,30 @@ def test_matrix_json_over_the_row_limit_is_refused_before_it_is_read(tmp_path, c
     f.write_text(json.dumps({"rows": [[1]] * limit}))
     code, out = _run(capsys, ["recon", "--source", "nmatrix", str(f)])
     assert code == 3 and out["reason"] == "read" and read == [limit]
+
+
+def test_matrix_labels_of_another_length_are_refused_before_any_is_parsed(tmp_path, capsys,
+                                                                          monkeypatch):
+    from reconkit.graphcore import complete
+    parsed = []
+    parse = cli.deckmod.parse_graph6
+
+    def parsing(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(cli.deckmod, "parse_graph6", parsing)
+    f = tmp_path / "matrix.json"
+    big = [write_graph6(complete(62))] * 300
+    for labels in (big, [], ["A_"] * 2, "A_"):
+        f.write_text(json.dumps({"rows": [[1]], "labels": labels}))
+        code, out = _run(capsys, ["recon", "--source", "nmatrix", str(f)])
+        assert code == 3 and out["error"] == "domain", labels
+        assert "one label per row" in out["reason"] and parsed == []
+    # one label per row is read as before
+    f.write_text(json.dumps({"rows": [[1, 0], [1, 1]], "labels": ["A_", "Bw"]}))
+    code, out = _run(capsys, ["recon", "--source", "nmatrix", str(f)])
+    assert code == 0 and parsed == ["A_", "Bw"]
 
 
 def test_a_graph_at_the_vertex_limit_is_accepted(capsys):

@@ -31,7 +31,7 @@ UNBOUNDED_ALLOWED = {
 ORACLE_IMPORTS_ALLOWED = {
     "nrecon": {"Polynomial"},
     "polydeck": {"Polynomial", "charpoly_oracle"},
-    "whitney": {"Polynomial", "charpoly_oracle", "cover_count_oracle"},
+    "whitney": {"Polynomial", "charpoly_oracle"},
 }
 ORACLE_IMPORTS_EXEMPT = {"__init__", "cli", "oracle", "verify"}
 

@@ -46,12 +46,33 @@ def test_cover_count_constant_on_types():
     assert table.by_type[type_key([k3, k3])][0] == 2
 
 
-def test_k2_closed_form_matches_cover_oracle():
-    k2 = path(2)
-    for fams_size in (2, 3, 4):
-        table = covers_of_type([k2] * fams_size, 4)
-        for _code, (x, c) in table.members.items():
-            assert c == cover_count_oracle([k2] * fams_size, x), (x, fams_size)
+@pytest.fixture(scope="module")
+def pipeline_tables(corpus6):
+    """(family, table) for every cover table the vertex-deck pipeline builds
+    for n <= 6, plus the all-K2 table at n = 7."""
+    tables = {}
+    build = whitney.covers_of_type
+
+    def recording(members, vmax):
+        table = build(members, vmax)
+        tables[table.root, vmax] = (tuple(members), table)
+        return table
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(whitney, "covers_of_type", recording)
+        for g in corpus6:
+            if g.n >= 3:
+                charpoly_from_vertex_deck(vertex_deck(g))
+    all_k2 = (path(2),) * 7
+    return [*tables.values(), (all_k2, covers_of_type(all_k2, 7))]
+
+
+def test_cover_counts_match_the_cover_oracle(pipeline_tables):
+    """The counts carried through the gluings equal the oracle's tuple enumeration."""
+    assert len(pipeline_tables) > 40
+    for fams, table in pipeline_tables:
+        for x, c in table.members.values():
+            assert c == cover_count_oracle(list(fams), x), (table.root, table.vmax, x)
 
 
 def test_count_type_examples():
@@ -169,23 +190,8 @@ def test_card_labelling_and_order_do_not_matter(corpus6, monkeypatch):
         assert charpoly_from_vertex_deck(shuffled).coeffs == want, g
 
 
-def test_nonspanning_roots_match_the_member_filter(corpus6, monkeypatch):
-    tables = {}
-    build = whitney.covers_of_type
-
-    def recording(members, vmax):
-        table = build(members, vmax)
-        tables[table.root, vmax] = table
-        return table
-
-    monkeypatch.setattr(whitney, "covers_of_type", recording)
-    for g in corpus6:
-        if g.n >= 3:
-            charpoly_from_vertex_deck(vertex_deck(g))
-    monkeypatch.undo()
-    assert tables
-    all_k2 = covers_of_type([path(2)] * 7, 7)
-    for t in [*tables.values(), all_k2]:
+def test_nonspanning_roots_match_the_member_filter(pipeline_tables):
+    for _fams, t in pipeline_tables:
         want = sorted(canonical_code(x) for x, _c in t.members.values()
                       if x.n < t.vmax and block_type(x) == t.root)
         assert sorted(canonical_code(x) for x in t.nonspanning_roots) == want, t.root
