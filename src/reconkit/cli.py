@@ -38,8 +38,8 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-class _BadJSON(Exception):
-    """JSON input that does not parse."""
+class _BadInput(Exception):
+    """Input that cannot be read as text, or JSON input that does not parse."""
 
 
 def _load_json(text: str):
@@ -47,7 +47,7 @@ def _load_json(text: str):
         return json.loads(text)
     # besides JSONDecodeError: an integer literal over int()'s digit limit, or nesting too deep
     except (ValueError, RecursionError) as exc:
-        raise _BadJSON(str(exc)) from exc
+        raise _BadInput(f"bad JSON: {exc}") from exc
 
 
 def _check_order(n: int) -> None:
@@ -62,13 +62,20 @@ def _check_rows(d) -> None:
         raise DomainError(f"{len(rows)} matrix rows is over the limit of {2 ** VERTEX_LIMIT}")
 
 
-def _read_input(arg: str) -> str:
-    if arg == "-":
-        return sys.stdin.read()
-    if os.path.exists(arg):
-        with open(arg) as fh:
+def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for '-'."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as fh:
             return fh.read()
-    return arg
+    # a missing file, a directory, or bytes that are not text in the locale's encoding
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _BadInput(f"cannot read {path}: {exc}") from exc
+
+
+def _read_input(arg: str) -> str:
+    return _read_text(arg) if arg == "-" or os.path.exists(arg) else arg
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +167,17 @@ def _cmd_sweep(args) -> int:
     unparsed = []
     if args.corpus:
         corpus = []
-        with open(args.corpus) as fh:
-            for k, line in enumerate(fh, 1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    corpus.append((text, parse_graph6(text)))
-                except Graph6ParseError as exc:
-                    # one bad line is reported, and the rest of the corpus is swept
-                    unparsed.append({"line": k, "graph6": text,
-                                     "detail": [f"Graph6ParseError: {exc}"]})
+        # reading in text mode has already turned '\r\n' and '\r' into '\n'
+        for k, line in enumerate(_read_text(args.corpus).split("\n"), 1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                corpus.append((text, parse_graph6(text)))
+            except Graph6ParseError as exc:
+                # one bad line is reported, and the rest of the corpus is swept
+                unparsed.append({"line": k, "graph6": text,
+                                 "detail": [f"Graph6ParseError: {exc}"]})
         corpus = [(s, g) for s, g in corpus if g.e >= 1 and g.n <= args.max_n]
     else:
         corpus = [(write_graph6(g), g) for g in all_graphs(args.max_n, min_edges=1)]
@@ -250,8 +257,8 @@ def main(argv=None) -> int:
     except Graph6ParseError as exc:
         _emit({"error": "parse", "reason": str(exc), "offset": exc.offset})
         return EXIT_PARSE
-    except _BadJSON as exc:
-        _emit({"error": "parse", "reason": f"bad JSON: {exc}"})
+    except _BadInput as exc:
+        _emit({"error": "parse", "reason": str(exc)})
         return EXIT_PARSE
     except NotReconstructibleError as exc:
         _emit({"error": "not-reconstructible", "reason": exc.reason})

@@ -411,4 +411,8 @@ def elp_from_json(d: dict) -> Elp:
                               for c in d["covers"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidMatrixError(f"bad poset JSON: {exc}") from exc
+    for (j, i, lab) in covers:
+        if not (0 <= j < len(ranks) and 0 <= i < len(ranks)) or lab < 1:
+            raise InvalidMatrixError(f"poset JSON cover ({j}, {i}, {lab}) needs two "
+                                     f"of the {len(ranks)} nodes and a label of at least 1")
     return Elp(ranks, covers)

@@ -33,8 +33,12 @@ m-edge subset of g, for when the counts of every type are wanted at once.
 Induced subgraphs are counted from one table per graph, `subset_table(g)`:
 a single pass over the vertex subsets of g, as bitmasks 0 .. 2^n - 1, stores
 the canonical code of each g[mask], the number of masks per code, and the
-first mask and the canonical representative of each code.  Since a code
-starts with its vertex count, the one table answers every order:
+first mask and the canonical representative of each code.  The automorphisms
+the search of g found generate Aut g, and an automorphism maps g[S] onto an
+isomorphic g[gamma(S)], so the pass canonicalises one subset per orbit, the
+smallest, and gives its code to the whole orbit; every entry is the one that
+canonicalising each subset would give.  Since a code starts with its vertex
+count, the one table answers every order:
 `count_induced(g, f)` is a lookup of f's code (the empty f counts once, from
 mask 0) and `induced_type_table(g, k)` is the table's slice at order k.  The
 N-matrix of `deck` is tallied from the same codes.
@@ -122,16 +126,22 @@ def _join_orbits(orbit, gamma):
 
 @lru_cache(maxsize=None)
 def _canon(g: Graph):
-    """Return (minimal bitstring as int, witness permutation new->old).
+    """Return (minimal bitstring as int, witness permutation new->old, automorphisms).
 
     The search prunes by automorphism, as the module docstring describes.
+    The automorphisms, as tuples old -> old, are the ones the search found,
+    and they generate Aut g.  At each node of the witness's path, take the
+    orbit of the witness's child under the automorphisms fixing the path: no
+    child of it comes first, or the witness would lie under that child; each
+    later one is skipped as joined to it by the maps found, or holds a leaf
+    that ties the witness and so gives a map, fixing the path, onto it.
     """
     n = g.n
     if n == 0:
-        return 0, ()
+        return 0, (), ()
     masks = adjacency_masks(g)
     best = [None, None]
-    autos = []  # automorphisms as lists old -> old; they live for this call only
+    autos = []  # automorphisms as lists old -> old
 
     def search(cells, path):
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
@@ -167,7 +177,7 @@ def _canon(g: Graph):
             search(_refine(masks, split), path + (w,))
 
     search(_refine(masks, [list(range(n))]), ())
-    return best[0], best[1]
+    return best[0], best[1], tuple(map(tuple, autos))
 
 
 def canonical_perm(g: Graph) -> tuple:
@@ -177,7 +187,7 @@ def canonical_perm(g: Graph) -> tuple:
 
 def canonical_code(g: Graph) -> bytes:
     """Relabelling-invariant certificate: n byte plus packed minimal bitstring."""
-    val, _ = _canon(g)
+    val = _canon(g)[0]
     nbits = g.n * (g.n - 1) // 2
     return bytes([g.n]) + val.to_bytes((nbits + 7) // 8 if nbits else 0, "big")
 
@@ -235,16 +245,41 @@ class SubsetTable(NamedTuple):
 
 @lru_cache(maxsize=256)
 def subset_table(g: Graph) -> SubsetTable:
-    """One pass over the 2^n vertex subsets of g, canonicalising each once."""
-    codes, counts, first, reps = [], {}, {}, {}
-    for mask in range(1 << g.n):
-        sub = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
+    """One pass over the 2^n vertex subsets of g, canonicalising one per orbit.
+
+    An automorphism maps g[S] onto g[gamma(S)], so the subsets in one orbit
+    of Aut g share a code.  Masks are visited in increasing order; a mask
+    that no earlier orbit reached is the smallest of its orbit, is
+    canonicalised, and its code is spread over the orbit under the
+    automorphisms `_canon(g)` found.  Each code's first mask and
+    representative are therefore those of the per-mask pass.
+    """
+    n = g.n
+    images = []  # per automorphism, the image of every mask
+    for gamma in _canon(g)[2]:
+        img = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << gamma[low.bit_length() - 1]
+        images.append(img)
+    codes, counts, first, reps = [None] * (1 << n), {}, {}, {}
+    for mask in range(1 << n):
+        if codes[mask] is not None:
+            continue
+        sub = induced_subgraph(g, [v for v in range(n) if mask >> v & 1])
         code = canonical_code(sub)
-        codes.append(code)
+        codes[mask] = code
+        orbit = [mask]
+        for m in orbit:
+            for img in images:
+                x = img[m]
+                if codes[x] is None:
+                    codes[x] = code
+                    orbit.append(x)
         if code in counts:
-            counts[code] += 1
+            counts[code] += len(orbit)
         else:
-            counts[code], first[code], reps[code] = 1, mask, canonical_rep(sub)
+            counts[code], first[code], reps[code] = len(orbit), mask, canonical_rep(sub)
     return SubsetTable(tuple(codes), counts, first, reps)
 
 

@@ -267,6 +267,24 @@ def test_sweep_corpus_reports_an_unparsable_line_and_sweeps_the_rest(tmp_path, c
     assert record["detail"][0].startswith("Graph6ParseError: ")
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_an_input_that_cannot_be_read_is_a_parse_error(tmp_path, case):
+    """Exit 2 with a JSON reason, not a traceback and exit 1, the sweep-failure code."""
+    bad = tmp_path / "not-utf8.g6"
+    bad.write_bytes(b"Bw\n\xff\xfe\n")
+    target = {"missing": tmp_path / "no" / "such" / "file", "directory": tmp_path,
+              "not-utf8": bad}[case]
+    argvs = [["sweep", "--max-n", "3", "--corpus", str(target)]]
+    if case == "not-utf8":
+        argvs.append(["recon", "--source", "nmatrix", str(target)])
+    for argv in argvs:
+        proc = _run_process(argv)
+        assert proc.returncode == 2, argv
+        assert "Traceback" not in proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["error"] == "parse" and out["reason"].startswith("cannot read "), argv
+
+
 def test_sweep_counts_only_the_graphs_a_check_applies_to(capsys):
     code, out = _run(capsys, ["sweep", "--max-n", "4",
                               "--checks", "kelly,vertexdeck,whitney-chain"])

@@ -266,3 +266,18 @@ def test_json_roundtrip(prism):
     assert elp_from_json(e) == elp
     with pytest.raises(InvalidMatrixError):
         nmatrix_from_json({"rows": "nope"})
+
+
+@pytest.mark.parametrize("cover", [{"from": 0, "to": 2, "label": 1},
+                                   {"from": -1, "to": 1, "label": 1},
+                                   {"from": 0, "to": 1, "label": -1},
+                                   {"from": 0, "to": 1, "label": 0}],
+                         ids=["to-out-of-range", "from-negative", "label-negative", "label-zero"])
+def test_poset_json_with_a_cover_no_matrix_can_have_is_refused(cover):
+    """Before, an out-of-range end escaped as IndexError from the fill, and a
+    label of -1 gave the matrix rows ((1, 0), (-1, 1))."""
+    d = {"nodes": [{"rank": 1}, {"rank": 2}], "covers": [cover]}
+    with pytest.raises(InvalidMatrixError):
+        elp_from_json(d)
+    assert nmatrix_from_elp(elp_from_json({**d, "covers": [{"from": 0, "to": 1, "label": 2}]})
+                            ).rows == ((1, 0), (2, 1))

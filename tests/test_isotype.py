@@ -9,10 +9,12 @@ from reconkit import verify
 from reconkit.errors import DomainError, InconsistentDeckError
 from reconkit.graphcore import (adjacency_masks, all_graphs, complete, cycle,
                                 disjoint_union, elementary_graph, empty_graph,
-                                graph, parse_graph6, path, vertex_deck)
-from reconkit.isotype import (IsoClass, _canon, are_isomorphic, canonical_code,
-                              canonical_rep, count_induced, count_subgraphs,
-                              kelly_count, subgraph_type_table)
+                                graph, induced_subgraph, parse_graph6, path,
+                                vertex_deck)
+from reconkit.isotype import (IsoClass, _canon, are_isomorphic, automorphism_count,
+                              canonical_code, canonical_rep, count_induced,
+                              count_subgraphs, kelly_count, subgraph_type_table,
+                              subset_table)
 
 
 def _random_relabel(g, rng):
@@ -84,7 +86,7 @@ def test_pruned_search_matches_the_reference(corpus6):
     # map taken from a new best, not from a tie, changes the witness.
     graphs += [parse_graph6(s) for s in ("FCXc_", "FyU|o", "IGA?oqCW?")]
     for g in graphs:
-        assert _canon(g) == _reference_canon(g), g
+        assert _canon(g)[:2] == _reference_canon(g), g
 
 
 def _nx(g):
@@ -107,6 +109,61 @@ def _symmetric_shapes():
             circulant(9, (1, 3)), circulant(9, (1, 2, 4)), wheel,
             _complete_multipartite(3, 4), _complete_multipartite(3, 3, 3),
             disjoint_union(cycle(4), cycle(4)), disjoint_union(complete(3), cycle(5))]
+
+
+def _orbit_shapes():
+    """The symmetric shapes, K9 minus an edge and K4,5."""
+    return _symmetric_shapes() + [graph(9, [e for e in complete(9).edges if e != (0, 1)]),
+                                  _complete_multipartite(4, 5)]
+
+
+def _group_order(n, generators):
+    """The order of the permutation group the generators span, by closure."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gen in generators:
+                q = tuple(gen[p[i]] for i in range(n))
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(group)
+
+
+def test_the_search_returns_generators_of_the_automorphism_group(corpus6):
+    """Each returned map keeps the edge set, and together they span a group of
+    order emb(g -> g), an embedding count the search does not use."""
+    for g in list(corpus6) + _orbit_shapes():
+        autos = _canon(g)[2]
+        for gamma in autos:
+            assert sorted(gamma) == list(range(g.n)), g
+            assert {tuple(sorted((gamma[u], gamma[v]))) for u, v in g.edges} == g.edges, g
+        assert _group_order(g.n, autos) == automorphism_count(g), g
+
+
+def _reference_subset_table(g):
+    """The per-mask pass: every vertex subset is canonicalised."""
+    codes, counts, first, reps = [], {}, {}, {}
+    for mask in range(1 << g.n):
+        sub = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
+        code = canonical_code(sub)
+        codes.append(code)
+        if code in counts:
+            counts[code] += 1
+        else:
+            counts[code], first[code], reps[code] = 1, mask, canonical_rep(sub)
+    return tuple(codes), counts, first, reps
+
+
+def test_subset_table_equals_the_per_mask_pass(corpus6):
+    """Canonicalising one subset per automorphism orbit changes no field."""
+    rng = random.Random(13)
+    graphs = list(corpus6) + _orbit_shapes()
+    for g in graphs + [_random_relabel(g, rng) for g in graphs]:
+        assert tuple(subset_table(g)) == _reference_subset_table(g), g
 
 
 def test_are_isomorphic_agrees_with_networkx():
