@@ -415,4 +415,9 @@ def elp_from_json(d: dict) -> Elp:
         if not (0 <= j < len(ranks) and 0 <= i < len(ranks)) or lab < 1:
             raise InvalidMatrixError(f"poset JSON cover ({j}, {i}, {lab}) needs two "
                                      f"of the {len(ranks)} nodes and a label of at least 1")
+    # covers are sorted, so a repeated (from, to) pair lies next to its twin
+    for (j, i, lab), (j2, i2, lab2) in zip(covers, covers[1:]):
+        if (j, i) == (j2, i2):
+            raise InvalidMatrixError(f"poset JSON covers ({j}, {i}) twice, "
+                                     f"with labels {lab} and {lab2}")
     return Elp(ranks, covers)

@@ -63,6 +63,7 @@ __all__ = [
     "count_induced",
     "count_subgraphs",
     "automorphism_count",
+    "automorphism_generators",
     "SubsetTable",
     "subset_table",
     "induced_type_table",
@@ -337,6 +338,11 @@ def _pattern(f: Graph) -> tuple:
 def automorphism_count(f: Graph) -> int:
     """|Aut f|, counted as emb(f -> f)."""
     return _pattern(f)[1]
+
+
+def automorphism_generators(g: Graph) -> tuple:
+    """Maps old -> old, as tuples, that generate Aut g: those the canonical search found."""
+    return _canon(g)[2]
 
 
 def _embedding_count(plan: tuple, g: Graph) -> int:

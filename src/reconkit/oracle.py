@@ -7,11 +7,11 @@ exhaustive sweeps pit each pipeline against them.  Each enumeration (the
 cycles, the connected spanning edge subsets, the unions of tuples) is written
 once and shared by every oracle that needs it.
 
-The independence runs one way only, for now: `whitney` takes its card
-polynomials from `charpoly_oracle`, and `polydeck` builds decks with it.  A
-check of those pipelines against this oracle shares that part of the
-computation.  `whitney` counts its covers itself, from the gluings that build
-each cover table; `cover_count_oracle` is their witness.
+No pipeline calls an oracle; they borrow only the `Polynomial` type.
+`polydeck` builds decks, and `whitney` its card polynomials, by a subset
+recursion that counts its own cycles, with `charpoly_oracle` as its witness.
+`whitney` counts its covers itself, from the gluings that build each cover
+table; `cover_count_oracle` is their witness.
 
 Conventions:
   * a cycle of length 2 is a single edge (K2), so `psi(g, 2) == e(g)`;

@@ -8,6 +8,22 @@ partition refinement order converts them into counts of each non-cycle
 elementary spanning type.  The hamiltonian term is out of reach, so the
 method applies when a degree-1 vertex is recognised in the deck, or when the
 caller asserts non-hamiltonicity.
+
+The deck itself is built in one pass over the vertex subsets of G.  By
+Sachs' theorem, coefficient k of P(G[S]) is (-1)^k times the sum of E(T)
+over the k-subsets T of S, where E(T) is the sum, over the spanning
+elementary subgraphs H of G[T] (vertex-disjoint edges and cycles covering
+T), of (-1)^(|T| - components of H) * 2^(cycles of H).  The component of
+such an H that holds v = min T is an edge {v, u} or a cycle C through v, so
+
+    E(T) = - sum over u in N(v) & T of E(T - {u, v})
+           + sum over C with v in C, C in T, |C| >= 3 of
+                 2 (-1)^(|C| - 1) hc(C) E(T - C),
+
+with E(empty) = 1, where hc(C) is the number of hamiltonian cycles of G[C],
+counted by a path DP from min C.  The sums over T in S, one per size, are a
+subset-sum transform of the E table.  The recursion counts its own cycles
+and shares no code with `oracle.charpoly_oracle`, which stays its witness.
 """
 
 from __future__ import annotations
@@ -18,12 +34,13 @@ from itertools import combinations
 from .combi import (card_sum_coeffs, groupings, sachs_constant, sachs_weight,
                     strict_refinements)
 from .errors import DomainError, InconsistentDeckError, NotReconstructibleError
-from .graphcore import Graph, induced_subgraph
-from .oracle import Polynomial, charpoly_oracle
+from .graphcore import Graph, adjacency_masks
+from .oracle import Polynomial
 
 __all__ = [
     "PolyDeck",
     "build_polydeck",
+    "charpoly",
     "low_coeffs",
     "c_lambda",
     "count_elementary",
@@ -57,15 +74,103 @@ class PolyDeck:
         return [p for p in self.polys if len(p) - 1 == d]
 
 
+def _cycle_terms(masks) -> list:
+    """Per vertex v, (C, 2 (-1)^(|C| - 1) hc(C)) for each vertex set C with min C = v
+    on which G[C] has a hamiltonian cycle, |C| >= 3.
+
+    paths[S][w] counts the paths from min S to w with vertex set S; they
+    grow in increasing S through vertices above min S, and each cycle closes
+    once from each end.
+    """
+    n = len(masks)
+    terms = [[] for _ in range(n)]
+    paths = [None] * (1 << n)
+    for s in range(n):
+        paths[1 << s] = {s: 1}
+    for S in range(1, 1 << n):
+        ends = paths[S]
+        if ends is None:
+            continue
+        paths[S] = None
+        low = S & -S
+        s = low.bit_length() - 1
+        if S.bit_count() >= 3:
+            hc = sum(c for w, c in ends.items() if masks[w] & low) // 2
+            if hc:
+                terms[s].append((S, (2 if S.bit_count() % 2 else -2) * hc))
+        above = -(low << 1)  # the vertices above s
+        for w, c in ends.items():
+            nxt = masks[w] & above & ~S
+            while nxt:
+                b = nxt & -nxt
+                nxt ^= b
+                ext = paths[S | b]
+                if ext is None:
+                    ext = paths[S | b] = {}
+                x = b.bit_length() - 1
+                ext[x] = ext.get(x, 0) + c
+    return terms
+
+
+def _elementary_sums(g: Graph) -> list:
+    """E(T) for every vertex mask T of g, by the recursion of the module docstring."""
+    masks = adjacency_masks(g)
+    cycles = _cycle_terms(masks)
+    e = [0] * (1 << g.n)
+    e[0] = 1
+    for t in range(1, 1 << g.n):
+        low = t & -t
+        v = low.bit_length() - 1
+        rest = t ^ low
+        total = 0
+        nbrs = masks[v] & rest
+        while nbrs:
+            b = nbrs & -nbrs
+            nbrs ^= b
+            total -= e[rest ^ b]
+        for c, w in cycles[v]:
+            if c & t == c:
+                total += w * e[t ^ c]
+        e[t] = total
+    return e
+
+
+def charpoly(g: Graph) -> Polynomial:
+    """P(G): coefficient k is (-1)^k times the sum of E(T) over the k-sets T."""
+    acc = [0] * (g.n + 1)
+    for t, val in enumerate(_elementary_sums(g)):
+        acc[t.bit_count()] += val
+    return Polynomial(tuple(-c if k % 2 else c for k, c in enumerate(acc)))
+
+
 def build_polydeck(g: Graph) -> PolyDeck:
-    """P(G_Y) for every nonempty proper subset Y of the vertex set."""
-    if g.n < 2:
+    """P(G_Y) for every nonempty proper subset Y of the vertex set.
+
+    Entries come by size, then in the lexicographic order of the subsets.
+    rows[S][k] starts as (-1)^k E(S) at k = |S|, and adding, for one vertex
+    at a time, the row of S without that vertex to each S that holds it
+    leaves the sum of (-1)^k E(T) over the k-sets T in S: coefficient k of
+    P(G[S]).
+    """
+    n = g.n
+    if n < 2:
         raise DomainError("polynomial deck needs at least 2 vertices")
+    rows = []
+    for t, val in enumerate(_elementary_sums(g)):
+        row = [0] * (n + 1)
+        k = t.bit_count()
+        row[k] = -val if k % 2 else val
+        rows.append(row)
+    for i in range(n):
+        bit = 1 << i
+        for s in range(1 << n):
+            if s & bit:
+                rows[s] = [a + b for a, b in zip(rows[s], rows[s ^ bit])]
     polys = []
-    for size in range(1, g.n):
-        for subset in combinations(range(g.n), size):
-            polys.append(charpoly_oracle(induced_subgraph(g, subset)).coeffs)
-    return PolyDeck(g.n, tuple(polys))
+    for size in range(1, n):
+        for subset in combinations(range(n), size):
+            polys.append(tuple(rows[sum(1 << v for v in subset)][:size + 1]))
+    return PolyDeck(n, tuple(polys))
 
 
 def low_coeffs(d: PolyDeck) -> tuple:

@@ -23,9 +23,10 @@ from .combi import (card_sum_coeffs, multiset_symmetry, partitions_min2,
                     sachs_constant)
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
 from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
-from .isotype import (automorphism_count, canonical_code, canonical_rep,
-                      count_subgraphs, kelly_count)
-from .oracle import Polynomial, charpoly_oracle
+from .isotype import (automorphism_count, automorphism_generators, canonical_code,
+                      canonical_rep, count_subgraphs, kelly_count)
+from .oracle import Polynomial
+from .polydeck import charpoly
 
 __all__ = [
     "block_type",
@@ -78,26 +79,52 @@ def _glue(u: Graph, f: Graph, vmax: int) -> dict:
     Maps each union's canonical code to [representative, ways]: the
     canonical form of the first gluing that reached it, and the number of
     gluings (shared vertices of f, their images in u) that reach it.
+
+    A gluing is a partial injection phi from V(f) into V(u), and the group
+    Aut u x Aut f acts on gluings by phi -> alpha phi beta^-1.  The pair
+    (alpha, beta) maps the union glued by phi onto the union glued by its
+    image, so every gluing of one orbit reaches the same union.  Gluings are
+    visited in the order of the full enumeration; the first of each orbit,
+    closed under the generators of both groups, is glued and canonicalised,
+    and the orbit's size is added to its union's ways.  Every gluing still
+    counts once, so `ways`, and the first gluing to reach each union, are
+    those of gluing every map.
     """
     from itertools import combinations, permutations
     found = {}
-    fverts = list(range(f.n))
+    # a gluing is the tuple of images of f's vertices, -1 for a free vertex,
+    # which every alpha extended by alpha[-1] = -1 keeps free
+    ugens = [alpha + (-1,) for alpha in automorphism_generators(u)]
+    fgens = automorphism_generators(f)
     for k in range(0, min(u.n, f.n) + 1):
         if u.n + f.n - k > vmax:
             continue
-        for shared in combinations(fverts, k):
-            shared_set = set(shared)
-            free = [v for v in fverts if v not in shared_set]
+        seen = set()
+        for shared in combinations(range(f.n), k):
             for target in permutations(range(u.n), k):
-                mapping = dict(zip(shared, target))
-                mapping.update({v: u.n + i for i, v in enumerate(free)})
+                phi = [-1] * f.n
+                for s, t in zip(shared, target):
+                    phi[s] = t
+                phi = tuple(phi)
+                if phi in seen:
+                    continue
+                seen.add(phi)
+                orbit = [phi]
+                for p in orbit:
+                    for q in ([tuple([alpha[x] for x in p]) for alpha in ugens]
+                              + [tuple([p[b] for b in beta]) for beta in fgens]):
+                        if q not in seen:
+                            seen.add(q)
+                            orbit.append(q)
+                fresh = iter(range(u.n, u.n + f.n))
+                mapping = [t if t >= 0 else next(fresh) for t in phi]
                 cand = graph(u.n + f.n - k,
                              list(u.edges) + [(mapping[a], mapping[b]) for a, b in f.edges])
                 code = canonical_code(cand)
                 if code in found:
-                    found[code][1] += 1
+                    found[code][1] += len(orbit)
                 else:
-                    found[code] = [canonical_rep(cand), 1]
+                    found[code] = [canonical_rep(cand), len(orbit)]
     return found
 
 
@@ -107,6 +134,9 @@ def covers_of_type(members, vmax: int) -> CoverTable:
     The unions are glued one member at a time, and D(X), the number of
     gluing sequences that end in a union isomorphic to X, is carried along:
     D(X) = sum over partial unions U of D(U) * ways(U -> X), from D(empty) = 1.
+    `_glue` canonicalises one gluing per orbit of Aut U x Aut F and weighs it
+    by the orbit's size, so ways(U -> X) still counts every gluing, and D(X)
+    and the counts below are those of gluing every map.
     A sequence is a tuple of embeddings of the F_i covering X, taken up to
     the automorphisms of X, which act on such tuples without fixed points, so
     c(S0, X) = D(X) |Aut X| / prod |Aut F_i| (orbit-stabiliser).  A remainder
@@ -225,17 +255,18 @@ def count_type_chain(g: Graph, members) -> int:
 def charpoly_from_vertex_deck(deck) -> Polynomial:
     """P(G) from the multiset of vertex-deleted subgraphs, n >= 3.
 
-    Low coefficients follow from the derivative identity over card
-    polynomials.  Spanning elementary counts come from the type expansion
-    with every subgraph count Kelly-sourced; hamiltonian cycles are solved
-    from the all-K2 type equation, whose only non-Kelly term is the n-cycle.
+    Low coefficients follow from the derivative identity over the card
+    polynomials, each from the subset recursion of `polydeck.charpoly`.
+    Spanning elementary counts come from the type expansion with every
+    subgraph count Kelly-sourced; hamiltonian cycles are solved from the
+    all-K2 type equation, whose only non-Kelly term is the n-cycle.
 
     Each card is replaced by its canonical representative, so isomorphic
-    cards, in one deck or across decks, are equal graphs and share the
-    cached card polynomials and subgraph counts.  The values cannot change:
-    a card's polynomial and its subgraph counts are invariant under
-    relabelling, and every Kelly count sums over the same multiset of card
-    types, so its exact division checks the same total.
+    cards are equal graphs: in one deck they share one card polynomial, and
+    in one deck or across decks the cached subgraph counts.  The values
+    cannot change: a card's polynomial and its subgraph counts are invariant
+    under relabelling, and every Kelly count sums over the same multiset of
+    card types, so its exact division checks the same total.
     """
     deck = list(deck)
     n = len(deck)
@@ -247,7 +278,8 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
                 f"card has {card.n} vertices, expected {n - 1}")
     deck = [canonical_rep(card) for card in deck]
 
-    coeffs = card_sum_coeffs([charpoly_oracle(card) for card in deck], n)
+    card_polys = {card: charpoly(card) for card in set(deck)}
+    coeffs = card_sum_coeffs([card_polys[card] for card in deck], n)
 
     kelly_memo = {}
 

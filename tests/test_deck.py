@@ -281,3 +281,16 @@ def test_poset_json_with_a_cover_no_matrix_can_have_is_refused(cover):
         elp_from_json(d)
     assert nmatrix_from_elp(elp_from_json({**d, "covers": [{"from": 0, "to": 1, "label": 2}]})
                             ).rows == ((1, 0), (2, 1))
+
+
+def test_poset_json_with_a_repeated_cover_is_refused():
+    """Before, the fill kept the last label of the pair (0, 1) and gave the rows
+    ((1, 0, 0), (4, 1, 0), (2, 1, 1)), silently dropping the label 2."""
+    d = {"nodes": [{"rank": 1}, {"rank": 2}, {"rank": 3}],
+         "covers": [{"from": 0, "to": 1, "label": 2}, {"from": 0, "to": 1, "label": 4},
+                    {"from": 1, "to": 2, "label": 1}]}
+    with pytest.raises(InvalidMatrixError, match="twice"):
+        elp_from_json(d)
+    d["covers"][1] = {"from": 1, "to": 2, "label": 1}  # the same cover twice
+    with pytest.raises(InvalidMatrixError, match="twice"):
+        elp_from_json(d)

@@ -30,8 +30,8 @@ UNBOUNDED_ALLOWED = {
 # purpose, and the package `__init__` re-exports some of them.
 ORACLE_IMPORTS_ALLOWED = {
     "nrecon": {"Polynomial"},
-    "polydeck": {"Polynomial", "charpoly_oracle"},
-    "whitney": {"Polynomial", "charpoly_oracle"},
+    "polydeck": {"Polynomial"},
+    "whitney": {"Polynomial"},
 }
 ORACLE_IMPORTS_EXEMPT = {"__init__", "cli", "oracle", "verify"}
 

@@ -1,19 +1,21 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from reconkit.combi import partitions_min2, strict_refinements
 from reconkit.errors import (DomainError, InconsistentDeckError,
                              NotReconstructibleError)
-from reconkit.graphcore import (complete, cycle, disjoint_union,
-                                elementary_graph, empty_graph, graph, path)
+from reconkit.graphcore import (adjacency_masks, complete, cycle, disjoint_union,
+                                elementary_graph, empty_graph, graph,
+                                induced_subgraph, path)
 from reconkit.oracle import (charpoly_oracle, elementary_count_oracle,
                              ham_oracle, signed_c_oracle,
                              signed_exact_cover_oracle)
 from reconkit.polydeck import (PolyDeck, _check_nontrivial, _signed_c_on,
-                               build_polydeck, c_lambda,
+                               build_polydeck, c_lambda, charpoly,
                                charpoly_from_polydeck, count_elementary,
                                degree_sequence, low_coeffs,
                                polydeck_from_json, polydeck_to_json)
@@ -50,6 +52,40 @@ def test_build_polydeck_examples():
         Counter([(1, 0, -1)] * 3 + [(1, 0)] * 3)
     with pytest.raises(DomainError):
         build_polydeck(empty_graph(1))
+
+
+def test_subset_charpolys_match_the_oracle(corpus6):
+    """Every deck entry, and the full-set polynomial, of every graph with
+    n <= 6 equals the Sachs expansion of the oracle, entry by entry in order."""
+    for g in corpus6:
+        assert charpoly(g).coeffs == charpoly_oracle(g).coeffs, g
+        if g.n < 2:
+            continue
+        want = [charpoly_oracle(induced_subgraph(g, subset)).coeffs
+                for size in range(1, g.n) for subset in combinations(range(g.n), size)]
+        assert list(build_polydeck(g).polys) == want, g
+
+
+def _sympy_charpoly(g) -> tuple:
+    sympy = pytest.importorskip("sympy")
+    masks = adjacency_masks(g)
+    adj = sympy.Matrix(g.n, g.n, lambda i, j: (masks[i] >> j) & 1)
+    return tuple(int(c) for c in adj.charpoly().all_coeffs())
+
+
+def test_subset_charpolys_match_sympy():
+    """A third witness, independent of the Sachs expansion: sympy's exact
+    characteristic polynomial of the adjacency matrix, on seeded graphs with
+    n = 7..9, for the graph and for its n vertex-deleted deck entries."""
+    rng = random.Random(14)
+    for n in (7, 8, 9):
+        for p in (0.3, 0.6):
+            g = graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            assert charpoly(g).coeffs == _sympy_charpoly(g) == charpoly_oracle(g).coeffs, g
+            cards = build_polydeck(g).entries_of_degree(n - 1)
+            want = [_sympy_charpoly(induced_subgraph(g, [u for u in range(n) if u != v]))
+                    for v in reversed(range(n))]
+            assert cards == want, g
 
 
 def test_polydeck_size_invariant(corpus5):

@@ -7,7 +7,7 @@ from reconkit import whitney
 from reconkit.errors import DomainError
 from reconkit.graphcore import (complete, cycle, disjoint_union, empty_graph,
                                 graph, path, vertex_deck)
-from reconkit.isotype import canonical_code
+from reconkit.isotype import canonical_code, canonical_rep
 from reconkit.oracle import charpoly_oracle, cover_count_oracle
 from reconkit.whitney import (block_type, charpoly_from_vertex_deck,
                               count_type, count_type_chain, covers_of_type,
@@ -188,6 +188,61 @@ def test_card_labelling_and_order_do_not_matter(corpus6, monkeypatch):
         shuffled = [_relabel(card, rng) for card in deck]
         rng.shuffle(shuffled)
         assert charpoly_from_vertex_deck(shuffled).coeffs == want, g
+
+
+def _reference_glue(u, f, vmax):
+    """The gluing of u and f that canonicalises every partial injection V(f) -> V(u)."""
+    from itertools import permutations
+    found = {}
+    fverts = list(range(f.n))
+    for k in range(0, min(u.n, f.n) + 1):
+        if u.n + f.n - k > vmax:
+            continue
+        for shared in combinations(fverts, k):
+            shared_set = set(shared)
+            free = [v for v in fverts if v not in shared_set]
+            for target in permutations(range(u.n), k):
+                mapping = dict(zip(shared, target))
+                mapping.update({v: u.n + i for i, v in enumerate(free)})
+                cand = graph(u.n + f.n - k,
+                             list(u.edges) + [(mapping[a], mapping[b]) for a, b in f.edges])
+                code = canonical_code(cand)
+                if code in found:
+                    found[code][1] += 1
+                else:
+                    found[code] = [canonical_rep(cand), 1]
+    return found
+
+
+def test_orbit_gluing_builds_the_reference_tables(corpus6, monkeypatch):
+    """Every cover table the vertex-deck pipeline reaches on the graphs with
+    n <= 6 and on seeded 7-vertex graphs equals, field by field and in member
+    order, the table built by gluing every partial injection."""
+    rng = random.Random(14)
+    sevens = [graph(7, [e for e in combinations(range(7), 2) if rng.random() < p])
+              for p in (0.3, 0.5, 0.7)]
+    families = {}
+    build = whitney.covers_of_type
+
+    def recording(members, vmax):
+        families.setdefault((type_key(members), vmax), (tuple(members), vmax))
+        return build(members, vmax)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(whitney, "covers_of_type", recording)
+        for g in [h for h in corpus6 if h.n >= 3] + sevens:
+            charpoly_from_vertex_deck(vertex_deck(g))
+    assert {vmax for _root, vmax in families} == {3, 4, 5, 6, 7}
+
+    def tables(glue):
+        with monkeypatch.context() as mp:
+            mp.setattr(whitney, "_glue", glue)
+            mp.setattr(whitney, "_COVER_CACHE", {})
+            return [build(*args) for args in families.values()]
+
+    for got, want in zip(tables(whitney._glue), tables(_reference_glue)):
+        assert got == want, (want.root, want.vmax)
+        assert list(got.members) == list(want.members), (want.root, want.vmax)
 
 
 def test_nonspanning_roots_match_the_member_filter(pipeline_tables):
