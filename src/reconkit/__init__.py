@@ -27,7 +27,8 @@ from .deck import (Elp, LambdaDeck, NMatrix, canonical_nmatrix,
                    child_nmatrices, count_empty_induced, elp_automorphisms,
                    elp_from_nmatrix, infer_v_e, lambda_deck, nmatrix,
                    nmatrix_from_elp, strip)
-from .oracle import Polynomial, charpoly_oracle, rankpoly_oracle
+from .combi import Polynomial
+from .oracle import charpoly_oracle, rankpoly_oracle
 from .nrecon import Reconstruction, reconstruct
 from .polydeck import PolyDeck, build_polydeck, charpoly_from_polydeck
 from .whitney import (block_type, charpoly_from_vertex_deck, count_type,

@@ -1,14 +1,17 @@
-"""Small exact-arithmetic combinatorics helpers used by the reconstruction pipelines."""
+"""Small exact-arithmetic helpers shared by the reconstruction pipelines and the oracles."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from math import comb, factorial
 
-from .errors import InconsistentDeckError, InvalidMatrixError
+from .errors import DomainError, InconsistentDeckError, InvalidMatrixError
 
 __all__ = [
+    "Polynomial",
+    "json_int",
     "exact_div",
     "multiset_symmetry",
     "sachs_constant",
@@ -24,6 +27,13 @@ __all__ = [
 ]
 
 
+def json_int(x) -> int:
+    """x if it is a JSON integer, else TypeError: 1.9, "1" and true are not read as 1."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def exact_div(a: int, b: int, what: str = "value") -> int:
     q, r = divmod(a, b)
     if r:
@@ -37,6 +47,40 @@ def multiset_symmetry(items) -> int:
     for x in set(items):
         sym *= factorial(items.count(x))
     return sym
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """Characteristic polynomial sum(c_i * lambda^(n-i)), stored as c_0..c_n."""
+
+    coeffs: tuple
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, i: int) -> int:
+        return self.coeffs[i]
+
+    def derivative(self) -> "Polynomial":
+        n = self.degree
+        return Polynomial(tuple(c * (n - i) for i, c in enumerate(self.coeffs[:-1])))
+
+    def add(self, other: "Polynomial") -> "Polynomial":
+        if self.degree != other.degree:
+            raise DomainError(f"cannot add polynomials of degrees {self.degree} and {other.degree}")
+        return Polynomial(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __str__(self):
+        n = self.degree
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            p = n - i
+            lam = "" if p == 0 else ("x" if p == 1 else f"x^{p}")
+            terms.append(f"{c:+d}{lam}")
+        return " ".join(terms) or "0"
 
 
 def sachs_constant(n: int, count) -> int:

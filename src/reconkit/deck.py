@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import comb
 
-from .combi import exact_div
+from .combi import exact_div, json_int
 from .errors import DomainError, InvalidMatrixError
 from .graphcore import Graph, parse_graph6, write_graph6
 from .isotype import IsoClass, induced_type_table, subset_table
@@ -382,19 +382,25 @@ def nmatrix_to_json(nm: NMatrix) -> dict:
 
 
 def nmatrix_from_json(d: dict) -> NMatrix:
+    """Matrix JSON with integer entries; a label's (v, e) is checked before it is canonicalised."""
     try:
-        rows = tuple(tuple(int(x) for x in r) for r in d["rows"])
+        rows = tuple(tuple(json_int(x) for x in r) for r in d["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidMatrixError(f"bad matrix JSON: {exc}") from exc
-    labels = None
-    if "labels" in d:
-        if not isinstance(d["labels"], list) or len(d["labels"]) != len(rows):
-            raise InvalidMatrixError(f"matrix JSON needs one label per row ({len(rows)})")
-        classes = tuple(IsoClass.of(parse_graph6(s)) for s in d["labels"])
-        labels = LambdaDeck(classes)
-    nm = NMatrix(rows, labels)
-    infer_v_e(nm)
-    return nm
+    ve = infer_v_e(NMatrix(rows))
+    if "labels" not in d:
+        return NMatrix(rows)
+    texts = d["labels"]
+    if not isinstance(texts, list) or len(texts) != len(rows) or \
+            not all(isinstance(s, str) for s in texts):
+        raise InvalidMatrixError(f"matrix JSON needs one label per row ({len(rows)}), "
+                                 "each a graph6 string")
+    graphs = [parse_graph6(s) for s in texts]
+    for i, (g, want) in enumerate(zip(graphs, ve)):
+        if (g.n, g.e) != want:
+            raise InvalidMatrixError(f"label {i} has (v, e) = {(g.n, g.e)}, "
+                                     f"but its row has {want}")
+    return NMatrix(rows, LambdaDeck(tuple(IsoClass.of(g) for g in graphs)))
 
 
 def elp_to_json(elp: Elp) -> dict:
@@ -406,8 +412,8 @@ def elp_to_json(elp: Elp) -> dict:
 
 def elp_from_json(d: dict) -> Elp:
     try:
-        ranks = tuple(int(nd["rank"]) for nd in d["nodes"])
-        covers = tuple(sorted((int(c["from"]), int(c["to"]), int(c["label"]))
+        ranks = tuple(json_int(nd["rank"]) for nd in d["nodes"])
+        covers = tuple(sorted((json_int(c["from"]), json_int(c["to"]), json_int(c["label"]))
                               for c in d["covers"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidMatrixError(f"bad poset JSON: {exc}") from exc

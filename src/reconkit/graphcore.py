@@ -321,14 +321,14 @@ def all_graphs(max_n: int, min_edges: int = 0) -> list:
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  No
     type is lost: deleting a vertex of largest degree from any graph leaves
     a parent, and joining the vertex back passes the filter.  Deduplication
-    uses canonical codes from reconkit.isotype; results are canonical
-    representatives sorted by (n, e, code).
+    uses canonical codes from reconkit.isotype; results are the canonical
+    forms the codes spell, in code order, which puts smaller n first.
     """
-    from .isotype import canonical_code, canonical_rep
+    from .isotype import canonical_code, code_graph
 
     levels = {1: [empty_graph(1)]}
     for n in range(2, max_n + 1):
-        seen = {}
+        seen = set()
         for parent in levels[n - 1]:
             pdeg = [m.bit_count() for m in adjacency_masks(parent)]
             for nbrs in range(1 << (n - 1)):
@@ -336,11 +336,8 @@ def all_graphs(max_n: int, min_edges: int = 0) -> list:
                 if any(pdeg[i] + (nbrs >> i & 1) > d for i in range(n - 1)):
                     continue
                 extra = [(i, n - 1) for i in range(n - 1) if (nbrs >> i) & 1]
-                cand = graph(n, list(parent.edges) + extra)
-                code = canonical_code(cand)
-                if code not in seen:
-                    seen[code] = canonical_rep(cand)
-        levels[n] = [g for _, g in sorted(seen.items())]
+                seen.add(canonical_code(graph(n, list(parent.edges) + extra)))
+        levels[n] = [code_graph(code) for code in sorted(seen)]
     out = []
     for n in range(1, max_n + 1):
         out.extend(g for g in levels[n] if g.e >= min_edges)

@@ -8,6 +8,11 @@ first leaf, in depth-first order, that attains the minimum.  Two graphs are
 isomorphic iff their codes are equal, so codes double as dictionary keys for
 all counting done in this package.
 
+A code spells its canonical form: after the vertex count n, its bits are the
+pairs (0, 1), (0, 2), ..., (n-2, n-1) of that form, highest first.
+`code_graph(code)` reads the form back, so a type carried as its code needs no
+stored representative, and `canonical_rep(g)` is `code_graph(canonical_code(g))`.
+
 The search prunes with the automorphisms it finds (McKay & Piperno, "Practical
 graph isomorphism, II", J. Symb. Comput. 2014).  A leaf that ties the best
 bitstring so far gives the automorphism mapping the best witness onto it.  A
@@ -33,11 +38,11 @@ m-edge subset of g, for when the counts of every type are wanted at once.
 Induced subgraphs are counted from one table per graph, `subset_table(g)`:
 a single pass over the vertex subsets of g, as bitmasks 0 .. 2^n - 1, stores
 the canonical code of each g[mask], the number of masks per code, and the
-first mask and the canonical representative of each code.  The automorphisms
-the search of g found generate Aut g, and an automorphism maps g[S] onto an
-isomorphic g[gamma(S)], so the pass canonicalises one subset per orbit, the
-smallest, and gives its code to the whole orbit; every entry is the one that
-canonicalising each subset would give.  Since a code starts with its vertex
+first mask of each code.  The automorphisms the search of g found generate
+Aut g, and an automorphism maps g[S] onto an isomorphic g[gamma(S)], so the
+pass canonicalises one subset per orbit, the smallest, and gives its code to
+the whole orbit; every entry is the one that canonicalising each subset
+would give.  Since a code starts with its vertex
 count, the one table answers every order:
 `count_induced(g, f)` is a lookup of f's code (the empty f counts once, from
 mask 0) and `induced_type_table(g, k)` is the table's slice at order k.  The
@@ -57,7 +62,7 @@ from .graphcore import Graph, adjacency_masks, graph, induced_subgraph
 __all__ = [
     "canonical_code",
     "canonical_rep",
-    "canonical_perm",
+    "code_graph",
     "are_isomorphic",
     "IsoClass",
     "count_induced",
@@ -181,11 +186,6 @@ def _canon(g: Graph):
     return best[0], best[1], tuple(map(tuple, autos))
 
 
-def canonical_perm(g: Graph) -> tuple:
-    """Witness ordering: position k of the canonical form holds vertex perm[k]."""
-    return _canon(g)[1]
-
-
 def canonical_code(g: Graph) -> bytes:
     """Relabelling-invariant certificate: n byte plus packed minimal bitstring."""
     val = _canon(g)[0]
@@ -193,11 +193,16 @@ def canonical_code(g: Graph) -> bytes:
     return bytes([g.n]) + val.to_bytes((nbits + 7) // 8 if nbits else 0, "big")
 
 
+def code_graph(code: bytes) -> Graph:
+    """The canonical form a code spells: vertex k is position k of the witness."""
+    val = int.from_bytes(code[1:], "big")
+    pairs = list(combinations(range(code[0]), 2))  # row by row; the first holds the top bit
+    return Graph(code[0], frozenset(p for k, p in enumerate(reversed(pairs)) if val >> k & 1))
+
+
 def canonical_rep(g: Graph) -> Graph:
     """The canonically relabelled form of g."""
-    perm = canonical_perm(g)
-    pos = {v: i for i, v in enumerate(perm)}
-    return graph(g.n, [(pos[u], pos[v]) for u, v in g.edges])
+    return code_graph(canonical_code(g))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -232,16 +237,14 @@ class SubsetTable(NamedTuple):
 
     `codes[mask]` is the canonical code of g[mask], where bit v of the mask
     is vertex v; `counts` maps each code to the number of masks that carry
-    it; `first` maps it to the smallest such mask; `reps` maps it to the
-    canonical representative.  A code's first byte is its vertex count, so
-    one table serves every order.  Tables are cached and shared: read them,
-    never modify them.
+    it; `first` maps it to the smallest such mask.  A code's first byte is
+    its vertex count, so one table serves every order.  Tables are cached
+    and shared: read them, never modify them.
     """
 
     codes: tuple
     counts: dict
     first: dict
-    reps: dict
 
 
 @lru_cache(maxsize=256)
@@ -252,8 +255,8 @@ def subset_table(g: Graph) -> SubsetTable:
     of Aut g share a code.  Masks are visited in increasing order; a mask
     that no earlier orbit reached is the smallest of its orbit, is
     canonicalised, and its code is spread over the orbit under the
-    automorphisms `_canon(g)` found.  Each code's first mask and
-    representative are therefore those of the per-mask pass.
+    automorphisms `_canon(g)` found.  Each code's first mask is therefore
+    that of the per-mask pass.
     """
     n = g.n
     images = []  # per automorphism, the image of every mask
@@ -263,12 +266,11 @@ def subset_table(g: Graph) -> SubsetTable:
             low = m & -m
             img[m] = img[m ^ low] | 1 << gamma[low.bit_length() - 1]
         images.append(img)
-    codes, counts, first, reps = [None] * (1 << n), {}, {}, {}
+    codes, counts, first = [None] * (1 << n), {}, {}
     for mask in range(1 << n):
         if codes[mask] is not None:
             continue
-        sub = induced_subgraph(g, [v for v in range(n) if mask >> v & 1])
-        code = canonical_code(sub)
+        code = canonical_code(induced_subgraph(g, [v for v in range(n) if mask >> v & 1]))
         codes[mask] = code
         orbit = [mask]
         for m in orbit:
@@ -280,14 +282,13 @@ def subset_table(g: Graph) -> SubsetTable:
         if code in counts:
             counts[code] += len(orbit)
         else:
-            counts[code], first[code], reps[code] = len(orbit), mask, canonical_rep(sub)
-    return SubsetTable(tuple(codes), counts, first, reps)
+            counts[code], first[code] = len(orbit), mask
+    return SubsetTable(tuple(codes), counts, first)
 
 
 def induced_type_table(g: Graph, k: int) -> dict:
-    """code -> (count, representative) over all k-vertex induced subgraphs of g."""
-    table = subset_table(g)
-    return {code: (cnt, table.reps[code]) for code, cnt in table.counts.items()
+    """code -> (count, canonical form) over all k-vertex induced subgraphs of g."""
+    return {code: (cnt, code_graph(code)) for code, cnt in subset_table(g).counts.items()
             if code[0] == k}
 
 

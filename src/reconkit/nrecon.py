@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .combi import (edge_profiles, exact_div, grouped_cover_partitions,
+from .combi import (Polynomial, edge_profiles, exact_div, grouped_cover_partitions,
                     multiset_symmetry, partitions_min2, sachs_constant)
 from .deck import NMatrix, _top_row, infer_v_e
 from .errors import DomainError, InvalidMatrixError
-from .oracle import Polynomial
 
 __all__ = ["NodeInvariants", "Reconstruction", "reconstruct"]
 

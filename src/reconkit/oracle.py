@@ -7,7 +7,7 @@ exhaustive sweeps pit each pipeline against them.  Each enumeration (the
 cycles, the connected spanning edge subsets, the unions of tuples) is written
 once and shared by every oracle that needs it.
 
-No pipeline calls an oracle; they borrow only the `Polynomial` type.
+No pipeline imports from this module; the `Polynomial` type lives in `combi`.
 `polydeck` builds decks, and `whitney` its card polynomials, by a subset
 recursion that counts its own cycles, with `charpoly_oracle` as its witness.
 `whitney` counts its covers itself, from the gluings that build each cover
@@ -24,16 +24,15 @@ Conventions:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from .combi import Polynomial
 from .errors import DomainError
 from .graphcore import Graph, adjacency_masks
 from .isotype import canonical_code
 
 __all__ = [
-    "Polynomial",
     "psi_oracle",
     "tr_oracle",
     "ham_oracle",
@@ -53,40 +52,6 @@ __all__ = [
 ]
 
 RANKPOLY_EDGE_LIMIT = 16
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Characteristic polynomial sum(c_i * lambda^(n-i)), stored as c_0..c_n."""
-
-    coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i]
-
-    def derivative(self) -> "Polynomial":
-        n = self.degree
-        return Polynomial(tuple(c * (n - i) for i, c in enumerate(self.coeffs[:-1])))
-
-    def add(self, other: "Polynomial") -> "Polynomial":
-        if self.degree != other.degree:
-            raise DomainError(f"cannot add polynomials of degrees {self.degree} and {other.degree}")
-        return Polynomial(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __str__(self):
-        n = self.degree
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            p = n - i
-            lam = "" if p == 0 else ("x" if p == 1 else f"x^{p}")
-            terms.append(f"{c:+d}{lam}")
-        return " ".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------

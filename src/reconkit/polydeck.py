@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .combi import (card_sum_coeffs, groupings, sachs_constant, sachs_weight,
-                    strict_refinements)
+from .combi import (Polynomial, card_sum_coeffs, groupings, json_int, sachs_constant,
+                    sachs_weight, strict_refinements)
 from .errors import DomainError, InconsistentDeckError, NotReconstructibleError
 from .graphcore import Graph, adjacency_masks
-from .oracle import Polynomial
 
 __all__ = [
     "PolyDeck",
@@ -300,8 +299,8 @@ def polydeck_to_json(d: PolyDeck) -> dict:
 
 def polydeck_from_json(obj: dict) -> PolyDeck:
     try:
-        n = int(obj["n"])
-        polys = tuple(tuple(int(c) for c in p) for p in obj["polys"])
+        n = json_int(obj["n"])
+        polys = tuple(tuple(json_int(c) for c in p) for p in obj["polys"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InconsistentDeckError(f"bad polynomial deck JSON: {exc}") from exc
     return PolyDeck(n, polys)

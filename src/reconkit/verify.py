@@ -18,7 +18,7 @@ from . import polydeck as pdmod
 from .errors import NotReconstructibleError, ReconkitError
 from .graphcore import (Graph, all_graphs, complete, cycle, empty_graph,
                         induced_subgraph, parse_graph6, path, vertex_deck)
-from .isotype import (canonical_code, count_induced, count_subgraphs,
+from .isotype import (canonical_code, code_graph, count_induced, count_subgraphs,
                       kelly_count, subgraph_type_table, subset_table)
 from .nrecon import reconstruct
 from .oracle import (RANKPOLY_EDGE_LIMIT, charpoly_oracle, cover_count_oracle,
@@ -117,9 +117,7 @@ def _check_kelly(g: Graph) -> list:
 @lru_cache(maxsize=1024)
 def _kocay_covers(code: bytes) -> tuple:
     """The covers of the type with this canonical code by each factor list of _KOCAY_TYPES."""
-    rep = next(h for h in _small_types(code[0], with_isolated=False)
-               if canonical_code(h) == code)
-    return tuple(cover_count_oracle(list(fams), rep) for fams in _KOCAY_TYPES)
+    return tuple(cover_count_oracle(list(fams), code_graph(code)) for fams in _KOCAY_TYPES)
 
 
 def _check_kocay(g: Graph) -> list:

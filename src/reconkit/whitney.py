@@ -1,6 +1,7 @@
 """Graph types as block multisets and the explicit subgraph expansion.
 
-A 'type' is the multiset of isomorphism classes of a graph's blocks.  For a
+A 'type' is the multiset of isomorphism classes of a graph's blocks, keyed by
+the sorted tuple of the blocks' canonical codes.  For a
 type S0 = {F_1..F_k} of non-separable graphs, Kocay's counting identity
 
     prod <G, F_i>  =  sum over types S of  c(S0, S) <G, S>
@@ -10,22 +11,23 @@ c(S0, X) is the number of cover tuples of X by copies of the F_i and depends
 only on the type of X.  Solving for <G, S0> and iterating yields an explicit
 polynomial in non-separable subgraph counts; with Kelly-sourced counts on a
 vertex deck this reconstructs every elementary spanning count and finally the
-characteristic polynomial.
+characteristic polynomial.  Blocks and unions are carried as codes, and
+decoded (`isotype.code_graph`) where a graph is needed, never re-coded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
-from .combi import (card_sum_coeffs, multiset_symmetry, partitions_min2,
+from .combi import (Polynomial, card_sum_coeffs, multiset_symmetry, partitions_min2,
                     sachs_constant)
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
 from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
 from .isotype import (automorphism_count, automorphism_generators, canonical_code,
-                      canonical_rep, count_subgraphs, kelly_count)
-from .oracle import Polynomial
+                      canonical_rep, code_graph, count_subgraphs, kelly_count)
 from .polydeck import charpoly
 
 __all__ = [
@@ -43,7 +45,7 @@ def block_type(g: Graph) -> tuple:
     """The multiset of block certificates of g, as a sorted code tuple."""
     if g.has_isolated_vertex():
         raise DomainError("graph types are defined for graphs without isolated vertices")
-    return tuple(sorted(canonical_code(b) for b in blocks(g)))
+    return type_key(blocks(g))
 
 
 def type_key(members) -> tuple:
@@ -55,10 +57,11 @@ def type_key(members) -> tuple:
 class CoverTable:
     """All union graphs of copies of a root family, grouped into types.
 
-    `members` maps each union's canonical code to (representative, cover
-    count); `by_type` maps a type key to (cover count, block representatives).
-    `self_cover` is c(S0, S0), defined even when no member of the root type
-    fits under the vertex bound.  `nonspanning_roots` holds the members of
+    `root` is the family's type key and `members` maps each union's
+    canonical code to its cover count c(S0, X); `by_type` maps the type key
+    of each union to that count, which is constant on a type.  `self_cover`
+    is c(S0, S0), defined even when no member of the root type fits under
+    the vertex bound.  `nonspanning_roots` holds the codes of the members of
     the root type with fewer than vmax vertices.
     """
 
@@ -70,15 +73,12 @@ class CoverTable:
     nonspanning_roots: tuple = ()
 
 
-_COVER_CACHE: dict = {}
-
-
 def _glue(u: Graph, f: Graph, vmax: int) -> dict:
     """The unions of u with one fresh copy of f, up to vmax vertices.
 
-    Maps each union's canonical code to [representative, ways]: the
-    canonical form of the first gluing that reached it, and the number of
-    gluings (shared vertices of f, their images in u) that reach it.
+    Maps each union's canonical code to its ways: the number of gluings
+    (shared vertices of f, their images in u) that reach it, in the order
+    the first gluing reaches each union.
 
     A gluing is a partial injection phi from V(f) into V(u), and the group
     Aut u x Aut f acts on gluings by phi -> alpha phi beta^-1.  The pair
@@ -87,8 +87,8 @@ def _glue(u: Graph, f: Graph, vmax: int) -> dict:
     visited in the order of the full enumeration; the first of each orbit,
     closed under the generators of both groups, is glued and canonicalised,
     and the orbit's size is added to its union's ways.  Every gluing still
-    counts once, so `ways`, and the first gluing to reach each union, are
-    those of gluing every map.
+    counts once, so `ways`, and the order in which unions are first
+    reached, are those of gluing every map.
     """
     from itertools import combinations, permutations
     found = {}
@@ -121,22 +121,25 @@ def _glue(u: Graph, f: Graph, vmax: int) -> dict:
                 cand = graph(u.n + f.n - k,
                              list(u.edges) + [(mapping[a], mapping[b]) for a, b in f.edges])
                 code = canonical_code(cand)
-                if code in found:
-                    found[code][1] += len(orbit)
-                else:
-                    found[code] = [canonical_rep(cand), len(orbit)]
+                found[code] = found.get(code, 0) + len(orbit)
     return found
 
 
-def covers_of_type(members, vmax: int) -> CoverTable:
-    """Enumerate union graphs of one copy of each family member, with cover counts.
+# Tables depend only on (root, vmax).  One vertex-deck reconstruction at
+# n = 10, the CLI's limit, reaches 374 tables, and n = 3..10 together 692,
+# so every table of a deck the CLI accepts stays cached.
+@lru_cache(maxsize=1024)
+def covers_of_type(root: tuple, vmax: int) -> CoverTable:
+    """Enumerate union graphs of one copy of each block of a type, with cover counts.
 
-    The unions are glued one member at a time, and D(X), the number of
-    gluing sequences that end in a union isomorphic to X, is carried along:
-    D(X) = sum over partial unions U of D(U) * ways(U -> X), from D(empty) = 1.
-    `_glue` canonicalises one gluing per orbit of Aut U x Aut F and weighs it
-    by the orbit's size, so ways(U -> X) still counts every gluing, and D(X)
-    and the counts below are those of gluing every map.
+    `root` is the type key: the sorted tuple of the block codes.  The blocks
+    are decoded and glued in order of (v, e), then code, one at a time, and
+    D(X), the number of gluing sequences that end in a union isomorphic to
+    X, is carried along: D(X) = sum over partial unions U of D(U) *
+    ways(U -> X), from D(empty) = 1.  `_glue` canonicalises one gluing per
+    orbit of Aut U x Aut F and weighs it by the orbit's size, so ways(U -> X)
+    still counts every gluing, and D(X) and the counts below are those of
+    gluing every map.
     A sequence is a tuple of embeddings of the F_i covering X, taken up to
     the automorphisms of X, which act on such tuples without fixed points, so
     c(S0, X) = D(X) |Aut X| / prod |Aut F_i| (orbit-stabiliser).  A remainder
@@ -144,68 +147,61 @@ def covers_of_type(members, vmax: int) -> CoverTable:
     ConsistencyError: either would contradict the type-grouping identity, not
     merely signal bad input.
     """
-    fams = sorted(members, key=lambda b: (b.n, b.e, canonical_code(b)))
-    root = type_key(fams)
-    key = (root, vmax)
-    if key in _COVER_CACHE:
-        return _COVER_CACHE[key]
-    empty = graph(0, ())
-    partials = {canonical_code(empty): [empty, 1]}
+    if list(root) != sorted(root):
+        raise DomainError("covers_of_type takes a type key: the sorted tuple of block codes")
+    # root is in code order, so a stable sort by (v, e) orders by (v, e, code)
+    fams = sorted(map(code_graph, root), key=lambda b: (b.n, b.e))
+    partials = {canonical_code(graph(0)): 1}
     for f in fams:
         nxt = {}
-        for u, d in partials.values():
-            for code, (cand, ways) in _glue(u, f, vmax).items():
-                nxt.setdefault(code, [cand, 0])[1] += d * ways
+        for code, d in partials.items():
+            for union, ways in _glue(code_graph(code), f, vmax).items():
+                nxt[union] = nxt.get(union, 0) + d * ways
         partials = nxt
     fam_automorphisms = prod(automorphism_count(f) for f in fams)
     member_table = {}
     by_type = {}
     nonspanning_roots = []
-    for code, (x, d) in partials.items():
+    for code, d in partials.items():
+        x = code_graph(code)
         c, r = divmod(d * automorphism_count(x), fam_automorphisms)
         if r:
             raise ConsistencyError(f"cover count of a union is not integral: {d} gluings")
-        member_table[code] = (x, c)
+        member_table[code] = c
         tk = block_type(x)
         if tk == root and x.n < vmax:
-            nonspanning_roots.append(x)
-        if tk in by_type:
-            prev_c, _reps = by_type[tk]
-            if prev_c != c:
-                raise ConsistencyError(
-                    f"cover count differs within a type: {prev_c} vs {c}")
-        else:
-            by_type[tk] = (c, tuple(blocks(x)))
-    self_cover = by_type[root][0] if root in by_type else multiset_symmetry(root)
-    if root in by_type and by_type[root][0] != multiset_symmetry(root):
+            nonspanning_roots.append(code)
+        if by_type.setdefault(tk, c) != c:
+            raise ConsistencyError(
+                f"cover count differs within a type: {by_type[tk]} vs {c}")
+    self_cover = by_type.get(root, multiset_symmetry(root))
+    if self_cover != multiset_symmetry(root):
         raise ConsistencyError("self cover count disagrees with block symmetry")
-    table = CoverTable(root, vmax, member_table, by_type, self_cover,
-                       tuple(nonspanning_roots))
-    _COVER_CACHE[key] = table
-    return table
+    return CoverTable(root, vmax, member_table, by_type, self_cover,
+                      tuple(nonspanning_roots))
 
 
 def count_type(g: Graph, members) -> int:
     """Number of subgraphs of g whose block multiset matches `members`."""
-    return _expand(lambda f: count_subgraphs(g, f), g.n, tuple(members), {})
+    return _expand(lambda code: count_subgraphs(g, code_graph(code)), g.n,
+                   type_key(members), {})
 
 
-def _expand(count, n: int, fams: tuple, memo: dict) -> int:
-    """<G, type(fams)> for a graph G of order n, by Kocay's identity.
+def _expand(count, n: int, root: tuple, memo: dict) -> int:
+    """<G, root> for a graph G of order n and a type key `root`, by Kocay's identity.
 
-    `count(f)` is the number of subgraphs of G isomorphic to the block f.
-    Memoised per type: strictly smaller types have strictly fewer blocks, so
-    the recursion terminates.
+    `count(code)` is the number of subgraphs of G isomorphic to the block
+    with that code.  Memoised per type: strictly smaller types have strictly
+    fewer blocks, so the recursion terminates.
     """
-    root = type_key(fams)
     if root in memo:
         return memo[root]
     total = 1
-    for f in fams:
-        total *= count(f)
+    for code in root:
+        total *= count(code)
         if total == 0:
             break
-    table = covers_of_type(fams, n)
+    table = covers_of_type(root, n)
     total -= _other_types(table, root, count, memo)
     q, r = divmod(total, table.self_cover)
     if r:
@@ -216,33 +212,24 @@ def _expand(count, n: int, fams: tuple, memo: dict) -> int:
 
 def _other_types(table: CoverTable, skip: tuple, count, memo: dict) -> int:
     """Sum of c(S0, S) <G, S> over the types S of the table other than `skip`."""
-    return sum(c * (memo[tk] if tk in memo else _expand(count, table.vmax, reps, memo))
-               for tk, (c, reps) in table.by_type.items() if tk != skip)
+    return sum(c * (memo[tk] if tk in memo else _expand(count, table.vmax, tk, memo))
+               for tk, c in table.by_type.items() if tk != skip)
 
 
 def count_type_chain(g: Graph, members) -> int:
     """Chain-sum form of the same count; exponential, used as a cross-check."""
-    fams = tuple(members)
-
-    def p_of(blks) -> int:
-        total = 1
-        for f in blks:
-            total *= count_subgraphs(g, f)
-        return total
-
     total = Fraction(0)
 
-    def walk(blks, q, acc):
+    def walk(root, q, acc):
         nonlocal total
-        table = covers_of_type(blks, g.n)
-        root = table.root
-        total += Fraction((-1) ** q * p_of(blks), table.self_cover) * acc
-        for tk, (c, reps) in table.by_type.items():
-            if tk == root:
-                continue
-            walk(reps, q + 1, acc * Fraction(c, table.self_cover))
+        table = covers_of_type(root, g.n)
+        p = prod(count_subgraphs(g, code_graph(code)) for code in root)
+        total += Fraction((-1) ** q * p, table.self_cover) * acc
+        for tk, c in table.by_type.items():
+            if tk != root:
+                walk(tk, q + 1, acc * Fraction(c, table.self_cover))
 
-    walk(fams, 0, Fraction(1))
+    walk(type_key(members), 0, Fraction(1))
     if total.denominator != 1:
         raise ConsistencyError("chain sum is not integral")
     return int(total)
@@ -261,9 +248,9 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
     subgraph count Kelly-sourced; hamiltonian cycles are solved from the
     all-K2 type equation, whose only non-Kelly term is the n-cycle.
 
-    Each card is replaced by its canonical representative, so isomorphic
-    cards are equal graphs: in one deck they share one card polynomial, and
-    in one deck or across decks the cached subgraph counts.  The values
+    Each card is replaced by its canonical form, so isomorphic cards are
+    equal graphs: in one deck they share one card polynomial, and in one
+    deck or across decks the cached subgraph counts.  The values
     cannot change: a card's polynomial and its subgraph counts are invariant
     under relabelling, and every Kelly count sums over the same multiset of
     card types, so its exact division checks the same total.
@@ -283,34 +270,31 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
 
     kelly_memo = {}
 
-    def kelly(f: Graph) -> int:
-        code = canonical_code(f)
+    def kelly(code: bytes) -> int:
         if code not in kelly_memo:
-            kelly_memo[code] = kelly_count(deck, f, n)
+            kelly_memo[code] = kelly_count(deck, code_graph(code), n)
         return kelly_memo[code]
 
-    # the type memo keeps whichever block representatives it meets first;
-    # Kelly lookups are keyed by canonical code, so the choice moves no count
     w_memo = {}
     spanning = {}
     for parts in partitions_min2(n):
         if len(parts) == 1:
             continue
-        fams = tuple(elementary_blocks(parts))
-        cnt = _expand(kelly, n, fams, w_memo)
+        root = type_key(elementary_blocks(parts))
+        cnt = _expand(kelly, n, root, w_memo)
         # strip the non-spanning members of the same type
-        for x in covers_of_type(fams, n).nonspanning_roots:
-            cnt -= kelly(x)
+        for code in covers_of_type(root, n).nonspanning_roots:
+            cnt -= kelly(code)
         spanning[parts] = cnt
 
     # hamiltonian cycles from the n-fold K2 type: no subgraph has n K2 blocks
-    fams = tuple(elementary_blocks((2,) * n))
-    table = covers_of_type(fams, n)
+    k2 = canonical_code(path(2))
+    table = covers_of_type((k2,) * n, n)
     cn_key = type_key([cycle(n)])
-    rhs = kelly(path(2)) ** n - _other_types(table, cn_key, kelly, w_memo)
+    rhs = kelly(k2) ** n - _other_types(table, cn_key, kelly, w_memo)
     if cn_key not in table.by_type:
         raise ConsistencyError("n-cycle type missing from the all-K2 cover table")
-    ham, r = divmod(rhs, table.by_type[cn_key][0])
+    ham, r = divmod(rhs, table.by_type[cn_key])
     if r:
         raise InconsistentDeckError("hamiltonian count is not integral")
     spanning[(n,)] = ham

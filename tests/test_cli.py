@@ -180,10 +180,30 @@ def test_matrix_labels_of_another_length_are_refused_before_any_is_parsed(tmp_pa
         code, out = _run(capsys, ["recon", "--source", "nmatrix", str(f)])
         assert code == 3 and out["error"] == "domain", labels
         assert "one label per row" in out["reason"] and parsed == []
-    # one label per row is read as before
-    f.write_text(json.dumps({"rows": [[1, 0], [1, 1]], "labels": ["A_", "Bw"]}))
+    # one label per row is read as before: the matrix of K3, labelled K2 and K3
+    f.write_text(json.dumps({"rows": [[1, 0], [3, 1]], "labels": ["A_", "Bw"]}))
     code, out = _run(capsys, ["recon", "--source", "nmatrix", str(f)])
     assert code == 0 and parsed == ["A_", "Bw"]
+
+
+@pytest.mark.parametrize("source,d", [
+    ("nmatrix", {"rows": [[1.9]]}),
+    ("nmatrix", {"rows": [["1"]]}),
+    ("nmatrix", {"rows": [[True]]}),
+    ("nmatrix", {"rows": ["1"]}),
+    ("nmatrix", {"rows": [[1, 0], [3, 1]], "labels": ["A_", "Bg"]}),
+    ("polydeck", {"n": 2.5, "polys": [[1, 0], [1, 0]]}),
+    ("polydeck", {"n": 2, "polys": [[1, 0], [1.0, 0]]}),
+    ("polydeck", {"n": 2, "polys": ["10", [1, 0]]}),
+], ids=["float-entry", "string-entry", "bool-entry", "string-row", "label-of-another-type",
+        "float-n", "float-coefficient", "string-poly"])
+def test_json_that_is_not_all_integers_or_mislabelled_is_refused(tmp_path, capsys, source, d):
+    """Before, int() read 1.9, "1" and true as 1, and a P3 label sat on the K3
+    row: each of these reconstructed with exit 0."""
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(d))
+    code, out = _run(capsys, ["recon", "--source", source, "--assert-nonhamiltonian", str(f)])
+    assert code == 3 and out["error"] == "domain", out
 
 
 def test_a_graph_at_the_vertex_limit_is_accepted(capsys):

@@ -12,8 +12,8 @@ from reconkit.deck import (Elp, NMatrix, canonical_nmatrix, child_nmatrices,
                            nmatrix_from_json, nmatrix_to_json, strip)
 from reconkit.errors import DomainError, InvalidMatrixError
 from reconkit.graphcore import (complete, empty_graph, graph,
-                                induced_subgraph, path)
-from reconkit.isotype import are_isomorphic, count_induced
+                                induced_subgraph, path, write_graph6)
+from reconkit.isotype import IsoClass, are_isomorphic, canonical_code, count_induced
 
 PRISM_MATRIX = (
     (1, 0, 0, 0, 0, 0, 0, 0, 0),
@@ -266,6 +266,23 @@ def test_json_roundtrip(prism):
     assert elp_from_json(e) == elp
     with pytest.raises(InvalidMatrixError):
         nmatrix_from_json({"rows": "nope"})
+
+
+def test_matrix_labels_must_have_their_rows_orders_and_sizes(monkeypatch):
+    """A label whose (v, e) is not its row's is refused before any label is
+    canonicalised, a 62-vertex one included."""
+    canonicalised = []
+    of = IsoClass.of
+    monkeypatch.setattr(IsoClass, "of", staticmethod(lambda g: canonicalised.append(g) or of(g)))
+    for labels in (["Bw"], [write_graph6(complete(62))], ["@"]):
+        with pytest.raises(InvalidMatrixError, match="label 0 has"):
+            nmatrix_from_json({"rows": [[1]], "labels": labels})
+    with pytest.raises(InvalidMatrixError, match="label 1 has"):
+        nmatrix_from_json({"rows": [[1, 0], [2, 1]], "labels": ["A_", "Bw"]})
+    assert canonicalised == []
+    nm = nmatrix_from_json({"rows": [[1, 0], [2, 1]], "labels": ["A_", "Bg"]})
+    assert [c.code for c in nm.labels.classes] == [canonical_code(path(2)),
+                                                   canonical_code(path(3))]
 
 
 @pytest.mark.parametrize("cover", [{"from": 0, "to": 2, "label": 1},

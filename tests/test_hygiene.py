@@ -21,18 +21,14 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 UNBOUNDED_ALLOWED = {
     "combi.partitions_min2", "combi.strict_refinements",
     "isotype._canon",
-    "oracle._elementary_by_order", "whitney._COVER_CACHE",
+    "oracle._elementary_by_order",
 }
 
 # The names each pipeline still takes from reconkit.oracle (ROADMAP item E).
 # A pipeline checked against an oracle it calls shares that part of the check,
 # so entries may only be removed.  `verify` and `cli` run the oracles on
 # purpose, and the package `__init__` re-exports some of them.
-ORACLE_IMPORTS_ALLOWED = {
-    "nrecon": {"Polynomial"},
-    "polydeck": {"Polynomial"},
-    "whitney": {"Polynomial"},
-}
+ORACLE_IMPORTS_ALLOWED = {}
 ORACLE_IMPORTS_EXEMPT = {"__init__", "cli", "oracle", "verify"}
 
 

@@ -12,7 +12,7 @@ from reconkit.graphcore import (adjacency_masks, all_graphs, complete, cycle,
                                 graph, induced_subgraph, parse_graph6, path,
                                 vertex_deck)
 from reconkit.isotype import (IsoClass, _canon, are_isomorphic, automorphism_count,
-                              canonical_code, canonical_rep, count_induced,
+                              canonical_code, canonical_rep, code_graph, count_induced,
                               count_subgraphs, kelly_count, subgraph_type_table,
                               subset_table)
 
@@ -146,16 +146,15 @@ def test_the_search_returns_generators_of_the_automorphism_group(corpus6):
 
 def _reference_subset_table(g):
     """The per-mask pass: every vertex subset is canonicalised."""
-    codes, counts, first, reps = [], {}, {}, {}
+    codes, counts, first = [], {}, {}
     for mask in range(1 << g.n):
-        sub = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
-        code = canonical_code(sub)
+        code = canonical_code(induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1]))
         codes.append(code)
         if code in counts:
             counts[code] += 1
         else:
-            counts[code], first[code], reps[code] = 1, mask, canonical_rep(sub)
-    return tuple(codes), counts, first, reps
+            counts[code], first[code] = 1, mask
+    return tuple(codes), counts, first
 
 
 def test_subset_table_equals_the_per_mask_pass(corpus6):
@@ -224,6 +223,19 @@ def test_canonical_rep_is_isomorphic_and_stable(corpus5):
         rep = canonical_rep(g)
         assert are_isomorphic(rep, g)
         assert canonical_rep(rep) == rep
+
+
+def test_a_code_spells_the_witness_relabelling(corpus6):
+    """code_graph reads back the graph relabelled by the search's witness,
+    whose code is the code itself."""
+    rng = random.Random(15)
+    graphs = list(corpus6) + _orbit_shapes()
+    for g in graphs + [_random_relabel(g, rng) for g in graphs]:
+        pos = {v: k for k, v in enumerate(_canon(g)[1])}
+        relabelled = graph(g.n, [(pos[u], pos[v]) for u, v in g.edges])
+        code = canonical_code(g)
+        assert code_graph(code) == relabelled, g
+        assert canonical_code(relabelled) == code, g
 
 
 def test_count_induced_prism_values(prism):

@@ -3,13 +3,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from reconkit.combi import partitions_min2, strict_refinements
+from reconkit.combi import Polynomial, partitions_min2, strict_refinements
 from reconkit.errors import DomainError
 from reconkit.graphcore import (all_graphs, complete, cycle, disjoint_union,
                                 elementary_graph, empty_graph, is_connected,
                                 path, vertex_deck)
 from reconkit.isotype import count_subgraphs
-from reconkit.oracle import (Polynomial, c_oracle, charpoly_oracle, con_oracle,
+from reconkit.oracle import (c_oracle, charpoly_oracle, con_oracle,
                              cover_count_oracle, elementary_count_oracle,
                              ham_oracle, kedge_connected_oracle,
                              laplacian_tree_count, lcompo_oracle, p_oracle,

@@ -7,7 +7,7 @@ from reconkit import whitney
 from reconkit.errors import DomainError
 from reconkit.graphcore import (complete, cycle, disjoint_union, empty_graph,
                                 graph, path, vertex_deck)
-from reconkit.isotype import canonical_code, canonical_rep
+from reconkit.isotype import canonical_code, code_graph
 from reconkit.oracle import charpoly_oracle, cover_count_oracle
 from reconkit.whitney import (block_type, charpoly_from_vertex_deck,
                               count_type, count_type_chain, covers_of_type,
@@ -25,15 +25,15 @@ def test_block_type_examples(bowtie):
 
 def test_covers_of_type_examples():
     k2 = path(2)
-    t3 = covers_of_type([k2, k2], 3)
-    by_code = {code: c for code, (_x, c) in t3.members.items()}
-    assert by_code == {canonical_code(k2): 1, canonical_code(path(3)): 2}
-    t4 = covers_of_type([k2, k2], 4)
-    by_code = {code: c for code, (_x, c) in t4.members.items()}
-    assert by_code[canonical_code(disjoint_union(k2, k2))] == 2
-    t1 = covers_of_type([k2], 6)
+    t3 = covers_of_type(type_key([k2, k2]), 3)
+    assert t3.members == {canonical_code(k2): 1, canonical_code(path(3)): 2}
+    t4 = covers_of_type(type_key([k2, k2]), 4)
+    assert t4.members[canonical_code(disjoint_union(k2, k2))] == 2
+    t1 = covers_of_type(type_key([k2]), 6)
     assert len(t1.members) == 1
     assert t1.self_cover == 1
+    with pytest.raises(DomainError, match="type key"):
+        covers_of_type(type_key([k2, complete(3)])[::-1], 5)
 
 
 def test_cover_count_constant_on_types():
@@ -42,37 +42,36 @@ def test_cover_count_constant_on_types():
     bowtie = graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     two = disjoint_union(k3, k3)
     assert cover_count_oracle([k3, k3], bowtie) == cover_count_oracle([k3, k3], two) == 2
-    table = covers_of_type([k3, k3], 6)
-    assert table.by_type[type_key([k3, k3])][0] == 2
+    table = covers_of_type(type_key([k3, k3]), 6)
+    assert table.by_type[type_key([k3, k3])] == 2
 
 
 @pytest.fixture(scope="module")
 def pipeline_tables(corpus6):
-    """(family, table) for every cover table the vertex-deck pipeline builds
-    for n <= 6, plus the all-K2 table at n = 7."""
+    """Every cover table the vertex-deck pipeline builds for n <= 6, plus the
+    all-K2 table at n = 7."""
     tables = {}
     build = whitney.covers_of_type
 
-    def recording(members, vmax):
-        table = build(members, vmax)
-        tables[table.root, vmax] = (tuple(members), table)
-        return table
+    def recording(root, vmax):
+        tables[root, vmax] = build(root, vmax)
+        return tables[root, vmax]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(whitney, "covers_of_type", recording)
         for g in corpus6:
             if g.n >= 3:
                 charpoly_from_vertex_deck(vertex_deck(g))
-    all_k2 = (path(2),) * 7
-    return [*tables.values(), (all_k2, covers_of_type(all_k2, 7))]
+    return [*tables.values(), covers_of_type(type_key([path(2)] * 7), 7)]
 
 
 def test_cover_counts_match_the_cover_oracle(pipeline_tables):
     """The counts carried through the gluings equal the oracle's tuple enumeration."""
     assert len(pipeline_tables) > 40
-    for fams, table in pipeline_tables:
-        for x, c in table.members.values():
-            assert c == cover_count_oracle(list(fams), x), (table.root, table.vmax, x)
+    for table in pipeline_tables:
+        fams = [code_graph(code) for code in table.root]
+        for code, c in table.members.items():
+            assert c == cover_count_oracle(fams, code_graph(code)), (table.root, table.vmax, code)
 
 
 def test_count_type_examples():
@@ -127,9 +126,9 @@ def test_kocay_identity_by_types(corpus5):
                 lhs = 1
                 for f in fams:
                     lhs *= count_subgraphs(g, f)
-                table = covers_of_type(fams, g.n)
-                rhs = sum(c * count_type(g, reps)
-                          for _tk, (c, reps) in table.by_type.items())
+                table = covers_of_type(type_key(fams), g.n)
+                rhs = sum(c * count_type(g, map(code_graph, tk))
+                          for tk, c in table.by_type.items())
                 assert lhs == rhs, (g, type_key(fams))
 
 
@@ -207,10 +206,7 @@ def _reference_glue(u, f, vmax):
                 cand = graph(u.n + f.n - k,
                              list(u.edges) + [(mapping[a], mapping[b]) for a, b in f.edges])
                 code = canonical_code(cand)
-                if code in found:
-                    found[code][1] += 1
-                else:
-                    found[code] = [canonical_rep(cand), 1]
+                found[code] = found.get(code, 0) + 1
     return found
 
 
@@ -221,12 +217,12 @@ def test_orbit_gluing_builds_the_reference_tables(corpus6, monkeypatch):
     rng = random.Random(14)
     sevens = [graph(7, [e for e in combinations(range(7), 2) if rng.random() < p])
               for p in (0.3, 0.5, 0.7)]
-    families = {}
+    families = set()
     build = whitney.covers_of_type
 
-    def recording(members, vmax):
-        families.setdefault((type_key(members), vmax), (tuple(members), vmax))
-        return build(members, vmax)
+    def recording(root, vmax):
+        families.add((root, vmax))
+        return build(root, vmax)
 
     with monkeypatch.context() as mp:
         mp.setattr(whitney, "covers_of_type", recording)
@@ -235,10 +231,10 @@ def test_orbit_gluing_builds_the_reference_tables(corpus6, monkeypatch):
     assert {vmax for _root, vmax in families} == {3, 4, 5, 6, 7}
 
     def tables(glue):
+        # the uncached builder, so that each table is glued anew
         with monkeypatch.context() as mp:
             mp.setattr(whitney, "_glue", glue)
-            mp.setattr(whitney, "_COVER_CACHE", {})
-            return [build(*args) for args in families.values()]
+            return [build.__wrapped__(*args) for args in sorted(families)]
 
     for got, want in zip(tables(whitney._glue), tables(_reference_glue)):
         assert got == want, (want.root, want.vmax)
@@ -246,7 +242,7 @@ def test_orbit_gluing_builds_the_reference_tables(corpus6, monkeypatch):
 
 
 def test_nonspanning_roots_match_the_member_filter(pipeline_tables):
-    for _fams, t in pipeline_tables:
-        want = sorted(canonical_code(x) for x, _c in t.members.values()
-                      if x.n < t.vmax and block_type(x) == t.root)
-        assert sorted(canonical_code(x) for x in t.nonspanning_roots) == want, t.root
+    for t in pipeline_tables:
+        want = [code for code in t.members
+                if code[0] < t.vmax and block_type(code_graph(code)) == t.root]
+        assert list(t.nonspanning_roots) == want, t.root
