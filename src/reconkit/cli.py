@@ -15,6 +15,7 @@ import time
 from . import deck as deckmod
 from . import polydeck as pdmod
 from . import verify
+from .deck import VERTEX_LIMIT
 from .errors import (DomainError, Graph6ParseError, InconsistentDeckError,
                      InvalidMatrixError, NotReconstructibleError, ReconkitError)
 from .graphcore import Graph, all_graphs, parse_graph6, write_graph6
@@ -28,10 +29,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NOT_RECONSTRUCTIBLE = 4
-
-# The most vertices `build` and `recon --source direct|vertexdeck` accept: their
-# work grows at least as 2^n, so a larger graph is refused before it starts.
-VERTEX_LIMIT = 10
 
 
 def _emit(obj) -> None:

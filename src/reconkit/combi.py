@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
-from math import comb, factorial
+from math import factorial
 
 from .errors import DomainError, InconsistentDeckError, InvalidMatrixError
 
@@ -23,7 +23,6 @@ __all__ = [
     "multiset_partitions",
     "labeled_partition_count",
     "grouped_cover_partitions",
-    "edge_profiles",
 ]
 
 
@@ -248,27 +247,3 @@ def grouped_cover_partitions(values: tuple, v: int) -> tuple:
         out += [(listing, labeled_partition_count(values, listing))
                 for listing in assign(0, v, [])]
     return tuple(out)
-
-
-def edge_profiles(n_parts: tuple, max_total: int):
-    """Multisets of (n_i, m_i) specs: m_i in [n_i - 1, C(n_i, 2)], sum m <= max_total.
-
-    `n_parts` is a non-increasing tuple of component orders.  Equal orders get
-    non-increasing edge counts so each multiset appears once.
-    """
-    groups = [(nn, len(list(run))) for nn, run in groupby(n_parts)]
-
-    def assign(gi, budget, acc):
-        if gi == len(groups):
-            yield tuple(acc)
-            return
-        nn, cnt = groups[gi]
-        lo, hi = nn - 1, comb(nn, 2)
-        for ms in combinations_with_replacement(range(lo, hi + 1), cnt):
-            s = sum(ms)
-            if s > budget:
-                continue
-            yield from assign(gi + 1, budget - s,
-                              acc + [(nn, m) for m in sorted(ms, reverse=True)])
-
-    yield from assign(0, max_total, [])

@@ -25,9 +25,10 @@ from math import comb
 from .combi import exact_div, json_int
 from .errors import DomainError, InvalidMatrixError
 from .graphcore import Graph, parse_graph6, write_graph6
-from .isotype import IsoClass, induced_type_table, subset_table
+from .isotype import IsoClass, canonical_code, induced_type_table, subset_table
 
 __all__ = [
+    "VERTEX_LIMIT",
     "LambdaDeck",
     "NMatrix",
     "Elp",
@@ -46,6 +47,12 @@ __all__ = [
     "elp_to_json",
     "elp_from_json",
 ]
+
+# The most vertices of a graph read from outside input: `cli` refuses a larger
+# graph for `build` and `recon --source direct|vertexdeck`, and `nmatrix_from_json`
+# a matrix of larger order.  The work on it grows at least as 2^n, so it is
+# refused before it starts.
+VERTEX_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -69,9 +76,6 @@ class NMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
 
 @dataclass(frozen=True)
 class Elp:
@@ -89,8 +93,8 @@ def lambda_deck(g: Graph) -> LambdaDeck:
     """All induced-subgraph types of g with e >= 1, in the canonical row order."""
     if g.e == 0:
         raise DomainError("graph has no nonempty induced subgraphs")
-    classes = [IsoClass(code, rep) for k in range(2, g.n + 1)
-               for code, (_cnt, rep) in induced_type_table(g, k).items() if rep.e >= 1]
+    classes = [c for k in range(2, g.n + 1) for c in map(IsoClass, induced_type_table(g, k))
+               if c.e >= 1]
     return LambdaDeck(tuple(sorted(classes, key=IsoClass.sort_key)))
 
 
@@ -188,7 +192,11 @@ def infer_v_e(nm: NMatrix) -> tuple:
         if rank[i] != rank[j] + 1:
             raise InvalidMatrixError(
                 f"no graded rank function: cover {j}->{i} spans ranks {rank[j]}->{rank[i]}")
-    return tuple((rank[i], rows[i][k2]) for i in range(size))
+    ve = tuple((rank[i], rows[i][k2]) for i in range(size))
+    for i, (v, e) in enumerate(ve):
+        if e > comb(v, 2):
+            raise InvalidMatrixError(f"row {i} has {e} edges on {v} vertices")
+    return ve
 
 
 def _covers(nm: NMatrix, masks=None) -> list:
@@ -382,14 +390,25 @@ def nmatrix_to_json(nm: NMatrix) -> dict:
 
 
 def nmatrix_from_json(d: dict) -> NMatrix:
-    """Matrix JSON with integer entries; a label's (v, e) is checked before it is canonicalised."""
+    """Matrix JSON with integer entries and optional graph6 labels.
+
+    A matrix whose rows imply more than VERTEX_LIMIT vertices is refused
+    before any work grows with its order.  Each label is checked by its row's
+    (v, e) before any is canonicalised; then the labels must be exactly the
+    types of the top label's own matrix, with its entries.
+    """
     try:
         rows = tuple(tuple(json_int(x) for x in r) for r in d["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidMatrixError(f"bad matrix JSON: {exc}") from exc
-    ve = infer_v_e(NMatrix(rows))
+    nm = NMatrix(rows)
+    ve = infer_v_e(nm)
+    order = max(v for v, _e in ve)
+    if order > VERTEX_LIMIT:
+        raise InvalidMatrixError(f"a matrix of order {order} is over the limit of "
+                                 f"{VERTEX_LIMIT} vertices")
     if "labels" not in d:
-        return NMatrix(rows)
+        return nm
     texts = d["labels"]
     if not isinstance(texts, list) or len(texts) != len(rows) or \
             not all(isinstance(s, str) for s in texts):
@@ -400,7 +419,15 @@ def nmatrix_from_json(d: dict) -> NMatrix:
         if (g.n, g.e) != want:
             raise InvalidMatrixError(f"label {i} has (v, e) = {(g.n, g.e)}, "
                                      f"but its row has {want}")
-    return NMatrix(rows, LambdaDeck(tuple(IsoClass.of(g) for g in graphs)))
+    codes = [canonical_code(g) for g in graphs]
+    ref = nmatrix(graphs[_top_row(nm)])
+    pos = {c.code: j for j, c in enumerate(ref.labels.classes)}
+    if sorted(codes) != sorted(pos) or any(
+            rows[i][k] != ref.rows[pos[a]][pos[b]]
+            for i, a in enumerate(codes) for k, b in enumerate(codes)):
+        raise InvalidMatrixError("the labels are not the induced-subgraph types of the "
+                                 "top label, or the entries are not their counts")
+    return NMatrix(rows, LambdaDeck(tuple(map(IsoClass, codes))))
 
 
 def elp_to_json(elp: Elp) -> dict:

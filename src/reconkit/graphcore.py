@@ -54,9 +54,6 @@ class Graph:
     def e(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 

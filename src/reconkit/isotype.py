@@ -211,22 +211,26 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 @dataclass(frozen=True)
 class IsoClass:
-    """An isomorphism type: certificate, canonical representative, order and size."""
+    """An isomorphism type, carried as its canonical code."""
 
     code: bytes
-    rep: Graph
 
     @property
     def v(self) -> int:
-        return self.rep.n
+        return self.code[0]
 
     @property
     def e(self) -> int:
-        return self.rep.e
+        return int.from_bytes(self.code[1:], "big").bit_count()
+
+    @property
+    def rep(self) -> Graph:
+        """The canonical form the code spells."""
+        return code_graph(self.code)
 
     @staticmethod
     def of(g: Graph) -> "IsoClass":
-        return IsoClass(canonical_code(g), canonical_rep(g))
+        return IsoClass(canonical_code(g))
 
     def sort_key(self):
         return (self.v, self.e, self.code)
@@ -287,9 +291,8 @@ def subset_table(g: Graph) -> SubsetTable:
 
 
 def induced_type_table(g: Graph, k: int) -> dict:
-    """code -> (count, canonical form) over all k-vertex induced subgraphs of g."""
-    return {code: (cnt, code_graph(code)) for code, cnt in subset_table(g).counts.items()
-            if code[0] == k}
+    """code -> count over all k-vertex induced subgraphs of g."""
+    return {code: cnt for code, cnt in subset_table(g).counts.items() if code[0] == k}
 
 
 def count_induced(g: Graph, f: Graph) -> int:

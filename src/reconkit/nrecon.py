@@ -4,14 +4,15 @@ A single bottom-up pass over the poset ranks computes, per node: cycle counts
 by length, spanning-tree / unicyclic / hamiltonian counts, and the full
 characteristic polynomial.  Connected-spanning-cover counts and the
 subset-aggregated quantities Q_m and T_m drive the tree, unicyclic and
-hamiltonian counts; the spanning-subgraph families behind the rank polynomial
-are counted on demand by inclusion-exclusion over a node's rows (Tutte).
+hamiltonian counts.  The rank polynomial (Tutte) needs only each node's
+spanning subgraphs by number of components and edges; `families` counts them
+for every node in one more bottom-up pass, by inclusion-exclusion over the
+node's rows.
 
 Memos on the `Reconstruction` instance hold the hot quantities: `con` per
-(node, sequence) and the inner sums of `q_m` per (row, sequence, order) and
-of `lcompo` per (row, order, size), so nothing is shared between matrices.
-The rows below each node are bucketed by order, so each scan visits only the
-rows of the order it needs.
+(node, sequence) and the inner sums of `q_m` per (row, sequence, order), so
+nothing is shared between matrices.  The rows below each node are bucketed by
+order, so each scan visits only the rows of the order it needs.
 
 Every division is exact on a valid matrix; a remainder or a negative count is
 raised as proof of matrix invalidity.  All arithmetic is arbitrary-precision.
@@ -22,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .combi import (Polynomial, edge_profiles, exact_div, grouped_cover_partitions,
-                    multiset_symmetry, partitions_min2, sachs_constant)
+from .combi import (Polynomial, exact_div, grouped_cover_partitions, multiset_symmetry,
+                    sachs_constant)
 from .deck import NMatrix, _top_row, infer_v_e
-from .errors import DomainError, InvalidMatrixError
+from .errors import InvalidMatrixError
 
 __all__ = ["NodeInvariants", "Reconstruction", "reconstruct"]
 
@@ -65,9 +66,6 @@ class Reconstruction:
         self._poly = [None] * self._size
         self._con_memo = {}
         self._inner_memo = {}
-        self._kedge_memo = {}
-        self._lcompo_memo = {}
-        self._component_memo = {}
         for t in sorted(range(self._size), key=lambda i: self._ve[i][0]):
             self._process(t)
         self.nodes = [NodeInvariants(self._ve[i][0], self._ve[i][1],
@@ -233,65 +231,65 @@ class Reconstruction:
 
     # -- spanning-subgraph families ------------------------------------------
 
-    def kedge(self, t: int, k: int) -> int:
-        """Connected spanning subgraphs of the node with exactly k edges.
+    def families(self) -> list:
+        """Per row t, (l, m) -> spanning subgraphs of node t with l components and m edges.
 
-        sum_s (-1)^(v_t - v_s) N[t][s] C(e_s, k) counts the k-edge sets touching
-        every vertex (edgeless subsets have no row, and C(0, k) = 0); lcompo's
-        families of two or more parts are the disconnected ones among them.
+        No counted subgraph has an isolated vertex, and zero counts are left
+        out.  Rows are taken in increasing order, so the connected counts
+        F[j][1, m] of every smaller row j are known when t needs them.  Summed
+        over the rows s under t with sign (-1)^(v_t - v_s) and weight N[t][s]:
+        - C(e_s, m) counts the m-edge sets touching every vertex of t;
+        - the x^(v_t) y^m coefficient of W_s^l, where W_s sums N[s][j] x^(v_j)
+          y^m F[j][1, m] over the rows j under s of order 2 to v_t - 2, counts
+          the ordered l-tuples of connected parts that cover t.  Parts whose
+          orders sum to v_t cover t only if disjoint, so each family of
+          l >= 2 components is counted l! times.
+        The connected m-edge sets are the touching ones less the families of
+        two or more components.
         """
-        v_t, e_t = self._ve[t]
-        if k < v_t - 1 or k > e_t:
-            return 0
-        if k == v_t - 1:
-            return self._tr[t]
-        key = (t, k)
-        if key in self._kedge_memo:
-            return self._kedge_memo[key]
-        val = sum((-1) ** (v_t - order) * self._rows[t][s] * comb(self._ve[s][1], k)
-                  for order, ss in self._by_order[t].items() for s in ss)
-        for nparts in partitions_min2(v_t)[1:]:  # [0] is the one part (v_t,)
-            val -= sum(self.lcompo(t, spec) for spec in edge_profiles(nparts, k)
-                       if sum(m for _n, m in spec) == k)
-        if val < 0:
-            raise InvalidMatrixError(f"negative {k}-edge count at node {t}")
-        self._kedge_memo[key] = val
-        return val
+        ve, rows = self._ve, self._rows
+        out = [None] * self._size
+        tops = {}  # (s, a) -> per l >= 2, m -> x^a y^m coefficient of W_s^l
 
-    def lcompo(self, t: int, spec) -> int:
-        """Spanning subgraphs whose component (order, size) multiset is `spec`.
+        def top_coeffs(s: int, a: int) -> list:
+            if (s, a) not in tops:
+                w = {}
+                for order in range(2, a - 1):
+                    for j in self._by_order[s].get(order, ()):
+                        for (l, m), c in out[j].items():
+                            if l == 1:
+                                w[order, m] = w.get((order, m), 0) + rows[s][j] * c
+                power, coeffs = w, []
+                for _l in range(2, a // 2 + 1):
+                    nxt = {}
+                    for (b, m), c in power.items():
+                        for (b2, m2), c2 in w.items():
+                            if b + b2 <= a:
+                                nxt[b + b2, m + m2] = nxt.get((b + b2, m + m2), 0) + c * c2
+                    power = nxt
+                    coeffs.append({m: c for (b, m), c in power.items() if b == a})
+                tops[s, a] = coeffs
+            return tops[s, a]
 
-        With two or more parts, sum_s (-1)^(v_t - v_s) N[t][s] prod_i sum_{j <= s,
-        v_j = n_i} N[s][j] kedge(j, m_i) counts each family once per ordering of
-        its parts: connected parts whose orders sum to v_t cover t only if disjoint.
-        """
-        spec = tuple(sorted(spec, reverse=True))
-        v_t = self._ve[t][0]
-        if sum(n for n, _m in spec) != v_t:
-            raise DomainError("component orders must sum to the node order")
-        if any(n < 2 or m < n - 1 or m > comb(n, 2) for n, m in spec):
-            return 0
-        if len(spec) == 1:
-            return self.kedge(t, spec[0][1])
-        key = (t, spec)
-        if key in self._lcompo_memo:
-            return self._lcompo_memo[key]
-        val = 0
-        for order, ss in self._by_order[t].items():
-            for s in ss:
-                term = (-1) ** (v_t - order) * self._rows[t][s]
-                for n, m in spec:
-                    if (s, n, m) not in self._component_memo:
-                        self._component_memo[s, n, m] = sum(
-                            self._rows[s][j] * self.kedge(j, m)
-                            for j in self._by_order[s].get(n, ()))
-                    term *= self._component_memo[s, n, m]
-                val += term
-        val = exact_div(val, multiset_symmetry(spec), f"family count {spec} at node {t}")
-        if val < 0:
-            raise InvalidMatrixError(f"negative family count {spec} at node {t}")
-        self._lcompo_memo[key] = val
-        return val
+        for t in sorted(range(self._size), key=lambda i: ve[i][0]):
+            v_t, e_t = ve[t]
+            under = [(s, (-1) ** (v_t - order) * rows[t][s])
+                     for order, ss in self._by_order[t].items() for s in ss]
+            fam = {}
+            for s, sign in under:
+                for l, coeffs in enumerate(top_coeffs(s, v_t), 2):
+                    for m, c in coeffs.items():
+                        fam[l, m] = fam.get((l, m), 0) + sign * c
+            for (l, m), total in fam.items():
+                fam[l, m] = exact_div(total, factorial(l),
+                                      f"{l}-component {m}-edge count at node {t}")
+            for m in range(1, e_t + 1):
+                fam[1, m] = sum(sign * comb(ve[s][1], m) for s, sign in under) - \
+                    sum(fam.get((l, m), 0) for l in range(2, v_t // 2 + 1))
+            if any(c < 0 for c in fam.values()):
+                raise InvalidMatrixError(f"negative spanning-subgraph count at node {t}")
+            out[t] = {key: c for key, c in fam.items() if c}
+        return out
 
     def rankpoly(self) -> dict:
         """(rank, corank) -> subgraph count for the top node.
@@ -299,19 +297,16 @@ class Reconstruction:
         Every nonempty no-isolated-vertex subgraph is a spanning subgraph of
         the induced subgraph on its own vertex set, so summing family counts
         row by row with top-row multiplicities covers them all exactly once.
+        A family of l components and m edges on a row of order v has rank
+        v - l.
         """
         rho = {(0, 0): 1}
-        for j in range(self._size):
-            v_j, e_j = self._ve[j]
+        for j, fam in enumerate(self.families()):
+            v_j = self._ve[j][0]
             mult = self._rows[self._top][j]
-            for nparts in partitions_min2(v_j):
-                for spec in edge_profiles(nparts, e_j):
-                    cnt = self.lcompo(j, spec)
-                    if cnt:
-                        l = len(spec)
-                        m = sum(q for _n, q in spec)
-                        r = v_j - l
-                        rho[(r, m - r)] = rho.get((r, m - r), 0) + mult * cnt
+            for (l, m), cnt in fam.items():
+                r = v_j - l
+                rho[r, m - r] = rho.get((r, m - r), 0) + mult * cnt
         return rho
 
     def report(self) -> dict:

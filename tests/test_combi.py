@@ -2,8 +2,7 @@ from itertools import product
 
 import pytest
 
-from reconkit.combi import (card_sum_coeffs, edge_profiles,
-                            grouped_cover_partitions, groupings,
+from reconkit.combi import (card_sum_coeffs, grouped_cover_partitions, groupings,
                             labeled_partition_count, multiset_partitions,
                             multiset_symmetry, partitions_min2,
                             sachs_constant, strict_refinements)
@@ -102,15 +101,6 @@ def test_labeled_partition_count_basics():
     assert labeled_partition_count((2, 2), (((2,), 2), ((2,), 2))) == 1
     assert labeled_partition_count((2, 2, 2), (((2, 2), 4), ((2,), 2))) == 3
     assert labeled_partition_count((2, 2, 2, 2), (((2, 2), 2), ((2, 2), 2))) == 3
-
-
-def test_edge_profiles():
-    profs = set(edge_profiles((2, 2), 2))
-    assert profs == {((2, 1), (2, 1))}
-    profs = set(edge_profiles((3, 2), 10))
-    assert profs == {((3, 2), (2, 1)), ((3, 3), (2, 1))}
-    profs = set(edge_profiles((4,), 4))
-    assert profs == {((4, 3),), ((4, 4),)}
 
 
 def test_multiset_symmetry():

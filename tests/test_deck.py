@@ -1,11 +1,13 @@
 import random
 from collections import Counter
 from itertools import combinations, permutations
+from math import comb
 
 import networkx as nx
 import pytest
 
-from reconkit.deck import (Elp, NMatrix, canonical_nmatrix, child_nmatrices,
+from reconkit import deck, isotype
+from reconkit.deck import (VERTEX_LIMIT, Elp, NMatrix, canonical_nmatrix, child_nmatrices,
                            count_empty_induced, elp_automorphisms,
                            elp_from_json, elp_from_nmatrix, elp_to_json,
                            infer_v_e, lambda_deck, nmatrix, nmatrix_from_elp,
@@ -13,7 +15,7 @@ from reconkit.deck import (Elp, NMatrix, canonical_nmatrix, child_nmatrices,
 from reconkit.errors import DomainError, InvalidMatrixError
 from reconkit.graphcore import (complete, empty_graph, graph,
                                 induced_subgraph, path, write_graph6)
-from reconkit.isotype import IsoClass, are_isomorphic, canonical_code, count_induced
+from reconkit.isotype import are_isomorphic, canonical_code, count_induced
 
 PRISM_MATRIX = (
     (1, 0, 0, 0, 0, 0, 0, 0, 0),
@@ -123,6 +125,9 @@ def test_infer_v_e_rejects_bad_matrices():
         infer_v_e(NMatrix(((1, 0), (2, 2)), None))  # bad diagonal
     with pytest.raises(InvalidMatrixError):
         infer_v_e(NMatrix(((1, 0, 0), (1, 1, 0)), None))  # not square
+    # a 3-vertex row with 4 edges; before, it was read and given a rank polynomial
+    with pytest.raises(InvalidMatrixError, match="4 edges on 3 vertices"):
+        infer_v_e(NMatrix(((1, 0), (4, 1)), None))
 
 
 def test_elp_prism_matches_published_diagram(prism):
@@ -272,8 +277,8 @@ def test_matrix_labels_must_have_their_rows_orders_and_sizes(monkeypatch):
     """A label whose (v, e) is not its row's is refused before any label is
     canonicalised, a 62-vertex one included."""
     canonicalised = []
-    of = IsoClass.of
-    monkeypatch.setattr(IsoClass, "of", staticmethod(lambda g: canonicalised.append(g) or of(g)))
+    canon = isotype._canon
+    monkeypatch.setattr(isotype, "_canon", lambda g: canonicalised.append(g) or canon(g))
     for labels in (["Bw"], [write_graph6(complete(62))], ["@"]):
         with pytest.raises(InvalidMatrixError, match="label 0 has"):
             nmatrix_from_json({"rows": [[1]], "labels": labels})
@@ -283,6 +288,50 @@ def test_matrix_labels_must_have_their_rows_orders_and_sizes(monkeypatch):
     nm = nmatrix_from_json({"rows": [[1, 0], [2, 1]], "labels": ["A_", "Bg"]})
     assert [c.code for c in nm.labels.classes] == [canonical_code(path(2)),
                                                    canonical_code(path(3))]
+
+
+def test_matrix_labels_of_the_right_sizes_but_the_wrong_types_are_refused(prism):
+    """Before, the matrix of P4 with its top label replaced by the star K1,3,
+    both (4, 3), read back with the star as its label."""
+    d = nmatrix_to_json(nmatrix(path(4)))
+    d["labels"][-1] = write_graph6(graph(4, [(0, 1), (0, 2), (0, 3)]))
+    with pytest.raises(InvalidMatrixError, match="not the induced-subgraph types"):
+        nmatrix_from_json(d)
+    # the prism's two (4, 4) labels swapped: the right types, in the wrong rows
+    d = nmatrix_to_json(nmatrix(prism))
+    assert d["ve"][5] == d["ve"][6] == [4, 4]
+    d["labels"][5], d["labels"][6] = d["labels"][6], d["labels"][5]
+    with pytest.raises(InvalidMatrixError, match="not their counts"):
+        nmatrix_from_json(d)
+
+
+def _k2_plus_isolated_json(n):
+    """The labelled matrix JSON of K2 + (n - 2)K1: N[i][j] = C(i, j) on rows 0..n-2."""
+    return {"rows": [[comb(i, j) for j in range(n - 1)] for i in range(n - 1)],
+            "labels": [write_graph6(graph(k, [(0, 1)])) for k in range(2, n + 1)]}
+
+
+def test_a_matrix_over_the_vertex_limit_is_refused_before_any_work(monkeypatch):
+    """Checking labels by type builds the top label's subset table, and the
+    reconstruction's work grows with the order, so a matrix whose rows imply
+    more than VERTEX_LIMIT vertices is refused first.  For K2 + 60K1 the table
+    would have 2^62 entries; before, canonicalising its labels ran for
+    minutes, and `recon` on the unlabelled K2 + 18K1 ran for over a minute."""
+    nm = nmatrix_from_json(_k2_plus_isolated_json(VERTEX_LIMIT))
+    assert nm.labels.classes[-1].v == VERTEX_LIMIT
+    called = []
+
+    def refuse(g):
+        called.append(g.n)
+        raise RuntimeError(f"work on a {g.n}-vertex graph")
+
+    monkeypatch.setattr(deck, "subset_table", refuse)
+    monkeypatch.setattr(isotype, "_canon", refuse)
+    for d in (_k2_plus_isolated_json(62), {"rows": _k2_plus_isolated_json(20)["rows"]},
+              {"rows": _k2_plus_isolated_json(VERTEX_LIMIT + 1)["rows"]}):
+        with pytest.raises(InvalidMatrixError, match=f"over the limit of {VERTEX_LIMIT}"):
+            nmatrix_from_json(d)
+    assert called == []
 
 
 @pytest.mark.parametrize("cover", [{"from": 0, "to": 2, "label": 1},

@@ -3,8 +3,8 @@
 Data-dependent checks must not rely on `assert`, which -O strips, every
 process-wide cache, a module-level dict, set or list included, must be bounded
 unless it is on the allowlist below, a pipeline may borrow from the oracle
-module only the names allowed below, and every layer the benchmark tracer wraps
-must exist.
+module only the names allowed below, every name a module imports must be used
+in it, and every layer the benchmark tracer wraps must exist.
 """
 
 import ast
@@ -154,6 +154,39 @@ def test_the_oracle_import_guard_sees_every_spelling():
                  "from oracle import a": set()}
     for spelling, names in spellings.items():
         assert _oracle_imports(ast.parse(spelling)) == names, spelling
+
+
+def _unused_imports(tree) -> set:
+    """Names a module imports and never reads; `from __future__` imports are directives."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_imported_name_is_used():
+    """No linter is installed, so this guards deletions: the package `__init__`
+    imports to re-export, and every other module imports only what it uses."""
+    found = {}
+    for path, tree in _trees():
+        unused = _unused_imports(tree)
+        if unused and path.stem != "__init__":
+            found[path.stem] = unused
+    assert found == {}
+
+
+def test_the_unused_import_guard_sees_every_spelling():
+    spellings = {"import os": {"os"}, "import os\nos.getcwd()": set(),
+                 "import os.path": {"os"}, "import os.path\nos.path.join()": set(),
+                 "import json as j": {"j"}, "import json as j\nj.dumps(1)": set(),
+                 "from .a import b, c\nb()": {"c"}, "from .a import b as c\nc": set(),
+                 "from __future__ import annotations": set(),
+                 "from .a import T\ndef f(x: T): pass": set()}
+    for spelling, names in spellings.items():
+        assert _unused_imports(ast.parse(spelling)) == names, spelling
 
 
 def test_every_traced_layer_resolves():

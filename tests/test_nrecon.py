@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import reconkit
-from reconkit.combi import grouped_cover_partitions
+from reconkit.combi import grouped_cover_partitions, partitions_min2
 from reconkit.deck import NMatrix, canonical_nmatrix, nmatrix, strip
 from reconkit.errors import InvalidMatrixError
 from reconkit.graphcore import complete, cycle, path, write_graph6
@@ -134,7 +135,6 @@ def test_con_matches_oracle_on_every_node(corpus5):
 
 def test_elementary_counts_via_c(corpus5):
     """c(A->G) = c(A->F) <G,F> when the sequence is a partition of v(G)."""
-    from reconkit.combi import partitions_min2
     from math import factorial
     for g in corpus5:
         if g.e == 0 or g.n < 3:
@@ -159,12 +159,12 @@ def test_cn_step_c4():
 
 def test_kedge_examples():
     rec = reconstruct(strip(nmatrix(cycle(4))))
-    t = rec.top_index
-    assert rec.kedge(t, 3) == 4
-    assert rec.kedge(t, 4) == 1
-    assert rec.kedge(t, 2) == 0
+    connected = {m: c for (l, m), c in rec.families()[rec.top_index].items() if l == 1}
+    # four paths and the cycle itself; two edges never connect four vertices
+    assert connected == {3: 4, 4: 1}
     rec4 = reconstruct(strip(nmatrix(complete(4))))
-    assert rec4.kedge(rec4.top_index, 6) == 1
+    assert rec4.families()[rec4.top_index][1, 6] == 1
+    assert rec4.families()[rec4.top_index][1, 3] == 16
 
 
 def test_kedge_matches_oracle(corpus6):
@@ -172,32 +172,51 @@ def test_kedge_matches_oracle(corpus6):
         if g.e == 0:
             continue
         labelled = nmatrix(g)
-        rec = reconstruct(strip(labelled))
-        for idx, cls in enumerate(labelled.labels.classes):
+        families = reconstruct(strip(labelled)).families()
+        for cls, fam in zip(labelled.labels.classes, families):
             h = cls.rep
+            assert {m for l, m in fam if l == 1} <= set(range(h.n - 1, h.e + 1)), (g, h)
             for k in range(h.n - 1, h.e + 1):
-                assert rec.kedge(idx, k) == kedge_connected_oracle(h, k), (g, h, k)
+                assert fam.get((1, k), 0) == kedge_connected_oracle(h, k), (g, h, k)
 
 
 def test_lcompo_examples():
+    # the two-matchings of C4 and K4: two components, two edges
     rec = reconstruct(strip(nmatrix(cycle(4))))
-    assert rec.lcompo(rec.top_index, ((2, 1), (2, 1))) == 2
+    assert rec.families()[rec.top_index] == {(2, 2): 2, (1, 3): 4, (1, 4): 1}
     rec = reconstruct(strip(nmatrix(complete(4))))
-    assert rec.lcompo(rec.top_index, ((2, 1), (2, 1))) == 3
+    assert rec.families()[rec.top_index][2, 2] == 3
+
+
+def _lcompo_by_oracle(h):
+    """(l, m) -> lcompo_oracle summed over every l >= 2 component profile of h with m edges."""
+    specs = set()
+    for parts in partitions_min2(h.n):
+        if len(parts) > 1:
+            sizes = [range(n - 1, n * (n - 1) // 2 + 1) for n in parts]
+            for edges in product(*sizes):
+                specs.add(tuple(sorted(zip(parts, edges), reverse=True)))
+    out = {}
+    for spec in specs:
+        count = lcompo_oracle(h, spec)
+        if count:
+            key = len(spec), sum(m for _n, m in spec)
+            out[key] = out.get(key, 0) + count
+    return out
 
 
 def test_lcompo_matches_oracle(corpus6):
-    from reconkit.combi import edge_profiles, partitions_min2
+    expected = {}
     for g in corpus6:
         if g.e == 0:
             continue
         labelled = nmatrix(g)
-        rec = reconstruct(strip(labelled))
-        for idx, cls in enumerate(labelled.labels.classes):
-            h = cls.rep
-            for nparts in partitions_min2(h.n)[1:]:
-                for spec in edge_profiles(nparts, h.e):
-                    assert rec.lcompo(idx, spec) == lcompo_oracle(h, spec), (g, h, spec)
+        families = reconstruct(strip(labelled)).families()
+        for cls, fam in zip(labelled.labels.classes, families):
+            if cls.code not in expected:
+                expected[cls.code] = _lcompo_by_oracle(cls.rep)
+            split = {key: c for key, c in fam.items() if key[0] > 1}
+            assert split == expected[cls.code], (g, cls.rep)
 
 
 def test_rankpoly_small(corpus6):
