@@ -52,13 +52,6 @@ def _check_order(n: int) -> None:
         raise DomainError(f"{n} vertices is over the limit of {VERTEX_LIMIT}")
 
 
-def _check_rows(d) -> None:
-    """Refuse matrix JSON with more rows than a graph of VERTEX_LIMIT vertices has types."""
-    rows = d.get("rows") if isinstance(d, dict) else None
-    if isinstance(rows, list) and len(rows) > 2 ** VERTEX_LIMIT:
-        raise DomainError(f"{len(rows)} matrix rows is over the limit of {2 ** VERTEX_LIMIT}")
-
-
 def _read_text(path: str) -> str:
     """The text of a file, or of stdin for '-'."""
     try:
@@ -114,9 +107,7 @@ def _direct_report(g: Graph) -> dict:
 def _cmd_recon(args) -> int:
     text = _read_input(args.input)
     if args.source == "nmatrix":
-        d = _load_json(text)
-        _check_rows(d)
-        nm = deckmod.nmatrix_from_json(d)
+        nm = deckmod.nmatrix_from_json(_load_json(text))
         _emit(reconstruct(nm).report())
     elif args.source == "polydeck":
         d = pdmod.polydeck_from_json(_load_json(text))

@@ -392,12 +392,16 @@ def nmatrix_to_json(nm: NMatrix) -> dict:
 def nmatrix_from_json(d: dict) -> NMatrix:
     """Matrix JSON with integer entries and optional graph6 labels.
 
-    A matrix whose rows imply more than VERTEX_LIMIT vertices is refused
-    before any work grows with its order.  Each label is checked by its row's
-    (v, e) before any is canonicalised; then the labels must be exactly the
-    types of the top label's own matrix, with its entries.
+    More rows than a graph of VERTEX_LIMIT vertices has types are refused
+    before any entry is read, and rows that imply more than VERTEX_LIMIT
+    vertices before any work grows with their order.  Each label is checked by
+    its row's (v, e) before any is canonicalised; then the labels must be
+    exactly the types of the top label's own matrix, with its entries.
     """
     try:
+        size = len(d["rows"])
+        if size > 2 ** VERTEX_LIMIT:
+            raise InvalidMatrixError(f"{size} matrix rows is over the limit of {2 ** VERTEX_LIMIT}")
         rows = tuple(tuple(json_int(x) for x in r) for r in d["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidMatrixError(f"bad matrix JSON: {exc}") from exc

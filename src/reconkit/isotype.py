@@ -22,7 +22,11 @@ with relabelling, so such an automorphism maps the explored subtree onto the
 skipped one, leaf values included: the skipped subtree holds no smaller value,
 and each of its values already occurs at an earlier leaf.  The minimum and
 its first witness are therefore those of the full search, and codes, witness
-orderings and canonical forms are unchanged by the pruning.
+orderings and canonical forms are unchanged by the pruning.  The automorphism
+a tying leaf gives maps the best leaf's path onto the leaf's own: it fixes
+their common prefix and maps the best path's next vertex onto this path's.
+The rest of the subtree where the two paths part is therefore its image of a
+subtree already searched, and the search returns to that depth.
 
 `count_subgraphs(g, f)` is the number of subgraphs of g isomorphic to f, where
 a subgraph is identified with its edge set (its vertex set is the set of edge
@@ -139,29 +143,34 @@ def _canon(g: Graph):
     and they generate Aut g.  At each node of the witness's path, take the
     orbit of the witness's child under the automorphisms fixing the path: no
     child of it comes first, or the witness would lie under that child; each
-    later one is skipped as joined to it by the maps found, or holds a leaf
-    that ties the witness and so gives a map, fixing the path, onto it.
+    later one is skipped as joined to it by the maps found, or is searched
+    until a leaf ties the witness, which gives a map, fixing the path, onto
+    it; only a tie returns the search from below that child.
     """
     n = g.n
     if n == 0:
         return 0, (), ()
     masks = adjacency_masks(g)
-    best = [None, None]
+    best = [None, None, None]  # value, witness, the witness's path
     autos = []  # automorphisms as lists old -> old
 
     def search(cells, path):
+        """Search below `path`; return the depth the search resumes at."""
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             perm = tuple(c[0] for c in cells)
             val = _bits_int(masks, perm, n)
             if best[0] is None or val < best[0]:
-                best[0], best[1] = val, perm
+                best[:] = val, perm, path
             elif val == best[0]:
                 gamma = [0] * n
                 for a, b in zip(best[1], perm):
                     gamma[a] = b
                 autos.append(gamma)
-            return
+                # resume where this path parts from the best one's: the rest
+                # below there is gamma's image of a subtree already searched
+                return next(d for d, (a, b) in enumerate(zip(best[2], path)) if a != b)
+            return n
         cell = cells[target]
         orbit = {v: v for v in cell}
         folded = 0
@@ -180,7 +189,10 @@ def _canon(g: Graph):
             taken.add(orbit[w])
             rest = [u for u in cell if u != w]
             split = cells[:target] + [[w], rest] + cells[target + 1:]
-            search(_refine(masks, split), path + (w,))
+            depth = search(_refine(masks, split), path + (w,))
+            if depth < len(path):
+                return depth
+        return n
 
     search(_refine(masks, [list(range(n))]), ())
     return best[0], best[1], tuple(map(tuple, autos))
@@ -397,12 +409,13 @@ def count_subgraphs(g: Graph, f: Graph) -> int:
     return _embedding_count(plan, g) // automorphisms
 
 
-def kelly_count(deck, f: Graph, n: int, induced: bool = False) -> int:
-    """Count copies of f in the n-vertex graph behind a vertex deck.
+def kelly_count(deck, f: Graph, induced: bool = False) -> int:
+    """Count copies of f in the graph behind a vertex deck of n = len(deck) cards.
 
     Valid for v(f) < n.  Exact division is a consistency certificate: a
     remainder proves the deck is not the vertex deck of any graph.
     """
+    n = len(deck)
     if f.n >= n:
         raise DomainError(f"kelly_count needs v(f) < n, got {f.n} >= {n}")
     counter = count_induced if induced else count_subgraphs

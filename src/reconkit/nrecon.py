@@ -1,21 +1,28 @@
 """Invariant reconstruction from an unlabelled N-matrix.
 
-A single bottom-up pass over the poset ranks computes, per node: cycle counts
-by length, spanning-tree / unicyclic / hamiltonian counts, and the full
-characteristic polynomial.  Connected-spanning-cover counts and the
-subset-aggregated quantities Q_m and T_m drive the tree, unicyclic and
-hamiltonian counts.  The rank polynomial (Tutte) needs only each node's
-spanning subgraphs by number of components and edges; `families` counts them
-for every node in one more bottom-up pass, by inclusion-exclusion over the
-node's rows.
+One bottom-up pass takes the nodes in increasing order and reads each count
+off the node's row once, from the counts of the smaller rows:
+- psi_i for i < v sums ham over the rows of order i, since an i-cycle is a
+  hamiltonian cycle of the subgraph it induces; by Sachs, c_i for i < v sums
+  the constant terms of the rows of order i;
+- the spanning subgraphs by components and edges (`families`) come by
+  inclusion-exclusion over the rows; the connected ones with v - 1 edges are
+  the spanning trees, and those with v edges are the unicyclic ones;
+- connected-spanning-cover counts (`con`), through the subset sums Q_m and
+  T_m, give only the unicyclic counts uni_r for r < v, and ham is the
+  unicyclic family less them.
+The rank polynomial (Tutte) folds the top row's families.
 
-Memos on the `Reconstruction` instance hold the hot quantities: `con` per
-(node, sequence) and the inner sums of `q_m` per (row, sequence, order), so
-nothing is shared between matrices.  The rows below each node are bucketed by
-order, so each scan visits only the rows of the order it needs.
+Each node is first checked against Kelly's lemma: a copy of row k lies in
+v_t - v_k of the (v_t - 1)-vertex induced subgraphs of node t, so
+sum_c N[t][c] N[c][k] = (v_t - v_k) N[t][k] over the rows c of order v_t - 1
+(an edgeless one has no row and contains no row).  A failed check, a
+remainder in a division or a negative count proves the matrix invalid.
 
-Every division is exact on a valid matrix; a remainder or a negative count is
-raised as proof of matrix invalidity.  All arithmetic is arbitrary-precision.
+The memos, per (node, sequence) for `con`, per (row, sequence, order) for the
+inner sums of `q_m` and per (row, order) for the family powers, live on the
+`Reconstruction` instance, so nothing is shared between matrices.  The rows
+below each node are bucketed by order.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -64,8 +71,10 @@ class Reconstruction:
         self._ham = [0] * self._size
         self._uni = [dict() for _ in range(self._size)]
         self._poly = [None] * self._size
+        self._fam = [None] * self._size
         self._con_memo = {}
         self._inner_memo = {}
+        self._tops = {}
         for t in sorted(range(self._size), key=lambda i: self._ve[i][0]):
             self._process(t)
         self.nodes = [NodeInvariants(self._ve[i][0], self._ve[i][1],
@@ -83,44 +92,38 @@ class Reconstruction:
 
     # -- the bottom-up pass -------------------------------------------------
 
-    def _children(self, t: int) -> tuple:
-        return self._by_order[t].get(self._ve[t][0] - 1, ())
-
     def _process(self, t: int):
         v, e = self._ve[t]
-        self._psi[t][2] = e
-        for i in range(3, v):
-            tot = sum(self._rows[t][j] * self._psi[j].get(i, 0)
-                      for j in self._children(t))
-            self._psi[t][i] = exact_div(tot, v - i, f"psi_{i} at node {t}")
-        if v == 2:
-            # the K2 node: one edge, one spanning tree, ham by the C2 convention
-            self._tr[t] = 1
-            self._ham[t] = e
-        else:
-            self._tr[t] = exact_div(self.con(t, (2,) * (v - 1)), factorial(v - 1),
-                                    f"tree count at node {t}")
-            for r in range(3, v):
-                self._uni[t][r] = exact_div(self.con(t, (r,) + (2,) * (v - r)),
-                                            factorial(v - r), f"uni_{r} at node {t}")
-            rhs = self.con(t, (2,) * v)
-            # (v - 1)! S(v, v - 1) v-tuples map onto a tree's edges; S(v, v - 1) = C(v, 2)
-            rhs -= factorial(v - 1) * comb(v, 2) * self._tr[t]
-            rhs -= sum(factorial(v) * self._uni[t][r] for r in range(3, v))
-            ham = exact_div(rhs, factorial(v), f"ham count at node {t}")
-            if ham < 0:
-                raise InvalidMatrixError(f"negative hamiltonian count at node {t}")
-            self._ham[t] = ham
-            self._psi[t][v] = ham
-            self._uni[t][v] = ham
-        self._poly[t] = self._charpoly(t)
-
-    def _charpoly(self, t: int) -> Polynomial:
-        v = self._ve[t][0]
+        row, below = self._rows[t], self._by_order[t]
+        in_cards = {}
+        for c in below.get(v - 1, ()):
+            for js in self._by_order[c].values():
+                for k in js:
+                    in_cards[k] = in_cards.get(k, 0) + row[c] * self._rows[c][k]
+        for k in in_cards.keys() | {k for js in below.values() for k in js}:
+            if k != t and in_cards.get(k, 0) != (v - self._ve[k][0]) * row[k]:
+                raise InvalidMatrixError(f"Kelly's lemma fails at node {t}, column {k}")
+        fam = self._fam[t] = self._families_at(t)
+        psi, uni = self._psi[t], self._uni[t]
+        psi[2] = e
         coeffs = [1, 0]
         for i in range(2, v):
-            tot = sum(self._rows[t][j] * self._poly[j][i] for j in self._children(t))
-            coeffs.append(exact_div(tot, v - i, f"c_{i} at node {t}"))
+            js = below.get(i, ())
+            if i > 2:
+                psi[i] = sum(row[j] * self._ham[j] for j in js)
+            coeffs.append(sum(row[j] * self._poly[j][i] for j in js))
+        if v == 2:
+            # the K2 node: one edge, one spanning tree, ham by the C2 convention
+            self._tr[t], self._ham[t] = 1, e
+        else:
+            self._tr[t] = fam.get((1, v - 1), 0)
+            for r in range(3, v):
+                uni[r] = exact_div(self.con(t, (r,) + (v - r) * (2,)),
+                                   factorial(v - r), f"uni_{r} at node {t}")
+            ham = fam.get((1, v), 0) - sum(uni.values())
+            if ham < 0:
+                raise InvalidMatrixError(f"negative hamiltonian count at node {t}")
+            self._ham[t] = psi[v] = uni[v] = ham
 
         def count(parts):
             if len(parts) == 1:
@@ -128,8 +131,7 @@ class Reconstruction:
             return exact_div(self.c(t, parts), multiset_symmetry(parts),
                              f"elementary count {parts} at node {t}")
 
-        coeffs.append(sachs_constant(v, count))
-        return Polynomial(tuple(coeffs))
+        self._poly[t] = Polynomial(tuple(coeffs) + (sachs_constant(v, count),))
 
     # -- cycle-cover machinery ----------------------------------------------
 
@@ -166,8 +168,8 @@ class Reconstruction:
     def con(self, t: int, seq) -> int:
         """Connected spanning cycle covers for a non-increasing tuple, memoised.
 
-        The callers build `seq` non-increasing: the tree, unicyclic and
-        hamiltonian sequences, and the parts of `multiset_partitions`.
+        The callers build `seq` non-increasing: the unicyclic sequences
+        (r, 2, ..., 2), and the parts of `multiset_partitions`.
         """
         key = (t, seq)
         if key in self._con_memo:
@@ -232,12 +234,15 @@ class Reconstruction:
     # -- spanning-subgraph families ------------------------------------------
 
     def families(self) -> list:
-        """Per row t, (l, m) -> spanning subgraphs of node t with l components and m edges.
+        """Per row t, (l, m) -> spanning subgraphs of node t with l components and
+        m edges, none with an isolated vertex; zero counts are left out."""
+        return list(self._fam)
 
-        No counted subgraph has an isolated vertex, and zero counts are left
-        out.  Rows are taken in increasing order, so the connected counts
-        F[j][1, m] of every smaller row j are known when t needs them.  Summed
-        over the rows s under t with sign (-1)^(v_t - v_s) and weight N[t][s]:
+    def _families_at(self, t: int) -> dict:
+        """The spanning-subgraph families of node t, from those of the smaller rows.
+
+        Summed over the rows s under t with sign (-1)^(v_t - v_s) and weight
+        N[t][s]:
         - C(e_s, m) counts the m-edge sets touching every vertex of t;
         - the x^(v_t) y^m coefficient of W_s^l, where W_s sums N[s][j] x^(v_j)
           y^m F[j][1, m] over the rows j under s of order 2 to v_t - 2, counts
@@ -247,49 +252,44 @@ class Reconstruction:
         The connected m-edge sets are the touching ones less the families of
         two or more components.
         """
-        ve, rows = self._ve, self._rows
-        out = [None] * self._size
-        tops = {}  # (s, a) -> per l >= 2, m -> x^a y^m coefficient of W_s^l
+        v_t, e_t = self._ve[t]
+        under = [(s, (-1) ** (v_t - order) * self._rows[t][s])
+                 for order, ss in self._by_order[t].items() for s in ss]
+        fam = {}
+        for s, sign in under:
+            for l, coeffs in enumerate(self._top_coeffs(s, v_t), 2):
+                for m, c in coeffs.items():
+                    fam[l, m] = fam.get((l, m), 0) + sign * c
+        for (l, m), total in fam.items():
+            fam[l, m] = exact_div(total, factorial(l),
+                                  f"{l}-component {m}-edge count at node {t}")
+        for m in range(1, e_t + 1):
+            fam[1, m] = sum(sign * comb(self._ve[s][1], m) for s, sign in under) - \
+                sum(fam.get((l, m), 0) for l in range(2, v_t // 2 + 1))
+        if any(c < 0 for c in fam.values()):
+            raise InvalidMatrixError(f"negative spanning-subgraph count at node {t}")
+        return {key: c for key, c in fam.items() if c}
 
-        def top_coeffs(s: int, a: int) -> list:
-            if (s, a) not in tops:
-                w = {}
-                for order in range(2, a - 1):
-                    for j in self._by_order[s].get(order, ()):
-                        for (l, m), c in out[j].items():
-                            if l == 1:
-                                w[order, m] = w.get((order, m), 0) + rows[s][j] * c
-                power, coeffs = w, []
-                for _l in range(2, a // 2 + 1):
-                    nxt = {}
-                    for (b, m), c in power.items():
-                        for (b2, m2), c2 in w.items():
-                            if b + b2 <= a:
-                                nxt[b + b2, m + m2] = nxt.get((b + b2, m + m2), 0) + c * c2
-                    power = nxt
-                    coeffs.append({m: c for (b, m), c in power.items() if b == a})
-                tops[s, a] = coeffs
-            return tops[s, a]
-
-        for t in sorted(range(self._size), key=lambda i: ve[i][0]):
-            v_t, e_t = ve[t]
-            under = [(s, (-1) ** (v_t - order) * rows[t][s])
-                     for order, ss in self._by_order[t].items() for s in ss]
-            fam = {}
-            for s, sign in under:
-                for l, coeffs in enumerate(top_coeffs(s, v_t), 2):
-                    for m, c in coeffs.items():
-                        fam[l, m] = fam.get((l, m), 0) + sign * c
-            for (l, m), total in fam.items():
-                fam[l, m] = exact_div(total, factorial(l),
-                                      f"{l}-component {m}-edge count at node {t}")
-            for m in range(1, e_t + 1):
-                fam[1, m] = sum(sign * comb(ve[s][1], m) for s, sign in under) - \
-                    sum(fam.get((l, m), 0) for l in range(2, v_t // 2 + 1))
-            if any(c < 0 for c in fam.values()):
-                raise InvalidMatrixError(f"negative spanning-subgraph count at node {t}")
-            out[t] = {key: c for key, c in fam.items() if c}
-        return out
+    def _top_coeffs(self, s: int, a: int) -> list:
+        """Per l >= 2, m -> the x^a y^m coefficient of W_s^l, memoised per (s, a)."""
+        if (s, a) not in self._tops:
+            w = {}
+            for order in range(2, a - 1):
+                for j in self._by_order[s].get(order, ()):
+                    for (l, m), c in self._fam[j].items():
+                        if l == 1:
+                            w[order, m] = w.get((order, m), 0) + self._rows[s][j] * c
+            power, coeffs = w, []
+            for _l in range(2, a // 2 + 1):
+                nxt = {}
+                for (b, m), c in power.items():
+                    for (b2, m2), c2 in w.items():
+                        if b + b2 <= a:
+                            nxt[b + b2, m + m2] = nxt.get((b + b2, m + m2), 0) + c * c2
+                power = nxt
+                coeffs.append({m: c for (b, m), c in power.items() if b == a})
+            self._tops[s, a] = coeffs
+        return self._tops[s, a]
 
     def rankpoly(self) -> dict:
         """(rank, corank) -> subgraph count for the top node.

@@ -218,7 +218,7 @@ def _signed_c_on(parts, host_parts) -> int:
     return sachs_weight(host_parts) * groupings(host_parts, parts)
 
 
-def count_elementary(d: PolyDeck, parts, _memo=None) -> int:
+def count_elementary(d: PolyDeck, parts) -> int:
     """Spanning subgraphs of G isomorphic to the elementary graph of `parts`.
 
     `parts` must be a nontrivial partition of n with parts >= 2.  Production
@@ -226,8 +226,7 @@ def count_elementary(d: PolyDeck, parts, _memo=None) -> int:
     """
     parts = tuple(sorted(parts, reverse=True))
     _check_nontrivial(d, parts)
-    memo = {} if _memo is None else _memo
-    return _count_rec(d, parts, memo)
+    return _count_rec(d, parts, {})
 
 
 def _count_rec(d: PolyDeck, parts, memo) -> int:
@@ -288,7 +287,8 @@ def charpoly_from_polydeck(d: PolyDeck, assert_nonhamiltonian: bool = False) -> 
     def count(parts):
         if len(parts) == 1:
             return 0  # hamiltonian term, zero by premise
-        return count_elementary(d, parts, _memo=memo)
+        # partitions_min2 gives valid, non-increasing parts
+        return _count_rec(d, parts, memo)
 
     return Polynomial(low_coeffs(d) + (sachs_constant(d.n, count),))
 

@@ -106,10 +106,10 @@ def _check_kelly(g: Graph) -> list:
     for f in _small_types(g.n - 1, with_isolated=False):
         if f.e == 0:
             continue
-        if kelly_count(d, f, g.n) != count_subgraphs(g, f):
+        if kelly_count(d, f) != count_subgraphs(g, f):
             fails.append("kelly subgraph count mismatch")
     for f in _small_types(g.n - 1, with_isolated=True):
-        if kelly_count(d, f, g.n, induced=True) != count_induced(g, f):
+        if kelly_count(d, f, induced=True) != count_induced(g, f):
             fails.append("kelly induced count mismatch")
     return fails
 

@@ -272,7 +272,7 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
 
     def kelly(code: bytes) -> int:
         if code not in kelly_memo:
-            kelly_memo[code] = kelly_count(deck, code_graph(code), n)
+            kelly_memo[code] = kelly_count(deck, code_graph(code))
         return kelly_memo[code]
 
     w_memo = {}

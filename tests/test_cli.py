@@ -143,15 +143,15 @@ def test_a_graph_over_the_vertex_limit_is_refused_before_any_work(tmp_path, argv
 def test_matrix_json_over_the_row_limit_is_refused_before_it_is_read(tmp_path, capsys,
                                                                      monkeypatch):
     from reconkit import cli
-    from reconkit.errors import InvalidMatrixError
     limit = 2 ** cli.VERTEX_LIMIT
     read = []
+    json_int = cli.deckmod.json_int
 
-    def reading(d):
-        read.append(len(d["rows"]))
-        raise InvalidMatrixError("read")
+    def reading(x):
+        read.append(x)
+        return json_int(x)
 
-    monkeypatch.setattr(cli.deckmod, "nmatrix_from_json", reading)
+    monkeypatch.setattr(cli.deckmod, "json_int", reading)
     f = tmp_path / "matrix.json"
     f.write_text(json.dumps({"rows": [[1]] * (limit + 1)}))
     code, out = _run(capsys, ["recon", "--source", "nmatrix", str(f)])
@@ -159,7 +159,7 @@ def test_matrix_json_over_the_row_limit_is_refused_before_it_is_read(tmp_path, c
     assert f"limit of {limit}" in out["reason"] and read == []
     f.write_text(json.dumps({"rows": [[1]] * limit}))
     code, out = _run(capsys, ["recon", "--source", "nmatrix", str(f)])
-    assert code == 3 and out["reason"] == "read" and read == [limit]
+    assert code == 3 and out["reason"] == "matrix is not square" and read == [1] * limit
 
 
 def test_matrix_labels_of_another_length_are_refused_before_any_is_parsed(tmp_path, capsys,

@@ -334,6 +334,18 @@ def test_a_matrix_over_the_vertex_limit_is_refused_before_any_work(monkeypatch):
     assert called == []
 
 
+def test_the_reader_refuses_more_rows_than_the_limit_before_reading_an_entry(monkeypatch):
+    """More rows than a VERTEX_LIMIT-vertex graph has types are refused by the
+    library reader itself, before any entry is converted."""
+    read = []
+    monkeypatch.setattr(deck, "json_int", read.append)
+    limit = 2 ** VERTEX_LIMIT
+    with pytest.raises(InvalidMatrixError, match=f"{limit + 1} matrix rows is over the "
+                                                 f"limit of {limit}"):
+        nmatrix_from_json({"rows": [[1]] * (limit + 1)})
+    assert read == []
+
+
 @pytest.mark.parametrize("cover", [{"from": 0, "to": 2, "label": 1},
                                    {"from": -1, "to": 1, "label": 1},
                                    {"from": 0, "to": 1, "label": -1},

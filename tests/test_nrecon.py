@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import reconkit
 from reconkit.combi import grouped_cover_partitions, partitions_min2
 from reconkit.deck import NMatrix, canonical_nmatrix, nmatrix, strip
 from reconkit.errors import InvalidMatrixError
-from reconkit.graphcore import complete, cycle, path, write_graph6
+from reconkit.graphcore import all_graphs, complete, cycle, path, write_graph6
 from reconkit.nrecon import reconstruct
 from reconkit.oracle import (c_oracle, charpoly_oracle, con_oracle,
                              elementary_count_oracle, ham_oracle,
@@ -241,19 +242,40 @@ def test_permutation_invariance(prism):
     assert c.top.charpoly.coeffs == a.top.charpoly.coeffs
 
 
-def test_invalid_matrix_is_detected():
-    # every off-by-one corruption of C4's matrix breaks an exact division
-    # or the shape validation
-    nm = strip(nmatrix(cycle(4)))
-    for i in range(3):
-        for j in range(3):
-            for delta in (1, -1):
-                rows = [list(r) for r in nm.rows]
-                rows[i][j] += delta
-                if rows[i][j] < 0:
-                    continue
-                with pytest.raises(InvalidMatrixError):
-                    reconstruct(NMatrix(tuple(tuple(r) for r in rows), None))
+def _corruptions(graphs):
+    """(tried, refused, accepted) over every single-entry +-1 change of each graph's matrix.
+
+    `accepted` lists [graph6, i, j, delta, report] for each change that
+    `reconstruct` reads without refusing it.
+    """
+    tried, refused, accepted = 0, 0, []
+    for g in graphs:
+        rows = nmatrix(g).rows
+        for i, j, delta in product(range(len(rows)), range(len(rows)), (1, -1)):
+            if rows[i][j] + delta < 0:
+                continue
+            bad = [list(r) for r in rows]
+            bad[i][j] += delta
+            tried += 1
+            try:
+                report = reconstruct(NMatrix(tuple(map(tuple, bad)))).report()
+            except InvalidMatrixError:
+                refused += 1
+            else:
+                accepted.append([write_graph6(g), i, j, delta, report])
+    return tried, refused, accepted
+
+
+def test_every_corruption_of_a_small_matrix_is_refused():
+    """Kelly's lemma, the divisions and the sign checks refuse every +-1 change at n = 4, 5.
+
+    Hand-run over every graph with n <= 6, printing the tried and refused
+    counts and the SHA-1 of the accepted reports:
+    `PYTHONPATH=src python tests/test_nrecon.py corruptions6`.
+    """
+    graphs = [g for g in all_graphs(5, min_edges=1) if g.n >= 4]
+    tried, refused, accepted = _corruptions(graphs)
+    assert tried == 2543 and refused == tried, accepted
 
 
 def test_report_shape(prism):
@@ -265,3 +287,9 @@ def test_report_shape(prism):
     assert rep["uni"]["6"] == uni_oracle(prism, 6)
     got = {(d["r"], d["s"]): d["count"] for d in rep["rankpoly"]}
     assert got == rankpoly_oracle(prism)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["corruptions6"]:
+    tried, refused, accepted = _corruptions(all_graphs(6, min_edges=1))
+    text = json.dumps(accepted, sort_keys=True, separators=(",", ":"))
+    print("tried", tried, "refused", refused, "accepted", hashlib.sha1(text.encode()).hexdigest())
