@@ -12,6 +12,8 @@ A code spells its canonical form: after the vertex count n, its bits are the
 pairs (0, 1), (0, 2), ..., (n-2, n-1) of that form, highest first.
 `code_graph(code)` reads the form back, so a type carried as its code needs no
 stored representative, and `canonical_rep(g)` is `code_graph(canonical_code(g))`.
+Decoded codes are cached: every caller that decodes a code gets the same
+`Graph`, which the caches keyed on graphs, such as `count_subgraphs`', share.
 
 The search prunes with the automorphisms it finds (McKay & Piperno, "Practical
 graph isomorphism, II", J. Symb. Comput. 2014).  A leaf that ties the best
@@ -205,6 +207,7 @@ def canonical_code(g: Graph) -> bytes:
     return bytes([g.n]) + val.to_bytes((nbits + 7) // 8 if nbits else 0, "big")
 
 
+@lru_cache(maxsize=4096)
 def code_graph(code: bytes) -> Graph:
     """The canonical form a code spells: vertex k is position k of the witness."""
     val = int.from_bytes(code[1:], "big")

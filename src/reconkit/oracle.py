@@ -7,6 +7,10 @@ exhaustive sweeps pit each pipeline against them.  Each enumeration (the
 cycles, the connected spanning edge subsets, the unions of tuples) is written
 once and shared by every oracle that needs it.
 
+Nor does any oracle rest on canonical labelling, which every pipeline uses:
+this module imports nothing from `isotype`.  `cover_count_oracle` finds the
+copies of each member by brute force over the injections of its vertices.
+
 No pipeline imports from this module; the `Polynomial` type lives in `combi`.
 `polydeck` builds decks, and `whitney` its card polynomials, by a subset
 recursion that counts its own cycles, with `charpoly_oracle` as its witness.
@@ -25,12 +29,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .combi import Polynomial
 from .errors import DomainError
 from .graphcore import Graph, adjacency_masks
-from .isotype import canonical_code
 
 __all__ = [
     "psi_oracle",
@@ -302,28 +305,40 @@ def rankpoly_oracle(g: Graph) -> dict:
 # Tuple enumeration: covers and cycle covers
 # ---------------------------------------------------------------------------
 
-def _copies(h: Graph, f: Graph) -> list:
-    """All subgraphs of h isomorphic to f, each as its vertex mask shifted above its edge mask."""
-    edges, _ = _edge_index(h)
-    code = canonical_code(f)
-    res = []
-    for subset in combinations(range(len(edges)), f.e):
-        chosen = [edges[i] for i in subset]
-        verts = sorted({x for e in chosen for x in e})
-        if len(verts) != f.n:
-            continue
-        pos = {v: i for i, v in enumerate(verts)}
-        sub = Graph(len(verts), frozenset((pos[u], pos[v]) for u, v in chosen))
-        if canonical_code(sub) == code:
-            emask = 0
-            for i in subset:
-                emask |= 1 << i
-            res.append((_endpoint_mask(chosen) << h.e) | emask)
-    return res
+@lru_cache(maxsize=1024)
+def _copies(h: Graph, f: Graph) -> tuple:
+    """Every subgraph of h isomorphic to f, as its vertex mask shifted above its edge mask.
+
+    Brute force over the injections V(f) -> V(h): a map that sends every edge
+    of f onto an edge of h maps f onto the copy its edge images make, and
+    every copy is reached that way.  f has no isolated vertex, so the copy's
+    vertices are the map's image.  The copies come sorted, once each.
+    """
+    _edges, eidx = _edge_index(h)
+    fedges = f.sorted_edges()
+    found = set()
+    for image in permutations(range(h.n), f.n):
+        emask = 0
+        for u, v in fedges:
+            a, b = image[u], image[v]
+            i = eidx.get((a, b) if a < b else (b, a))
+            if i is None:
+                break
+            emask |= 1 << i
+        else:
+            vmask = 0
+            for x in image:
+                vmask |= 1 << x
+            found.add((vmask << h.e) | emask)
+    return tuple(sorted(found))
 
 
 def cover_count_oracle(S, h: Graph) -> int:
-    """Number of tuples (X_1..X_k), X_i a subgraph of h isomorphic to S[i], with union h."""
+    """Number of tuples (X_1..X_k), X_i a subgraph of h isomorphic to S[i], with union h.
+
+    The copies of each S[i] come from `_copies`, by brute force over
+    injections, so no canonical labelling is involved.
+    """
     for f in S:
         if f.has_isolated_vertex():
             raise DomainError("cover members may not have isolated vertices")

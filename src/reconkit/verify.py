@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import deck as deckmod
 from . import polydeck as pdmod
-from .errors import NotReconstructibleError, ReconkitError
+from .errors import ConsistencyError, NotReconstructibleError, ReconkitError
 from .graphcore import (Graph, all_graphs, complete, cycle, empty_graph,
                         induced_subgraph, parse_graph6, path, vertex_deck)
 from .isotype import (canonical_code, code_graph, count_induced, count_subgraphs,
@@ -162,16 +162,32 @@ def _check_childdeck(g: Graph) -> list:
 def _eq1_rows(n: int) -> tuple:
     """The side of eq1 that does not depend on g, for graphs of order n.
 
-    One row (f, ((code of h, s(f, h)), ...)) per type f with edges and
-    v(f) <= n, over the types h with v(h) = v(f) and s(f, h) > 0.
+    One row (f, ((code of h, s(f, h)), ...)) per type f without isolated
+    vertices and v(f) <= n, over the types h with v(h) = v(f) and
+    s(f, h) > 0.  The copies of such an f in h span h, and the counts come
+    from the edge decks of the types of each order, taken in increasing e:
+    a copy of f survives in exactly e(h) - e(f) of the cards h - x, so
+    s(h, h) = 1 and s(f, h) = sum_x s(f, h - x) / (e(h) - e(f)).  A card with
+    an isolated vertex holds no spanning f and adds nothing.
     """
-    rows = []
-    for f in _small_types(n, with_isolated=False):
-        if f.e:
-            pairs = ((h, count_subgraphs(h, f))
-                     for h in _small_types(f.n, with_isolated=True) if h.n == f.n)
-            rows.append((f, tuple((canonical_code(h), s) for h, s in pairs if s)))
-    return tuple(rows)
+    types = [(h, canonical_code(h)) for h in _small_types(n, with_isolated=False)]
+    s = {}  # code of h -> {code of f: s(f, h)}
+    for h, hc in sorted(types, key=lambda t: (t[0].n, t[0].e)):
+        total = {}
+        for x in h.edges:
+            card = Graph(h.n, h.edges - {x})
+            if not card.has_isolated_vertex():
+                for fc, cnt in s[canonical_code(card)].items():
+                    total[fc] = total.get(fc, 0) + cnt
+        s[hc] = {hc: 1}
+        for fc, cnt in total.items():
+            q, r = divmod(cnt, h.e - code_graph(fc).e)
+            if r:
+                raise ConsistencyError(f"edge-deck counts of type {fc.hex()} in {h} "
+                                       f"sum to {cnt}, not a multiple of e(h) - e(f)")
+            s[hc][fc] = q
+    return tuple((f, tuple((hc, s[hc][fc]) for h, hc in types if h.n == f.n and fc in s[hc]))
+                 for f, fc in types)
 
 
 def _check_eq1(g: Graph) -> list:

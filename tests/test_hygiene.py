@@ -3,8 +3,9 @@
 Data-dependent checks must not rely on `assert`, which -O strips, every
 process-wide cache, a module-level dict, set or list included, must be bounded
 unless it is on the allowlist below, a pipeline may borrow from the oracle
-module only the names allowed below, every name a module imports must be used
-in it, and every layer the benchmark tracer wraps must exist.
+module only the names allowed below, the oracle module borrows nothing from
+`isotype`, every name a module imports must be used in it, and every layer
+the benchmark tracer wraps must exist.
 """
 
 import ast
@@ -120,18 +121,18 @@ def test_the_cache_guard_sees_every_spelling():
         assert _module_caches(ast.parse(spelling)) == names, spelling
 
 
-def _oracle_imports(tree) -> set:
-    """The names a module imports from reconkit.oracle; a whole-module import is `*`."""
+def _imports_from(tree, module: str) -> set:
+    """The names a module imports from reconkit.<module>; a whole-module import is `*`."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            if (node.level, node.module) in ((1, "oracle"), (0, "reconkit.oracle")):
+            if (node.level, node.module) in ((1, module), (0, f"reconkit.{module}")):
                 found |= {alias.name for alias in node.names}
             elif (node.level, node.module) in ((1, None), (0, "reconkit")) and \
-                    any(alias.name == "oracle" for alias in node.names):
+                    any(alias.name == module for alias in node.names):
                 found.add("*")
         elif isinstance(node, ast.Import) and \
-                any(alias.name == "reconkit.oracle" for alias in node.names):
+                any(alias.name == f"reconkit.{module}" for alias in node.names):
             found.add("*")
     return found
 
@@ -139,11 +140,18 @@ def _oracle_imports(tree) -> set:
 def test_pipelines_borrow_only_the_allowed_oracle_names():
     found = {}
     for path, tree in _trees():
-        names = _oracle_imports(tree)
+        names = _imports_from(tree, "oracle")
         if names and path.stem not in ORACLE_IMPORTS_EXEMPT:
             found[path.stem] = names
     # equality, so a name a pipeline stops borrowing leaves the allowlist too
     assert found == ORACLE_IMPORTS_ALLOWED
+
+
+def test_the_oracles_take_nothing_from_canonical_labelling():
+    """Every pipeline rests on `isotype`'s canonical codes, so an oracle that
+    used them would share what it checks (ROADMAP item K)."""
+    oracle = SRC / "oracle.py"
+    assert _imports_from(ast.parse(oracle.read_text(), filename=str(oracle)), "isotype") == set()
 
 
 def test_the_oracle_import_guard_sees_every_spelling():
@@ -153,7 +161,7 @@ def test_the_oracle_import_guard_sees_every_spelling():
                  "import reconkit.oracle": {"*"}, "from .isotype import oracle": set(),
                  "from oracle import a": set()}
     for spelling, names in spellings.items():
-        assert _oracle_imports(ast.parse(spelling)) == names, spelling
+        assert _imports_from(ast.parse(spelling), "oracle") == names, spelling
 
 
 def _unused_imports(tree) -> set:

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from reconkit import verify
-from reconkit.errors import DomainError, InconsistentDeckError
+from reconkit.errors import ConsistencyError, DomainError, InconsistentDeckError
 from reconkit.graphcore import (adjacency_masks, all_graphs, complete, cycle,
                                 disjoint_union, elementary_graph, empty_graph,
                                 graph, induced_subgraph, parse_graph6, path,
@@ -257,6 +257,15 @@ def test_a_code_spells_the_witness_relabelling(corpus6):
         assert canonical_code(relabelled) == code, g
 
 
+def test_a_decoded_code_is_cached():
+    """Decoding a code twice gives the one graph, decoded once."""
+    code = canonical_code(cycle(5))
+    first = code_graph(code)
+    hits = code_graph.cache_info().hits
+    assert code_graph(code) is first and first == graph(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
+    assert code_graph.cache_info().hits == hits + 1
+
+
 def test_count_induced_prism_values(prism):
     assert count_induced(prism, path(2)) == 9
     assert count_induced(prism, complete(3)) == 2
@@ -353,6 +362,30 @@ def test_eq1_fails_on_a_wrong_induced_count(bowtie, monkeypatch):
 
     monkeypatch.setattr(verify, "subset_table", one_more_triangle)
     assert verify.run_checks(g, ["eq1"]) == {"eq1": ["subgraph/induced relation violated"]}
+
+
+def test_the_eq1_recurrence_matches_direct_counts():
+    """The edge-deck recurrence gives every pair with n <= 6 the count of
+    embeddings: s(f, h) = count_subgraphs(h, f) for each spanning f, and h
+    with an isolated vertex holds none."""
+    rows = {canonical_code(f): dict(row) for f, row in verify._eq1_rows(6)}
+    fs = [f for f in all_graphs(6) if f.e and not f.has_isolated_vertex()]
+    assert sorted(rows) == sorted(map(canonical_code, fs))
+    pairs = 0
+    for f in fs:
+        for h in all_graphs(f.n):
+            if h.n == f.n:
+                pairs += 1
+                assert rows[canonical_code(f)].get(canonical_code(h), 0) == count_subgraphs(h, f)
+    assert pairs == 19901
+
+
+def test_a_remainder_in_the_eq1_recurrence_is_an_error(monkeypatch):
+    """s(P3, K3) = 3 copies over e(K3) - e(P3) = 1; read as two, it leaves a remainder."""
+    real, p3 = verify.code_graph, canonical_code(path(3))
+    monkeypatch.setattr(verify, "code_graph", lambda code: path(2) if code == p3 else real(code))
+    with pytest.raises(ConsistencyError):
+        verify._eq1_rows.__wrapped__(3)
 
 
 def test_kelly_count_examples(prism):

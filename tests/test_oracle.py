@@ -1,15 +1,15 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from reconkit.combi import Polynomial, partitions_min2, strict_refinements
 from reconkit.errors import DomainError
-from reconkit.graphcore import (all_graphs, complete, cycle, disjoint_union,
+from reconkit.graphcore import (Graph, all_graphs, complete, cycle, disjoint_union,
                                 elementary_graph, empty_graph, is_connected,
                                 path, vertex_deck)
-from reconkit.isotype import count_subgraphs
-from reconkit.oracle import (c_oracle, charpoly_oracle, con_oracle,
+from reconkit.isotype import canonical_code, count_subgraphs
+from reconkit.oracle import (_copies, c_oracle, charpoly_oracle, con_oracle,
                              cover_count_oracle, elementary_count_oracle,
                              ham_oracle, kedge_connected_oracle,
                              laplacian_tree_count, lcompo_oracle, p_oracle,
@@ -138,9 +138,35 @@ def test_cover_count_examples():
         cover_count_oracle([disjoint_union(k2, empty_graph(1))], k2)
 
 
+def _copies_by_codes(h, f):
+    """The f.e-edge subsets of h whose canonical code is f's, encoded as `_copies` does."""
+    edges = h.sorted_edges()
+    code = canonical_code(f)
+    res = []
+    for subset in combinations(range(len(edges)), f.e):
+        chosen = [edges[i] for i in subset]
+        verts = sorted({x for e in chosen for x in e})
+        if len(verts) != f.n:
+            continue
+        pos = {v: i for i, v in enumerate(verts)}
+        if canonical_code(Graph(f.n, frozenset((pos[u], pos[v]) for u, v in chosen))) == code:
+            res.append((sum(1 << v for v in verts) << h.e) | sum(1 << i for i in subset))
+    return sorted(res)
+
+
+def test_copies_match_the_canonical_code_enumeration():
+    """The injections `_copies` tries find the copies that canonical labelling
+    of every edge subset finds, on every host with n <= 6 and no isolated vertex."""
+    hosts = [h for h in all_graphs(6) if h.e and not h.has_isolated_vertex()]
+    assert len(hosts) == 155
+    for h in hosts:
+        for f in (path(2), path(3), complete(3), cycle(4)):
+            assert list(_copies(h, f)) == _copies_by_codes(h, f), (h, f)
+
+
 def test_kocay_identity_small(corpus5):
     """prod <g, F_i> equals the cover-weighted sum over subgraph types."""
-    from reconkit.isotype import canonical_code, subgraph_type_table
+    from reconkit.isotype import subgraph_type_table
     pool = [path(2), path(3), complete(3), cycle(4)]
     cover_memo = {}
     reps = {}
