@@ -136,7 +136,11 @@ def _join_orbits(orbit, gamma):
                     orbit[y] = a
 
 
-@lru_cache(maxsize=None)
+# A bench pass canonicalises at most about 1.5k distinct graphs and a whole
+# n <= 7 sweep in one process 12.7k, so both stay cached.  A 2^16 subset
+# table or a cold n = 10 deck (61k) evicts, but the graphs they canonicalise
+# again, the decoded codes, were used recently.
+@lru_cache(maxsize=16384)
 def _canon(g: Graph):
     """Return (minimal bitstring as int, witness permutation new->old, automorphisms).
 

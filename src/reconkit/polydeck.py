@@ -29,6 +29,7 @@ and shares no code with `oracle.charpoly_oracle`, which stays its witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .combi import (Polynomial, card_sum_coeffs, groupings, json_int, sachs_constant,
@@ -71,6 +72,11 @@ class PolyDeck:
 
     def entries_of_degree(self, d: int) -> list:
         return [p for p in self.polys if len(p) - 1 == d]
+
+    @cached_property
+    def low(self) -> tuple:
+        """`low_coeffs(self)`, computed once per deck."""
+        return low_coeffs(self)
 
 
 def _cycle_terms(masks) -> list:
@@ -200,7 +206,7 @@ def c_lambda(d: PolyDeck, parts) -> int:
         raise DomainError("parts must be >= 2")
     if parts[0] >= d.n:
         raise DomainError(f"part {parts[0]} >= n={d.n} is not computable from the deck")
-    total = _p_value(low_coeffs(d), parts)
+    total = _p_value(d.low, parts)
     for p in d.polys:
         sign = (-1) ** (d.n - (len(p) - 1))
         total += sign * _p_value(p, parts)
@@ -259,7 +265,7 @@ def degree_sequence(d: PolyDeck) -> tuple | None:
     """
     if d.n < 3:
         return None
-    e_total = -low_coeffs(d)[2]
+    e_total = -d.low[2]
     degs = []
     for p in d.entries_of_degree(d.n - 1):
         degs.append(e_total + p[2])
@@ -290,7 +296,7 @@ def charpoly_from_polydeck(d: PolyDeck, assert_nonhamiltonian: bool = False) -> 
         # partitions_min2 gives valid, non-increasing parts
         return _count_rec(d, parts, memo)
 
-    return Polynomial(low_coeffs(d) + (sachs_constant(d.n, count),))
+    return Polynomial(d.low + (sachs_constant(d.n, count),))
 
 
 def polydeck_to_json(d: PolyDeck) -> dict:

@@ -9,8 +9,10 @@ sweep demo all run their checks from here.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import prod
 from typing import Callable, NamedTuple
 
 from . import deck as deckmod
@@ -24,7 +26,7 @@ from .nrecon import reconstruct
 from .oracle import (RANKPOLY_EDGE_LIMIT, charpoly_oracle, cover_count_oracle,
                      ham_oracle, psi_oracle, rankpoly_oracle, tr_oracle,
                      uni_oracle)
-from .whitney import charpoly_from_vertex_deck, count_type, count_type_chain
+from .whitney import charpoly_from_vertex_deck, count_type, covers_of_type, type_key
 
 
 def _block_types(pool: tuple, sizes: tuple) -> tuple:
@@ -87,6 +89,30 @@ def _check_polydeck(g: Graph) -> list:
 def _check_vertexdeck(g: Graph) -> list:
     got = charpoly_from_vertex_deck(vertex_deck(g))
     return [] if got.coeffs == charpoly_oracle(g).coeffs else ["vertex deck charpoly mismatch"]
+
+
+def count_type_chain(g: Graph, members) -> int:
+    """`whitney.count_type` as the chain sum of Kocay's identity; exponential.
+
+    The identity, solved for <G, S0> and substituted into itself, sums over
+    the chains of distinct types S0 -> ... -> T, so the `whitney-chain` check
+    compares it with the memoised recursion.
+    """
+    total = Fraction(0)
+
+    def walk(root, q, acc):
+        nonlocal total
+        table = covers_of_type(root, g.n)
+        p = prod(count_subgraphs(g, code_graph(code)) for code in root)
+        total += Fraction((-1) ** q * p, table.self_cover) * acc
+        for tk, c in table.by_type.items():
+            if tk != root:
+                walk(tk, q + 1, acc * Fraction(c, table.self_cover))
+
+    walk(type_key(members), 0, Fraction(1))
+    if total.denominator != 1:
+        raise ConsistencyError("chain sum is not integral")
+    return int(total)
 
 
 def _check_whitney_chain(g: Graph) -> list:

@@ -18,7 +18,6 @@ decoded (`isotype.code_graph`) where a graph is needed, never re-coded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
@@ -27,7 +26,7 @@ from .combi import (Polynomial, card_sum_coeffs, multiset_symmetry, partitions_m
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
 from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
 from .isotype import (automorphism_count, automorphism_generators, canonical_code,
-                      canonical_rep, code_graph, count_subgraphs, kelly_count)
+                      code_graph, count_subgraphs, kelly_count)
 from .polydeck import charpoly
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "CoverTable",
     "covers_of_type",
     "count_type",
-    "count_type_chain",
     "charpoly_from_vertex_deck",
 ]
 
@@ -51,6 +49,14 @@ def block_type(g: Graph) -> tuple:
 def type_key(members) -> tuple:
     """Type key of an explicit block multiset (no decomposition performed)."""
     return tuple(sorted(canonical_code(b) for b in members))
+
+
+# One entry per union code: 145 in a bench `decks` pass, 4,576 in a cold
+# n = 10 deck.
+@lru_cache(maxsize=8192)
+def _code_type(code: bytes) -> tuple:
+    """The block type of the graph a code spells."""
+    return block_type(code_graph(code))
 
 
 @dataclass(frozen=True)
@@ -73,12 +79,18 @@ class CoverTable:
     nonspanning_roots: tuple = ()
 
 
-def _glue(u: Graph, f: Graph, vmax: int) -> dict:
+# One entry per (partial union, block, vmax): 131 in a bench `decks` pass,
+# 278 in a whole n <= 7 sweep and 2,690 in a cold n = 10 deck.
+@lru_cache(maxsize=4096)
+def _glue(u: Graph, f: Graph, vmax: int) -> tuple:
     """The unions of u with one fresh copy of f, up to vmax vertices.
 
-    Maps each union's canonical code to its ways: the number of gluings
+    Pairs each union's canonical code with its ways: the number of gluings
     (shared vertices of f, their images in u) that reach it, in the order
-    the first gluing reaches each union.
+    the first gluing reaches each union.  The pairs depend only on the
+    labelled u and f, which callers pass as the canonical forms of their
+    codes, and on vmax; they are cached, so the tables of one deck glue each
+    partial union to each block once.
 
     A gluing is a partial injection phi from V(f) into V(u), and the group
     Aut u x Aut f acts on gluings by phi -> alpha phi beta^-1.  The pair
@@ -122,7 +134,7 @@ def _glue(u: Graph, f: Graph, vmax: int) -> dict:
                              list(u.edges) + [(mapping[a], mapping[b]) for a, b in f.edges])
                 code = canonical_code(cand)
                 found[code] = found.get(code, 0) + len(orbit)
-    return found
+    return tuple(found.items())
 
 
 # Tables depend only on (root, vmax).  One vertex-deck reconstruction at
@@ -155,7 +167,7 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
     for f in fams:
         nxt = {}
         for code, d in partials.items():
-            for union, ways in _glue(code_graph(code), f, vmax).items():
+            for union, ways in _glue(code_graph(code), f, vmax):
                 nxt[union] = nxt.get(union, 0) + d * ways
         partials = nxt
     fam_automorphisms = prod(automorphism_count(f) for f in fams)
@@ -168,7 +180,7 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
         if r:
             raise ConsistencyError(f"cover count of a union is not integral: {d} gluings")
         member_table[code] = c
-        tk = block_type(x)
+        tk = _code_type(code)
         if tk == root and x.n < vmax:
             nonspanning_roots.append(code)
         if by_type.setdefault(tk, c) != c:
@@ -216,28 +228,17 @@ def _other_types(table: CoverTable, skip: tuple, count, memo: dict) -> int:
                for tk, c in table.by_type.items() if tk != skip)
 
 
-def count_type_chain(g: Graph, members) -> int:
-    """Chain-sum form of the same count; exponential, used as a cross-check."""
-    total = Fraction(0)
-
-    def walk(root, q, acc):
-        nonlocal total
-        table = covers_of_type(root, g.n)
-        p = prod(count_subgraphs(g, code_graph(code)) for code in root)
-        total += Fraction((-1) ** q * p, table.self_cover) * acc
-        for tk, c in table.by_type.items():
-            if tk != root:
-                walk(tk, q + 1, acc * Fraction(c, table.self_cover))
-
-    walk(type_key(members), 0, Fraction(1))
-    if total.denominator != 1:
-        raise ConsistencyError("chain sum is not integral")
-    return int(total)
-
-
 # ---------------------------------------------------------------------------
 # Characteristic polynomial from the vertex deck
 # ---------------------------------------------------------------------------
+
+# One entry per card type: 107-110 in a bench `decks` pass, 207 in a whole
+# n <= 7 sweep.
+@lru_cache(maxsize=1024)
+def _card_charpoly(code: bytes) -> Polynomial:
+    """`polydeck.charpoly` of the card a code spells."""
+    return charpoly(code_graph(code))
+
 
 def charpoly_from_vertex_deck(deck) -> Polynomial:
     """P(G) from the multiset of vertex-deleted subgraphs, n >= 3.
@@ -249,11 +250,11 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
     all-K2 type equation, whose only non-Kelly term is the n-cycle.
 
     Each card is replaced by its canonical form, so isomorphic cards are
-    equal graphs: in one deck they share one card polynomial, and in one
-    deck or across decks the cached subgraph counts.  The values
-    cannot change: a card's polynomial and its subgraph counts are invariant
-    under relabelling, and every Kelly count sums over the same multiset of
-    card types, so its exact division checks the same total.
+    equal graphs: in one deck or across decks they share one cached card
+    polynomial and the cached subgraph counts.  The values cannot change: a
+    card's polynomial and its subgraph counts are invariant under
+    relabelling, and every Kelly count sums over the same multiset of card
+    types, so its exact division checks the same total.
     """
     deck = list(deck)
     n = len(deck)
@@ -263,10 +264,9 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
         if card.n != n - 1:
             raise InconsistentDeckError(
                 f"card has {card.n} vertices, expected {n - 1}")
-    deck = [canonical_rep(card) for card in deck]
-
-    card_polys = {card: charpoly(card) for card in set(deck)}
-    coeffs = card_sum_coeffs([card_polys[card] for card in deck], n)
+    codes = [canonical_code(card) for card in deck]
+    deck = [code_graph(code) for code in codes]
+    coeffs = card_sum_coeffs([_card_charpoly(code) for code in codes], n)
 
     kelly_memo = {}
 

@@ -21,7 +21,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 # so a cache that goes, or gets a bound, leaves the list too.
 UNBOUNDED_ALLOWED = {
     "combi.partitions_min2", "combi.strict_refinements",
-    "isotype._canon",
     "oracle._elementary_by_order",
 }
 

@@ -11,6 +11,7 @@ from reconkit.errors import (DomainError, InconsistentDeckError,
 from reconkit.graphcore import (adjacency_masks, complete, cycle, disjoint_union,
                                 elementary_graph, empty_graph, graph,
                                 induced_subgraph, path)
+from reconkit import polydeck
 from reconkit.oracle import (charpoly_oracle, elementary_count_oracle,
                              ham_oracle, signed_c_oracle,
                              signed_exact_cover_oracle)
@@ -113,6 +114,21 @@ def test_low_coeffs():
     assert low_coeffs(build_polydeck(complete(3))) == (1, 0, -3)
     for g in [path(4), cycle(5), complete(4)]:
         assert low_coeffs(build_polydeck(g)) == charpoly_oracle(g).coeffs[:-1]
+
+
+def test_low_coeffs_are_computed_once_per_deck(monkeypatch):
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return low_coeffs(d)
+
+    monkeypatch.setattr(polydeck, "low_coeffs", counting)
+    g = graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
+    d = build_polydeck(g)
+    assert charpoly_from_polydeck(d).coeffs == charpoly_oracle(g).coeffs
+    assert c_lambda(d, (3, 3)) == c_lambda(d, (3, 3))
+    assert calls == [d]
 
 
 def test_c_lambda_matches_signed_oracle(corpus5):

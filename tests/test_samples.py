@@ -1,4 +1,5 @@
-"""Seeded 7- and 8-vertex samples: the pipelines beyond the exhaustive-sweep orders."""
+"""Seeded 7- and 8-vertex samples: the pipelines and the sweep's checks beyond
+the exhaustive-sweep orders."""
 
 import random
 from itertools import combinations
@@ -8,6 +9,7 @@ from reconkit.graphcore import all_graphs, graph, vertex_deck, write_graph6
 from reconkit.nrecon import reconstruct
 from reconkit.oracle import (charpoly_oracle, ham_oracle, psi_oracle,
                              rankpoly_oracle, tr_oracle, uni_oracle)
+from reconkit.verify import CHECKS, is_candidate, run_checks
 from reconkit.whitney import charpoly_from_vertex_deck
 
 
@@ -56,3 +58,13 @@ def test_rankpoly_sample_seven_vertices():
     pool = [g for g in _pool7() if g.e <= 14]
     for g in rng.sample(pool, 6):
         assert reconstruct(strip(nmatrix(g))).rankpoly() == rankpoly_oracle(g)
+
+
+def test_every_check_on_a_seven_vertex_sample():
+    """The sweep's registry on seeded 7-vertex graphs: every check that applies
+    passes, and only a candidate probe may report."""
+    rng = random.Random(70)
+    for g in rng.sample(_pool7(), 4):
+        fails = {name: f for name, f in run_checks(g, list(CHECKS)).items()
+                 if f and not is_candidate(name, f)}
+        assert fails == {}, write_graph6(g)

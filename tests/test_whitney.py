@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -9,9 +10,9 @@ from reconkit.graphcore import (complete, cycle, disjoint_union, empty_graph,
                                 graph, path, vertex_deck)
 from reconkit.isotype import canonical_code, code_graph
 from reconkit.oracle import charpoly_oracle, cover_count_oracle
+from reconkit.verify import count_type_chain
 from reconkit.whitney import (block_type, charpoly_from_vertex_deck,
-                              count_type, count_type_chain, covers_of_type,
-                              type_key)
+                              count_type, covers_of_type, type_key)
 
 
 def test_block_type_examples(bowtie):
@@ -207,7 +208,7 @@ def _reference_glue(u, f, vmax):
                              list(u.edges) + [(mapping[a], mapping[b]) for a, b in f.edges])
                 code = canonical_code(cand)
                 found[code] = found.get(code, 0) + 1
-    return found
+    return tuple(found.items())
 
 
 def test_orbit_gluing_builds_the_reference_tables(corpus6, monkeypatch):
@@ -236,9 +237,50 @@ def test_orbit_gluing_builds_the_reference_tables(corpus6, monkeypatch):
             mp.setattr(whitney, "_glue", glue)
             return [build.__wrapped__(*args) for args in sorted(families)]
 
-    for got, want in zip(tables(whitney._glue), tables(_reference_glue)):
+    # the unmemoised gluing, so that no table reads gluings cached earlier
+    for got, want in zip(tables(whitney._glue.__wrapped__), tables(_reference_glue)):
         assert got == want, (want.root, want.vmax)
         assert list(got.members) == list(want.members), (want.root, want.vmax)
+
+
+def _clear_every_cache():
+    """Empty the functools caches of every reconkit module."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("reconkit."):
+            for fn in vars(mod).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+
+
+def test_cover_tables_do_not_depend_on_build_order(monkeypatch):
+    """The tables one deck reaches at each n = 4..7, built by increasing and,
+    after every cache is emptied, by decreasing vertex bound, are equal field
+    by field and in member order: no table reads a cached gluing, union type
+    or decoded code that another table's bound left behind."""
+    rng = random.Random(19)
+    families = set()
+    build = whitney.covers_of_type
+
+    def recording(root, vmax):
+        families.add((vmax, root))
+        return build(root, vmax)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(whitney, "covers_of_type", recording)
+        for n in range(4, 8):
+            g = graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+            charpoly_from_vertex_deck(vertex_deck(g))
+    assert {vmax for vmax, _root in families} == {4, 5, 6, 7}
+
+    def tables(order):
+        _clear_every_cache()
+        return {key: build(key[1], key[0]) for key in order}
+
+    forward = tables(sorted(families))
+    backward = tables(sorted(families, reverse=True))
+    for key, table in forward.items():
+        assert table == backward[key], key
+        assert list(table.members) == list(backward[key].members), key
 
 
 def test_nonspanning_roots_match_the_member_filter(pipeline_tables):
