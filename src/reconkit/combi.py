@@ -18,8 +18,6 @@ __all__ = [
     "sachs_weight",
     "card_sum_coeffs",
     "partitions_min2",
-    "groupings",
-    "strict_refinements",
     "multiset_partitions",
     "labeled_partition_count",
     "grouped_cover_partitions",
@@ -119,7 +117,7 @@ def card_sum_coeffs(cards, n: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def partitions_min2(n: int, largest: int | None = None) -> tuple:
     """Partitions of n into non-increasing parts >= 2, as tuples."""
     if largest is None:
@@ -133,26 +131,6 @@ def partitions_min2(n: int, largest: int | None = None) -> tuple:
         for rest in partitions_min2(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def groupings(fine: tuple, coarse: tuple) -> int:
-    """Ways to place fine's parts, as distinct items, into coarse's slots with exact sums.
-
-    Nonzero exactly when `fine` refines `coarse`.
-    """
-    if not fine:
-        return int(not any(coarse))
-    first, rest = fine[0], fine[1:]
-    return sum(groupings(rest, coarse[:j] + (room - first,) + coarse[j + 1:])
-               for j, room in enumerate(coarse) if room >= first)
-
-
-@lru_cache(maxsize=None)
-def strict_refinements(parts: tuple) -> tuple:
-    """All partitions strictly below `parts` in the refinement order (parts >= 2)."""
-    parts = tuple(sorted(parts, reverse=True))
-    return tuple(mu for mu in partitions_min2(sum(parts))
-                 if mu != parts and groupings(mu, parts))
 
 
 def _sub_multisets(ms: tuple):

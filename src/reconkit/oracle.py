@@ -395,8 +395,8 @@ def signed_exact_cover_oracle(g: Graph, seq) -> int:
     """Sachs-weighted tuples of elementary subgraphs whose union is exactly g.
 
     Unlike signed_c_oracle, the union here must reproduce g's edge set, not
-    just cover its vertices.  These are the transition coefficients of the
-    partition-refinement recursion, evaluated on concrete elementary hosts.
+    just cover its vertices.  On an elementary host it is nonzero only for
+    the partitions the host's own partition refines.
     """
     by_order = _elementary_by_order(g)
     unions = _unions([((vm << g.e) | em, w) for vm, em, w, _prof in by_order.get(a, ())]

@@ -1,13 +1,30 @@
 """Characteristic polynomial from the complete polynomial deck.
 
 The deck holds P(G_Y) for every nonempty proper vertex subset Y.  Low
-coefficients follow from the derivative identity.  The constant term needs
-the elementary spanning subgraph counts: signed cycle-cover sums c(A -> G)
-are Moebius-computable from the deck alone, and a recursion over the
-partition refinement order converts them into counts of each non-cycle
-elementary spanning type.  The hamiltonian term is out of reach, so the
-method applies when a degree-1 vertex is recognised in the deck, or when the
-caller asserts non-hamiltonicity.
+coefficients follow from the derivative identity.  For the constant term,
+the signed cover sum c(lambda -> G) of a partition lambda of n sums the
+product of Sachs weights over the tuples of elementary subgraphs of G with
+orders lambda_1, .., lambda_k; it is Moebius-computable from the deck alone
+whenever k >= 2.  The exponential formula (Stanley, EC2 5.1) then gives
+
+    c_n = (-1)^n * sum over partitions lambda of n into k >= 2 parts >= 2 of
+              (-1)^k (k - 1)! c(lambda -> G) / prod of m_i!,
+
+where m_i are the multiplicities of the parts of lambda.
+
+* The division is exact.  The parts sum to n, so the members of each tuple
+  are vertex-disjoint, and swapping equal parts permutes the tuples without
+  fixed points.
+* The sum is right.  A spanning elementary subgraph with c components is
+  split into k ordered nonempty groups of components in k! S(c, k) ways, and
+  sum over k of (-1)^(k - 1) (k - 1)! S(c, k) is 1 if c = 1, else 0.  So the
+  sum over all k >= 1 keeps only the connected, hamiltonian term.  Its
+  k = 1 term is (-1)^n c_n itself, and moving it across gives the formula
+  above plus that hamiltonian term.
+
+The hamiltonian term is out of reach, so the method applies when a degree-1
+vertex is recognised in the deck, or when the caller asserts
+non-hamiltonicity; either sets that term to 0.
 
 The deck itself is built in one pass over the vertex subsets of G.  By
 Sachs' theorem, coefficient k of P(G[S]) is (-1)^k times the sum of E(T)
@@ -28,12 +45,13 @@ and shares no code with `oracle.charpoly_oracle`, which stays its witness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb, factorial
 
-from .combi import (Polynomial, card_sum_coeffs, groupings, json_int, sachs_constant,
-                    sachs_weight, strict_refinements)
+from .combi import Polynomial, card_sum_coeffs, json_int, multiset_symmetry, partitions_min2
 from .errors import DomainError, InconsistentDeckError, NotReconstructibleError
 from .graphcore import Graph, adjacency_masks
 
@@ -43,7 +61,6 @@ __all__ = [
     "charpoly",
     "low_coeffs",
     "c_lambda",
-    "count_elementary",
     "charpoly_from_polydeck",
     "polydeck_to_json",
     "polydeck_from_json",
@@ -63,10 +80,15 @@ class PolyDeck:
         if self.n < 2 or self.n > size.bit_length() or size != 1 << self.n:
             raise InconsistentDeckError(
                 f"expected 2^n - 2 entries for n={self.n}, got {len(self.polys)}")
-        degs = [len(p) - 1 for p in self.polys]
-        if degs.count(self.n - 1) != self.n:
-            raise InconsistentDeckError("wrong number of degree n-1 entries")
+        # an entry of degree k is P(G[S]) for one of the C(n, k) k-sets S
+        degs = Counter(len(p) - 1 for p in self.polys)
+        for k in range(1, self.n):
+            if degs[k] != comb(self.n, k):
+                raise InconsistentDeckError(
+                    f"expected {comb(self.n, k)} entries of degree {k}, got {degs[k]}")
         for p in self.polys:
+            if p[0] != 1:
+                raise InconsistentDeckError("every entry must be monic")
             if len(p) == 2 and tuple(p) != (1, 0):
                 raise InconsistentDeckError("single-vertex entries must equal lambda")
 
@@ -213,49 +235,6 @@ def c_lambda(d: PolyDeck, parts) -> int:
     return total
 
 
-def _signed_c_on(parts, host_parts) -> int:
-    """Transition coefficient c(parts -> F) on the elementary graph F of `host_parts`.
-
-    It sums the Sachs weights of the tuples of elementary subgraphs, of orders
-    `parts`, whose union is exactly F.  The orders sum to v(F), so the members
-    are disjoint and each holds whole components of F: every tuple weighs
-    sachs_weight(F), and there is one tuple per grouping of F's components.
-    """
-    return sachs_weight(host_parts) * groupings(host_parts, parts)
-
-
-def count_elementary(d: PolyDeck, parts) -> int:
-    """Spanning subgraphs of G isomorphic to the elementary graph of `parts`.
-
-    `parts` must be a nontrivial partition of n with parts >= 2.  Production
-    path: the memoised recursion over strict refinements.
-    """
-    parts = tuple(sorted(parts, reverse=True))
-    _check_nontrivial(d, parts)
-    return _count_rec(d, parts, {})
-
-
-def _count_rec(d: PolyDeck, parts, memo) -> int:
-    if parts in memo:
-        return memo[parts]
-    val = c_lambda(d, parts)
-    for finer in strict_refinements(parts):
-        val -= _signed_c_on(parts, finer) * _count_rec(d, finer, memo)
-    denom = _signed_c_on(parts, parts)
-    q, r = divmod(val, denom)
-    if r:
-        raise InconsistentDeckError(f"count for {parts} is not integral")
-    memo[parts] = q
-    return q
-
-
-def _check_nontrivial(d: PolyDeck, parts):
-    if sum(parts) != d.n:
-        raise DomainError(f"parts must sum to n={d.n}")
-    if len(parts) < 2:
-        raise DomainError("the one-part partition is the hamiltonian case")
-
-
 def degree_sequence(d: PolyDeck) -> tuple | None:
     """Vertex degrees recovered from c_2 differences, or None when n = 2.
 
@@ -275,9 +254,12 @@ def degree_sequence(d: PolyDeck) -> tuple | None:
 def charpoly_from_polydeck(d: PolyDeck, assert_nonhamiltonian: bool = False) -> Polynomial:
     """P(G) from the complete polynomial deck.
 
-    Requires a recognised degree-1 vertex, which rules out hamiltonian
-    cycles, or an explicit assertion that ham(G) = 0.  Otherwise raises
-    NotReconstructibleError rather than guessing.
+    c_0 .. c_{n-1} are the derivative identity's, and c_n is the alternating
+    sum of the module docstring.  Requires a recognised degree-1 vertex,
+    which rules out hamiltonian cycles, or an explicit assertion that
+    ham(G) = 0.  Otherwise raises NotReconstructibleError rather than
+    guessing.  A symmetry division with a remainder, which no graph's deck
+    gives, raises InconsistentDeckError.
     """
     degs = degree_sequence(d)
     if not assert_nonhamiltonian:
@@ -288,15 +270,16 @@ def charpoly_from_polydeck(d: PolyDeck, assert_nonhamiltonian: bool = False) -> 
         if 1 not in degs:
             raise NotReconstructibleError(
                 "no degree-1 vertex recognised and non-hamiltonicity not asserted")
-    memo = {}
-
-    def count(parts):
-        if len(parts) == 1:
-            return 0  # hamiltonian term, zero by premise
-        # partitions_min2 gives valid, non-increasing parts
-        return _count_rec(d, parts, memo)
-
-    return Polynomial(d.low + (sachs_constant(d.n, count),))
+    total = 0
+    for parts in partitions_min2(d.n):
+        k = len(parts)
+        if k < 2:
+            continue  # the hamiltonian term, zero by premise
+        q, r = divmod(c_lambda(d, parts), multiset_symmetry(parts))
+        if r:
+            raise InconsistentDeckError(f"c({parts} -> G) is not divisible by its symmetry")
+        total += (-1) ** k * factorial(k - 1) * q
+    return Polynomial(d.low + ((-1) ** d.n * total,))
 
 
 def polydeck_to_json(d: PolyDeck) -> dict:

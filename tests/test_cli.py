@@ -106,6 +106,18 @@ def test_recon_polydeck_huge_n_is_refused_before_any_work(tmp_path):
     assert "\n" not in out["reason"] and "n=100000000" in out["reason"]
 
 
+def test_recon_polydeck_no_graph_has_is_refused(tmp_path, capsys):
+    """Each degree k needs C(n, k) entries: before, this deck's degree-6 entry
+    stood for a sixth degree-2 one, and the charpoly came out [1, 0, -3, 2, 0.0]."""
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"n": 4, "polys": [
+        [1, 0], [1, 0], [1, 0], [1, 0], [1, 0, -1], [1, 0, -1], [1, 0, -1], [1, 0, 0],
+        [1, 0, 0], [1, 0, 0, 0, 0, 0, 0], [1, 0, -3, 2], [1, 0, -1, 0], [1, 0, -1, 0],
+        [1, 0, -1, 0]]}))
+    code, out = _run(capsys, ["recon", "--source", "polydeck", "--assert-nonhamiltonian", str(f)])
+    assert code == 3 and out["error"] == "domain" and "degree 2" in out["reason"], out
+
+
 @pytest.mark.parametrize("source", ["nmatrix", "polydeck"])
 @pytest.mark.parametrize("text", ['{"n": ' + "9" * 5000 + ', "polys": []}', "[" * 100000],
                          ids=["long-integer", "deep-nesting"])

@@ -2,10 +2,9 @@ from itertools import product
 
 import pytest
 
-from reconkit.combi import (card_sum_coeffs, grouped_cover_partitions, groupings,
+from reconkit.combi import (card_sum_coeffs, grouped_cover_partitions,
                             labeled_partition_count, multiset_partitions,
-                            multiset_symmetry, partitions_min2,
-                            sachs_constant, strict_refinements)
+                            multiset_symmetry, partitions_min2, sachs_constant)
 from reconkit.errors import InconsistentDeckError
 from reconkit.graphcore import path, vertex_deck
 from reconkit.oracle import charpoly_oracle, elementary_count_oracle
@@ -16,18 +15,6 @@ def test_partitions_min2():
     assert partitions_min2(3) == ((3,),)
     assert set(partitions_min2(6)) == {(6,), (4, 2), (3, 3), (2, 2, 2)}
     assert set(partitions_min2(7)) == {(7,), (5, 2), (4, 3), (3, 2, 2)}
-
-
-def test_refinement_order():
-    assert groupings((2, 2), (4,)) == 1
-    assert groupings((2, 2, 2), (4, 2)) == 3  # any one of the three 2s fills the 2
-    assert groupings((3, 3), (4, 2)) == 0
-    assert groupings((4, 2), (4, 2)) == 1
-    assert groupings((2, 2), (2, 2)) == 2
-    assert groupings((2, 2), (2,)) == groupings((2,), (2, 2)) == 0
-    assert set(strict_refinements((6,))) == {(4, 2), (3, 3), (2, 2, 2)}
-    assert set(strict_refinements((4, 2))) == {(2, 2, 2)}
-    assert strict_refinements((3, 3)) == ()
 
 
 def test_multiset_partitions_are_distinct():

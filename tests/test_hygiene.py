@@ -5,7 +5,8 @@ process-wide cache, a module-level dict, set or list included, must be bounded
 unless it is on the allowlist below, a pipeline may borrow from the oracle
 module only the names allowed below, the oracle module borrows nothing from
 `isotype`, every name a module imports must be used in it, and every layer
-the benchmark tracer wraps must exist.
+the benchmark tracer wraps must exist, as must every name a module exports
+in `__all__`.
 """
 
 import ast
@@ -19,10 +20,7 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 # The unbounded caches that exist today; a new cache gets an explicit maxsize
 # or lives on an instance (ROADMAP aim 3).  The guard compares with equality,
 # so a cache that goes, or gets a bound, leaves the list too.
-UNBOUNDED_ALLOWED = {
-    "combi.partitions_min2", "combi.strict_refinements",
-    "oracle._elementary_by_order",
-}
+UNBOUNDED_ALLOWED = {"oracle._elementary_by_order"}
 
 # The names each pipeline still takes from reconkit.oracle (ROADMAP item E).
 # A pipeline checked against an oracle it calls shares that part of the check,
@@ -194,6 +192,17 @@ def test_the_unused_import_guard_sees_every_spelling():
                  "from .a import T\ndef f(x: T): pass": set()}
     for spelling, names in spellings.items():
         assert _unused_imports(ast.parse(spelling)) == names, spelling
+
+
+def test_every_exported_name_exists():
+    """A name deleted from a module leaves its `__all__` too."""
+    missing = []
+    for path, _tree in _trees():
+        module = importlib.import_module(
+            "reconkit" if path.stem == "__init__" else f"reconkit.{path.stem}")
+        missing += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_every_traced_layer_resolves():

@@ -1,47 +1,27 @@
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
-from reconkit.combi import partitions_min2, strict_refinements
+from reconkit.combi import multiset_symmetry, partitions_min2, sachs_weight
 from reconkit.errors import (DomainError, InconsistentDeckError,
                              NotReconstructibleError)
 from reconkit.graphcore import (adjacency_masks, complete, cycle, disjoint_union,
-                                elementary_graph, empty_graph, graph,
-                                induced_subgraph, path)
+                                empty_graph, graph, induced_subgraph, path)
 from reconkit import polydeck
-from reconkit.oracle import (charpoly_oracle, elementary_count_oracle,
-                             ham_oracle, signed_c_oracle,
-                             signed_exact_cover_oracle)
-from reconkit.polydeck import (PolyDeck, _check_nontrivial, _signed_c_on,
-                               build_polydeck, c_lambda, charpoly,
-                               charpoly_from_polydeck, count_elementary,
-                               degree_sequence, low_coeffs,
+from reconkit.oracle import charpoly_oracle, ham_oracle, signed_c_oracle
+from reconkit.polydeck import (PolyDeck, build_polydeck, c_lambda, charpoly,
+                               charpoly_from_polydeck, degree_sequence, low_coeffs,
                                polydeck_from_json, polydeck_to_json)
 
-
-def count_elementary_chain(d: PolyDeck, parts) -> int:
-    """Chain-sum evaluation of `count_elementary`; cross-check for its recursion.
-
-    Sums over all strict refinement chains below `parts`, with alternating
-    sign and products of transition values.
-    """
-    parts = tuple(sorted(parts, reverse=True))
-    _check_nontrivial(d, parts)
-    total = Fraction(0)
-
-    def walk(lam, q, acc):
-        nonlocal total
-        total += Fraction((-1) ** q * c_lambda(d, lam), _signed_c_on(lam, lam)) * acc
-        for finer in strict_refinements(lam):
-            step = Fraction(_signed_c_on(lam, finer), _signed_c_on(lam, lam))
-            walk(finer, q + 1, acc * step)
-
-    walk(parts, 0, Fraction(1))
-    assert total.denominator == 1, f"chain sum for {parts} is not integral"
-    return int(total)
+# A deck no graph has: its degree-6 entry stands where a sixth degree-2 entry
+# belongs, and c_lambda read it as a float
+N4_WITH_A_DEGREE_6_ENTRY = {"n": 4, "polys": [
+    [1, 0], [1, 0], [1, 0], [1, 0], [1, 0, -1], [1, 0, -1], [1, 0, -1], [1, 0, 0],
+    [1, 0, 0], [1, 0, 0, 0, 0, 0, 0], [1, 0, -3, 2], [1, 0, -1, 0], [1, 0, -1, 0],
+    [1, 0, -1, 0]]}
 
 
 def test_build_polydeck_examples():
@@ -102,6 +82,18 @@ def test_polydeck_validation():
         PolyDeck(3, ((1, 0),) * 5)  # wrong entry count
     with pytest.raises(InconsistentDeckError):
         PolyDeck(2, ((1, 0), (1, 1)))  # single-vertex entry must be lambda
+    p3 = build_polydeck(path(3)).polys
+    refused = [
+        p3[:2] + ((1, 0, 5, 7, 9),) + p3[3:],  # a degree-4 entry in place of lambda
+        p3[:5] + ((1, 0, -1, 0),),  # degree n in place of degree n - 1
+        p3[:5] + ((),),  # an empty entry is refused, not indexed
+        p3[:5] + ((2, 0, -2),),  # entries are monic
+    ]
+    for polys in refused:
+        with pytest.raises(InconsistentDeckError):
+            PolyDeck(3, polys)
+    with pytest.raises(InconsistentDeckError):
+        polydeck_from_json(N4_WITH_A_DEGREE_6_ENTRY)
     # n is checked against the entry count before 2^n is formed
     for n in (-1, 0, 1, 10 ** 8):
         with pytest.raises(InconsistentDeckError):
@@ -160,46 +152,6 @@ def test_c_lambda_depends_only_on_multiset():
         assert c_lambda(d, parts) == c_lambda(d2, parts)
 
 
-def test_count_elementary_examples(prism):
-    assert count_elementary(build_polydeck(prism), (3, 3)) == 1
-    assert count_elementary(build_polydeck(cycle(6)), (2, 2, 2)) == 2
-    assert count_elementary(build_polydeck(path(4)), (2, 2)) == 1
-
-
-def test_transition_coefficients_match_the_exact_cover_oracle():
-    """The closed form sachs_weight(F) * groupings(F, parts) on every pair up to n = 9."""
-    pairs = [(host, parts) for n in range(2, 10) for parts in partitions_min2(n)
-             for host in partitions_min2(n)]
-    assert len(pairs) == 155
-    for host, parts in pairs:
-        assert _signed_c_on(parts, host) == \
-            signed_exact_cover_oracle(elementary_graph(host), parts), (host, parts)
-
-
-def test_count_elementary_matches_oracle(corpus5):
-    for g in corpus5:
-        if g.n < 4:
-            continue
-        d = build_polydeck(g)
-        for parts in partitions_min2(g.n):
-            if len(parts) < 2:
-                continue
-            assert count_elementary(d, parts) == \
-                elementary_count_oracle(g, parts), (g, parts)
-
-
-def test_chain_sum_equals_recursion(corpus5):
-    for g in corpus5:
-        if g.n < 4:
-            continue
-        d = build_polydeck(g)
-        for parts in partitions_min2(g.n):
-            if len(parts) < 2:
-                continue
-            assert count_elementary_chain(d, parts) == \
-                count_elementary(d, parts), (g, parts)
-
-
 def test_degree_sequence():
     assert degree_sequence(build_polydeck(path(4))) == (1, 1, 2, 2)
     assert degree_sequence(build_polydeck(cycle(4))) == (2, 2, 2, 2)
@@ -213,8 +165,62 @@ def test_charpoly_from_polydeck_examples():
         charpoly_from_polydeck(build_polydeck(cycle(4)))
 
 
-def test_charpoly_from_polydeck_flagged_nonhamiltonian(corpus5):
-    for g in corpus5:
+def test_exponential_formula_on_the_oracles(corpus6):
+    """(-1)^n c_n = sachs_weight((n,)) ham(G) + the k >= 2 sum of the module
+    docstring, on every graph with 2 <= n <= 6, hamiltonian or not, with
+    every term from the oracles, which the pipeline does not share."""
+    graphs = [g for g in corpus6 if g.n >= 2]
+    assert len(graphs) == 207 and sum(1 for g in graphs if ham_oracle(g)) == 61
+    for g in graphs:
+        total = sachs_weight((g.n,)) * ham_oracle(g)
+        for parts in partitions_min2(g.n):
+            k = len(parts)
+            if k >= 2:
+                q, r = divmod(signed_c_oracle(g, parts), multiset_symmetry(parts))
+                assert r == 0, (g, parts)
+                total += (-1) ** k * factorial(k - 1) * q
+        assert total == (-1) ** g.n * charpoly_oracle(g).coeffs[g.n], g
+
+
+def test_an_indivisible_cover_sum_is_refused():
+    """P4's deck with one lambda^2 - 1 entry made lambda^2 - 2 passes the reader,
+    but c((2, 2) -> G) becomes odd and is not divisible by 2!."""
+    polys = list(build_polydeck(path(4)).polys)
+    polys[polys.index((1, 0, -1))] = (1, 0, -2)
+    d = PolyDeck(4, tuple(polys))
+    assert c_lambda(d, (2, 2)) % 2 == 1
+    with pytest.raises(InconsistentDeckError, match=r"\(2, 2\)"):
+        charpoly_from_polydeck(d)
+
+
+def _pendant_graph(rng, n):
+    """A half-dense core on n - 1 vertices and a pendant vertex: the degree-1 route."""
+    edges = [e for e in combinations(range(n - 1), 2) if rng.random() < 0.5]
+    return graph(n, edges + [(rng.randrange(n - 1), n - 1)])
+
+
+def _two_blocks(rng, n):
+    """Two random blocks sharing the cut vertex 0, so no hamiltonian cycle."""
+    split = rng.randrange(2, n - 1)
+    sides = [[0, *range(1, split + 1)], [0, *range(split + 1, n)]]
+    edges = [e for side in sides for e in combinations(side, 2) if rng.random() < 0.6]
+    return graph(n, edges)
+
+
+def test_charpoly_from_polydeck_matches_sympy_at_eight_to_ten_vertices():
+    rng = random.Random(20)
+    for n in (8, 9, 10):
+        for _ in range(5):
+            g = _pendant_graph(rng, n)
+            assert charpoly_from_polydeck(build_polydeck(g)).coeffs == _sympy_charpoly(g), g
+            g = _two_blocks(rng, n)
+            got = charpoly_from_polydeck(build_polydeck(g), assert_nonhamiltonian=True)
+            assert got.coeffs == _sympy_charpoly(g), g
+
+
+def test_charpoly_from_polydeck_flagged_nonhamiltonian(corpus6):
+    """n = 6 is the first order with a three-part partition, (2, 2, 2)."""
+    for g in corpus6:
         if g.n < 2 or ham_oracle(g) != 0:
             continue
         got = charpoly_from_polydeck(build_polydeck(g), assert_nonhamiltonian=True)
