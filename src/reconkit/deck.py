@@ -14,6 +14,11 @@ the submasks t of s, and G[s] restricted to t is G[t], whose code the table
 already holds: row i adds one to column j for each submask of s with code j.
 Submasks have at most v_i vertices and only s itself has v_i, which gives the
 zeros above order v_i and the 1 on the diagonal.
+
+Back from an unlabelled matrix, `_poset` walks the covers once: each row, by
+subrow count, takes its highest remaining subrow as a cover, checks that the
+cover's subrows lie under it and drops them.  By induction on the subrow count
+this checks transitivity, and a transitive antisymmetric order is acyclic.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import comb
+from operator import itemgetter
 
 from .combi import exact_div, json_int
 from .errors import DomainError, InvalidMatrixError
@@ -122,92 +128,88 @@ def strip(nm: NMatrix) -> NMatrix:
     return NMatrix(nm.rows, None)
 
 
-def _validate_shape(nm: NMatrix):
-    size = nm.size
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a nonzero pattern's bytes to binary digits
+
+
+def _flatten(rows, perm) -> tuple:
+    """The entries rows[a][b] of the square matrix rows, for a and then b in perm."""
+    if len(perm) == 1:  # itemgetter of one index returns the item, not a tuple
+        return (rows[perm[0]][perm[0]],)
+    pick = itemgetter(*perm)
+    return tuple(chain.from_iterable(map(pick, pick(rows))))
+
+
+def _poset(nm: NMatrix) -> tuple:
+    """Each row's (v, e), and (j, i, N[i][j]) for each j covered by i, of a valid matrix.
+
+    With the rows relabelled by increasing subrow count and each row's
+    subrows packed into an int, the highest bit of any set of rows is a row
+    with the most subrows.  Each row p, in that order, takes its highest
+    remaining subrow c as a cover, checks that c's subrows are p's and drops
+    them all.  By induction on the subrow count this checks transitivity on
+    the covers alone: a c that passes has fewer subrows than p, as no two rows
+    contain each other, so c's subrows were found closed.  A dropped row lies
+    under c; a row strictly between c and p has more subrows than c and stays
+    until c is taken; so every row taken is a cover.  A transitive
+    antisymmetric order is acyclic, so that needs no check.  v is 2 for the K2
+    row and 1 + the common rank of the covers; e is the entry in the K2 column.
+    """
+    rows = nm.rows
+    size = len(rows)
     if size == 0:
         raise InvalidMatrixError("empty matrix")
-    for row in nm.rows:
-        if len(row) != size:
-            raise InvalidMatrixError("matrix is not square")
-        if any(x < 0 for x in row):
-            raise InvalidMatrixError("negative entry")
+    if any(len(row) != size for row in rows):
+        raise InvalidMatrixError("matrix is not square")
+    if min(map(min, rows)) < 0:
+        raise InvalidMatrixError("negative entry")
     for i in range(size):
-        if nm.rows[i][i] != 1:
+        if rows[i][i] != 1:
             raise InvalidMatrixError(f"diagonal entry at {i} is not 1")
-    for i in range(size):
-        for j in range(size):
-            if i != j and nm.rows[i][j] and nm.rows[j][i]:
-                raise InvalidMatrixError(f"rows {i} and {j} contain each other")
-
-
-def _bits(mask: int):
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _containment(nm: NMatrix) -> tuple:
-    """(down, up): bit j of down[i], and bit i of up[j], is set iff N[i][j] != 0."""
-    down = [sum(1 << j for j, x in enumerate(row) if x) for row in nm.rows]
-    up = [sum(1 << i for i, row in enumerate(nm.rows) if row[j]) for j in range(nm.size)]
-    return down, up
-
-
-def infer_v_e(nm: NMatrix) -> tuple:
-    """Recover (v, e) for every row of a valid unlabelled N-matrix.
-
-    e comes from the column of the unique single-nonzero row (the K2 row);
-    v is the poset rank with the K2 row pinned at 2.
-    """
-    _validate_shape(nm)
-    size = nm.size
-    rows = nm.rows
-    down, up = _containment(nm)
-    singles = [i for i in range(size) if down[i].bit_count() == 1]
-    if len(singles) != 1:
-        raise InvalidMatrixError(f"expected exactly one K2 row, found {len(singles)}")
-    k2 = singles[0]
-    for i in range(size):
-        if rows[i][k2] == 0:
-            raise InvalidMatrixError(f"row {i} contains no K2")
-    for i in range(size):
-        for j in _bits(down[i]):
-            missing = down[j] & ~down[i]
+    counts = [size - row.count(0) for row in rows]
+    singles = counts.count(1)
+    if singles != 1:
+        raise InvalidMatrixError(f"expected exactly one K2 row, found {singles}")
+    order = sorted(range(size), key=counts.__getitem__)
+    flat = bytes(map(bool, _flatten(rows, order))).translate(_DIGITS)
+    down = [int(flat[p * size:p * size + size][::-1], 2) for p in range(size)]
+    up = [int(flat[p::size][::-1], 2) for p in range(size)]
+    for p in range(size):
+        if down[p] & up[p] & ~(1 << p):
+            raise InvalidMatrixError(f"row {order[p]} and a row under it contain each other")
+    lacking = ~up[0] & ((1 << size) - 1)
+    if lacking:
+        raise InvalidMatrixError(f"row {order[lacking.bit_length() - 1]} contains no K2")
+    rank = [2] * size
+    covers = []
+    for p in range(1, size):
+        d, i = down[p], order[p]
+        rem = d & ~(1 << p)
+        below = []
+        while rem:
+            c = rem.bit_length() - 1
+            missing = down[c] & ~d
             if missing:
-                raise InvalidMatrixError(
-                    f"containment not transitive at rows {i},{j},{next(_bits(missing))}")
-    # rank = 2 + longest chain from the K2 row
-    rank = [None] * size
-    for i in sorted(range(size), key=lambda i: down[i].bit_count()):
-        preds = [rank[j] for j in _bits(down[i] & ~(1 << i))]
-        if not preds:
-            rank[i] = 2
-        else:
-            if None in preds:
-                raise InvalidMatrixError("containment relation is not acyclic")
-            rank[i] = 1 + max(preds)
-    for (j, i, _lab) in _covers(nm, (down, up)):
-        if rank[i] != rank[j] + 1:
-            raise InvalidMatrixError(
-                f"no graded rank function: cover {j}->{i} spans ranks {rank[j]}->{rank[i]}")
-    ve = tuple((rank[i], rows[i][k2]) for i in range(size))
+                raise InvalidMatrixError(f"containment not transitive at rows {i},"
+                                         f"{order[c]},{order[missing.bit_length() - 1]}")
+            below.append(order[c])
+            rem &= ~down[c]
+        ranks = sorted({rank[j] for j in below})
+        if len(ranks) > 1:
+            raise InvalidMatrixError(f"no graded rank function: row {i} covers "
+                                     f"rows of ranks {ranks}")
+        rank[i] = 1 + ranks[0]
+        covers += [(j, i, rows[i][j]) for j in below]
+    ve = tuple(zip(rank, (row[order[0]] for row in rows)))
     for i, (v, e) in enumerate(ve):
         if e > comb(v, 2):
             raise InvalidMatrixError(f"row {i} has {e} edges on {v} vertices")
-    return ve
+    return ve, covers
 
 
-def _covers(nm: NMatrix, masks=None) -> list:
-    """(j, i, N[i][j]) for each j covered by i: no k but i and j has N[i][k] and N[k][j] nonzero."""
-    down, up = masks or _containment(nm)
-    out = []
-    for i in range(nm.size):
-        for j in _bits(down[i] & ~(1 << i)):
-            if not down[i] & up[j] & ~(1 << i | 1 << j):
-                out.append((j, i, nm.rows[i][j]))
-    return out
+def infer_v_e(nm: NMatrix) -> tuple:
+    """(v, e) for every row of a valid unlabelled N-matrix: the rank, with the K2 row at 2,
+    and the entry in the K2 column."""
+    return _poset(nm)[0]
 
 
 def _top_row(nm: NMatrix) -> int:
@@ -219,9 +221,8 @@ def _top_row(nm: NMatrix) -> int:
 
 def elp_from_nmatrix(nm: NMatrix) -> Elp:
     """Hasse diagram of the containment order with multiplicity labels."""
-    ve = infer_v_e(nm)
-    covers = sorted(_covers(nm))
-    return Elp(tuple(v for v, _e in ve), tuple(covers))
+    ve, covers = _poset(nm)
+    return Elp(tuple(v for v, _e in ve), tuple(sorted(covers)))
 
 
 def nmatrix_from_elp(elp: Elp) -> NMatrix:
@@ -256,25 +257,23 @@ def child_nmatrices(nm: NMatrix) -> list:
     """The multiset {N(G-u) : e(G-u) > 0} recovered from N(G) alone.
 
     A row j is a vertex-deleted subgraph iff no row other than the top
-    contains it; its matrix is the principal submatrix on the rows it
-    contains, taken with multiplicity N[top][j].  Children with equal
-    canonical matrices are merged and their multiplicities added.
+    contains it, that is iff the top covers j; its matrix is the principal
+    submatrix on the rows it contains, taken with multiplicity N[top][j].
+    Children with equal canonical matrices are merged and their
+    multiplicities added.
     """
-    infer_v_e(nm)
+    _ve, covers = _poset(nm)
     top = _top_row(nm)
     rows = nm.rows
-    size = nm.size
     merged = {}
-    for j in range(size):
-        if j == top:
+    for j, i, mult in covers:
+        if i != top:
             continue
-        if any(rows[i][j] for i in range(size) if i != j and i != top):
-            continue
-        keep = [k for k in range(size) if rows[j][k]]
+        keep = [k for k, x in enumerate(rows[j]) if x]
         canon = canonical_nmatrix(
             NMatrix(tuple(tuple(rows[a][b] for b in keep) for a in keep), None))
-        _canon, mult = merged.get(canon.rows, (canon, 0))
-        merged[canon.rows] = (canon, mult + rows[top][j])
+        _canon, total = merged.get(canon.rows, (canon, 0))
+        merged[canon.rows] = (canon, total + mult)
     return [pair for _key, pair in sorted(merged.items())]
 
 
@@ -299,33 +298,34 @@ def _stable_cells(nm: NMatrix, ve) -> list:
     Signatures start from (v, e) and absorb, per round, the multiset of
     (cell, entry) pairs in both the row and the column of each node.  Cell
     ids are assigned in sorted signature order, so the final cell order is
-    invariant under admissible permutations.
+    invariant under admissible permutations.  A discrete partition is
+    final: each signature leads with the row's own cell id, so a further
+    round would keep its order.
     """
     size = nm.size
-    rows = nm.rows
-    sig = {i: (ve[i][0], ve[i][1]) for i in range(size)}
-    ids = _intern(sig, size)
-    while True:
-        nxt = {}
-        for i in range(size):
-            rowsig = sorted((ids[j], rows[i][j]) for j in range(size)
-                            if j != i and rows[i][j])
-            colsig = sorted((ids[j], rows[j][i]) for j in range(size)
-                            if j != i and rows[j][i])
-            nxt[i] = (ids[i], tuple(rowsig), tuple(colsig))
-        new_ids = _intern(nxt, size)
-        if len(set(new_ids.values())) == len(set(ids.values())):
-            cells = {}
-            for i in range(size):
-                cells.setdefault(new_ids[i], []).append(i)
-            return [sorted(cells[c]) for c in sorted(cells)]
-        ids = new_ids
+    ids = _intern(ve)
+    below = above = None
+    while max(ids) + 1 < size:
+        if below is None:
+            below = [[(j, x) for j, x in enumerate(row) if x and j != i]
+                     for i, row in enumerate(nm.rows)]
+            above = [[(j, x) for j, x in enumerate(col) if x and j != i]
+                     for i, col in enumerate(zip(*nm.rows))]
+        new = _intern([(ids[i], tuple(sorted((ids[j], x) for j, x in below[i])),
+                        tuple(sorted((ids[j], x) for j, x in above[i]))) for i in range(size)])
+        if max(new) == max(ids):
+            break
+        ids = new
+    cells = [[] for _ in range(max(ids) + 1)]
+    for i, c in enumerate(ids):
+        cells[c].append(i)
+    return cells
 
 
-def _intern(sig: dict, size: int) -> dict:
-    distinct = sorted(set(sig.values()))
-    lookup = {s: k for k, s in enumerate(distinct)}
-    return {i: lookup[sig[i]] for i in range(size)}
+def _intern(sigs: list) -> list:
+    """Each signature's index among the distinct signatures, sorted."""
+    lookup = {s: k for k, s in enumerate(sorted(set(sigs)))}
+    return [lookup[s] for s in sigs]
 
 
 def _orderings(nm: NMatrix):
@@ -340,7 +340,7 @@ def _orderings(nm: NMatrix):
     cells = _stable_cells(nm, infer_v_e(nm))
     for parts in product(*(permutations(cell) for cell in cells)):
         perm = tuple(chain.from_iterable(parts))
-        yield perm, tuple(rows[a][b] for a in perm for b in perm)
+        yield perm, _flatten(rows, perm)
 
 
 def canonical_nmatrix(nm: NMatrix) -> NMatrix:

@@ -13,7 +13,7 @@ from reconkit.deck import (VERTEX_LIMIT, Elp, NMatrix, canonical_nmatrix, child_
                            infer_v_e, lambda_deck, nmatrix, nmatrix_from_elp,
                            nmatrix_from_json, nmatrix_to_json, strip)
 from reconkit.errors import DomainError, InvalidMatrixError
-from reconkit.graphcore import (complete, empty_graph, graph,
+from reconkit.graphcore import (all_graphs, complete, empty_graph, graph,
                                 induced_subgraph, path, write_graph6)
 from reconkit.isotype import are_isomorphic, canonical_code, count_induced
 
@@ -128,6 +128,102 @@ def test_infer_v_e_rejects_bad_matrices():
     # a 3-vertex row with 4 edges; before, it was read and given a rank polynomial
     with pytest.raises(InvalidMatrixError, match="4 edges on 3 vertices"):
         infer_v_e(NMatrix(((1, 0), (4, 1)), None))
+
+
+def _naive_poset(rows):
+    """(ve, sorted labelled covers) of a matrix straight from the definitions,
+    or None for a matrix that is no N-matrix.
+
+    Row j lies under row i iff N[i][j] != 0; the order must be antisymmetric
+    and transitive (checked over every triple), with one K2 row, the one row
+    with nothing else under it, under every row.  v is 2 plus the longest
+    chain up from the K2 row, every cover must step one rank, e is the entry
+    in the K2 column, and e <= C(v, 2).
+    """
+    size = len(rows)
+    if not size or any(len(r) != size for r in rows) or any(x < 0 for r in rows for x in r):
+        return None
+    if any(rows[i][i] != 1 for i in range(size)):
+        return None
+    under = [[rows[i][j] != 0 for j in range(size)] for i in range(size)]
+    if any(under[i][j] and under[j][i] for i in range(size) for j in range(size) if i != j):
+        return None
+    k2s = [i for i in range(size) if sum(under[i]) == 1]
+    if len(k2s) != 1 or not all(under[i][k2s[0]] for i in range(size)):
+        return None
+    for i in range(size):
+        for j in range(size):
+            for k in range(size):
+                if under[i][j] and under[j][k] and not under[i][k]:
+                    return None
+    memo = {}
+
+    def rank(i):
+        if i not in memo:
+            memo[i] = 2 if i == k2s[0] else \
+                1 + max(rank(j) for j in range(size) if j != i and under[i][j])
+        return memo[i]
+
+    covers = sorted((j, i, rows[i][j]) for i in range(size) for j in range(size)
+                    if i != j and under[i][j] and not any(
+                        under[i][k] and under[k][j] for k in range(size) if k not in (i, j)))
+    if any(rank(i) != rank(j) + 1 for j, i, _lab in covers):
+        return None
+    ve = tuple((rank(i), rows[i][k2s[0]]) for i in range(size))
+    if any(e > comb(v, 2) for v, e in ve):
+        return None
+    return ve, covers
+
+
+def _fast_poset(rows):
+    """What `infer_v_e` and `elp_from_nmatrix` give, or None if they refuse."""
+    nm = NMatrix(tuple(map(tuple, rows)), None)
+    try:
+        ve = infer_v_e(nm)
+        return ve, list(elp_from_nmatrix(nm).covers)
+    except InvalidMatrixError:
+        return None
+
+
+def _shuffled(rows, rng):
+    """The matrix under a random simultaneous permutation of rows and columns."""
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return [[rows[a][b] for b in perm] for a in perm]
+
+
+def test_cover_walk_matches_the_definitions(corpus6):
+    """The same (v, e) and covers as the definitions on every N-matrix with
+    n <= 6, both as built and with its rows shuffled, and on the 1-row K2 matrix."""
+    rng = random.Random(6)
+    assert _fast_poset(((1,),)) == _naive_poset(((1,),)) == (((2, 1),), [])
+    assert canonical_nmatrix(NMatrix(((1,),))).rows == ((1,),)
+    assert elp_automorphisms(Elp((2,), ())) == []
+    for g in corpus6:
+        if g.e:
+            rows = nmatrix(g).rows
+            for m in (rows, _shuffled(rows, rng)):
+                want = _naive_poset(m)
+                assert want is not None and _fast_poset(m) == want, g
+
+
+def test_cover_walk_refuses_what_the_definitions_refuse():
+    """The same verdict, and on acceptance the same poset, as the definitions
+    on seeded corruptions of shuffled n <= 5 matrices: one to three entries
+    each set to 0, to 1, or moved by +-1."""
+    rng = random.Random(5)
+    mats = [nmatrix(g).rows for g in all_graphs(5, min_edges=1)]
+    verdicts = Counter()
+    for _ in range(6000):
+        rows = _shuffled(rng.choice(mats), rng)
+        size = len(rows)
+        for _edit in range(rng.randint(1, 3)):
+            i, j = rng.randrange(size), rng.randrange(size)
+            rows[i][j] = rng.choice((0, 1, rows[i][j] + 1, rows[i][j] - 1))
+        want = _naive_poset(rows)
+        assert _fast_poset(rows) == want, rows
+        verdicts[want is None] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
 
 
 def test_elp_prism_matches_published_diagram(prism):

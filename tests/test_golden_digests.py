@@ -25,7 +25,8 @@ import json
 import sys
 
 from reconkit.cli import main
-from reconkit.deck import elp_from_nmatrix, elp_to_json, nmatrix, nmatrix_to_json
+from reconkit.deck import (canonical_nmatrix, child_nmatrices, elp_from_nmatrix, elp_to_json,
+                           nmatrix, nmatrix_to_json, strip)
 from reconkit.graphcore import all_graphs, vertex_deck, write_graph6
 from reconkit.nrecon import reconstruct
 from reconkit.polydeck import build_polydeck, polydeck_to_json
@@ -38,6 +39,7 @@ PINS = {
     "polydecks": "38d27d5b2cc0bcfb7feb15c229b804d78f481714",
     "vertexdeck": "c2b324c59a66f40f5e51449c66e9e06bced01fc8",
     "sweep": "c66a7f29bdfd2b430c2f6c6123512bdf9d61780f",
+    "canonical": "9604ddd90ac2eb94b01a9129a04c86e25339ac64",
 }
 
 
@@ -81,6 +83,16 @@ def vertexdeck_digest() -> str:
                   for g in all_graphs(7) if g.n >= 3])
 
 
+def canonical_digest() -> str:
+    """`canonical_nmatrix` and `child_nmatrices` of every graph with n <= 6 and an edge."""
+    out = []
+    for g in _graphs6():
+        nm = strip(nmatrix(g))
+        out.append([write_graph6(g), canonical_nmatrix(nm).rows,
+                    [[child.rows, mult] for child, mult in child_nmatrices(nm)]])
+    return _sha1(out)
+
+
 def sweep_digest(max_n=5) -> str:
     """The `reconkit sweep --max-n MAX_N --checks all` report without `elapsed_seconds`."""
     out = io.StringIO()
@@ -94,6 +106,7 @@ def sweep_digest(max_n=5) -> str:
 DIGESTS = {"graph6": graph6_digest, "matrices": matrices_digest,
            "reports": reports_digest, "polydecks": polydecks_digest,
            "vertexdeck": vertexdeck_digest, "sweep": sweep_digest,
+           "canonical": canonical_digest,
            "graph6_8": lambda: graph6_digest(8), "sweep6": lambda: sweep_digest(6)}
 
 
@@ -125,6 +138,12 @@ def test_vertexdeck_digest():
 def test_sweep_digest():
     """Reproduce: PYTHONPATH=src python tests/test_golden_digests.py sweep"""
     assert sweep_digest() == PINS["sweep"]
+
+
+
+def test_canonical_digest():
+    """Reproduce: PYTHONPATH=src python tests/test_golden_digests.py canonical"""
+    assert canonical_digest() == PINS["canonical"]
 
 
 if __name__ == "__main__":
