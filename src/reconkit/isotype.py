@@ -4,9 +4,9 @@ The canonical code of a graph is the smallest upper-triangle adjacency
 bitstring over the leaves of a search tree: each node refines an ordered
 vertex partition to an equitable one and branches on the vertices of its first
 non-singleton cell, and each leaf is a vertex ordering.  The witness is the
-first leaf, in depth-first order, that attains the minimum.  Two graphs are
-isomorphic iff their codes are equal, so codes double as dictionary keys for
-all counting done in this package.
+first leaf, in the depth-first order of the search on g's first-leaf form
+(below), that attains the minimum.  Two graphs are isomorphic iff their codes
+are equal, so codes double as dictionary keys for all counting in the package.
 
 A code spells its canonical form: after the vertex count n, its bits are the
 pairs (0, 1), (0, 2), ..., (n-2, n-1) of that form, highest first.
@@ -14,6 +14,28 @@ pairs (0, 1), (0, 2), ..., (n-2, n-1) of that form, highest first.
 stored representative, and `canonical_rep(g)` is `code_graph(canonical_code(g))`.
 Decoded codes are cached: every caller that decodes a code gets the same
 `Graph`, which the caches keyed on graphs, such as `count_subgraphs`', share.
+
+Refinement counts neighbours only in the cells that split in the round
+before, less the last fragment of each: the root in its one cell, a child
+that split w off a cell of its parent's equitable partition in {w}.  This
+gives the ordered partition that counting in every cell gives.  Each cell a
+round starts from has constant counts in every cell of the partition the
+round before started from, so a cell that did not split neither splits nor
+orders it; the last fragment's count is the old cell's less the others', and
+as it stands after them in the signature it never decides an order either.
+
+The search runs once per first-leaf form.  `_canon(g)` descends to the first
+leaf, individualising the least vertex of the first non-singleton cell, with
+ordering perm (new -> old); g relabelled by perm, packed like a code, is the
+form.  `_search(form)` is cached per form, and `_canon` maps its witness back
+by x -> perm[x] and each automorphism sigma to gamma[perm[k]] = perm[sigma[k]].
+Refinement commutes with relabelling, so the form's tree is g's relabelled by
+perm, only with children in another order: the minimum, the code, is g's, and
+the conjugated automorphisms generate Aut g.  The form's first leaf is the
+image of g's, so when it is minimal, as in practice it is (every leaf of the
+`build` bench is), both witnesses are the first leaf and the witness is g's
+own, and isomorphic graphs share one form, the code.  Otherwise the two may
+pick different minimal leaves, which differ by an automorphism.
 
 The search prunes with the automorphisms it finds (McKay & Piperno, "Practical
 graph isomorphism, II", J. Symb. Comput. 2014).  A leaf that ties the best
@@ -83,20 +105,14 @@ __all__ = [
 ]
 
 
-def _refine(masks, cells):
-    """Equitable refinement of an ordered partition by neighbour counts.
-
-    A cell whose vertices all have the same counts is kept as it is.
+def _refine(masks, cells, splitters):
+    """Equitable refinement of an ordered partition by neighbour counts in the
+    splitters, the masks of the cells that split in the round before, less the
+    last fragment of each (the module docstring says why that suffices).
     """
-    while True:
-        cellmasks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            cellmasks.append(m)
-        new_cells = []
-        changed = False
+    while splitters:
+        one = splitters[0] if len(splitters) == 1 else 0  # then a count, not a 1-tuple
+        new_cells, new_splitters = [], []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
@@ -104,17 +120,27 @@ def _refine(masks, cells):
             groups = {}
             for v in cell:
                 mv = masks[v]
-                sig = tuple([(mv & cm).bit_count() for cm in cellmasks])
+                sig = (mv & one).bit_count() if one else \
+                    tuple([(mv & s).bit_count() for s in splitters])
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
                 continue
-            changed = True
-            for sig in sorted(groups):
-                new_cells.append(groups[sig])
-        cells = new_cells
-        if not changed:
-            return cells
+            parts = [groups[sig] for sig in sorted(groups)]
+            new_cells += parts
+            for part in parts[:-1]:
+                m = 0
+                for v in part:
+                    m |= 1 << v
+                new_splitters.append(m)
+        cells, splitters = new_cells, new_splitters
+    return cells
+
+
+def _individualise(masks, cells, target, w):
+    """Split w off the front of cell `target` and refine."""
+    rest = [u for u in cells[target] if u != w]
+    return _refine(masks, cells[:target] + [[w], rest] + cells[target + 1:], [1 << w])
 
 
 def _bits_int(masks, perm, n):
@@ -136,27 +162,55 @@ def _join_orbits(orbit, gamma):
                     orbit[y] = a
 
 
-# A bench pass canonicalises at most about 1.5k distinct graphs and a whole
-# n <= 7 sweep in one process 12.7k, so both stay cached.  A 2^16 subset
-# table or a cold n = 10 deck (61k) evicts, but the graphs they canonicalise
-# again, the decoded codes, were used recently.
+def _pack(n: int, val: int) -> bytes:
+    """A code's bytes: n, then the n(n-1)/2 bits of val, big-endian."""
+    return bytes([n]) + val.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
+
+
+# Labelled graphs and first-leaf forms per seed-1 bench pass: `recon` 597 and
+# 172, `build` 1,120 and 345, `decks` 1,466 and 213, `sweep` 860 and 53; 32,886
+# and 13,608 in `all_graphs(8)`.  At 16384 each, a pass, an n <= 7 sweep (12.7k
+# graphs) and every form up to 8 vertices stay cached; a 2^16 subset table or
+# a cold n = 10 deck (61k graphs) evicts, but what they canonicalise again,
+# the decoded codes, was used recently.
 @lru_cache(maxsize=16384)
 def _canon(g: Graph):
     """Return (minimal bitstring as int, witness permutation new->old, automorphisms).
 
-    The search prunes by automorphism, as the module docstring describes.
-    The automorphisms, as tuples old -> old, are the ones the search found,
-    and they generate Aut g.  At each node of the witness's path, take the
-    orbit of the witness's child under the automorphisms fixing the path: no
-    child of it comes first, or the witness would lie under that child; each
-    later one is skipped as joined to it by the maps found, or is searched
-    until a leaf ties the witness, which gives a map, fixing the path, onto
-    it; only a tie returns the search from below that child.
+    `_search` of the first-leaf form, mapped back through the first leaf's
+    ordering perm, as the module docstring describes.  The automorphisms, as
+    tuples old -> old, generate Aut g.
     """
     n = g.n
     if n == 0:
         return 0, (), ()
     masks = adjacency_masks(g)
+    cells = _refine(masks, [list(range(n))], [(1 << n) - 1])
+    while len(cells) < n:
+        target = next(i for i, c in enumerate(cells) if len(c) > 1)
+        cells = _individualise(masks, cells, target, min(cells[target]))
+    perm = tuple(c[0] for c in cells)
+    val, witness, autos = _search(_pack(n, _bits_int(masks, perm, n)))
+    pos = sorted(range(n), key=perm.__getitem__)  # perm's inverse
+    return (val, tuple(perm[x] for x in witness),
+            tuple(tuple(perm[sigma[pos[v]]] for v in range(n)) for sigma in autos))
+
+
+@lru_cache(maxsize=16384)  # forms; the counts are above `_canon`
+def _search(form: bytes):
+    """(minimal bitstring as int, witness new->old, automorphisms) of a first-leaf form.
+
+    The search prunes by automorphism, as the module docstring describes.
+    The automorphisms, as tuples old -> old, are the ones it found, and they
+    generate the group.  At each node of the witness's path, take the orbit
+    of the witness's child under the automorphisms fixing the path: no child
+    of it comes first, or the witness would lie under that child; each later
+    one is skipped as joined to it by the maps found, or is searched until a
+    leaf ties the witness, which gives a map, fixing the path, onto it; only
+    a tie returns the search from below that child.
+    """
+    n = form[0]
+    masks = adjacency_masks(code_graph.__wrapped__(form))  # searched once: keep no decoded graph
     best = [None, None, None]  # value, witness, the witness's path
     autos = []  # automorphisms as lists old -> old
 
@@ -193,22 +247,18 @@ def _canon(g: Graph):
                 continue
             explored.append(w)
             taken.add(orbit[w])
-            rest = [u for u in cell if u != w]
-            split = cells[:target] + [[w], rest] + cells[target + 1:]
-            depth = search(_refine(masks, split), path + (w,))
+            depth = search(_individualise(masks, cells, target, w), path + (w,))
             if depth < len(path):
                 return depth
         return n
 
-    search(_refine(masks, [list(range(n))]), ())
+    search(_refine(masks, [list(range(n))], [(1 << n) - 1]), ())
     return best[0], best[1], tuple(map(tuple, autos))
 
 
 def canonical_code(g: Graph) -> bytes:
     """Relabelling-invariant certificate: n byte plus packed minimal bitstring."""
-    val = _canon(g)[0]
-    nbits = g.n * (g.n - 1) // 2
-    return bytes([g.n]) + val.to_bytes((nbits + 7) // 8 if nbits else 0, "big")
+    return _pack(g.n, _canon(g)[0])
 
 
 @lru_cache(maxsize=4096)

@@ -5,7 +5,8 @@ subgraphs) and calls none of the pipelines it validates.  That makes the
 oracles slow but trustworthy: they are the ground truth for all tests, and the
 exhaustive sweeps pit each pipeline against them.  Each enumeration (the
 cycles, the connected spanning edge subsets, the unions of tuples) is written
-once and shared by every oracle that needs it.
+once and shared by every oracle that needs it, including the oracles that
+only the tests call, which live with the tests (`tests/check_oracles.py`).
 
 Nor does any oracle rest on canonical labelling, which every pipeline uses:
 this module imports nothing from `isotype`.  `cover_count_oracle` finds the
@@ -42,15 +43,10 @@ __all__ = [
     "uni_oracle",
     "charpoly_oracle",
     "rankpoly_oracle",
-    "elementary_count_oracle",
     "cover_count_oracle",
-    "p_oracle",
-    "c_oracle",
     "con_oracle",
-    "signed_c_oracle",
     "signed_exact_cover_oracle",
     "kedge_connected_oracle",
-    "lcompo_oracle",
     "laplacian_tree_count",
 ]
 
@@ -278,16 +274,6 @@ def charpoly_oracle(g: Graph) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def elementary_count_oracle(g: Graph, parts) -> int:
-    """Subgraphs isomorphic to the elementary graph with the given part profile."""
-    profile = tuple(sorted(parts, reverse=True))
-    if any(p < 2 for p in profile):
-        raise DomainError("elementary parts must be >= 2")
-    order = sum(profile)
-    return sum(1 for _vm, _em, _w, prof in _elementary_by_order(g).get(order, ())
-               if prof == profile)
-
-
 def rankpoly_oracle(g: Graph) -> dict:
     """(rank, corank) -> count over all edge subsets, empty subgraph included."""
     if g.e > RANKPOLY_EDGE_LIMIT:
@@ -346,25 +332,11 @@ def cover_count_oracle(S, h: Graph) -> int:
     return unions.get((1 << (h.n + h.e)) - 1, 0)
 
 
-def p_oracle(g: Graph, seq) -> int:
-    """Product of cycle counts for the sequence (number of cycle tuples)."""
-    total = 1
-    for a in seq:
-        total *= psi_oracle(g, a)
-    return total
-
-
 def _cycle_items(g: Graph, a: int) -> list:
     """(vertex mask, edge mask) of each cycle of length a (each edge when a == 2)."""
     if a == 2:
         return [((1 << u) | (1 << v), 1 << i) for i, (u, v) in enumerate(g.sorted_edges())]
     return [(vm, em) for found in _cycles(g) for vm, em, length in found if length == a]
-
-
-def c_oracle(g: Graph, seq) -> int:
-    """Cycle tuples whose vertex sets jointly cover V(g)."""
-    unions = _unions([(vm, 1) for vm, _em in _cycle_items(g, a)] for a in seq)
-    return unions.get((1 << g.n) - 1, 0)
 
 
 def con_oracle(g: Graph, seq) -> int:
@@ -379,39 +351,17 @@ def con_oracle(g: Graph, seq) -> int:
     return total
 
 
-def signed_c_oracle(g: Graph, seq) -> int:
-    """Spanning tuples of elementary subgraphs, weighted by (-1)^rank 2^corank.
-
-    Entry a_j of the sequence ranges over *all* elementary subgraphs with a_j
-    vertices, not just cycles; this is the polynomial-deck flavour of the
-    cycle-cover sum.
-    """
-    by_order = _elementary_by_order(g)
-    unions = _unions([(vm, w) for vm, _em, w, _prof in by_order.get(a, ())] for a in seq)
-    return unions.get((1 << g.n) - 1, 0)
-
-
 def signed_exact_cover_oracle(g: Graph, seq) -> int:
     """Sachs-weighted tuples of elementary subgraphs whose union is exactly g.
 
-    Unlike signed_c_oracle, the union here must reproduce g's edge set, not
-    just cover its vertices.  On an elementary host it is nonzero only for
-    the partitions the host's own partition refines.
+    The union must reproduce g's edge set, not just cover g's vertices.  On
+    an elementary host it is nonzero only for the partitions the host's own
+    partition refines.
     """
     by_order = _elementary_by_order(g)
     unions = _unions([((vm << g.e) | em, w) for vm, em, w, _prof in by_order.get(a, ())]
                      for a in seq)
     return unions.get((1 << (g.n + g.e)) - 1, 0)
-
-
-def lcompo_oracle(g: Graph, spec) -> int:
-    """Spanning subgraphs whose component (order, size) multiset equals `spec`."""
-    spec = tuple(sorted(spec, reverse=True))
-    if sum(n for n, _m in spec) != g.n:
-        raise DomainError("component orders must sum to v(g)")
-    full = (1 << g.n) - 1
-    return sum(1 for subset in combinations(g.sorted_edges(), sum(m for _n, m in spec))
-               if _endpoint_mask(subset) == full and _component_profile(subset) == spec)
 
 
 def laplacian_tree_count(g: Graph) -> int:

@@ -91,6 +91,63 @@ def test_pruned_search_matches_the_reference(corpus6):
         assert _canon(g)[:2] == _reference_canon(g), g
 
 
+def _reference_refine(masks, cells):
+    """Equitable refinement that counts neighbours in every cell each round."""
+    while True:
+        cellmasks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            cellmasks.append(m)
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                mv = masks[v]
+                sig = tuple([(mv & cm).bit_count() for cm in cellmasks])
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+                continue
+            changed = True
+            for sig in sorted(groups):
+                new_cells.append(groups[sig])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def _individualisations(cells):
+    """(w, the partition with w split off the front of its cell) for every
+    vertex w of a non-singleton cell."""
+    for t, cell in enumerate(cells):
+        if len(cell) > 1:
+            for w in cell:
+                yield w, cells[:t] + [[w], [u for u in cell if u != w]] + cells[t + 1:]
+
+
+def test_refining_against_split_cells_matches_counting_every_cell(corpus6):
+    """The root, every one-vertex individualisation of its refined partition
+    and every one of each such child refine to the same ordered cells."""
+    rng = random.Random(29)
+    graphs = list(corpus6) + _orbit_shapes()
+    for g in graphs + [_random_relabel(g, rng) for g in graphs]:
+        masks = adjacency_masks(g)
+        root = isotype._refine(masks, [list(range(g.n))], [(1 << g.n) - 1])
+        assert root == _reference_refine(masks, [list(range(g.n))]), g
+        for w, split in _individualisations(root):
+            child = isotype._refine(masks, split, [1 << w])
+            assert child == _reference_refine(masks, split), (g, w)
+            for x, split2 in _individualisations(child):
+                assert isotype._refine(masks, split2, [1 << x]) == \
+                    _reference_refine(masks, split2), (g, w, x)
+
+
 def _nx(g):
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
@@ -150,7 +207,8 @@ def test_the_search_returns_generators_of_the_automorphism_group():
 def test_a_leaf_that_ties_returns_to_where_the_paths_part(monkeypatch):
     """After a tying leaf the search leaves the subtree that maps onto one
     already searched: K2 + 18K1 visits one leaf per isolated vertex and one
-    more, not one per isolated vertex at every depth."""
+    more, not one per isolated vertex at every depth.  `_canon` adds the one
+    leaf it descends to, and on a form searched before visits that leaf alone."""
     leaves = []
     bits_int = isotype._bits_int
 
@@ -159,8 +217,34 @@ def test_a_leaf_that_ties_returns_to_where_the_paths_part(monkeypatch):
         return bits_int(masks, perm, n)
 
     monkeypatch.setattr(isotype, "_bits_int", counting)
-    _canon.__wrapped__(graph(20, [(0, 1)]))
+    g = graph(20, [(0, 1)])
+    isotype._search.cache_clear()
+    _canon.__wrapped__(g)
+    cold = len(leaves)
+    form = isotype._pack(g.n, bits_int(adjacency_masks(g), leaves[0], g.n))
+    leaves.clear()
+    isotype._search.__wrapped__(form)
     assert len(leaves) <= 19
+    assert cold == len(leaves) + 1
+    leaves.clear()
+    _canon.__wrapped__(g)
+    assert len(leaves) == 1
+
+
+def test_the_search_runs_once_per_class():
+    """Relabellings of one graph descend to one first-leaf form, so after the
+    caches are emptied each isomorphism class is searched once: 34 classes
+    on 5 vertices, 156 on 6."""
+    rng = random.Random(23)
+    by_order = {n: [_random_relabel(g, rng) for g in all_graphs(n) if g.n == n for _ in range(4)]
+                for n in (5, 6)}
+    _canon.cache_clear()
+    isotype._search.cache_clear()
+    for n, classes in ((5, 34), (6, 156)):
+        before = isotype._search.cache_info().misses
+        for g in by_order[n]:
+            _canon(g)
+        assert isotype._search.cache_info().misses - before == classes
 
 
 def _reference_subset_table(g):

@@ -9,12 +9,14 @@ from reconkit.graphcore import (Graph, all_graphs, complete, cycle, disjoint_uni
                                 elementary_graph, empty_graph, is_connected,
                                 path, vertex_deck)
 from reconkit.isotype import canonical_code, count_subgraphs
-from reconkit.oracle import (_copies, c_oracle, charpoly_oracle, con_oracle,
-                             cover_count_oracle, elementary_count_oracle,
-                             ham_oracle, kedge_connected_oracle,
-                             laplacian_tree_count, lcompo_oracle, p_oracle,
-                             psi_oracle, rankpoly_oracle, signed_c_oracle,
+from reconkit.oracle import (_copies, charpoly_oracle, con_oracle,
+                             cover_count_oracle, ham_oracle,
+                             kedge_connected_oracle, laplacian_tree_count,
+                             psi_oracle, rankpoly_oracle,
                              signed_exact_cover_oracle, tr_oracle, uni_oracle)
+
+from check_oracles import (c_oracle, elementary_count_oracle, lcompo_oracle,
+                           p_oracle, signed_c_oracle)
 
 
 def test_psi_examples(prism):

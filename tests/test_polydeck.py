@@ -11,10 +11,12 @@ from reconkit.errors import (DomainError, InconsistentDeckError,
 from reconkit.graphcore import (adjacency_masks, complete, cycle, disjoint_union,
                                 empty_graph, graph, induced_subgraph, path)
 from reconkit import polydeck
-from reconkit.oracle import charpoly_oracle, ham_oracle, signed_c_oracle
+from reconkit.oracle import charpoly_oracle, ham_oracle
 from reconkit.polydeck import (PolyDeck, build_polydeck, c_lambda, charpoly,
                                charpoly_from_polydeck, degree_sequence, low_coeffs,
                                polydeck_from_json, polydeck_to_json)
+
+from check_oracles import signed_c_oracle
 
 # A deck no graph has: its degree-6 entry stands where a sixth degree-2 entry
 # belongs, and c_lambda read it as a float
