@@ -20,8 +20,8 @@ from .errors import (DomainError, Graph6ParseError, InconsistentDeckError,
                      InvalidMatrixError, NotReconstructibleError, ReconkitError)
 from .graphcore import Graph, all_graphs, parse_graph6, write_graph6
 from .nrecon import reconstruct
-from .oracle import (RANKPOLY_EDGE_LIMIT, charpoly_oracle, ham_oracle,
-                     psi_oracle, rankpoly_oracle, tr_oracle, uni_oracle)
+from .oracle import (charpoly_oracle, ham_oracle, psi_oracle, rankpoly_oracle,
+                     tr_oracle, uni_oracle)
 from .whitney import charpoly_from_vertex_deck
 
 EXIT_OK = 0
@@ -91,17 +91,15 @@ def _cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _direct_report(g: Graph) -> dict:
-    out = {
+    return {
         "charpoly": list(charpoly_oracle(g).coeffs),
         "tr": tr_oracle(g),
         "ham": ham_oracle(g),
         "psi": {str(i): psi_oracle(g, i) for i in range(2, g.n + 1)},
         "uni": {str(r): uni_oracle(g, r) for r in range(3, g.n + 1)},
+        "rankpoly": [{"r": r, "s": s, "count": c}
+                     for (r, s), c in sorted(rankpoly_oracle(g).items())],
     }
-    if g.e <= RANKPOLY_EDGE_LIMIT:
-        out["rankpoly"] = [{"r": r, "s": s, "count": c}
-                           for (r, s), c in sorted(rankpoly_oracle(g).items())]
-    return out
 
 
 def _cmd_recon(args) -> int:
@@ -122,6 +120,8 @@ def _cmd_recon(args) -> int:
     else:
         g = parse_graph6(text.strip())
         _check_order(g.n)
+        if g.n < 2:
+            raise DomainError(f"the direct report needs at least 2 vertices, not {g.n}")
         _emit(_direct_report(g))
     return EXIT_OK
 

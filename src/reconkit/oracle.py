@@ -1,16 +1,26 @@
-"""Brute-force oracles for every invariant the reconstruction pipelines produce.
+"""Oracles for every invariant the reconstruction pipelines produce.
 
-Everything here enumerates explicitly (vertex subsets, edge subsets, tuples of
-subgraphs) and calls none of the pipelines it validates.  That makes the
-oracles slow but trustworthy: they are the ground truth for all tests, and the
-exhaustive sweeps pit each pipeline against them.  Each enumeration (the
-cycles, the connected spanning edge subsets, the unions of tuples) is written
-once and shared by every oracle that needs it, including the oracles that
-only the tests call, which live with the tests (`tests/check_oracles.py`).
+Each oracle computes on the labelled graph itself, by one method:
+  * psi and ham list every cycle once, by a walk from its minimum vertex;
+  * tr is Kirchhoff's matrix-tree theorem, an exact integer determinant;
+  * uni counts, for each vertex set S, the cycles on S times the spanning
+    trees of g with S contracted to one vertex;
+  * rankpoly sums over labelled vertex subsets (Björklund, Husfeldt, Kaski
+    and Koivisto, FOCS 2008);
+  * charpoly sums Sachs weights over the elementary subgraphs;
+  * the cover counts take unions of tuples of subgraphs.
+The tree, unicyclic and rank methods cost exponential in n alone.  The
+edge-subset enumerations that witness them, and the oracles that only the
+tests call, live with the tests (`tests/check_oracles.py`).
 
-Nor does any oracle rest on canonical labelling, which every pipeline uses:
-this module imports nothing from `isotype`.  `cover_count_oracle` finds the
-copies of each member by brute force over the injections of its vertices.
+The oracles are the ground truth for all tests, and the exhaustive sweeps
+pit each pipeline against them.  `nrecon` reads its counts off N-matrix
+rows, by inclusion-exclusion over induced-subgraph types; no oracle reads a
+row or a type, and the matrix-tree theorem and the vertex-subset sums share
+no step with it.  Nor does any oracle rest on canonical labelling, which
+every pipeline uses: this module imports nothing from `isotype`.
+`cover_count_oracle` finds the copies of each member by brute force over
+the injections of its vertices.
 
 No pipeline imports from this module; the `Polynomial` type lives in `combi`.
 `polydeck` builds decks, and `whitney` its card polynomials, by a subset
@@ -28,9 +38,9 @@ Conventions:
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
+from math import comb
 
 from .combi import Polynomial
 from .errors import DomainError
@@ -44,30 +54,17 @@ __all__ = [
     "charpoly_oracle",
     "rankpoly_oracle",
     "cover_count_oracle",
-    "con_oracle",
     "signed_exact_cover_oracle",
-    "kedge_connected_oracle",
-    "laplacian_tree_count",
 ]
-
-RANKPOLY_EDGE_LIMIT = 16
 
 
 # ---------------------------------------------------------------------------
-# The enumerations every oracle shares: cycles, connected spanning edge
-# subsets and unions of tuples
+# The enumerations every oracle shares: cycles and unions of tuples
 # ---------------------------------------------------------------------------
 
 def _edge_index(g: Graph):
     edges = g.sorted_edges()
     return edges, {e: i for i, e in enumerate(edges)}
-
-
-def _endpoint_mask(subset) -> int:
-    m = 0
-    for u, v in subset:
-        m |= (1 << u) | (1 << v)
-    return m
 
 
 @lru_cache(maxsize=128)
@@ -104,15 +101,6 @@ def _cycles(g: Graph) -> tuple:
     return tuple(out)
 
 
-def _spanning_connected(g: Graph, k: int):
-    """The k-edge subsets of g whose edges reach and connect every vertex."""
-    full = (1 << g.n) - 1
-    for subset in combinations(g.sorted_edges(), k):
-        if _endpoint_mask(subset) == full and \
-                len(set(_roots(range(g.n), subset).values())) <= 1:
-            yield subset
-
-
 def _unions(item_lists) -> dict:
     """mask -> summed weight of the tuples whose masks OR to it.
 
@@ -133,35 +121,6 @@ def _unions(item_lists) -> dict:
     return states
 
 
-def _roots(verts, edges) -> dict:
-    """Union-find: each vertex of `verts` mapped to the root of its component."""
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return {v: find(v) for v in parent}
-
-
-def _component_profile(edges_subset) -> tuple:
-    """Non-increasing (order, size) pairs of the components of an edge set."""
-    roots = _roots({x for e in edges_subset for x in e}, edges_subset)
-    orders = {}
-    sizes = {}
-    for r in roots.values():
-        orders[r] = orders.get(r, 0) + 1
-    for u, _v in edges_subset:
-        sizes[roots[u]] = sizes.get(roots[u], 0) + 1
-    return tuple(sorted(((orders[r], sizes[r]) for r in orders), reverse=True))
-
-
 def psi_oracle(g: Graph, i: int) -> int:
     """Number of cycles of length i; psi_2 counts edges by the C2 = K2 convention."""
     if i < 2:
@@ -175,30 +134,65 @@ def ham_oracle(g: Graph) -> int:
     return psi_oracle(g, g.n)
 
 
+def _tree_count(n: int, edges) -> int:
+    """Spanning trees of the multigraph on n vertices with these edges.
+
+    Kirchhoff's matrix-tree theorem, with the determinant of the Laplacian
+    less its last row and column taken by Bareiss' fraction-free
+    elimination.  Parallel edges are counted apart; loops are skipped.
+    """
+    if n <= 1:
+        return n
+    n -= 1
+    m = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            continue
+        for x in (u, v):
+            if x < n:
+                m[x][x] += 1
+        if u < n and v < n:
+            m[u][v] -= 1
+            m[v][u] -= 1
+    prev = sign = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def tr_oracle(g: Graph) -> int:
-    """Spanning trees, by enumerating (n-1)-edge subsets."""
-    if g.n <= 1:
-        return g.n
-    return sum(1 for _subset in _spanning_connected(g, g.n - 1))
+    """Spanning trees, by the matrix-tree theorem."""
+    return _tree_count(g.n, g.edges)
 
 
 @lru_cache(maxsize=64)
 def _unicyclic_by_length(g: Graph) -> dict:
     """cycle length -> spanning unicyclic subgraphs of g, in one pass.
 
-    A connected spanning subgraph with n edges has exactly one cycle, which
-    is what is left once leaf edges are peeled off until none remains.
+    A spanning unicyclic subgraph is its cycle, on some vertex set S, plus a
+    spanning tree of g/S: g with S contracted to one vertex, parallel edges
+    kept.  So each S adds (cycles on S) * tau(g/S) at length |S|.
     """
+    on_set = {}
+    for found in _cycles(g):
+        for vmask, _em, _length in found:
+            on_set[vmask] = on_set.get(vmask, 0) + 1
     out = {}
-    for subset in _spanning_connected(g, g.n):
-        core = subset
-        while True:
-            deg = Counter(x for e in core for x in e)
-            kept = [(u, v) for u, v in core if deg[u] > 1 and deg[v] > 1]
-            if len(kept) == len(core):
-                break
-            core = kept
-        out[len(core)] = out.get(len(core), 0) + 1
+    for vmask, count in on_set.items():
+        outside = [x for x in range(g.n) if not (vmask >> x) & 1]
+        label = {x: i for i, x in enumerate(outside)}  # S becomes the last vertex
+        k = len(outside)
+        trees = _tree_count(k + 1, [(label.get(u, k), label.get(v, k)) for u, v in g.edges])
+        out[g.n - k] = out.get(g.n - k, 0) + count * trees
     return out
 
 
@@ -209,12 +203,7 @@ def uni_oracle(g: Graph, r: int) -> int:
     return _unicyclic_by_length(g).get(r, 0)
 
 
-def kedge_connected_oracle(g: Graph, k: int) -> int:
-    """Connected spanning subgraphs with exactly k edges."""
-    return sum(1 for _subset in _spanning_connected(g, k))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # every graph an n <= 6 sweep asks for, cards included
 def _elementary_by_order(g: Graph) -> dict:
     """order -> tuples (vertex mask, edge mask, sachs weight, profile).
 
@@ -274,21 +263,58 @@ def charpoly_oracle(g: Graph) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
+def _splits(s: int):
+    """(T, S - T) for each T within S that holds the least vertex of S, T = S first."""
+    low = s & -s
+    sub = rest = s ^ low
+    while True:
+        yield low | sub, rest ^ sub
+        if not sub:
+            return
+        sub = (sub - 1) & rest
+
+
 def rankpoly_oracle(g: Graph) -> dict:
-    """(rank, corank) -> count over all edge subsets, empty subgraph included."""
-    if g.e > RANKPOLY_EDGE_LIMIT:
-        raise DomainError(f"rank polynomial enumeration limited to {RANKPOLY_EDGE_LIMIT} edges")
-    edges = g.sorted_edges()
-    out = {(0, 0): 1}
-    for m in range(1, g.e + 1):
-        for subset in combinations(edges, m):
-            r = sum(order - 1 for order, _size in _component_profile(subset))
-            out[(r, m - r)] = out.get((r, m - r), 0) + 1
-    return out
+    """(rank, corank) -> count over all edge subsets, empty subgraph included.
+
+    Sums over vertex subsets.  An edge set on S splits into the component of
+    the least vertex of S, with vertex set T, and an edge set on S - T.  So
+    conn[S][k], the k-edge sets that connect S, is C(e(S), k) less the sum,
+    over proper T, of conn[T][j] * C(e(S - T), k - j).  The same split
+    counts every edge set on S by rank and corank, a component on T adding
+    |T| - 1 to the rank; an isolated vertex is a component on its own.
+    """
+    full = (1 << g.n) - 1
+    masks = adjacency_masks(g)
+    size = [0] * (full + 1)  # e(S)
+    for s in range(1, full + 1):
+        v = (s & -s).bit_length() - 1
+        size[s] = size[s & (s - 1)] + bin(masks[v] & s).count("1")
+    binom = [[comb(m, k) for k in range(m + 1)] for m in range(g.e + 1)]
+    conn = [None]  # no component is empty
+    spans = [{(0, 0): 1}]  # spans[S][rank, corank]: every edge set on S
+    for s in range(1, full + 1):
+        splits = list(_splits(s))
+        acc = list(binom[size[s]])
+        for t, u in splits[1:]:
+            for j, x in enumerate(conn[t]):
+                for i, y in enumerate(binom[size[u]]):
+                    acc[i + j] -= x * y
+        conn.append(acc)
+        acc = {}
+        for t, u in splits:
+            r = bin(t).count("1") - 1
+            for j, x in enumerate(conn[t]):
+                if x:
+                    for (a, b), y in spans[u].items():
+                        key = (a + r, b + j - r)
+                        acc[key] = acc.get(key, 0) + x * y
+        spans.append(acc)
+    return spans[full]
 
 
 # ---------------------------------------------------------------------------
-# Tuple enumeration: covers and cycle covers
+# Tuple enumeration: covers
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1024)
@@ -332,25 +358,6 @@ def cover_count_oracle(S, h: Graph) -> int:
     return unions.get((1 << (h.n + h.e)) - 1, 0)
 
 
-def _cycle_items(g: Graph, a: int) -> list:
-    """(vertex mask, edge mask) of each cycle of length a (each edge when a == 2)."""
-    if a == 2:
-        return [((1 << u) | (1 << v), 1 << i) for i, (u, v) in enumerate(g.sorted_edges())]
-    return [(vm, em) for found in _cycles(g) for vm, em, length in found if length == a]
-
-
-def con_oracle(g: Graph, seq) -> int:
-    """Cycle tuples spanning V(g) whose union is connected."""
-    edges = g.sorted_edges()
-    unions = _unions([(em, 1) for _vm, em in _cycle_items(g, a)] for a in seq)
-    total = 0
-    for em, cnt in unions.items():
-        union = Graph(g.n, frozenset(e for i, e in enumerate(edges) if (em >> i) & 1))
-        # 1 when the union itself connects every vertex, else 0
-        total += cnt * kedge_connected_oracle(union, union.e)
-    return total
-
-
 def signed_exact_cover_oracle(g: Graph, seq) -> int:
     """Sachs-weighted tuples of elementary subgraphs whose union is exactly g.
 
@@ -362,34 +369,3 @@ def signed_exact_cover_oracle(g: Graph, seq) -> int:
     unions = _unions([((vm << g.e) | em, w) for vm, em, w, _prof in by_order.get(a, ())]
                      for a in seq)
     return unions.get((1 << (g.n + g.e)) - 1, 0)
-
-
-def laplacian_tree_count(g: Graph) -> int:
-    """Spanning trees via an exact integer determinant of the reduced Laplacian."""
-    if g.n <= 1:
-        return 1 if g.n == 1 else 0
-    n = g.n - 1
-    lap = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        for x in (u, v):
-            if x < n:
-                lap[x][x] += 1
-        if u < n and v < n:
-            lap[u][v] -= 1
-            lap[v][u] -= 1
-    # Bareiss fraction-free elimination
-    m = [row[:] for row in lap]
-    prev = 1
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

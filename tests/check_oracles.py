@@ -1,16 +1,126 @@
 """Brute-force oracles that only the tests call.
 
-Each enumerates explicitly, like `reconkit.oracle`, and reads that module's
-shared enumerations: the cycles, the elementary subgraphs by order and the
-unions of tuples.  No pipeline calls these, so they live with the tests.
+Each enumerates explicitly, and reads the enumerations `reconkit.oracle`
+shares: the cycles, the elementary subgraphs by order and the unions of
+tuples.  No pipeline calls these, so they live with the tests.
+
+The `_enum_*` functions enumerate edge subsets, so their cost grows with
+e(g).  They are the witnesses of the oracles' tree, unicyclic and rank
+polynomial methods, whose cost grows with n alone.
 """
 
+from collections import Counter
 from itertools import combinations
 
 from reconkit.errors import DomainError
 from reconkit.graphcore import Graph
-from reconkit.oracle import (_component_profile, _cycle_items, _elementary_by_order,
-                             _endpoint_mask, _unions, psi_oracle)
+from reconkit.oracle import _cycles, _elementary_by_order, _unions, psi_oracle
+
+
+def _endpoint_mask(subset) -> int:
+    m = 0
+    for u, v in subset:
+        m |= (1 << u) | (1 << v)
+    return m
+
+
+def _roots(verts, edges) -> dict:
+    """Union-find: each vertex of `verts` mapped to the root of its component."""
+    parent = {v: v for v in verts}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return {v: find(v) for v in parent}
+
+
+def _component_profile(edges_subset) -> tuple:
+    """Non-increasing (order, size) pairs of the components of an edge set."""
+    roots = _roots({x for e in edges_subset for x in e}, edges_subset)
+    orders = {}
+    sizes = {}
+    for r in roots.values():
+        orders[r] = orders.get(r, 0) + 1
+    for u, _v in edges_subset:
+        sizes[roots[u]] = sizes.get(roots[u], 0) + 1
+    return tuple(sorted(((orders[r], sizes[r]) for r in orders), reverse=True))
+
+
+def _spanning_connected(g: Graph, k: int):
+    """The k-edge subsets of g whose edges reach and connect every vertex."""
+    full = (1 << g.n) - 1
+    for subset in combinations(g.sorted_edges(), k):
+        if _endpoint_mask(subset) == full and \
+                len(set(_roots(range(g.n), subset).values())) <= 1:
+            yield subset
+
+
+def _cycle_items(g: Graph, a: int) -> list:
+    """(vertex mask, edge mask) of each cycle of length a (each edge when a == 2)."""
+    if a == 2:
+        return [((1 << u) | (1 << v), 1 << i) for i, (u, v) in enumerate(g.sorted_edges())]
+    return [(vm, em) for found in _cycles(g) for vm, em, length in found if length == a]
+
+
+def _enum_tr(g: Graph) -> int:
+    """Spanning trees, by enumerating (n-1)-edge subsets."""
+    if g.n <= 1:
+        return g.n
+    return sum(1 for _subset in _spanning_connected(g, g.n - 1))
+
+
+def _enum_uni(g: Graph) -> dict:
+    """cycle length -> spanning unicyclic subgraphs, by enumerating n-edge subsets.
+
+    A connected spanning subgraph with n edges has exactly one cycle, which
+    is what is left once leaf edges are peeled off until none remains.
+    """
+    out = {}
+    for subset in _spanning_connected(g, g.n):
+        core = subset
+        while True:
+            deg = Counter(x for e in core for x in e)
+            kept = [(u, v) for u, v in core if deg[u] > 1 and deg[v] > 1]
+            if len(kept) == len(core):
+                break
+            core = kept
+        out[len(core)] = out.get(len(core), 0) + 1
+    return out
+
+
+def _enum_rankpoly(g: Graph) -> dict:
+    """(rank, corank) -> count, by enumerating every edge subset."""
+    edges = g.sorted_edges()
+    out = {(0, 0): 1}
+    for m in range(1, g.e + 1):
+        for subset in combinations(edges, m):
+            r = g.n - len(set(_roots(range(g.n), subset).values()))
+            out[(r, m - r)] = out.get((r, m - r), 0) + 1
+    return out
+
+
+def kedge_connected_oracle(g: Graph, k: int) -> int:
+    """Connected spanning subgraphs with exactly k edges."""
+    return sum(1 for _subset in _spanning_connected(g, k))
+
+
+def con_oracle(g: Graph, seq) -> int:
+    """Cycle tuples spanning V(g) whose union is connected."""
+    edges = g.sorted_edges()
+    unions = _unions([(em, 1) for _vm, em in _cycle_items(g, a)] for a in seq)
+    total = 0
+    for em, cnt in unions.items():
+        union = Graph(g.n, frozenset(e for i, e in enumerate(edges) if (em >> i) & 1))
+        # 1 when the union itself connects every vertex, else 0
+        total += cnt * kedge_connected_oracle(union, union.e)
+    return total
 
 
 def elementary_count_oracle(g: Graph, parts) -> int:

@@ -100,7 +100,7 @@ def test_criterion_3_nmatrix_end_to_end():
 
 def test_criterion_4_rank_polynomial():
     t0 = time.monotonic()
-    pool = [g for g in all_graphs(6, min_edges=1) if g.n == 6 and g.e <= 12]
+    pool = [g for g in all_graphs(6, min_edges=1) if g.n == 6]
     rng = random.Random(2026)
     corpus = all_graphs(5, min_edges=1) + rng.sample(pool, 50)
     swept, failures = _sweep(corpus, "rankpoly")

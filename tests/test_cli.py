@@ -243,6 +243,19 @@ def test_recon_direct(capsys):
     assert out["tr"] == 75 and out["ham"] == 3
 
 
+@pytest.mark.parametrize("g6", ["?", "@"])
+def test_recon_direct_refuses_fewer_than_two_vertices(capsys, g6):
+    code, out = _run(capsys, ["recon", "--source", "direct", g6])
+    assert code == 3 and out["error"] == "domain"
+    assert "at least 2 vertices" in out["reason"], out
+
+
+def test_recon_direct_reports_the_rank_polynomial_past_sixteen_edges(capsys):
+    from reconkit.graphcore import complete
+    code, out = _run(capsys, ["recon", "--source", "direct", write_graph6(complete(7))])
+    assert code == 0 and sum(d["count"] for d in out["rankpoly"]) == 2 ** 21
+
+
 def test_sweep_small(capsys):
     code, out = _run(capsys, ["sweep", "--max-n", "4",
                               "--checks", "roundtrip,nrecon,golden,elp-aut"])

@@ -40,6 +40,7 @@ PINS = {
     "vertexdeck": "c2b324c59a66f40f5e51449c66e9e06bced01fc8",
     "sweep": "c66a7f29bdfd2b430c2f6c6123512bdf9d61780f",
     "canonical": "9604ddd90ac2eb94b01a9129a04c86e25339ac64",
+    "direct": "df3ba89e23440dd26874e6a558f1607b7697e6ca",
 }
 
 
@@ -93,6 +94,17 @@ def canonical_digest() -> str:
     return _sha1(out)
 
 
+def direct_digest() -> str:
+    """The `reconkit recon --source direct` JSON of every graph with n <= 6 and an edge."""
+    out = []
+    for g in _graphs6():
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(["recon", "--source", "direct", write_graph6(g)])
+        out.append([write_graph6(g), code, json.loads(text.getvalue())])
+    return _sha1(out)
+
+
 def sweep_digest(max_n=5) -> str:
     """The `reconkit sweep --max-n MAX_N --checks all` report without `elapsed_seconds`."""
     out = io.StringIO()
@@ -106,7 +118,7 @@ def sweep_digest(max_n=5) -> str:
 DIGESTS = {"graph6": graph6_digest, "matrices": matrices_digest,
            "reports": reports_digest, "polydecks": polydecks_digest,
            "vertexdeck": vertexdeck_digest, "sweep": sweep_digest,
-           "canonical": canonical_digest,
+           "canonical": canonical_digest, "direct": direct_digest,
            "graph6_8": lambda: graph6_digest(8), "sweep6": lambda: sweep_digest(6)}
 
 
@@ -144,6 +156,11 @@ def test_sweep_digest():
 def test_canonical_digest():
     """Reproduce: PYTHONPATH=src python tests/test_golden_digests.py canonical"""
     assert canonical_digest() == PINS["canonical"]
+
+
+def test_direct_digest():
+    """Reproduce: PYTHONPATH=src python tests/test_golden_digests.py direct"""
+    assert direct_digest() == PINS["direct"]
 
 
 if __name__ == "__main__":

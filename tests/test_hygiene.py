@@ -20,7 +20,7 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 # The unbounded caches that exist today; a new cache gets an explicit maxsize
 # or lives on an instance (ROADMAP aim 3).  The guard compares with equality,
 # so a cache that goes, or gets a bound, leaves the list too.
-UNBOUNDED_ALLOWED = {"oracle._elementary_by_order"}
+UNBOUNDED_ALLOWED = set()
 
 # The names each pipeline still takes from reconkit.oracle (ROADMAP item E).
 # A pipeline checked against an oracle it calls shares that part of the check,

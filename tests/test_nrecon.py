@@ -14,11 +14,11 @@ from reconkit.deck import NMatrix, canonical_nmatrix, nmatrix, strip
 from reconkit.errors import InvalidMatrixError
 from reconkit.graphcore import all_graphs, complete, cycle, path, write_graph6
 from reconkit.nrecon import reconstruct
-from reconkit.oracle import (charpoly_oracle, con_oracle, ham_oracle,
-                             kedge_connected_oracle, psi_oracle,
+from reconkit.oracle import (charpoly_oracle, ham_oracle, psi_oracle,
                              rankpoly_oracle, tr_oracle, uni_oracle)
 
-from check_oracles import c_oracle, elementary_count_oracle, lcompo_oracle
+from check_oracles import (c_oracle, con_oracle, elementary_count_oracle,
+                           kedge_connected_oracle, lcompo_oracle)
 
 
 def _seqs_upto(v):

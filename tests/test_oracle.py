@@ -6,17 +6,16 @@ import pytest
 from reconkit.combi import Polynomial, partitions_min2
 from reconkit.errors import DomainError
 from reconkit.graphcore import (Graph, all_graphs, complete, cycle, disjoint_union,
-                                elementary_graph, empty_graph, is_connected,
+                                elementary_graph, empty_graph, graph, is_connected,
                                 path, vertex_deck)
 from reconkit.isotype import canonical_code, count_subgraphs
-from reconkit.oracle import (_copies, charpoly_oracle, con_oracle,
-                             cover_count_oracle, ham_oracle,
-                             kedge_connected_oracle, laplacian_tree_count,
-                             psi_oracle, rankpoly_oracle,
+from reconkit.oracle import (_copies, charpoly_oracle, cover_count_oracle,
+                             ham_oracle, psi_oracle, rankpoly_oracle,
                              signed_exact_cover_oracle, tr_oracle, uni_oracle)
 
-from check_oracles import (c_oracle, elementary_count_oracle, lcompo_oracle,
-                           p_oracle, signed_c_oracle)
+from check_oracles import (_enum_rankpoly, _enum_tr, _enum_uni, c_oracle, con_oracle,
+                           elementary_count_oracle, kedge_connected_oracle,
+                           lcompo_oracle, p_oracle, signed_c_oracle)
 
 
 def test_psi_examples(prism):
@@ -50,16 +49,34 @@ def test_tr_ham_uni_examples():
 
 
 def test_tr_matches_integer_laplacian(corpus6):
+    """The integer Laplacian of `tr_oracle` against the count of (n-1)-edge trees."""
     for g in corpus6:
         if g.e >= 1 and is_connected(g):
-            assert tr_oracle(g) == laplacian_tree_count(g)
+            assert tr_oracle(g) == _enum_tr(g)
 
 
 def test_tr_matches_laplacian_sample_n7():
     rng = random.Random(3)
     pool = [g for g in all_graphs(7, min_edges=6) if g.n == 7 and is_connected(g)]
     for g in rng.sample(pool, 40):
-        assert tr_oracle(g) == laplacian_tree_count(g)
+        assert tr_oracle(g) == _enum_tr(g)
+
+
+def _seeded7():
+    """60 seeded 7-vertex graphs, m = 6 + k mod 9 edges for the k-th."""
+    rng = random.Random(7)
+    pairs = list(combinations(range(7), 2))
+    return [graph(7, rng.sample(pairs, 6 + k % 9)) for k in range(60)]
+
+
+def test_tree_unicyclic_and_rank_methods_match_their_enumerations(corpus6):
+    """Kirchhoff, the contracted cycle sets and the vertex-subset sums against
+    the edge-subset enumerations, on every graph with n <= 6 and seeded n = 7."""
+    for g in corpus6 + _seeded7():
+        assert tr_oracle(g) == _enum_tr(g), g
+        uni = _enum_uni(g)
+        assert all(uni_oracle(g, r) == uni.get(r, 0) for r in range(3, g.n + 1)), g
+        assert rankpoly_oracle(g) == _enum_rankpoly(g), g
 
 
 def test_charpoly_examples():
@@ -107,11 +124,6 @@ def test_rankpoly_examples():
     assert rankpoly_oracle(complete(3)) == {(0, 0): 1, (1, 0): 3, (2, 0): 3, (2, 1): 1}
     assert rankpoly_oracle(disjoint_union(path(2), path(2))) == \
         {(0, 0): 1, (1, 0): 2, (2, 0): 1}
-
-
-def test_rankpoly_guard():
-    with pytest.raises(DomainError):
-        rankpoly_oracle(complete(7))  # 21 edges
 
 
 def test_elementary_count_examples(prism):

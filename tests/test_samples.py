@@ -1,5 +1,5 @@
-"""Seeded 7- and 8-vertex samples: the pipelines and the sweep's checks beyond
-the exhaustive-sweep orders."""
+"""Seeded 7-, 8- and 9-vertex samples: the pipelines and the sweep's checks
+beyond the exhaustive-sweep orders."""
 
 import random
 from itertools import combinations
@@ -42,8 +42,20 @@ def test_nrecon_sample_eight_vertices():
         assert tp.tr == tr_oracle(g)
         assert all(tp.psi.get(i, 0) == psi_oracle(g, i) for i in range(2, 9))
         assert all(tp.uni.get(r, 0) == uni_oracle(g, r) for r in range(3, 9))
-        if m <= 13:
-            assert rec.rankpoly() == rankpoly_oracle(g), write_graph6(g)
+        assert rec.rankpoly() == rankpoly_oracle(g), write_graph6(g)
+
+
+def test_nrecon_sample_nine_vertices():
+    """tr, uni and the rank polynomial at every density up to 34 of 36 edges."""
+    rng = random.Random(9)
+    pairs = list(combinations(range(9), 2))
+    for m in (12, 20, 28, 34):
+        g = graph(9, rng.sample(pairs, m))
+        rec = reconstruct(strip(nmatrix(g)))
+        tp = rec.top
+        assert tp.tr == tr_oracle(g), write_graph6(g)
+        assert all(tp.uni.get(r, 0) == uni_oracle(g, r) for r in range(3, 10))
+        assert rec.rankpoly() == rankpoly_oracle(g), write_graph6(g)
 
 
 def test_vertexdeck_sample_seven_vertices():
@@ -55,8 +67,7 @@ def test_vertexdeck_sample_seven_vertices():
 
 def test_rankpoly_sample_seven_vertices():
     rng = random.Random(4)
-    pool = [g for g in _pool7() if g.e <= 14]
-    for g in rng.sample(pool, 6):
+    for g in rng.sample(_pool7(), 6):
         assert reconstruct(strip(nmatrix(g))).rankpoly() == rankpoly_oracle(g)
 
 
