@@ -442,7 +442,16 @@ def elp_to_json(elp: Elp) -> dict:
 
 
 def elp_from_json(d: dict) -> Elp:
+    """Poset JSON with integer ranks and (from, to, label) covers.
+
+    More nodes than a graph of VERTEX_LIMIT vertices has types are refused
+    before any node is read: `nmatrix_from_elp` grows as the square of the
+    node count in memory and up to its cube in time.
+    """
     try:
+        size = len(d["nodes"])
+        if size > 2 ** VERTEX_LIMIT:
+            raise InvalidMatrixError(f"{size} poset nodes is over the limit of {2 ** VERTEX_LIMIT}")
         ranks = tuple(json_int(nd["rank"]) for nd in d["nodes"])
         covers = tuple(sorted((json_int(c["from"]), json_int(c["to"]), json_int(c["label"]))
                               for c in d["covers"]))

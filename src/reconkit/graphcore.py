@@ -219,28 +219,31 @@ def vertex_deck(g: Graph) -> list:
     return [induced_subgraph(g, full - {v}) for v in range(g.n)]
 
 
+def _reach(masks: list, v: int, allowed: int) -> int:
+    """Bitmask of the vertices joined to v by paths inside the vertex set `allowed`."""
+    seen = frontier = 1 << v
+    while frontier:
+        step = 0
+        for u in _bits(frontier):
+            step |= masks[u]
+        frontier = step & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
+def _bits(mask: int) -> list:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def components(g: Graph) -> list:
     """Connected components as standalone graphs, ordered by smallest vertex."""
     masks = adjacency_masks(g)
-    seen = [False] * g.n
+    left = (1 << g.n) - 1
     comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        stack = [root]
-        seen[root] = True
-        verts = []
-        while stack:
-            v = stack.pop()
-            verts.append(v)
-            m = masks[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(induced_subgraph(g, verts))
+    while left:
+        comp = _reach(masks, (left & -left).bit_length() - 1, left)
+        left &= ~comp
+        comps.append(induced_subgraph(g, _bits(comp)))
     return comps
 
 
@@ -249,65 +252,37 @@ def is_connected(g: Graph) -> bool:
 
 
 def blocks(g: Graph) -> list:
-    """Biconnected components (including bridges) as standalone graphs.
+    """Biconnected components (including bridges) as standalone graphs, sorted by (n, edges).
 
-    Standard Hopcroft-Tarjan lowpoint computation over an edge stack.
+    Two edges xa and xb at a vertex x lie in one block iff a and b are joined
+    in g - x, by a path that closes a cycle through both edges.  That
+    suffices: lying in one block is an equivalence on edges, and any two edges
+    of a block are linked by a chain of its edges in which consecutive ones
+    share a vertex.  A union-find over edges, each keyed by the bitmask of its
+    ends, merges the classes; a block is the subgraph its vertices induce.
     Isolated vertices yield no block.
     """
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    disc = [0] * g.n
-    low = [0] * g.n
-    timer = [1]
-    estack = []
-    out = []
+    masks = adjacency_masks(g)
+    parent = {1 << u | 1 << v: 1 << u | 1 << v for u, v in g.edges}
 
-    def emit(upto):
-        comp = []
-        while estack:
-            e = estack.pop()
-            comp.append(e)
-            if e == upto:
-                break
-        verts = sorted({x for e in comp for x in e})
-        out.append(induced_subgraph(graph(g.n, comp), verts))
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
 
-    def dfs(root):
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u == parent:
-                    continue
-                if disc[u] == 0:
-                    estack.append((min(v, u), max(v, u)))
-                    disc[u] = low[u] = timer[0]
-                    timer[0] += 1
-                    stack.append((u, v, iter(adj[u])))
-                    advanced = True
-                    break
-                if disc[u] < disc[v]:
-                    estack.append((min(v, u), max(v, u)))
-                    low[v] = min(low[v], disc[u])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    emit((min(pv, v), max(pv, v)))
-
-    for r in range(g.n):
-        if disc[r] == 0 and adj[r]:
-            dfs(r)
-    out.sort(key=lambda b: (b.n, b.sorted_edges()))
-    return out
+    for x in range(g.n):
+        left = masks[x]
+        while left:
+            joined = masks[x] & _reach(masks, (left & -left).bit_length() - 1, ~(1 << x))
+            left &= ~joined
+            roots = [find(1 << x | 1 << b) for b in _bits(joined)]
+            for r in roots:
+                parent[r] = roots[0]
+    spans = {}
+    for e in parent:
+        spans[find(e)] = spans.get(find(e), 0) | e
+    return sorted((induced_subgraph(g, _bits(s)) for s in spans.values()),
+                  key=lambda b: (b.n, b.sorted_edges()))
 
 
 def all_graphs(max_n: int, min_edges: int = 0) -> list:

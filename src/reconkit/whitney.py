@@ -249,6 +249,10 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
     subgraph count Kelly-sourced; hamiltonian cycles are solved from the
     all-K2 type equation, whose only non-Kelly term is the n-cycle.
 
+    Before any cover table is built, a deck is refused when its edge count
+    e = sum e(card) / (n - 2) leaves a remainder, or when some card's deleted
+    vertex would have degree e - e(card) outside 0..n-1.
+
     Each card is replaced by its canonical form, so isomorphic cards are
     equal graphs: in one deck or across decks they share one cached card
     polynomial and the cached subgraph counts.  The values cannot change: a
@@ -264,6 +268,14 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
         if card.n != n - 1:
             raise InconsistentDeckError(
                 f"card has {card.n} vertices, expected {n - 1}")
+    # each edge lies in the n - 2 cards that keep both its ends
+    e, r = divmod(sum(card.e for card in deck), n - 2)
+    if r:
+        raise InconsistentDeckError(f"the cards' edges do not divide by n - 2 = {n - 2}")
+    for card in deck:
+        if not 0 <= e - card.e <= n - 1:
+            raise InconsistentDeckError(f"a card of {card.e} edges leaves its vertex "
+                                        f"degree {e - card.e}, outside 0..{n - 1}")
     codes = [canonical_code(card) for card in deck]
     deck = [code_graph(code) for code in codes]
     coeffs = card_sum_coeffs([_card_charpoly(code) for code in codes], n)

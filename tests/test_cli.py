@@ -234,6 +234,15 @@ def test_recon_vertexdeck(tmp_path, capsys):
     assert out["charpoly"] == [1, 0, -6, -8, -3]
 
 
+def test_recon_vertexdeck_no_graph_has_is_refused(tmp_path, capsys):
+    """The cards hold 2 edges, each in n - 2 = 2 cards, so G would have 1 edge
+    and the BW card's vertex degree -1.  Before, this printed [1, 0, -1, 0, -1]."""
+    f = tmp_path / "fake.g6"
+    f.write_text("B?\nB?\nB?\nBW\n")
+    code, out = _run(capsys, ["recon", "--source", "vertexdeck", str(f)])
+    assert code == 3 and out["error"] == "domain" and "degree -1" in out["reason"], out
+
+
 def test_recon_direct(capsys):
     code, out = _run(capsys, ["recon", "--source", "direct", PRISM_G6])
     assert code == 0

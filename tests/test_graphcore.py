@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from reconkit.errors import DomainError, Graph6ParseError
@@ -108,28 +109,38 @@ def test_blocks_examples(bowtie):
     assert blocks(empty_graph(4)) == []
 
 
+def _nx_graph(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    return nxg
+
+
+def _seeded_graphs():
+    """Ten seeded G(n, 1/2) for each n = 7..10; the CLI reaches 10 vertices."""
+    rng = random.Random(25)
+    return [graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+            for n in range(7, 11) for _ in range(10)]
+
+
 def test_blocks_match_networkx(corpus6):
-    import networkx as nx
-    from collections import Counter
-    from reconkit.isotype import canonical_code
-    for g in corpus6:
+    for g in corpus6 + _seeded_graphs():
         bl = blocks(g)
         assert sum(b.e for b in bl) == g.e
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(g.n))
-        nxg.add_edges_from(g.edges)
-        nx_blocks = []
-        for comp in nx.biconnected_components(nxg):
-            sub = induced_subgraph(g, comp)
-            if sub.e:
-                nx_blocks.append(sub)
-        assert Counter(canonical_code(b) for b in bl) == \
-            Counter(canonical_code(b) for b in nx_blocks)
+        nxg = _nx_graph(g)
+        nx_blocks = [induced_subgraph(g, c) for c in nx.biconnected_components(nxg)]
+        assert bl == sorted((b for b in nx_blocks if b.e), key=lambda b: (b.n, b.sorted_edges()))
         # blocks pairwise share at most one vertex
         vsets = [c for c in nx.biconnected_components(nxg) if len(c) > 1]
         for i in range(len(vsets)):
             for j in range(i + 1, len(vsets)):
                 assert len(vsets[i] & vsets[j]) <= 1
+
+
+def test_components_match_networkx(corpus6):
+    for g in corpus6 + _seeded_graphs():
+        want = sorted(nx.connected_components(_nx_graph(g)), key=min)
+        assert components(g) == [induced_subgraph(g, c) for c in want]
 
 
 def test_components():
