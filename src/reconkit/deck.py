@@ -23,6 +23,7 @@ this checks transitivity, and a transitive antisymmetric order is acyclic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import comb
@@ -441,18 +442,44 @@ def elp_to_json(elp: Elp) -> dict:
     }
 
 
+# t_r, the types on r vertices with an edge, for r = 2..6.  From r = 7 on,
+# C(n, r) is the smaller bound for every n up to VERTEX_LIMIT.
+_TYPES_WITH_AN_EDGE = {2: 1, 3: 3, 4: 10, 5: 33, 6: 155}
+
+
+def _check_rank_profile(ranks) -> None:
+    """Refuse node ranks that no graph's poset has.
+
+    The poset of a graph on n vertices has its ranks in 2..n, and at most
+    min(C(n, r), t_r) nodes of rank r: one per r-set and one per type.  So
+    it has one node of rank 2, K2, as t_2 = 1, and one of rank n, its top.
+    """
+    count = Counter(ranks)
+    low, n = min(count, default=0), max(count, default=0)
+    if low != 2 or n > VERTEX_LIMIT:
+        raise InvalidMatrixError(f"a graph's poset has ranks 2..n, n <= {VERTEX_LIMIT}, "
+                                 f"not {low}..{n}")
+    for r, k in count.items():
+        most = min(comb(n, r), _TYPES_WITH_AN_EDGE.get(r, comb(n, r)))
+        if k > most:
+            raise InvalidMatrixError(f"{k} nodes of rank {r} is more than the {most} "
+                                     f"a graph on {n} vertices can have")
+
+
 def elp_from_json(d: dict) -> Elp:
     """Poset JSON with integer ranks and (from, to, label) covers.
 
     More nodes than a graph of VERTEX_LIMIT vertices has types are refused
-    before any node is read: `nmatrix_from_elp` grows as the square of the
-    node count in memory and up to its cube in time.
+    before any node is read, and a rank profile no graph's poset has before
+    any cover is: `nmatrix_from_elp` grows as the square of the node count in
+    memory and up to its cube in time.
     """
     try:
         size = len(d["nodes"])
         if size > 2 ** VERTEX_LIMIT:
             raise InvalidMatrixError(f"{size} poset nodes is over the limit of {2 ** VERTEX_LIMIT}")
         ranks = tuple(json_int(nd["rank"]) for nd in d["nodes"])
+        _check_rank_profile(ranks)
         covers = tuple(sorted((json_int(c["from"]), json_int(c["to"]), json_int(c["label"]))
                               for c in d["covers"]))
     except (KeyError, TypeError, ValueError) as exc:

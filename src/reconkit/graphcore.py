@@ -46,9 +46,10 @@ class Graph:
         if self.n < 0:
             raise DomainError("vertex count must be nonnegative")
         for e in self.edges:
-            u, v = e
-            if not (0 <= u < v < self.n):
-                raise DomainError(f"edge {e} out of range for n={self.n}")
+            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is int
+                    and type(e[1]) is int and 0 <= e[0] < e[1] < self.n):
+                raise DomainError(f"edge {e!r} is not a pair (u, v) of ints with "
+                                  f"0 <= u < v < {self.n}")
 
     @property
     def e(self) -> int:

@@ -1,24 +1,27 @@
 """Oracles for every invariant the reconstruction pipelines produce.
 
 Each oracle computes on the labelled graph itself, by one method:
-  * psi and ham list every cycle once, by a walk from its minimum vertex;
+  * psi and ham sum the cycles on each vertex set S, which a path DP from
+    the least vertex of S counts;
   * tr is Kirchhoff's matrix-tree theorem, an exact integer determinant;
   * uni counts, for each vertex set S, the cycles on S times the spanning
     trees of g with S contracted to one vertex;
   * rankpoly sums over labelled vertex subsets (Björklund, Husfeldt, Kaski
     and Koivisto, FOCS 2008);
-  * charpoly sums Sachs weights over the elementary subgraphs;
-  * the cover counts take unions of tuples of subgraphs.
-The tree, unicyclic and rank methods cost exponential in n alone.  The
-edge-subset enumerations that witness them, and the oracles that only the
-tests call, live with the tests (`tests/check_oracles.py`).
+  * charpoly is Berkowitz's division-free determinant of xI - A;
+  * the cover counts take unions of tuples of copies, found by brute force.
+charpoly takes O(n^4) integer products, and the cycle, tree, unicyclic and
+rank methods cost exponential in n alone.  The edge-subset
+enumerations that witness them, and the oracles that only the tests call,
+live with the tests (`tests/check_oracles.py`).
 
 The oracles are the ground truth for all tests, and the exhaustive sweeps
 pit each pipeline against them.  `nrecon` reads its counts off N-matrix
 rows, by inclusion-exclusion over induced-subgraph types; no oracle reads a
-row or a type, and the matrix-tree theorem and the vertex-subset sums share
-no step with it.  Nor does any oracle rest on canonical labelling, which
-every pipeline uses: this module imports nothing from `isotype`.
+row or a type.  `nrecon`, `polydeck` and `whitney` assemble charpoly by
+Sachs' theorem, and `charpoly_oracle` does not.  Nor does any oracle rest on
+canonical labelling, which every pipeline uses: this module imports nothing
+from `isotype`, `deck`, `nrecon`, `polydeck` or `whitney`.
 `cover_count_oracle` finds the copies of each member by brute force over
 the injections of its vertices.
 
@@ -41,10 +44,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 from math import comb
+from operator import mul
 
-from .combi import Polynomial
+from .combi import Polynomial, partitions_min2, sachs_weight
 from .errors import DomainError
-from .graphcore import Graph, adjacency_masks
+from .graphcore import Graph, adjacency_masks, elementary_graph
 
 __all__ = [
     "psi_oracle",
@@ -59,46 +63,38 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# The enumerations every oracle shares: cycles and unions of tuples
+# Cycles on each vertex set, and unions of tuples
 # ---------------------------------------------------------------------------
 
-def _edge_index(g: Graph):
-    edges = g.sorted_edges()
-    return edges, {e: i for i, e in enumerate(edges)}
-
-
 @lru_cache(maxsize=128)
-def _cycles(g: Graph) -> tuple:
-    """Every cycle of length >= 3 once, as (vertex mask, edge mask, length).
+def _cycles_on_sets(g: Graph) -> dict:
+    """vertex mask S -> hamiltonian cycles of g[S], for each S with |S| >= 3 that has one.
 
-    Entry v lists the cycles whose minimum vertex is v.  A walk from v closes
-    each cycle in both directions; only the one whose second vertex is below
-    its last is kept.
+    A path DP anchored at s = min S: paths[R][v] counts the paths from s to v
+    on the vertex set {s} + R, R above s.  Sets grow, so counting R upward
+    finishes each before it is extended.  Every path on S that ends at a
+    neighbour of s closes a cycle, and each cycle closes once per direction.
     """
     masks = adjacency_masks(g)
-    _edges, eidx = _edge_index(g)
-
-    def walk(start, v, vmask, emask, depth, second, found):
-        m = masks[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            eb = 1 << eidx[(min(v, u), max(v, u))]
-            if u == start and depth >= 3:
-                if second < v:
-                    found.append((vmask, emask | eb, depth))
-                continue
-            if u <= start or (vmask >> u) & 1:
-                continue
-            walk(start, u, vmask | (1 << u), emask | eb, depth + 1,
-                 u if depth == 1 else second, found)
-
-    out = []
+    out = {}
     for s in range(g.n):
-        found = []
-        walk(s, s, 1 << s, 0, 1, g.n, found)
-        out.append(tuple(found))
-    return tuple(out)
+        shift = s + 1
+        paths = [[0] * g.n for _ in range(1 << (g.n - shift))]
+        paths[0][s] = 1
+        for r, row in enumerate(paths):
+            closed = 0
+            for v, count in enumerate(row):
+                if not count:
+                    continue
+                closed += count * ((masks[v] >> s) & 1)
+                m = (masks[v] >> shift) & ~r
+                while m:
+                    u = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    paths[r | (1 << u)][u + shift] += count
+            if closed and r & (r - 1):
+                out[(r << shift) | (1 << s)] = closed // 2
+    return out
 
 
 def _unions(item_lists) -> dict:
@@ -127,7 +123,7 @@ def psi_oracle(g: Graph, i: int) -> int:
         raise DomainError(f"cycle length {i} < 2")
     if i == 2:
         return g.e
-    return sum(1 for found in _cycles(g) for _vm, _em, length in found if length == i)
+    return sum(c for s, c in _cycles_on_sets(g).items() if s.bit_count() == i)
 
 
 def ham_oracle(g: Graph) -> int:
@@ -182,12 +178,8 @@ def _unicyclic_by_length(g: Graph) -> dict:
     spanning tree of g/S: g with S contracted to one vertex, parallel edges
     kept.  So each S adds (cycles on S) * tau(g/S) at length |S|.
     """
-    on_set = {}
-    for found in _cycles(g):
-        for vmask, _em, _length in found:
-            on_set[vmask] = on_set.get(vmask, 0) + 1
     out = {}
-    for vmask, count in on_set.items():
+    for vmask, count in _cycles_on_sets(g).items():
         outside = [x for x in range(g.n) if not (vmask >> x) & 1]
         label = {x: i for i, x in enumerate(outside)}  # S becomes the last vertex
         k = len(outside)
@@ -203,64 +195,29 @@ def uni_oracle(g: Graph, r: int) -> int:
     return _unicyclic_by_length(g).get(r, 0)
 
 
-@lru_cache(maxsize=512)  # every graph an n <= 6 sweep asks for, cards included
-def _elementary_by_order(g: Graph) -> dict:
-    """order -> tuples (vertex mask, edge mask, sachs weight, profile).
-
-    One entry per elementary subgraph: a set of vertex-disjoint single edges
-    and cycles.  The weight is (-1)^rank * 2^corank and the profile is the
-    non-increasing tuple of component orders (2 for K2).
-    """
-    masks = adjacency_masks(g)
-    _edges, eidx = _edge_index(g)
-    cycles = _cycles(g)
-    out = {}
-
-    def record(vmask, emask, weight, profile):
-        order = bin(vmask).count("1")
-        out.setdefault(order, []).append(
-            (vmask, emask, weight, tuple(sorted(profile, reverse=True))))
-
-    def rec(avail, vmask, emask, weight, profile):
-        # each elementary subgraph reaches `avail == 0` along exactly one path:
-        # vertices are decided in increasing order and every component is
-        # anchored at its minimum vertex
-        if not avail:
-            record(vmask, emask, weight, profile)
-            return
-        v = (avail & -avail).bit_length() - 1
-        rest = avail & ~(1 << v)
-        # v not part of the subgraph
-        rec(rest, vmask, emask, weight, profile)
-        # v matched by a single edge
-        m = masks[v] & rest
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            eb = 1 << eidx[(min(v, u), max(v, u))]
-            rec(rest & ~(1 << u), vmask | (1 << v) | (1 << u), emask | eb,
-                -weight, profile + (2,))
-        # v on a cycle where it is the minimum vertex
-        for cyc_mask, cyc_emask, length in cycles[v]:
-            if cyc_mask & ~avail:
-                continue
-            w = weight * 2 * (-1 if length % 2 == 0 else 1)  # (-1)^(length-1) * 2
-            rec(avail & ~cyc_mask, vmask | cyc_mask, emask | cyc_emask, w,
-                profile + (length,))
-
-    rec((1 << g.n) - 1, 0, 0, 1, ())
-    return {k: tuple(v) for k, v in out.items()}
-
-
 def charpoly_oracle(g: Graph) -> Polynomial:
-    """Characteristic polynomial via the elementary-subgraph coefficient expansion."""
-    acc = [0] * (g.n + 1)
-    for order, items in _elementary_by_order(g).items():
-        for _vm, _em, w, _prof in items:
-            acc[order] += w
-    coeffs = [acc[i] if i % 2 == 0 else -acc[i] for i in range(g.n + 1)]
-    coeffs[0] = 1
-    return Polynomial(tuple(coeffs))
+    """det(xI - A) of the 0/1 adjacency matrix, by Berkowitz's division-free algorithm.
+
+    S. J. Berkowitz, IPL 18 (1984).  With A_k the principal submatrix on
+    vertices k..n-1, split as [[a, r], [r^T, M]], the polynomial of A_k is
+    the lower-triangular Toeplitz matrix with first column 1, -a, -r r^T,
+    -r M r^T, -r M^2 r^T, ... times the polynomial of M; a = 0, as g has no
+    loops.  Integer products alone: no Sachs sum, so no step is shared with
+    the pipelines.
+    """
+    n = g.n
+    adj = [[(m >> v) & 1 for v in range(n)] for m in adjacency_masks(g)]
+    poly = [1]
+    for k in range(n - 1, -1, -1):
+        sub = [row[k + 1:] for row in adj[k + 1:]]  # M
+        r = vec = adj[k][k + 1:]
+        col = [1, 0]
+        for _ in sub:
+            col.append(-sum(map(mul, r, vec)))
+            vec = [sum(map(mul, row, vec)) for row in sub]
+        # entry i of the product is the sum over j of col[i - j] * poly[j]
+        poly = [sum(map(mul, col[i::-1], poly)) for i in range(len(col))]
+    return Polynomial(tuple(poly))
 
 
 def _splits(s: int):
@@ -326,7 +283,7 @@ def _copies(h: Graph, f: Graph) -> tuple:
     every copy is reached that way.  f has no isolated vertex, so the copy's
     vertices are the map's image.  The copies come sorted, once each.
     """
-    _edges, eidx = _edge_index(h)
+    eidx = {e: i for i, e in enumerate(h.sorted_edges())}
     fedges = f.sorted_edges()
     found = set()
     for image in permutations(range(h.n), f.n):
@@ -358,6 +315,16 @@ def cover_count_oracle(S, h: Graph) -> int:
     return unions.get((1 << (h.n + h.e)) - 1, 0)
 
 
+def _elementary(g: Graph, a: int) -> list:
+    """(copy mask, Sachs weight) of each elementary subgraph of g on a vertices.
+
+    The copies of the elementary graph of each partition of a into parts
+    >= 2, from `_copies`, encoded as it encodes them.
+    """
+    return [(m, sachs_weight(parts)) for parts in partitions_min2(a)
+            for m in _copies(g, elementary_graph(parts))]
+
+
 def signed_exact_cover_oracle(g: Graph, seq) -> int:
     """Sachs-weighted tuples of elementary subgraphs whose union is exactly g.
 
@@ -365,7 +332,5 @@ def signed_exact_cover_oracle(g: Graph, seq) -> int:
     an elementary host it is nonzero only for the partitions the host's own
     partition refines.
     """
-    by_order = _elementary_by_order(g)
-    unions = _unions([((vm << g.e) | em, w) for vm, em, w, _prof in by_order.get(a, ())]
-                     for a in seq)
+    unions = _unions(_elementary(g, a) for a in seq)
     return unions.get((1 << (g.n + g.e)) - 1, 0)

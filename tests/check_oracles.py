@@ -1,8 +1,8 @@
 """Brute-force oracles that only the tests call.
 
-Each enumerates explicitly, and reads the enumerations `reconkit.oracle`
-shares: the cycles, the elementary subgraphs by order and the unions of
-tuples.  No pipeline calls these, so they live with the tests.
+Each enumerates explicitly.  The cycle and elementary-subgraph oracles take
+their copies from the brute-force copy finder of `reconkit.oracle` and their
+tuples from its unions.  No pipeline calls these, so they live with the tests.
 
 The `_enum_*` functions enumerate edge subsets, so their cost grows with
 e(g).  They are the witnesses of the oracles' tree, unicyclic and rank
@@ -13,8 +13,8 @@ from collections import Counter
 from itertools import combinations
 
 from reconkit.errors import DomainError
-from reconkit.graphcore import Graph
-from reconkit.oracle import _cycles, _elementary_by_order, _unions, psi_oracle
+from reconkit.graphcore import Graph, elementary_graph
+from reconkit.oracle import _copies, _elementary, _unions, psi_oracle
 
 
 def _endpoint_mask(subset) -> int:
@@ -64,9 +64,7 @@ def _spanning_connected(g: Graph, k: int):
 
 def _cycle_items(g: Graph, a: int) -> list:
     """(vertex mask, edge mask) of each cycle of length a (each edge when a == 2)."""
-    if a == 2:
-        return [((1 << u) | (1 << v), 1 << i) for i, (u, v) in enumerate(g.sorted_edges())]
-    return [(vm, em) for found in _cycles(g) for vm, em, length in found if length == a]
+    return [divmod(m, 1 << g.e) for m in _copies(g, elementary_graph((a,)))]
 
 
 def _enum_tr(g: Graph) -> int:
@@ -125,12 +123,13 @@ def con_oracle(g: Graph, seq) -> int:
 
 def elementary_count_oracle(g: Graph, parts) -> int:
     """Subgraphs isomorphic to the elementary graph with the given part profile."""
-    profile = tuple(sorted(parts, reverse=True))
-    if any(p < 2 for p in profile):
-        raise DomainError("elementary parts must be >= 2")
-    order = sum(profile)
-    return sum(1 for _vm, _em, _w, prof in _elementary_by_order(g).get(order, ())
-               if prof == profile)
+    return len(_copies(g, elementary_graph(parts)))
+
+
+def sachs_charpoly(g: Graph) -> tuple:
+    """c_0..c_n of the characteristic polynomial, c_i = (-1)^i times the Sachs
+    weights summed over the elementary subgraphs on i vertices."""
+    return tuple((-1) ** i * sum(w for _m, w in _elementary(g, i)) for i in range(g.n + 1))
 
 
 def p_oracle(g: Graph, seq) -> int:
@@ -154,8 +153,7 @@ def signed_c_oracle(g: Graph, seq) -> int:
     vertices, not just cycles; this is the polynomial-deck flavour of the
     cycle-cover sum.
     """
-    by_order = _elementary_by_order(g)
-    unions = _unions([(vm, w) for vm, _em, w, _prof in by_order.get(a, ())] for a in seq)
+    unions = _unions([(m >> g.e, w) for m, w in _elementary(g, a)] for a in seq)
     return unions.get((1 << g.n) - 1, 0)
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,26 @@ def test_recon_direct_reports_the_rank_polynomial_past_sixteen_edges(capsys):
     from reconkit.graphcore import complete
     code, out = _run(capsys, ["recon", "--source", "direct", write_graph6(complete(7))])
     assert code == 0 and sum(d["count"] for d in out["rankpoly"]) == 2 ** 21
+
+
+def test_recon_direct_on_k10_matches_the_closed_forms(capsys):
+    """K10 is the largest graph the CLI admits.  Its charpoly is
+    (x - 9)(x + 1)^9 and tr is 10^8 (Cayley).  There are C(10, r)(r - 1)!/2
+    r-cycles, and each lies on r * 10^(9 - r) spanning unicyclic subgraphs:
+    the forests of K10 rooted at its r vertices."""
+    from reconkit.graphcore import complete
+    code, out = _run(capsys, ["recon", "--source", "direct", write_graph6(complete(10))])
+    assert code == 0
+    poly = [1, -9]
+    for _ in range(9):
+        poly = [a + b for a, b in zip(poly + [0], [0] + poly)]  # times x + 1
+    assert out["charpoly"] == poly
+    assert out["tr"] == 10 ** 8
+    assert out["ham"] == factorial(9) // 2
+    psi = {r: comb(10, r) * factorial(r - 1) // 2 for r in range(3, 11)}
+    assert out["psi"] == {"2": 45, **{str(r): c for r, c in psi.items()}}
+    assert out["uni"] == {**{str(r): psi[r] * r * 10 ** (9 - r) for r in range(3, 10)},
+                          "10": out["ham"]}
 
 
 def test_sweep_small(capsys):

@@ -450,7 +450,7 @@ def test_the_reader_refuses_more_rows_than_the_limit_before_reading_an_entry(mon
 def test_poset_json_with_a_cover_no_matrix_can_have_is_refused(cover):
     """Before, an out-of-range end escaped as IndexError from the fill, and a
     label of -1 gave the matrix rows ((1, 0), (-1, 1))."""
-    d = {"nodes": [{"rank": 1}, {"rank": 2}], "covers": [cover]}
+    d = {"nodes": [{"rank": 2}, {"rank": 3}], "covers": [cover]}
     with pytest.raises(InvalidMatrixError):
         elp_from_json(d)
     assert nmatrix_from_elp(elp_from_json({**d, "covers": [{"from": 0, "to": 1, "label": 2}]})
@@ -460,7 +460,7 @@ def test_poset_json_with_a_cover_no_matrix_can_have_is_refused(cover):
 def test_poset_json_with_a_repeated_cover_is_refused():
     """Before, the fill kept the last label of the pair (0, 1) and gave the rows
     ((1, 0, 0), (4, 1, 0), (2, 1, 1)), silently dropping the label 2."""
-    d = {"nodes": [{"rank": 1}, {"rank": 2}, {"rank": 3}],
+    d = {"nodes": [{"rank": 2}, {"rank": 3}, {"rank": 4}],
          "covers": [{"from": 0, "to": 1, "label": 2}, {"from": 0, "to": 1, "label": 4},
                     {"from": 1, "to": 2, "label": 1}]}
     with pytest.raises(InvalidMatrixError, match="twice"):
@@ -481,4 +481,54 @@ def test_the_poset_reader_refuses_more_nodes_than_the_limit_before_reading_one(m
         elp_from_json({"nodes": [{"rank": 1}] * (limit + 1), "covers": []})
     assert read == []
     monkeypatch.undo()
-    assert elp_from_json({"nodes": [{"rank": 1}] * limit, "covers": []}).size == limit
+    # `limit` nodes are read, and then refused for their rank profile
+    with pytest.raises(InvalidMatrixError, match="not 1..1"):
+        elp_from_json({"nodes": [{"rank": 1}] * limit, "covers": []})
+
+
+def test_the_rank_bounds_are_the_type_counts():
+    """t_r is the number of types on r vertices with an edge; from r = 7 on,
+    C(n, r) <= C(10, 7) = 120 is below t_6 <= t_r, so it is the bound."""
+    types = Counter(g.n for g in all_graphs(6, min_edges=1))
+    assert deck._TYPES_WITH_AN_EDGE == {r: types[r] for r in range(2, 7)}
+    assert max(comb(n, r) for n in range(VERTEX_LIMIT + 1) for r in range(7, n + 1)) < types[6]
+
+
+def _ranked(profile) -> dict:
+    """Poset JSON with `profile[r]` nodes of rank r and no covers."""
+    return {"nodes": [{"rank": r} for r, k in profile.items() for _ in range(k)], "covers": []}
+
+
+@pytest.mark.parametrize("profile, message", [
+    ({2: 2, 3: 1}, "2 nodes of rank 2 is more than the 1"),
+    ({2: 1, 3: 2}, "2 nodes of rank 3 is more than the 1"),
+    ({2: 1, 11: 1}, "not 2..11"),
+    ({1: 1, 2: 1, 3: 1}, "not 1..3"),
+    ({2: 1, 3: 4, 4: 1}, "4 nodes of rank 3 is more than the 3"),
+    ({2: 1, 3: 3, 4: 6, 5: 1}, "6 nodes of rank 4 is more than the 5"),
+    ({2: 1, 6: 8, 7: 1}, "8 nodes of rank 6 is more than the 7"),
+], ids=["two-k2", "two-tops", "too-large", "rank-1", "over-types", "over-subsets",
+        "over-subsets-6"])
+def test_the_poset_reader_refuses_a_rank_profile_no_graph_has(profile, message):
+    with pytest.raises(InvalidMatrixError, match=message):
+        elp_from_json(_ranked(profile))
+
+
+def test_the_poset_reader_refuses_three_full_ranks_before_reading_a_cover(monkeypatch):
+    """Before, 3 x 340 nodes with every cover between adjacent ranks were read
+    and filled: 4.5 s and 119 MB of peak RSS."""
+    d = _ranked({2: 340, 3: 340, 4: 340})
+    d["covers"] = [{"from": j, "to": i, "label": 1}
+                   for lo in (0, 340) for j in range(lo, lo + 340)
+                   for i in range(lo + 340, lo + 680)]
+    read = []
+    monkeypatch.setattr(deck, "json_int", lambda x: read.append(x) or x)
+    with pytest.raises(InvalidMatrixError, match="340 nodes of rank 2 is more than the 1"):
+        elp_from_json(d)
+    assert len(read) == 1020  # the ranks, and no cover
+
+
+def test_every_poset_with_at_most_seven_vertices_is_read_back():
+    for g in all_graphs(7, min_edges=1):
+        elp = elp_from_nmatrix(nmatrix(g))
+        assert elp_from_json(elp_to_json(elp)) == elp, write_graph6(g)

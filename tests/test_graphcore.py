@@ -19,6 +19,12 @@ def test_graph_construction_rejects_bad_edges():
         graph(2, [(0, 2)])
     with pytest.raises(DomainError):
         Graph(-1, frozenset())
+    # an edge that is not a tuple of two ints; a frozenset triangle once
+    # reached psi_oracle and raised a bare KeyError
+    triangle = [frozenset(e) for e in ((0, 1), (0, 2), (1, 2))]
+    for edges in (triangle, [(0.0, 1)], [(0, 1, 2)], ["ab"], [(False, True)]):
+        with pytest.raises(DomainError):
+            Graph(3, frozenset(edges))
 
 
 def test_graph6_known_encodings():

@@ -4,9 +4,9 @@ Data-dependent checks must not rely on `assert`, which -O strips, every
 process-wide cache, a module-level dict, set or list included, must be bounded
 unless it is on the allowlist below, a pipeline may borrow from the oracle
 module only the names allowed below, the oracle module borrows nothing from
-`isotype`, every name a module imports must be used in it, and every layer
-the benchmark tracer wraps must exist, as must every name a module exports
-in `__all__`.
+`isotype` or the pipelines, every name a module imports must be used in it,
+and every layer the benchmark tracer wraps must exist, as must every name a
+module exports in `__all__`.
 """
 
 import ast
@@ -145,10 +145,13 @@ def test_pipelines_borrow_only_the_allowed_oracle_names():
 
 
 def test_the_oracles_take_nothing_from_canonical_labelling():
-    """Every pipeline rests on `isotype`'s canonical codes, so an oracle that
-    used them would share what it checks (ROADMAP item K)."""
+    """Every pipeline rests on `isotype`'s canonical codes, and `deck`, `nrecon`,
+    `polydeck` and `whitney` are the pipelines, so an oracle that used any of
+    them would share what it checks (ROADMAP item K)."""
     oracle = SRC / "oracle.py"
-    assert _imports_from(ast.parse(oracle.read_text(), filename=str(oracle)), "isotype") == set()
+    tree = ast.parse(oracle.read_text(), filename=str(oracle))
+    for module in ("isotype", "deck", "nrecon", "polydeck", "whitney"):
+        assert _imports_from(tree, module) == set(), module
 
 
 def test_the_oracle_import_guard_sees_every_spelling():

@@ -15,7 +15,7 @@ from reconkit.oracle import (_copies, charpoly_oracle, cover_count_oracle,
 
 from check_oracles import (_enum_rankpoly, _enum_tr, _enum_uni, c_oracle, con_oracle,
                            elementary_count_oracle, kedge_connected_oracle,
-                           lcompo_oracle, p_oracle, signed_c_oracle)
+                           lcompo_oracle, p_oracle, sachs_charpoly, signed_c_oracle)
 
 
 def test_psi_examples(prism):
@@ -28,8 +28,8 @@ def test_psi_examples(prism):
 
 
 def test_psi_matches_networkx_cycle_counts(corpus6):
-    """psi, the cycle-cover oracles and charpoly_oracle share one cycle list;
-    networkx enumerates the cycles independently."""
+    """psi sums the path DP's cycles on each vertex set; networkx lists the
+    cycles one by one."""
     import networkx as nx
     for g in corpus6:
         h = nx.Graph(list(g.edges))
@@ -86,6 +86,15 @@ def test_charpoly_examples():
     assert charpoly_oracle(complete(4)).coeffs == (1, 0, -6, -8, -3)
     assert charpoly_oracle(cycle(5)).coeffs == (1, 0, -5, 0, 5, -2)
     assert charpoly_oracle(empty_graph(3)).coeffs == (1, 0, 0, 0)
+
+
+def test_berkowitz_and_the_cycle_sets_match_their_enumerations(corpus6):
+    """charpoly against the Sachs sum over the elementary subgraphs, and psi
+    against the brute-force copies of each cycle, on every graph with n <= 6."""
+    for g in corpus6:
+        assert charpoly_oracle(g).coeffs == sachs_charpoly(g), g
+        for i in range(3, g.n + 1):
+            assert psi_oracle(g, i) == len(_copies(g, cycle(i))), (g, i)
 
 
 def test_charpoly_c0_c1_c2(corpus6):

@@ -46,13 +46,17 @@ def test_nrecon_sample_eight_vertices():
 
 
 def test_nrecon_sample_nine_vertices():
-    """tr, uni and the rank polynomial at every density up to 34 of 36 edges."""
+    """charpoly, ham, psi, tr, uni and the rank polynomial at every density up
+    to 34 of 36 edges."""
     rng = random.Random(9)
     pairs = list(combinations(range(9), 2))
     for m in (12, 20, 28, 34):
         g = graph(9, rng.sample(pairs, m))
         rec = reconstruct(strip(nmatrix(g)))
         tp = rec.top
+        assert tp.charpoly.coeffs == charpoly_oracle(g).coeffs, write_graph6(g)
+        assert tp.ham == ham_oracle(g)
+        assert all(tp.psi.get(i, 0) == psi_oracle(g, i) for i in range(2, 10))
         assert tp.tr == tr_oracle(g), write_graph6(g)
         assert all(tp.uni.get(r, 0) == uni_oracle(g, r) for r in range(3, 10))
         assert rec.rankpoly() == rankpoly_oracle(g), write_graph6(g)
