@@ -61,7 +61,8 @@ onto the copy made of the images of f's edges, and since every vertex of f is
 an edge endpoint, two embeddings hit the same copy exactly when they differ by
 an automorphism of f.  Each copy is therefore hit |Aut f| times, and the count
 is emb(f -> g) // emb(f -> f).  `subgraph_type_table(g, m)` canonicalises every
-m-edge subset of g, for when the counts of every type are wanted at once.
+m-edge subset of g instead.  No code in `reconkit` calls it any more; it stays
+only because the benchmark's `perfbench/tracer.py` names it in `LAYERS`.
 
 Induced subgraphs are counted from one table per graph, `subset_table(g)`:
 a single pass over the vertex subsets of g, as bitmasks 0 .. 2^n - 1, stores

@@ -1,16 +1,24 @@
 """The verification registry: every per-graph check of the sweep, and `golden`.
 
-Each check takes a graph to which it applies (see `CHECKS`) and returns its
-failure strings; an empty list means the graph passed.  `run_checks` runs
-named checks on one graph, and `golden` compares the prism with the published
-table and diagram.  The `reconkit sweep` command, the acceptance suite and the
-sweep demo all run their checks from here.
+Each check takes the subject of a graph to which it applies (see `CHECKS`)
+and returns its failure strings; an empty list means the graph passed.
+`run_checks` runs named checks on one graph, and `golden` compares the prism
+with the published table and diagram.  The `reconkit sweep` command, the
+acceptance suite and the sweep demo all run their checks from here.
+
+The subject holds g's stripped N-matrix, its poset, the reconstruction from
+it, the vertex deck, the oracle charpoly and the subgraph counts by type, each
+built on first use, read-only, and dropped when `run_checks` returns.  No
+check compares one shared value with another: `nrecon` and `rankpoly` hold the
+reconstruction against oracles, `roundtrip` the matrix against the one it
+refills from the poset, `kocay-identity` and `eq1` the counts against
+`cover_count_oracle` and the subset table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import prod
 from typing import Callable, NamedTuple
@@ -19,9 +27,9 @@ from . import deck as deckmod
 from . import polydeck as pdmod
 from .errors import ConsistencyError, NotReconstructibleError, ReconkitError
 from .graphcore import (Graph, all_graphs, complete, cycle, empty_graph,
-                        induced_subgraph, parse_graph6, path, vertex_deck)
+                        parse_graph6, path, vertex_deck)
 from .isotype import (canonical_code, code_graph, count_induced, count_subgraphs,
-                      kelly_count, subgraph_type_table, subset_table)
+                      kelly_count, subset_table)
 from .nrecon import reconstruct
 from .oracle import (charpoly_oracle, cover_count_oracle, ham_oracle, psi_oracle,
                      rankpoly_oracle, tr_oracle, uni_oracle)
@@ -38,17 +46,48 @@ CHAIN_TYPES = _block_types((path(2), complete(3), cycle(4)), (1, 2, 3))
 _KOCAY_TYPES = _block_types((path(2), path(3), complete(3), cycle(4)), (2, 3))
 
 
-def _check_roundtrip(g: Graph) -> list:
-    nm = deckmod.strip(deckmod.nmatrix(g))
-    rt = deckmod.nmatrix_from_elp(deckmod.elp_from_nmatrix(nm))
-    return [] if rt.rows == nm.rows else ["nmatrix/elp round trip changed entries"]
+class _Subject:
+    """One graph's shared artifacts for one `run_checks` call; see the module docstring."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @cached_property
+    def matrix(self):
+        return deckmod.strip(deckmod.nmatrix(self.g))
+
+    @cached_property
+    def poset(self):
+        return deckmod.elp_from_nmatrix(self.matrix)
+
+    @cached_property
+    def reconstruction(self):
+        return reconstruct(self.matrix)
+
+    @cached_property
+    def deck(self):
+        return vertex_deck(self.g)
+
+    @cached_property
+    def charpoly(self):
+        return charpoly_oracle(self.g)
+
+    @cached_property
+    def subgraph_counts(self):
+        """code -> copies in g, over the types without isolated vertices and v <= n."""
+        return {canonical_code(f): count_subgraphs(self.g, f)
+                for f in _small_types(self.g.n, with_isolated=False)}
 
 
-def _check_nrecon(g: Graph) -> list:
-    fails = []
-    rec = reconstruct(deckmod.strip(deckmod.nmatrix(g)))
-    tp = rec.top
-    if tp.charpoly.coeffs != charpoly_oracle(g).coeffs:
+def _check_roundtrip(s: _Subject) -> list:
+    rt = deckmod.nmatrix_from_elp(s.poset)
+    return [] if rt.rows == s.matrix.rows else ["nmatrix/elp round trip changed entries"]
+
+
+def _check_nrecon(s: _Subject) -> list:
+    g, fails = s.g, []
+    tp = s.reconstruction.top
+    if tp.charpoly.coeffs != s.charpoly.coeffs:
         fails.append("charpoly mismatch")
     if tp.ham != ham_oracle(g):
         fails.append("ham mismatch")
@@ -63,19 +102,19 @@ def _check_nrecon(g: Graph) -> list:
     return fails
 
 
-def _check_rankpoly(g: Graph) -> list:
-    rec = reconstruct(deckmod.strip(deckmod.nmatrix(g)))
-    return [] if rec.rankpoly() == rankpoly_oracle(g) else ["rank polynomial mismatch"]
+def _check_rankpoly(s: _Subject) -> list:
+    ok = s.reconstruction.rankpoly() == rankpoly_oracle(s.g)
+    return [] if ok else ["rank polynomial mismatch"]
 
 
-def _check_polydeck(g: Graph) -> list:
-    d = pdmod.build_polydeck(g)
-    want = charpoly_oracle(g).coeffs
+def _check_polydeck(s: _Subject) -> list:
+    d = pdmod.build_polydeck(s.g)
+    want = s.charpoly.coeffs
     degs = pdmod.degree_sequence(d)
     if degs is not None and 1 in degs:
         got = pdmod.charpoly_from_polydeck(d)
         return [] if got.coeffs == want else ["degree-1 polydeck charpoly mismatch"]
-    if ham_oracle(g) == 0:
+    if ham_oracle(s.g) == 0:
         got = pdmod.charpoly_from_polydeck(d, assert_nonhamiltonian=True)
         return [] if got.coeffs == want else ["asserted polydeck charpoly mismatch"]
     try:
@@ -85,9 +124,9 @@ def _check_polydeck(g: Graph) -> list:
         return []
 
 
-def _check_vertexdeck(g: Graph) -> list:
-    got = charpoly_from_vertex_deck(vertex_deck(g))
-    return [] if got.coeffs == charpoly_oracle(g).coeffs else ["vertex deck charpoly mismatch"]
+def _check_vertexdeck(s: _Subject) -> list:
+    got = charpoly_from_vertex_deck(s.deck)
+    return [] if got.coeffs == s.charpoly.coeffs else ["vertex deck charpoly mismatch"]
 
 
 def count_type_chain(g: Graph, members) -> int:
@@ -114,9 +153,9 @@ def count_type_chain(g: Graph, members) -> int:
     return int(total)
 
 
-def _check_whitney_chain(g: Graph) -> list:
+def _check_whitney_chain(s: _Subject) -> list:
     return [f"chain sum != recursion for {len(fams)}-block type" for fams in CHAIN_TYPES
-            if count_type(g, fams) != count_type_chain(g, fams)]
+            if count_type(s.g, fams) != count_type_chain(s.g, fams)]
 
 
 @lru_cache(maxsize=16)  # orders 1..8, with and without isolated vertices
@@ -125,9 +164,8 @@ def _small_types(max_n: int, with_isolated: bool) -> tuple:
                  if with_isolated or not h.has_isolated_vertex())
 
 
-def _check_kelly(g: Graph) -> list:
-    fails = []
-    d = vertex_deck(g)
+def _check_kelly(s: _Subject) -> list:
+    g, d, fails = s.g, s.deck, []
     for f in _small_types(g.n - 1, with_isolated=False):
         if f.e == 0:
             continue
@@ -145,37 +183,30 @@ def _kocay_covers(code: bytes) -> tuple:
     return tuple(cover_count_oracle(list(fams), code_graph(code)) for fams in _KOCAY_TYPES)
 
 
-def _check_kocay(g: Graph) -> list:
+def _check_kocay(s: _Subject) -> list:
     fails = []
-    counts = {}
-    for m in range(1, g.e + 1):
-        for code, cnt in subgraph_type_table(g, m).items():
-            counts[code] = counts.get(code, 0) + cnt
+    counts = s.subgraph_counts
     for i, fams in enumerate(_KOCAY_TYPES):
-        lhs = 1
-        for f in fams:
-            lhs *= counts.get(canonical_code(f), 0)
-        rhs = sum(_kocay_covers(code)[i] * cnt for code, cnt in counts.items())
+        lhs = prod(counts.get(canonical_code(f), 0) for f in fams)
+        rhs = sum(_kocay_covers(code)[i] * cnt for code, cnt in counts.items() if cnt)
         if lhs != rhs:
             fails.append(f"kocay identity violated for {len(fams)} factors")
     return fails
 
 
-def _check_derivative(g: Graph) -> list:
-    lhs = charpoly_oracle(g).derivative()
+def _check_derivative(s: _Subject) -> list:
+    lhs = s.charpoly.derivative()
     total = None
-    for card in vertex_deck(g):
+    for card in s.deck:
         p = charpoly_oracle(card)
         total = p if total is None else total.add(p)
     return [] if lhs.coeffs == total.coeffs else ["derivative identity violated"]
 
 
-def _check_childdeck(g: Graph) -> list:
-    nm = deckmod.strip(deckmod.nmatrix(g))
-    got = {tuple(sub.rows): mult for sub, mult in deckmod.child_nmatrices(nm)}
+def _check_childdeck(s: _Subject) -> list:
+    got = {tuple(sub.rows): mult for sub, mult in deckmod.child_nmatrices(s.matrix)}
     want = {}
-    for u in range(g.n):
-        card = induced_subgraph(g, set(range(g.n)) - {u})
+    for card in s.deck:
         if card.e == 0:
             continue
         key = deckmod.canonical_nmatrix(deckmod.strip(deckmod.nmatrix(card))).rows
@@ -215,26 +246,23 @@ def _eq1_rows(n: int) -> tuple:
                  for f, fc in types)
 
 
-def _check_eq1(g: Graph) -> list:
-    counts = subset_table(g).counts
-    for f, row in _eq1_rows(g.n):
-        if count_subgraphs(g, f) != sum(counts.get(code, 0) * s for code, s in row):
+def _check_eq1(s: _Subject) -> list:
+    copies, induced = s.subgraph_counts, subset_table(s.g).counts
+    for f, row in _eq1_rows(s.g.n):
+        if copies[canonical_code(f)] != sum(induced.get(code, 0) * k for code, k in row):
             return ["subgraph/induced relation violated"]
     return []
 
 
-def _check_emptycount(g: Graph) -> list:
-    nm = deckmod.strip(deckmod.nmatrix(g))
-    for r in range(2, g.n + 1):
-        if deckmod.count_empty_induced(nm, r) != count_induced(g, empty_graph(r)):
+def _check_emptycount(s: _Subject) -> list:
+    for r in range(2, s.g.n + 1):
+        if deckmod.count_empty_induced(s.matrix, r) != count_induced(s.g, empty_graph(r)):
             return [f"empty-subgraph count mismatch at r={r}"]
     return []
 
 
-def _check_elp_aut(g: Graph) -> list:
-    elp = deckmod.elp_from_nmatrix(deckmod.nmatrix(g))
-    auts = deckmod.elp_automorphisms(elp)
-    return [f"nontrivial ELP automorphism {a}" for a in auts]
+def _check_elp_aut(s: _Subject) -> list:
+    return [f"nontrivial ELP automorphism {a}" for a in deckmod.elp_automorphisms(s.poset)]
 
 
 def _always(g: Graph) -> bool:
@@ -246,10 +274,10 @@ def _small(g: Graph) -> bool:
 
 
 class Check(NamedTuple):
-    """A registry entry: which graphs the check applies to, and the check."""
+    """A registry entry: which graphs the check applies to, and the check on a graph's subject."""
 
     applies: Callable[[Graph], bool]
-    run: Callable[[Graph], list]
+    run: Callable[[_Subject], list]
 
 
 CHECKS = {
@@ -282,12 +310,16 @@ def is_candidate(name: str, fails: list) -> bool:
 
 
 def run_checks(g: Graph, names) -> dict:
-    """name -> failures of each named check on g; a check that does not apply gives []."""
-    out = {}
+    """name -> failures of each named check on g; a check that does not apply gives [].
+
+    The checks share one subject of g.  An artifact that raises is not kept,
+    so each check that reads it records its own error.
+    """
+    subject, out = _Subject(g), {}
     for name in names:
         check = CHECKS[name]
         try:
-            out[name] = check.run(g) if check.applies(g) else []
+            out[name] = check.run(subject) if check.applies(g) else []
         except ReconkitError as exc:
             out[name] = [_Raised(f"{type(exc).__name__}: {exc}")]
     return out

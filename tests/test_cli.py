@@ -369,8 +369,8 @@ def test_sweep_counts_only_the_graphs_a_check_applies_to(capsys):
 
 
 def test_sweep_records_a_check_error_and_goes_on(capsys, monkeypatch):
-    def broken(g):
-        if write_graph6(g) == "Bw":
+    def broken(subject):
+        if write_graph6(subject.g) == "Bw":
             raise ConsistencyError("boom")
         return []
 
