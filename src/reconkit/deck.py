@@ -19,17 +19,21 @@ Back from an unlabelled matrix, `_poset` walks the covers once: each row, by
 subrow count, takes its highest remaining subrow as a cover, checks that the
 cover's subrows lie under it and drops them.  By induction on the subrow count
 this checks transitivity, and a transitive antisymmetric order is acyclic.
+
+Back from a poset, `nmatrix_from_elp` fills the matrix by Kelly's lemma, the
+one place it is computed: N[i][j] (v_i - v_j) = sum over the covers k of i of
+N[i][k] N[k][j].  `nrecon` validates a matrix by comparing it with this fill.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, permutations, product, repeat
 from math import comb
 from operator import itemgetter
 
-from .combi import exact_div, json_int
+from .combi import json_int
 from .errors import DomainError, InvalidMatrixError
 from .graphcore import Graph, parse_graph6, write_graph6
 from .isotype import IsoClass, canonical_code, induced_type_table, subset_table
@@ -229,29 +233,31 @@ def elp_from_nmatrix(nm: NMatrix) -> Elp:
 def nmatrix_from_elp(elp: Elp) -> NMatrix:
     """Rebuild the full matrix from cover labels, filling rank by rank.
 
-    Non-cover entries come from the transitive counting identity: summing
-    (i over k)(k over j) across the rank directly under i counts each copy
-    of j exactly rank(i) - rank(j) times.
+    Kelly's lemma: a copy of j inside i lies in rank(i) - rank(j) of the
+    subgraphs of i one vertex smaller, the rows that i covers.  So row i is
+    the sum, over its covers k, of label(k, i) times row k, divided entry by
+    entry by the rank gap; a remainder refuses the poset.  The rows are
+    carried as their nonzero entries, and each cover k gets label(k, i) from
+    the 1 on k's own diagonal.
     """
-    size = elp.size
-    ranks = elp.ranks
-    up = {}
+    size, ranks = elp.size, elp.ranks
+    up = [[] for _ in ranks]
     for (j, i, lab) in elp.covers:
         if ranks[i] != ranks[j] + 1:
             raise InvalidMatrixError("cover edge does not step one rank")
-        up.setdefault(i, []).append((j, lab))
-    rows = [[0] * size for _ in range(size)]
-    for i in sorted(range(size), key=lambda x: ranks[x]):
-        rows[i][i] = 1
-        for (k, lab) in up.get(i, ()):
-            rows[i][k] = lab
-        for j in range(size):
-            if j == i or ranks[j] >= ranks[i] - 1:
-                continue
-            total = sum(lab * rows[k][j] for (k, lab) in up.get(i, ()))
-            rows[i][j] = exact_div(total, ranks[i] - ranks[j],
-                                   f"poset fill at ({i},{j})")
-    return NMatrix(tuple(tuple(r) for r in rows), None)
+        up[i].append((j, lab))
+    filled = [None] * size  # row i as {j: N[i][j]} over its nonzero entries
+    for i in sorted(range(size), key=ranks.__getitem__):
+        total = {}
+        for k, lab in up[i]:
+            for j, x in filled[k].items():
+                total[j] = total.get(j, 0) + lab * x
+        row = filled[i] = {i: 1}
+        for j, x in total.items():
+            row[j], r = divmod(x, ranks[i] - ranks[j])
+            if r:
+                raise InvalidMatrixError(f"poset fill at ({i},{j}) is not an integer")
+    return NMatrix(tuple(tuple(map(row.get, range(size), repeat(0))) for row in filled), None)
 
 
 def child_nmatrices(nm: NMatrix) -> list:

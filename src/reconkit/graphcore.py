@@ -1,14 +1,18 @@
-"""Finite simple graphs: construction, graph6 I/O, induced subgraphs, blocks.
+"""Finite simple graphs: construction, graph6 I/O, induced subgraphs, blocks,
+and the hamiltonian cycles of every induced subgraph.
 
 Vertices are always 0..n-1.  All values are immutable after construction and
 every operation here is pure, so graphs can be shared freely across threads
-and worker processes.
+and worker processes.  `cycles_on_sets` is the one cycle count on vertex
+sets: the oracles sum it by length, and `polydeck` reads it set by set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import DomainError, Graph6ParseError
@@ -31,6 +35,7 @@ __all__ = [
     "is_connected",
     "blocks",
     "adjacency_masks",
+    "cycles_on_sets",
     "all_graphs",
 ]
 
@@ -125,6 +130,45 @@ def adjacency_masks(g: Graph) -> list:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
+
+
+@lru_cache(maxsize=128)
+def cycles_on_sets(g: Graph) -> MappingProxyType:
+    """vertex mask S -> hamiltonian cycles of g[S], for each S with |S| >= 3 that has one.
+
+    A path DP anchored at min S: paths[S][w] counts the paths from min S to
+    w with vertex set S.  They grow in increasing S through the vertices
+    above min S, so each S is complete before it is read, and each cycle
+    closes once from each end.  The table is cached and shared, so it comes
+    read-only.
+    """
+    masks = adjacency_masks(g)
+    out = {}
+    paths = [None] * (1 << g.n)  # vertex mask s -> {w: paths from min s to w on s}
+    for v in range(g.n):
+        paths[1 << v] = {v: 1}
+    for s in range(1, 1 << g.n):
+        ends = paths[s]
+        if ends is None:
+            continue
+        paths[s] = None
+        low = s & -s
+        if s.bit_count() >= 3:
+            hc = sum(c for w, c in ends.items() if masks[w] & low) // 2
+            if hc:
+                out[s] = hc
+        above = -(low << 1)  # the vertices above min s
+        for w, c in ends.items():
+            nxt = masks[w] & above & ~s
+            while nxt:
+                b = nxt & -nxt
+                nxt ^= b
+                ext = paths[s | b]
+                if ext is None:
+                    ext = paths[s | b] = {}
+                x = b.bit_length() - 1
+                ext[x] = ext.get(x, 0) + c
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------

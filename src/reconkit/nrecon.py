@@ -13,11 +13,13 @@ off the node's row once, from the counts of the smaller rows:
   unicyclic family less them.
 The rank polynomial (Tutte) folds the top row's families.
 
-Each node is first checked against Kelly's lemma: a copy of row k lies in
-v_t - v_k of the (v_t - 1)-vertex induced subgraphs of node t, so
-sum_c N[t][c] N[c][k] = (v_t - v_k) N[t][k] over the rows c of order v_t - 1
-(an edgeless one has no row and contains no row).  A failed check, a
-remainder in a division or a negative count proves the matrix invalid.
+The matrix is first checked against Kelly's lemma: a copy of row k lies in
+v_t - v_k of the (v_t - 1)-vertex induced subgraphs of node t (an edgeless
+one has no row and contains no row).  Those with a row are the rows t
+covers, so the lemma on every node says that the matrix is the fill of its
+own poset, `deck.nmatrix_from_elp`, and a matrix that is not is refused.  A
+failed check, a remainder in a division or a negative count proves the
+matrix invalid.
 
 The memos, per (node, sequence) for `con`, per (row, sequence, order) for the
 inner sums of `q_m` and per (row, order) for the family powers, live on the
@@ -32,7 +34,7 @@ from math import comb, factorial
 
 from .combi import (Polynomial, exact_div, grouped_cover_partitions, multiset_symmetry,
                     sachs_constant)
-from .deck import NMatrix, _top_row, infer_v_e
+from .deck import Elp, NMatrix, _poset, _top_row, nmatrix_from_elp
 from .errors import InvalidMatrixError
 
 __all__ = ["NodeInvariants", "Reconstruction", "reconstruct"]
@@ -56,7 +58,12 @@ class Reconstruction:
 
     def __init__(self, nm: NMatrix):
         self._rows = nm.rows
-        self._ve = infer_v_e(nm)
+        self._ve, covers = _poset(nm)
+        fill = nmatrix_from_elp(Elp(tuple(v for v, _e in self._ve), covers)).rows
+        if fill != nm.rows:
+            t = next(i for i, row in enumerate(nm.rows) if row != fill[i])
+            raise InvalidMatrixError(f"Kelly's lemma fails at node {t}: its row is not the "
+                                     "fill of the rows it covers")
         self._size = nm.size
         self._top = _top_row(nm)
         self._by_order = []
@@ -95,14 +102,6 @@ class Reconstruction:
     def _process(self, t: int):
         v, e = self._ve[t]
         row, below = self._rows[t], self._by_order[t]
-        in_cards = {}
-        for c in below.get(v - 1, ()):
-            for js in self._by_order[c].values():
-                for k in js:
-                    in_cards[k] = in_cards.get(k, 0) + row[c] * self._rows[c][k]
-        for k in in_cards.keys() | {k for js in below.values() for k in js}:
-            if k != t and in_cards.get(k, 0) != (v - self._ve[k][0]) * row[k]:
-                raise InvalidMatrixError(f"Kelly's lemma fails at node {t}, column {k}")
         fam = self._fam[t] = self._families_at(t)
         psi, uni = self._psi[t], self._uni[t]
         psi[2] = e

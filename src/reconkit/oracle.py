@@ -1,8 +1,8 @@
 """Oracles for every invariant the reconstruction pipelines produce.
 
 Each oracle computes on the labelled graph itself, by one method:
-  * psi and ham sum the cycles on each vertex set S, which a path DP from
-    the least vertex of S counts;
+  * psi and ham sum the cycles on each vertex set S, from the table
+    `graphcore.cycles_on_sets`, a path DP from the least vertex of S;
   * tr is Kirchhoff's matrix-tree theorem, an exact integer determinant;
   * uni counts, for each vertex set S, the cycles on S times the spanning
     trees of g with S contracted to one vertex;
@@ -27,9 +27,12 @@ the injections of its vertices.
 
 No pipeline imports from this module; the `Polynomial` type lives in `combi`.
 `polydeck` builds decks, and `whitney` its card polynomials, by a subset
-recursion that counts its own cycles, with `charpoly_oracle` as its witness.
-`whitney` counts its covers itself, from the gluings that build each cover
-table; `cover_count_oracle` is their witness.
+recursion that reads the same cycle table as psi, ham and uni.  No check
+compares two values that both come from that table: the recursion's witness
+is `charpoly_oracle`, which counts no cycles, and psi, ham and uni are held
+against `nrecon`, which reads its counts off the matrix rows.  `whitney`
+counts its covers itself, from the gluings that build each cover table;
+`cover_count_oracle` is their witness.
 
 Conventions:
   * a cycle of length 2 is a single edge (K2), so `psi(g, 2) == e(g)`;
@@ -48,7 +51,7 @@ from operator import mul
 
 from .combi import Polynomial, partitions_min2, sachs_weight
 from .errors import DomainError
-from .graphcore import Graph, adjacency_masks, elementary_graph
+from .graphcore import Graph, adjacency_masks, cycles_on_sets, elementary_graph
 
 __all__ = [
     "psi_oracle",
@@ -63,39 +66,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Cycles on each vertex set, and unions of tuples
+# Unions of tuples, and the cycle counts
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=128)
-def _cycles_on_sets(g: Graph) -> dict:
-    """vertex mask S -> hamiltonian cycles of g[S], for each S with |S| >= 3 that has one.
-
-    A path DP anchored at s = min S: paths[R][v] counts the paths from s to v
-    on the vertex set {s} + R, R above s.  Sets grow, so counting R upward
-    finishes each before it is extended.  Every path on S that ends at a
-    neighbour of s closes a cycle, and each cycle closes once per direction.
-    """
-    masks = adjacency_masks(g)
-    out = {}
-    for s in range(g.n):
-        shift = s + 1
-        paths = [[0] * g.n for _ in range(1 << (g.n - shift))]
-        paths[0][s] = 1
-        for r, row in enumerate(paths):
-            closed = 0
-            for v, count in enumerate(row):
-                if not count:
-                    continue
-                closed += count * ((masks[v] >> s) & 1)
-                m = (masks[v] >> shift) & ~r
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    paths[r | (1 << u)][u + shift] += count
-            if closed and r & (r - 1):
-                out[(r << shift) | (1 << s)] = closed // 2
-    return out
-
 
 def _unions(item_lists) -> dict:
     """mask -> summed weight of the tuples whose masks OR to it.
@@ -123,7 +95,7 @@ def psi_oracle(g: Graph, i: int) -> int:
         raise DomainError(f"cycle length {i} < 2")
     if i == 2:
         return g.e
-    return sum(c for s, c in _cycles_on_sets(g).items() if s.bit_count() == i)
+    return sum(c for s, c in cycles_on_sets(g).items() if s.bit_count() == i)
 
 
 def ham_oracle(g: Graph) -> int:
@@ -179,7 +151,7 @@ def _unicyclic_by_length(g: Graph) -> dict:
     kept.  So each S adds (cycles on S) * tau(g/S) at length |S|.
     """
     out = {}
-    for vmask, count in _cycles_on_sets(g).items():
+    for vmask, count in cycles_on_sets(g).items():
         outside = [x for x in range(g.n) if not (vmask >> x) & 1]
         label = {x: i for i, x in enumerate(outside)}  # S becomes the last vertex
         k = len(outside)

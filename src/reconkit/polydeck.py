@@ -38,9 +38,9 @@ such an H that holds v = min T is an edge {v, u} or a cycle C through v, so
                  2 (-1)^(|C| - 1) hc(C) E(T - C),
 
 with E(empty) = 1, where hc(C) is the number of hamiltonian cycles of G[C],
-counted by a path DP from min C.  The sums over T in S, one per size, are a
-subset-sum transform of the E table.  The recursion counts its own cycles
-and shares no code with `oracle.charpoly_oracle`, which stays its witness.
+read from `graphcore.cycles_on_sets`.  The sums over T in S, one per size,
+are a subset-sum transform of the E table.  The recursion shares no code
+with `oracle.charpoly_oracle`, which counts no cycles and stays its witness.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from math import comb, factorial
 
 from .combi import Polynomial, card_sum_coeffs, json_int, multiset_symmetry, partitions_min2
 from .errors import DomainError, InconsistentDeckError, NotReconstructibleError
-from .graphcore import Graph, adjacency_masks
+from .graphcore import Graph, adjacency_masks, cycles_on_sets
 
 __all__ = [
     "PolyDeck",
@@ -101,48 +101,12 @@ class PolyDeck:
         return low_coeffs(self)
 
 
-def _cycle_terms(masks) -> list:
-    """Per vertex v, (C, 2 (-1)^(|C| - 1) hc(C)) for each vertex set C with min C = v
-    on which G[C] has a hamiltonian cycle, |C| >= 3.
-
-    paths[S][w] counts the paths from min S to w with vertex set S; they
-    grow in increasing S through vertices above min S, and each cycle closes
-    once from each end.
-    """
-    n = len(masks)
-    terms = [[] for _ in range(n)]
-    paths = [None] * (1 << n)
-    for s in range(n):
-        paths[1 << s] = {s: 1}
-    for S in range(1, 1 << n):
-        ends = paths[S]
-        if ends is None:
-            continue
-        paths[S] = None
-        low = S & -S
-        s = low.bit_length() - 1
-        if S.bit_count() >= 3:
-            hc = sum(c for w, c in ends.items() if masks[w] & low) // 2
-            if hc:
-                terms[s].append((S, (2 if S.bit_count() % 2 else -2) * hc))
-        above = -(low << 1)  # the vertices above s
-        for w, c in ends.items():
-            nxt = masks[w] & above & ~S
-            while nxt:
-                b = nxt & -nxt
-                nxt ^= b
-                ext = paths[S | b]
-                if ext is None:
-                    ext = paths[S | b] = {}
-                x = b.bit_length() - 1
-                ext[x] = ext.get(x, 0) + c
-    return terms
-
-
 def _elementary_sums(g: Graph) -> list:
     """E(T) for every vertex mask T of g, by the recursion of the module docstring."""
     masks = adjacency_masks(g)
-    cycles = _cycle_terms(masks)
+    cycles = [[] for _ in range(g.n)]  # per vertex v, (C, 2 (-1)^(|C| - 1) hc(C)), min C = v
+    for c, hc in cycles_on_sets(g).items():
+        cycles[(c & -c).bit_length() - 1].append((c, 2 * hc if c.bit_count() % 2 else -2 * hc))
     e = [0] * (1 << g.n)
     e[0] = 1
     for t in range(1, 1 << g.n):

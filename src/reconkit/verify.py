@@ -7,12 +7,12 @@ with the published table and diagram.  The `reconkit sweep` command, the
 acceptance suite and the sweep demo all run their checks from here.
 
 The subject holds g's stripped N-matrix, its poset, the reconstruction from
-it, the vertex deck, the oracle charpoly and the subgraph counts by type, each
-built on first use, read-only, and dropped when `run_checks` returns.  No
-check compares one shared value with another: `nrecon` and `rankpoly` hold the
-reconstruction against oracles, `roundtrip` the matrix against the one it
-refills from the poset, `kocay-identity` and `eq1` the counts against
-`cover_count_oracle` and the subset table.
+it, the vertex deck, the oracle charpoly and ham, and the subgraph counts by
+type, each built on first use, read-only, and dropped when `run_checks`
+returns.  No check compares one shared value with another: `nrecon` and
+`rankpoly` hold the reconstruction against oracles, `roundtrip` the matrix
+against the one it refills from the poset, `kocay-identity` and `eq1` the
+counts against `cover_count_oracle` and the subset table.
 """
 
 from __future__ import annotations
@@ -73,6 +73,10 @@ class _Subject:
         return charpoly_oracle(self.g)
 
     @cached_property
+    def ham(self):
+        return ham_oracle(self.g)
+
+    @cached_property
     def subgraph_counts(self):
         """code -> copies in g, over the types without isolated vertices and v <= n."""
         return {canonical_code(f): count_subgraphs(self.g, f)
@@ -89,7 +93,7 @@ def _check_nrecon(s: _Subject) -> list:
     tp = s.reconstruction.top
     if tp.charpoly.coeffs != s.charpoly.coeffs:
         fails.append("charpoly mismatch")
-    if tp.ham != ham_oracle(g):
+    if tp.ham != s.ham:
         fails.append("ham mismatch")
     if tp.tr != tr_oracle(g):
         fails.append("tr mismatch")
@@ -114,7 +118,7 @@ def _check_polydeck(s: _Subject) -> list:
     if degs is not None and 1 in degs:
         got = pdmod.charpoly_from_polydeck(d)
         return [] if got.coeffs == want else ["degree-1 polydeck charpoly mismatch"]
-    if ham_oracle(s.g) == 0:
+    if s.ham == 0:
         got = pdmod.charpoly_from_polydeck(d, assert_nonhamiltonian=True)
         return [] if got.coeffs == want else ["asserted polydeck charpoly mismatch"]
     try:

@@ -6,13 +6,17 @@ tuples from its unions.  No pipeline calls these, so they live with the tests.
 
 The `_enum_*` functions enumerate edge subsets, so their cost grows with
 e(g).  They are the witnesses of the oracles' tree, unicyclic and rank
-polynomial methods, whose cost grows with n alone.
+polynomial methods, whose cost grows with n alone.  `dense_fill` fills a
+poset's matrix entry by entry, the witness of the sparse fill in
+`deck.nmatrix_from_elp`.
 """
 
 from collections import Counter
 from itertools import combinations
 
-from reconkit.errors import DomainError
+from reconkit.combi import exact_div
+from reconkit.deck import Elp, NMatrix
+from reconkit.errors import DomainError, InvalidMatrixError
 from reconkit.graphcore import Graph, elementary_graph
 from reconkit.oracle import _copies, _elementary, _unions, psi_oracle
 
@@ -165,3 +169,29 @@ def lcompo_oracle(g: Graph, spec) -> int:
     full = (1 << g.n) - 1
     return sum(1 for subset in combinations(g.sorted_edges(), sum(m for _n, m in spec))
                if _endpoint_mask(subset) == full and _component_profile(subset) == spec)
+
+
+def dense_fill(elp: Elp) -> NMatrix:
+    """The matrix of a poset, filled rank by rank and entry by entry.
+
+    Row i has 1 on its diagonal and label(k, i) at each cover k.  Every other
+    entry (i, j) with rank(j) < rank(i) - 1 is the sum, over the covers k of
+    i, of label(k, i) * N[k][j], divided by rank(i) - rank(j).
+    """
+    size, ranks = elp.size, elp.ranks
+    up = {}
+    for (j, i, lab) in elp.covers:
+        if ranks[i] != ranks[j] + 1:
+            raise InvalidMatrixError("cover edge does not step one rank")
+        up.setdefault(i, []).append((j, lab))
+    rows = [[0] * size for _ in range(size)]
+    for i in sorted(range(size), key=lambda x: ranks[x]):
+        rows[i][i] = 1
+        for (k, lab) in up.get(i, ()):
+            rows[i][k] = lab
+        for j in range(size):
+            if j == i or ranks[j] >= ranks[i] - 1:
+                continue
+            total = sum(lab * rows[k][j] for (k, lab) in up.get(i, ()))
+            rows[i][j] = exact_div(total, ranks[i] - ranks[j], f"poset fill at ({i},{j})")
+    return NMatrix(tuple(tuple(r) for r in rows), None)

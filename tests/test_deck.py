@@ -17,6 +17,8 @@ from reconkit.graphcore import (all_graphs, complete, empty_graph, graph,
                                 induced_subgraph, path, write_graph6)
 from reconkit.isotype import are_isomorphic, canonical_code, count_induced
 
+from check_oracles import dense_fill
+
 PRISM_MATRIX = (
     (1, 0, 0, 0, 0, 0, 0, 0, 0),
     (1, 1, 0, 0, 0, 0, 0, 0, 0),
@@ -254,6 +256,54 @@ def test_roundtrip_entrywise(corpus6):
             continue
         nm = strip(nmatrix(g))
         assert nmatrix_from_elp(elp_from_nmatrix(nm)).rows == nm.rows
+
+
+def _seeded9_posets() -> list:
+    """The posets of 40 seeded G(9, p) graphs, p from 0.2 to 0.8."""
+    rng = random.Random(9)
+    pairs = list(combinations(range(9), 2))
+    graphs = [graph(9, [e for e in pairs if rng.random() < 0.2 + 0.6 * k / 39])
+              for k in range(40)]
+    return [elp_from_nmatrix(nmatrix(g)) for g in graphs if g.e]
+
+
+def _rows_or_refusal(fill, elp):
+    try:
+        return fill(elp).rows
+    except InvalidMatrixError:
+        return "refused"
+
+
+def test_the_sparse_fill_matches_the_dense_witness(corpus6):
+    elps = [elp_from_nmatrix(nmatrix(g)) for g in corpus6 if g.e] + _seeded9_posets()
+    assert len(elps) == 202 + 40
+    for elp in elps:
+        assert nmatrix_from_elp(elp).rows == dense_fill(elp).rows, elp
+
+
+def test_the_fill_and_its_witness_refuse_the_same_posets(corpus5):
+    """A label that does not divide, a cover that skips a rank, and every +-1
+    change of one label of a poset with n <= 5: both fills give the same rows,
+    or both refuse."""
+    odd = Elp((2, 3, 4), ((0, 1, 1), (1, 2, 1)))  # row 2 would hold 1/2 K2
+    skip = Elp((2, 3, 4), ((0, 1, 1), (0, 2, 1)))
+    for elp in (odd, skip):
+        assert _rows_or_refusal(dense_fill, elp) == "refused"
+        assert _rows_or_refusal(nmatrix_from_elp, elp) == "refused"
+    refused = 0
+    for g in corpus5:
+        if not g.e:
+            continue
+        elp = elp_from_nmatrix(nmatrix(g))
+        for c, (j, i, lab) in enumerate(elp.covers):
+            for new in (lab - 1, lab + 1):
+                if new < 1:
+                    continue
+                bad = Elp(elp.ranks, elp.covers[:c] + ((j, i, new),) + elp.covers[c + 1:])
+                want = _rows_or_refusal(dense_fill, bad)
+                assert _rows_or_refusal(nmatrix_from_elp, bad) == want, bad
+                refused += want == "refused"
+    assert refused > 0
 
 
 def test_child_nmatrices(prism):

@@ -3,7 +3,8 @@
 Each reader may refuse its input only with the errors it documents, and what
 it accepts must read back unchanged: an accepted matrix, poset or deck holds
 exactly the integers of its JSON, so a reader that rounds 1.9 or turns "1"
-or true into 1 fails here.
+or true into 1 fails here.  An accepted poset must also fill as the dense
+witness of `tests/check_oracles.py` fills it.
 """
 
 import json
@@ -15,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconkit.deck import (elp_from_json, elp_from_nmatrix, elp_to_json,
-                           infer_v_e, nmatrix, nmatrix_from_json, nmatrix_to_json)
+                           infer_v_e, nmatrix, nmatrix_from_elp, nmatrix_from_json,
+                           nmatrix_to_json)
 from reconkit.errors import (Graph6ParseError, InconsistentDeckError,
                              InvalidMatrixError)
 from reconkit.graphcore import all_graphs, parse_graph6, write_graph6
 from reconkit.polydeck import build_polydeck, polydeck_from_json, polydeck_to_json
+
+from check_oracles import dense_fill
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -122,6 +126,23 @@ def test_poset_reader_raises_only_matrix_errors(d):
     assert json.dumps(list(elp.ranks)) == json.dumps([nd["rank"] for nd in d["nodes"]])
     covers = sorted([c["from"], c["to"], c["label"]] for c in d["covers"])
     assert json.dumps([list(c) for c in elp.covers]) == json.dumps(covers)
+
+
+@FUZZ
+@given(_poset_json())
+def test_the_fill_of_an_admitted_poset_matches_its_dense_witness(d):
+    """Same rows, or a refusal from both, on every poset the reader admits."""
+    try:
+        elp = elp_from_json(d)
+    except InvalidMatrixError:
+        return
+    try:
+        want = dense_fill(elp).rows
+    except InvalidMatrixError:
+        with pytest.raises(InvalidMatrixError):
+            nmatrix_from_elp(elp)
+        return
+    assert nmatrix_from_elp(elp).rows == want
 
 
 @FUZZ

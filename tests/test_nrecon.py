@@ -270,8 +270,8 @@ def test_every_corruption_of_a_small_matrix_is_refused():
     """Kelly's lemma, the divisions and the sign checks refuse every +-1 change at n = 4, 5.
 
     Hand-run over every graph with n <= 6, printing the tried and refused
-    counts and the SHA-1 of the accepted reports:
-    `PYTHONPATH=src python tests/test_nrecon.py corruptions6`.
+    counts and the SHA-1 of the accepted reports, and exiting non-zero unless
+    they are CORRUPTIONS6: `PYTHONPATH=src python tests/test_nrecon.py corruptions6`.
     """
     graphs = [g for g in all_graphs(5, min_edges=1) if g.n >= 4]
     tried, refused, accepted = _corruptions(graphs)
@@ -289,7 +289,13 @@ def test_report_shape(prism):
     assert got == rankpoly_oracle(prism)
 
 
+# tried, refused and the SHA-1 of the accepted reports, over every graph with n <= 6
+CORRUPTIONS6 = (39047, 39043, "bd133557f56676e31c32891b96d5ef5343b94c85")
+
 if __name__ == "__main__" and sys.argv[1:] == ["corruptions6"]:
     tried, refused, accepted = _corruptions(all_graphs(6, min_edges=1))
     text = json.dumps(accepted, sort_keys=True, separators=(",", ":"))
-    print("tried", tried, "refused", refused, "accepted", hashlib.sha1(text.encode()).hexdigest())
+    digest = hashlib.sha1(text.encode()).hexdigest()
+    print("tried", tried, "refused", refused, "accepted", digest)
+    if (tried, refused, digest) != CORRUPTIONS6:
+        sys.exit("expected tried %d refused %d accepted %s" % CORRUPTIONS6)

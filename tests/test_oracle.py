@@ -1,13 +1,14 @@
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from reconkit.combi import Polynomial, partitions_min2
 from reconkit.errors import DomainError
-from reconkit.graphcore import (Graph, all_graphs, complete, cycle, disjoint_union,
-                                elementary_graph, empty_graph, graph, is_connected,
-                                path, vertex_deck)
+from reconkit.graphcore import (Graph, all_graphs, complete, cycle, cycles_on_sets,
+                                disjoint_union, elementary_graph, empty_graph, graph,
+                                is_connected, path, vertex_deck)
 from reconkit.isotype import canonical_code, count_subgraphs
 from reconkit.oracle import (_copies, charpoly_oracle, cover_count_oracle,
                              ham_oracle, psi_oracle, rankpoly_oracle,
@@ -95,6 +96,17 @@ def test_berkowitz_and_the_cycle_sets_match_their_enumerations(corpus6):
         assert charpoly_oracle(g).coeffs == sachs_charpoly(g), g
         for i in range(3, g.n + 1):
             assert psi_oracle(g, i) == len(_copies(g, cycle(i))), (g, i)
+
+
+def test_the_cycle_table_counts_the_cycle_copies_on_each_vertex_set(corpus6):
+    """`cycles_on_sets` set by set, against the brute-force copies of the cycle
+    of each length, on every graph with n <= 6: `polydeck` reads each set's
+    entry, and psi only their sums by length."""
+    for g in corpus6:
+        want = Counter()
+        for k in range(3, g.n + 1):
+            want.update(m >> g.e for m in _copies(g, cycle(k)))
+        assert cycles_on_sets(g) == want, g
 
 
 def test_charpoly_c0_c1_c2(corpus6):

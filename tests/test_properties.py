@@ -1,0 +1,45 @@
+"""Derandomised property tests through the pipelines.
+
+Random graphs on 7 and 8 vertices go through `reconstruct(strip(nmatrix(g)))`.
+The poset-fill validation must refuse none of them, and every invariant the
+reconstruction reports must equal its oracle.
+"""
+
+from itertools import combinations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reconkit.deck import nmatrix, strip
+from reconkit.graphcore import graph
+from reconkit.nrecon import reconstruct
+from reconkit.oracle import (charpoly_oracle, ham_oracle, psi_oracle, rankpoly_oracle,
+                             tr_oracle, uni_oracle)
+
+PIPELINE = settings(derandomize=True, database=None, deadline=None, max_examples=10)
+
+
+@st.composite
+def _graphs(draw):
+    """A graph on 7 or 8 vertices: one drawn edge, and each pair an edge with
+    probability 1/2."""
+    n = draw(st.integers(7, 8))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph(n, [draw(st.sampled_from(pairs))] + [e for e, k in zip(pairs, keep) if k])
+
+
+@PIPELINE
+@given(_graphs())
+def test_nrecon_accepts_random_graphs_and_matches_the_oracles(g):
+    rec = reconstruct(strip(nmatrix(g)))
+    tp = rec.top
+    assert tp.charpoly.coeffs == charpoly_oracle(g).coeffs
+    assert tp.tr == tr_oracle(g)
+    assert tp.ham == ham_oracle(g)
+    assert all(tp.psi.get(i, 0) == psi_oracle(g, i) for i in range(2, g.n + 1))
+    assert all(tp.uni.get(r, 0) == uni_oracle(g, r) for r in range(3, g.n + 1))
+    assert rec.rankpoly() == rankpoly_oracle(g)

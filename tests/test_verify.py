@@ -33,6 +33,7 @@ def test_each_artifact_is_built_once_per_call(which, prism, monkeypatch):
     recons = _counted(monkeypatch, verify, "reconstruct")
     decks = _counted(monkeypatch, verify, "vertex_deck")
     charpolys = _counted(monkeypatch, verify, "charpoly_oracle")
+    hams = _counted(monkeypatch, verify, "ham_oracle")
     tables = _counted(monkeypatch, isotype, "subgraph_type_table")
     out = run_checks(g, sorted(CHECKS))
     assert all(not fails for name, fails in out.items() if name != "elp-aut")
@@ -42,6 +43,7 @@ def test_each_artifact_is_built_once_per_call(which, prism, monkeypatch):
     assert len(recons) == 1
     assert decks == [g]
     assert charpolys.count(g) == 1
+    assert hams == [g]
     assert tables == []
 
 
