@@ -31,10 +31,15 @@ def json_int(x) -> int:
     return x
 
 
-def exact_div(a: int, b: int, what: str = "value") -> int:
+def exact_div(a: int, b: int, what: str = "value", error=InvalidMatrixError) -> int:
+    """a // b, or `error` naming `what` when b does not divide a.
+
+    A remainder proves that no graph has the data; the caller's `error` says
+    whether a matrix or poset, a deck, or an internal table was refused.
+    """
     q, r = divmod(a, b)
     if r:
-        raise InvalidMatrixError(f"{what}: {a} is not divisible by {b}")
+        raise error(f"{what}: {a} is not divisible by {b}")
     return q
 
 
@@ -104,17 +109,21 @@ def card_sum_coeffs(cards, n: int) -> tuple:
     """c_0 .. c_{n-1} of an n-vertex graph from the polynomials of its n vertex-deleted cards.
 
     Derivative identity: P'(G) is the sum of the card polynomials, so c_i(G)
-    is the sum of the cards' c_i divided by n - i.
+    is the sum of the cards' c_i divided by n - i, and a remainder refuses
+    the cards.  For n >= 3 the cards are refused too when some card's
+    deleted vertex has a degree e(G) - e(card) = c_2(card) - c_2(G) outside
+    0..n-1, since c_2 = -e.  The index-2 division is the edge count's: each
+    edge lies in the n - 2 cards that keep both its ends.
     """
-    out = []
-    for i in range(n):
-        total = sum(p[i] for p in cards)
-        q, r = divmod(total, n - i)
-        if r:
-            raise InconsistentDeckError(
-                f"coefficient sum {total} at index {i} not divisible by {n - i}")
-        out.append(q)
-    return tuple(out)
+    out = tuple(exact_div(sum(p[i] for p in cards), n - i,
+                          f"card coefficient sum at index {i}", InconsistentDeckError)
+                for i in range(n))
+    if n >= 3:
+        for p in cards:
+            if not 0 <= p[2] - out[2] <= n - 1:
+                raise InconsistentDeckError(f"a card with c_2 = {p[2]} leaves its vertex "
+                                            f"degree {p[2] - out[2]}, outside 0..{n - 1}")
+    return out
 
 
 @lru_cache(maxsize=128)

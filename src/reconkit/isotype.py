@@ -85,6 +85,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
+from .combi import exact_div
 from .errors import DomainError, InconsistentDeckError
 from .graphcore import Graph, adjacency_masks, graph, induced_subgraph
 
@@ -477,9 +478,5 @@ def kelly_count(deck, f: Graph, induced: bool = False) -> int:
     if f.n >= n:
         raise DomainError(f"kelly_count needs v(f) < n, got {f.n} >= {n}")
     counter = count_induced if induced else count_subgraphs
-    total = sum(counter(card, f) for card in deck)
-    q, r = divmod(total, n - f.n)
-    if r:
-        raise InconsistentDeckError(
-            f"card counts for f sum to {total}, not divisible by {n - f.n}")
-    return q
+    return exact_div(sum(counter(card, f) for card in deck), n - f.n,
+                     "card counts for f", InconsistentDeckError)

@@ -51,7 +51,8 @@ from functools import cached_property
 from itertools import combinations
 from math import comb, factorial
 
-from .combi import Polynomial, card_sum_coeffs, json_int, multiset_symmetry, partitions_min2
+from .combi import (Polynomial, card_sum_coeffs, exact_div, json_int, multiset_symmetry,
+                    partitions_min2)
 from .errors import DomainError, InconsistentDeckError, NotReconstructibleError
 from .graphcore import Graph, adjacency_masks, cycles_on_sets
 
@@ -222,8 +223,9 @@ def charpoly_from_polydeck(d: PolyDeck, assert_nonhamiltonian: bool = False) -> 
     sum of the module docstring.  Requires a recognised degree-1 vertex,
     which rules out hamiltonian cycles, or an explicit assertion that
     ham(G) = 0.  Otherwise raises NotReconstructibleError rather than
-    guessing.  A symmetry division with a remainder, which no graph's deck
-    gives, raises InconsistentDeckError.
+    guessing.  A deck no graph has raises InconsistentDeckError: degree-(n-1)
+    entries that fail the derivative identity (`combi.card_sum_coeffs`), or a
+    symmetry division with a remainder.
     """
     degs = degree_sequence(d)
     if not assert_nonhamiltonian:
@@ -239,9 +241,8 @@ def charpoly_from_polydeck(d: PolyDeck, assert_nonhamiltonian: bool = False) -> 
         k = len(parts)
         if k < 2:
             continue  # the hamiltonian term, zero by premise
-        q, r = divmod(c_lambda(d, parts), multiset_symmetry(parts))
-        if r:
-            raise InconsistentDeckError(f"c({parts} -> G) is not divisible by its symmetry")
+        q = exact_div(c_lambda(d, parts), multiset_symmetry(parts),
+                      f"c({parts} -> G) over its symmetry", InconsistentDeckError)
         total += (-1) ** k * factorial(k - 1) * q
     return Polynomial(d.low + ((-1) ** d.n * total,))
 

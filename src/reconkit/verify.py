@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 
 from . import deck as deckmod
 from . import polydeck as pdmod
+from .combi import exact_div
 from .errors import ConsistencyError, NotReconstructibleError, ReconkitError
 from .graphcore import (Graph, all_graphs, complete, cycle, empty_graph,
                         parse_graph6, path, vertex_deck)
@@ -241,11 +242,8 @@ def _eq1_rows(n: int) -> tuple:
                     total[fc] = total.get(fc, 0) + cnt
         s[hc] = {hc: 1}
         for fc, cnt in total.items():
-            q, r = divmod(cnt, h.e - code_graph(fc).e)
-            if r:
-                raise ConsistencyError(f"edge-deck counts of type {fc.hex()} in {h} "
-                                       f"sum to {cnt}, not a multiple of e(h) - e(f)")
-            s[hc][fc] = q
+            s[hc][fc] = exact_div(cnt, h.e - code_graph(fc).e,
+                                  f"edge-deck counts of type {fc.hex()} in {h}", ConsistencyError)
     return tuple((f, tuple((hc, s[hc][fc]) for h, hc in types if h.n == f.n and fc in s[hc]))
                  for f, fc in types)
 

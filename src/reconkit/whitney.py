@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .combi import (Polynomial, card_sum_coeffs, multiset_symmetry, partitions_min2,
-                    sachs_constant)
+from .combi import (Polynomial, card_sum_coeffs, exact_div, multiset_symmetry,
+                    partitions_min2, sachs_constant)
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
 from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
 from .isotype import (automorphism_count, automorphism_generators, canonical_code,
@@ -176,9 +176,8 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
     nonspanning_roots = []
     for code, d in partials.items():
         x = code_graph(code)
-        c, r = divmod(d * automorphism_count(x), fam_automorphisms)
-        if r:
-            raise ConsistencyError(f"cover count of a union is not integral: {d} gluings")
+        c = exact_div(d * automorphism_count(x), fam_automorphisms,
+                      f"cover count of a union from {d} gluings", ConsistencyError)
         member_table[code] = c
         tk = _code_type(code)
         if tk == root and x.n < vmax:
@@ -215,11 +214,9 @@ def _expand(count, n: int, root: tuple, memo: dict) -> int:
             break
     table = covers_of_type(root, n)
     total -= _other_types(table, root, count, memo)
-    q, r = divmod(total, table.self_cover)
-    if r:
-        raise InconsistentDeckError(f"type count for {root} is not integral")
-    memo[root] = q
-    return q
+    memo[root] = exact_div(total, table.self_cover, f"type count for {root}",
+                           InconsistentDeckError)
+    return memo[root]
 
 
 def _other_types(table: CoverTable, skip: tuple, count, memo: dict) -> int:
@@ -249,9 +246,11 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
     subgraph count Kelly-sourced; hamiltonian cycles are solved from the
     all-K2 type equation, whose only non-Kelly term is the n-cycle.
 
-    Before any cover table is built, a deck is refused when its edge count
-    e = sum e(card) / (n - 2) leaves a remainder, or when some card's deleted
-    vertex would have degree e - e(card) outside 0..n-1.
+    Before any cover table is built, the derivative identity
+    (`combi.card_sum_coeffs`) refuses a deck whose card polynomials no graph
+    has: among them a deck whose edge count e = sum e(card) / (n - 2) is not
+    an integer, and one where some card's deleted vertex would have degree
+    e - e(card) outside 0..n-1.
 
     Each card is replaced by its canonical form, so isomorphic cards are
     equal graphs: in one deck or across decks they share one cached card
@@ -268,14 +267,6 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
         if card.n != n - 1:
             raise InconsistentDeckError(
                 f"card has {card.n} vertices, expected {n - 1}")
-    # each edge lies in the n - 2 cards that keep both its ends
-    e, r = divmod(sum(card.e for card in deck), n - 2)
-    if r:
-        raise InconsistentDeckError(f"the cards' edges do not divide by n - 2 = {n - 2}")
-    for card in deck:
-        if not 0 <= e - card.e <= n - 1:
-            raise InconsistentDeckError(f"a card of {card.e} edges leaves its vertex "
-                                        f"degree {e - card.e}, outside 0..{n - 1}")
     codes = [canonical_code(card) for card in deck]
     deck = [code_graph(code) for code in codes]
     coeffs = card_sum_coeffs([_card_charpoly(code) for code in codes], n)
@@ -306,9 +297,7 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
     rhs = kelly(k2) ** n - _other_types(table, cn_key, kelly, w_memo)
     if cn_key not in table.by_type:
         raise ConsistencyError("n-cycle type missing from the all-K2 cover table")
-    ham, r = divmod(rhs, table.by_type[cn_key])
-    if r:
-        raise InconsistentDeckError("hamiltonian count is not integral")
-    spanning[(n,)] = ham
+    spanning[(n,)] = exact_div(rhs, table.by_type[cn_key], "hamiltonian count",
+                               InconsistentDeckError)
 
     return Polynomial(coeffs + (sachs_constant(n, spanning.__getitem__),))

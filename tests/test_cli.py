@@ -119,6 +119,19 @@ def test_recon_polydeck_no_graph_has_is_refused(tmp_path, capsys):
     assert code == 3 and out["error"] == "domain" and "degree 2" in out["reason"], out
 
 
+def test_recon_polydeck_card_degree_no_graph_has_is_refused(tmp_path, capsys):
+    """P4's deck with the c_2 of its degree-2 entries moved by -2 and +2:
+    the implied degrees are (0, 1, 1, 4).  Before, this printed x^4 - 3x^2 - 3."""
+    code, built = _run(capsys, ["build", "polydeck", write_graph6(path(4))])
+    polys = built["polys"]
+    polys[polys.index([1, 0, -1, 0])] = [1, 0, -3, 0]
+    polys[polys.index([1, 0, -1, 0])] = [1, 0, 1, 0]
+    f = tmp_path / "p4-moved.json"
+    f.write_text(json.dumps(built))
+    code, out = _run(capsys, ["recon", "--source", "polydeck", str(f)])
+    assert code == 3 and out["error"] == "domain" and "degree 4" in out["reason"], out
+
+
 @pytest.mark.parametrize("source", ["nmatrix", "polydeck"])
 @pytest.mark.parametrize("text", ['{"n": ' + "9" * 5000 + ', "polys": []}', "[" * 100000],
                          ids=["long-integer", "deep-nesting"])

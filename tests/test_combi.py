@@ -2,10 +2,10 @@ from itertools import product
 
 import pytest
 
-from reconkit.combi import (card_sum_coeffs, grouped_cover_partitions,
+from reconkit.combi import (card_sum_coeffs, exact_div, grouped_cover_partitions,
                             labeled_partition_count, multiset_partitions,
                             multiset_symmetry, partitions_min2, sachs_constant)
-from reconkit.errors import InconsistentDeckError
+from reconkit.errors import ConsistencyError, InconsistentDeckError, InvalidMatrixError
 from reconkit.graphcore import path, vertex_deck
 from reconkit.oracle import charpoly_oracle
 
@@ -113,3 +113,12 @@ def test_card_sum_coeffs():
     assert card_sum_coeffs(cards, g.n) == charpoly_oracle(g).coeffs[:g.n]
     with pytest.raises(InconsistentDeckError):
         card_sum_coeffs([(1, 0), (0, 0)], 2)  # c_0 sums to 1, not divisible by 2
+
+
+def test_exact_div_names_the_refusal():
+    assert exact_div(-12, 4) == -3
+    with pytest.raises(InvalidMatrixError, match="value: 7 is not divisible by 2"):
+        exact_div(7, 2)
+    for error in (InconsistentDeckError, ConsistencyError):
+        with pytest.raises(error, match="hamiltonian count: 7 is not divisible by 2"):
+            exact_div(7, 2, "hamiltonian count", error)

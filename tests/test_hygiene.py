@@ -5,8 +5,9 @@ process-wide cache, a module-level dict, set or list included, must be bounded
 unless it is on the allowlist below, a pipeline may borrow from the oracle
 module only the names allowed below, the oracle module borrows nothing from
 `isotype` or the pipelines, every name a module imports must be used in it,
-and every layer the benchmark tracer wraps must exist, as must every name a
-module exports in `__all__`.
+every layer the benchmark tracer wraps must exist, as must every name a
+module exports in `__all__`, and every certifying division goes through
+`combi.exact_div`.
 """
 
 import ast
@@ -116,6 +117,42 @@ def test_the_cache_guard_sees_every_spelling():
               "def f():\n    memo = {}": set()}
     for spelling, names in module.items():
         assert _module_caches(ast.parse(spelling)) == names, spelling
+
+
+# The functions that may call `divmod`: `exact_div` itself, and the fill of
+# `nmatrix_from_elp`, which assigns each quotient into its row in the
+# innermost loop of every reconstruction.  Any other remainder check is a
+# hand-rolled refusal and goes through `exact_div` instead.
+DIVMOD_ALLOWED = {"combi.exact_div", "deck.nmatrix_from_elp"}
+
+
+def _divmod_sites(tree, module: str) -> set:
+    """`module.function` for each top-level function that names `divmod`, and
+    `module:line` for a use outside any function."""
+    found = set()
+    for node in tree.body:
+        where = f"{module}.{node.name}" if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for sub in ast.walk(node):
+            if _name(sub) == "divmod":
+                found.add(where or f"{module}:{sub.lineno}")
+    return found
+
+
+def test_divmod_is_only_in_exact_div_and_the_poset_fill():
+    found = set()
+    for path, tree in _trees():
+        found |= _divmod_sites(tree, path.stem)
+    assert found == DIVMOD_ALLOWED
+
+
+def test_the_divmod_guard_sees_every_spelling():
+    spellings = {"def f(a, b):\n    q, r = divmod(a, b)": {"m.f"},
+                 "def f(a, b):\n    return builtins.divmod(a, b)": {"m.f"},
+                 "class C:\n    def g(self):\n        divmod(1, 2)": {"m.C"},
+                 "d = divmod": {"m:1"}, "def f(a, b):\n    return a // b": set()}
+    for spelling, sites in spellings.items():
+        assert _divmod_sites(ast.parse(spelling), "m") == sites, spelling
 
 
 def _imports_from(tree, module: str) -> set:

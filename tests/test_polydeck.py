@@ -195,6 +195,28 @@ def test_an_indivisible_cover_sum_is_refused():
         charpoly_from_polydeck(d)
 
 
+def test_a_deleted_vertex_degree_no_graph_has_is_refused():
+    """P4's deck with the c_2 of its two degree-2 entries, the K2 + K1 cards,
+    moved by -2 and +2: their vertices would have degrees 0 and 4.  Every
+    coefficient sum still divides and a degree-1 vertex shows, so without the
+    derivative identity's degree check this deck got x^4 - 3x^2 - 3."""
+    polys = list(build_polydeck(path(4)).polys)
+    polys[polys.index((1, 0, -1, 0))] = (1, 0, -3, 0)
+    polys[polys.index((1, 0, -1, 0))] = (1, 0, 1, 0)
+    with pytest.raises(InconsistentDeckError, match="degree 4"):
+        charpoly_from_polydeck(PolyDeck(4, tuple(polys)))
+
+
+@pytest.mark.parametrize("g", [
+    path(3),                                             # degrees up to n - 1 = 2
+    graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),          # the paw: a degree-3 vertex
+    disjoint_union(path(4), empty_graph(1)),             # an isolated vertex
+    graph(6, [(0, v) for v in range(1, 6)] + [(1, 2)]),  # a degree-5 vertex
+], ids=["n3", "n4", "n5", "n6"])
+def test_real_decks_at_the_degree_bounds_are_answered(g):
+    assert charpoly_from_polydeck(build_polydeck(g)).coeffs == charpoly_oracle(g).coeffs
+
+
 def _pendant_graph(rng, n):
     """A half-dense core on n - 1 vertices and a pendant vertex: the degree-1 route."""
     edges = [e for e in combinations(range(n - 1), 2) if rng.random() < 0.5]

@@ -1,8 +1,9 @@
 """Derandomised property tests through the pipelines.
 
-Random graphs on 7 and 8 vertices go through `reconstruct(strip(nmatrix(g)))`.
-The poset-fill validation must refuse none of them, and every invariant the
-reconstruction reports must equal its oracle.
+Random graphs on 7 and 8 vertices go through `reconstruct(strip(nmatrix(g)))`
+and through `charpoly_from_vertex_deck(vertex_deck(g))`.  The poset-fill
+validation and the deck's exact divisions must refuse none of them, and every
+invariant a pipeline reports must equal its oracle.
 """
 
 from itertools import combinations
@@ -14,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconkit.deck import nmatrix, strip
-from reconkit.graphcore import graph
+from reconkit.graphcore import graph, vertex_deck
 from reconkit.nrecon import reconstruct
 from reconkit.oracle import (charpoly_oracle, ham_oracle, psi_oracle, rankpoly_oracle,
                              tr_oracle, uni_oracle)
+from reconkit.whitney import charpoly_from_vertex_deck
 
 PIPELINE = settings(derandomize=True, database=None, deadline=None, max_examples=10)
 
@@ -43,3 +45,9 @@ def test_nrecon_accepts_random_graphs_and_matches_the_oracles(g):
     assert all(tp.psi.get(i, 0) == psi_oracle(g, i) for i in range(2, g.n + 1))
     assert all(tp.uni.get(r, 0) == uni_oracle(g, r) for r in range(3, g.n + 1))
     assert rec.rankpoly() == rankpoly_oracle(g)
+
+
+@PIPELINE
+@given(_graphs())
+def test_the_vertex_deck_gives_random_graphs_their_oracle_charpoly(g):
+    assert charpoly_from_vertex_deck(vertex_deck(g)).coeffs == charpoly_oracle(g).coeffs

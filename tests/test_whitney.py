@@ -5,9 +5,9 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from reconkit import whitney
-from reconkit.errors import DomainError
+from reconkit.errors import DomainError, InconsistentDeckError
 from reconkit.graphcore import (complete, cycle, disjoint_union, empty_graph,
-                                graph, path, vertex_deck)
+                                graph, parse_graph6, path, vertex_deck)
 from reconkit.isotype import canonical_code, code_graph
 from reconkit.oracle import charpoly_oracle, cover_count_oracle
 from reconkit.verify import count_type_chain
@@ -145,9 +145,23 @@ def test_charpoly_from_vertex_deck_examples():
 def test_charpoly_from_vertex_deck_guards():
     with pytest.raises(DomainError):
         charpoly_from_vertex_deck(vertex_deck(path(2)))
-    from reconkit.errors import InconsistentDeckError
     with pytest.raises(InconsistentDeckError):
         charpoly_from_vertex_deck([path(2), path(3), path(3)])
+
+
+def test_edge_counts_no_graph_has_are_refused_before_any_cover_table(monkeypatch):
+    """The derivative identity refuses both decks: `B?`, `B?`, `B?`, `BW` has
+    2 card edges, so e = 1 and the `BW` card's vertex would have degree -1, and
+    three P3 cards with one K2 + K1 have 7 card edges, not a multiple of n - 2."""
+    def no_tables(root, vmax):
+        raise AssertionError("a cover table was built")
+
+    monkeypatch.setattr(whitney, "covers_of_type", no_tables)
+    four_cards = [parse_graph6(s) for s in ("B?", "B?", "B?", "BW")]
+    with pytest.raises(InconsistentDeckError, match="degree -1"):
+        charpoly_from_vertex_deck(four_cards)
+    with pytest.raises(InconsistentDeckError, match="index 2: -7 is not divisible by 2"):
+        charpoly_from_vertex_deck([path(3)] * 3 + [graph(3, [(0, 1)])])
 
 
 def test_charpoly_from_vertex_deck_small(corpus5):
