@@ -278,11 +278,15 @@ def cover_count_oracle(S, h: Graph) -> int:
     """Number of tuples (X_1..X_k), X_i a subgraph of h isomorphic to S[i], with union h.
 
     The copies of each S[i] come from `_copies`, by brute force over
-    injections, so no canonical labelling is involved.
+    injections, so no canonical labelling is involved.  A union of copies
+    has at most as many vertices and edges as the copies together, so when
+    they have fewer than h the count is 0 without enumerating any tuple.
     """
     for f in S:
         if f.has_isolated_vertex():
             raise DomainError("cover members may not have isolated vertices")
+    if sum(f.n for f in S) < h.n or sum(f.e for f in S) < h.e:
+        return 0
     unions = _unions([(m, 1) for m in _copies(h, f)] for f in S)
     return unions.get((1 << (h.n + h.e)) - 1, 0)
 

@@ -6,13 +6,17 @@ and returns its failure strings; an empty list means the graph passed.
 with the published table and diagram.  The `reconkit sweep` command, the
 acceptance suite and the sweep demo all run their checks from here.
 
-The subject holds g's stripped N-matrix, its poset, the reconstruction from
-it, the vertex deck, the oracle charpoly and ham, and the subgraph counts by
-type, each built on first use, read-only, and dropped when `run_checks`
-returns.  No check compares one shared value with another: `nrecon` and
-`rankpoly` hold the reconstruction against oracles, `roundtrip` the matrix
-against the one it refills from the poset, `kocay-identity` and `eq1` the
-counts against `cover_count_oracle` and the subset table.
+The subject holds the work per graph: g's stripped N-matrix, its poset, the
+reconstruction from it, the vertex deck, the oracle charpoly and ham, and
+the subgraph counts by type, each built on first use, read-only, and dropped
+when `run_checks` returns.  The work per type is done once per process, in
+bounded caches that take no graph: the chain weights of each type and
+order, the Kocay covers of each subgraph type, the canonical matrix of each
+card type, and eq1's rows of each order.  No check compares one shared
+value with another: `nrecon` and `rankpoly` hold the reconstruction against
+oracles, `roundtrip` the matrix against the one it refills from the poset,
+`kocay-identity` and `eq1` the counts against `cover_count_oracle` and the
+subset table.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from math import prod
+from math import lcm, prod
 from typing import Callable, NamedTuple
 
 from . import deck as deckmod
@@ -134,28 +138,45 @@ def _check_vertexdeck(s: _Subject) -> list:
     return [] if got.coeffs == s.charpoly.coeffs else ["vertex deck charpoly mismatch"]
 
 
-def count_type_chain(g: Graph, members) -> int:
-    """`whitney.count_type` as the chain sum of Kocay's identity; exponential.
+# One entry per chain type and order: 19 x 4 in any sweep, since `whitney-chain`
+# runs on graphs with 2 to 5 vertices.
+@lru_cache(maxsize=128)
+def _chain_weights(root: tuple, n: int) -> tuple:
+    """The chain sum's coefficients for a type key and graphs of order n.
 
-    The identity, solved for <G, S0> and substituted into itself, sums over
-    the chains of distinct types S0 -> ... -> T, so the `whitney-chain` check
-    compares it with the memoised recursion.
+    Kocay's identity, solved for <G, S0> and substituted into itself, gives
+    <G, S0> as a sum over the chains S0 -> S1 -> ... -> Sq = T of distinct
+    types, each weighing prod <G, block of T> by
+    (-1)^q / c(T, T) * prod_{i<q} c(S_i, S_{i+1}) / c(S_i, S_i).
+    Every chain is enumerated once per key, and the weights are summed per
+    T: the result is ((T, weight), ...) as integers over one denominator,
+    and that denominator.
     """
-    total = Fraction(0)
+    weights = {}
 
-    def walk(root, q, acc):
-        nonlocal total
-        table = covers_of_type(root, g.n)
-        p = prod(count_subgraphs(g, code_graph(code)) for code in root)
-        total += Fraction((-1) ** q * p, table.self_cover) * acc
-        for tk, c in table.by_type.items():
-            if tk != root:
-                walk(tk, q + 1, acc * Fraction(c, table.self_cover))
+    def walk(tk, q, acc):
+        table = covers_of_type(tk, n)
+        weights[tk] = weights.get(tk, 0) + (-1) ** q * acc / table.self_cover
+        for sub, c in table.by_type.items():
+            if sub != tk:
+                walk(sub, q + 1, acc * Fraction(c, table.self_cover))
 
-    walk(type_key(members), 0, Fraction(1))
-    if total.denominator != 1:
-        raise ConsistencyError("chain sum is not integral")
-    return int(total)
+    walk(root, 0, Fraction(1))
+    den = lcm(*(w.denominator for w in weights.values()))
+    return tuple((tk, w.numerator * (den // w.denominator))
+                 for tk, w in weights.items() if w), den
+
+
+def count_type_chain(g: Graph, members) -> int:
+    """`whitney.count_type` as the chain sum of Kocay's identity.
+
+    The weights of `_chain_weights` depend on the type and g.n only, so the
+    `whitney-chain` check compares this sum with the memoised recursion.
+    """
+    weights, den = _chain_weights(type_key(members), g.n)
+    total = sum(w * prod(count_subgraphs(g, code_graph(code)) for code in tk)
+                for tk, w in weights)
+    return exact_div(total, den, "chain sum", ConsistencyError)
 
 
 def _check_whitney_chain(s: _Subject) -> list:
@@ -208,13 +229,20 @@ def _check_derivative(s: _Subject) -> list:
     return [] if lhs.coeffs == total.coeffs else ["derivative identity violated"]
 
 
+# One entry per card type with an edge: 202 in a whole n <= 7 sweep, 1,245 at n <= 8.
+@lru_cache(maxsize=2048)
+def _card_matrix(code: bytes) -> tuple:
+    """The rows of the canonical stripped N-matrix of the card a code spells."""
+    return deckmod.canonical_nmatrix(deckmod.strip(deckmod.nmatrix(code_graph(code)))).rows
+
+
 def _check_childdeck(s: _Subject) -> list:
     got = {tuple(sub.rows): mult for sub, mult in deckmod.child_nmatrices(s.matrix)}
     want = {}
     for card in s.deck:
         if card.e == 0:
             continue
-        key = deckmod.canonical_nmatrix(deckmod.strip(deckmod.nmatrix(card))).rows
+        key = _card_matrix(canonical_code(card))
         want[key] = want.get(key, 0) + 1
     return [] if got == want else ["child matrices disagree with direct computation"]
 

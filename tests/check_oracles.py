@@ -8,17 +8,23 @@ The `_enum_*` functions enumerate edge subsets, so their cost grows with
 e(g).  They are the witnesses of the oracles' tree, unicyclic and rank
 polynomial methods, whose cost grows with n alone.  `dense_fill` fills a
 poset's matrix entry by entry, the witness of the sparse fill in
-`deck.nmatrix_from_elp`.
+`deck.nmatrix_from_elp`.  `chain_walk` walks the chain sum of Kocay's
+identity for one graph, the witness of the weights per type and order in
+`verify.count_type_chain`.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from reconkit.combi import exact_div
 from reconkit.deck import Elp, NMatrix
 from reconkit.errors import DomainError, InvalidMatrixError
 from reconkit.graphcore import Graph, elementary_graph
+from reconkit.isotype import code_graph, count_subgraphs
 from reconkit.oracle import _copies, _elementary, _unions, psi_oracle
+from reconkit.whitney import covers_of_type, type_key
 
 
 def _endpoint_mask(subset) -> int:
@@ -195,3 +201,27 @@ def dense_fill(elp: Elp) -> NMatrix:
             total = sum(lab * rows[k][j] for (k, lab) in up.get(i, ()))
             rows[i][j] = exact_div(total, ranks[i] - ranks[j], f"poset fill at ({i},{j})")
     return NMatrix(tuple(tuple(r) for r in rows), None)
+
+
+def chain_walk(g: Graph, members) -> int:
+    """<g, members> as the chain sum of Kocay's identity, walked for g alone.
+
+    Every chain S0 -> ... -> Sq = T of distinct types is walked again for g,
+    and each adds (-1)^q prod <g, block of T> / c(T, T) times the product of
+    c(S_i, S_{i+1}) / c(S_i, S_i) along it, in Fractions.
+    """
+    total = Fraction(0)
+
+    def walk(root, q, acc):
+        nonlocal total
+        table = covers_of_type(root, g.n)
+        p = prod(count_subgraphs(g, code_graph(code)) for code in root)
+        total += Fraction((-1) ** q * p, table.self_cover) * acc
+        for tk, c in table.by_type.items():
+            if tk != root:
+                walk(tk, q + 1, acc * Fraction(c, table.self_cover))
+
+    walk(type_key(members), 0, Fraction(1))
+    if total.denominator != 1:
+        raise ValueError("chain sum is not integral")
+    return int(total)

@@ -6,12 +6,13 @@ unless it is on the allowlist below, a pipeline may borrow from the oracle
 module only the names allowed below, the oracle module borrows nothing from
 `isotype` or the pipelines, every name a module imports must be used in it,
 every layer the benchmark tracer wraps must exist, as must every name a
-module exports in `__all__`, and every certifying division goes through
-`combi.exact_div`.
+module exports in `__all__`, every certifying division goes through
+`combi.exact_div`, and no cache of `verify` takes a graph.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,6 +154,53 @@ def test_the_divmod_guard_sees_every_spelling():
                  "d = divmod": {"m:1"}, "def f(a, b):\n    return a // b": set()}
     for spelling, sites in spellings.items():
         assert _divmod_sites(ast.parse(spelling), "m") == sites, spelling
+
+
+def _mentions_graph(annotation) -> bool:
+    """Whether an annotation names `Graph`, as a name, an attribute or in a string."""
+    return annotation is not None and any(
+        _name(node) == "Graph" or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                                   and re.search(r"\bGraph\b", node.value))
+        for node in ast.walk(annotation))
+
+
+def _graph_keyed_caches(tree, module: str) -> set:
+    """`module.function` for each `cache` or `lru_cache` function with a parameter
+    annotated as a Graph or named `g`."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not any(_name(dec.func if isinstance(dec, ast.Call) else dec) in ("cache", "lru_cache")
+                   for dec in node.decorator_list):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        if any(p.arg == "g" or _mentions_graph(p.annotation) for p in params):
+            found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_verify_caches_take_no_graph():
+    """A graph's artifacts live on the check subject and go with it (ROADMAP
+    item S); the process-wide caches of `verify` hold per-type work only."""
+    path = SRC / "verify.py"
+    assert _graph_keyed_caches(ast.parse(path.read_text(), filename=str(path)), "verify") == set()
+
+
+def test_the_graph_keyed_cache_guard_sees_every_spelling():
+    spellings = {"@lru_cache(maxsize=8)\ndef f(g): pass": {"m.f"},
+                 "@functools.lru_cache(maxsize=8)\ndef f(h: Graph): pass": {"m.f"},
+                 "@cache\ndef f(n, *, host: 'Graph'): pass": {"m.f"},
+                 "@lru_cache\ndef f(x: Optional[graphcore.Graph]): pass": {"m.f"},
+                 "@lru_cache(maxsize=8)\ndef f(*g): pass": {"m.f"},
+                 "class C:\n    @lru_cache(maxsize=8)\n    def f(self, g): pass": {"m.f"},
+                 "@lru_cache(maxsize=8)\ndef f(code: bytes, n: int): pass": set(),
+                 "@lru_cache(maxsize=8)\ndef f(x: 'Graphs'): pass": set(),
+                 "def f(g: Graph): pass": set(),
+                 "@cached_property\ndef matrix(self, g): pass": set()}
+    for spelling, sites in spellings.items():
+        assert _graph_keyed_caches(ast.parse(spelling), "m") == sites, spelling
 
 
 def _imports_from(tree, module: str) -> set:

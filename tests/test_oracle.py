@@ -4,6 +4,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from reconkit import oracle
 from reconkit.combi import Polynomial, partitions_min2
 from reconkit.errors import DomainError
 from reconkit.graphcore import (Graph, all_graphs, complete, cycle, cycles_on_sets,
@@ -13,6 +14,7 @@ from reconkit.isotype import canonical_code, count_subgraphs
 from reconkit.oracle import (_copies, charpoly_oracle, cover_count_oracle,
                              ham_oracle, psi_oracle, rankpoly_oracle,
                              signed_exact_cover_oracle, tr_oracle, uni_oracle)
+from reconkit.verify import _KOCAY_TYPES, CHAIN_TYPES
 
 from check_oracles import (_enum_rankpoly, _enum_tr, _enum_uni, c_oracle, con_oracle,
                            elementary_count_oracle, kedge_connected_oracle,
@@ -171,6 +173,28 @@ def test_cover_count_examples():
     assert cover_count_oracle([k2, k2, k2], complete(3)) == 6
     with pytest.raises(DomainError):
         cover_count_oracle([disjoint_union(k2, empty_graph(1))], k2)
+
+
+def test_the_cover_count_guard_is_exact(monkeypatch):
+    """With fewer vertices or edges in the copies than in h, the 0 returned
+    without enumerating is the unguarded lookup's, on every h with v(h) <= 5
+    and every factor list of the sweep's Kocay and chain checks."""
+    real, enumerated = oracle._unions, []
+
+    def counting(item_lists):
+        enumerated.append(1)
+        return real(item_lists)
+
+    monkeypatch.setattr(oracle, "_unions", counting)
+    spared = 0
+    for h in all_graphs(5):
+        full = (1 << (h.n + h.e)) - 1
+        for fams in set(_KOCAY_TYPES + CHAIN_TYPES):
+            before = len(enumerated)
+            got = cover_count_oracle(list(fams), h)
+            spared += len(enumerated) == before
+            assert got == real([(m, 1) for m in _copies(h, f)] for f in fams).get(full, 0)
+    assert spared > 0
 
 
 def _copies_by_codes(h, f):

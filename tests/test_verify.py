@@ -1,15 +1,18 @@
 """The verification registry's per-graph subject: what it builds, and that
-sharing it changes no check's verdict."""
+sharing it changes no check's verdict; the per-type caches, and that the
+checks reading them still fail on a wrong count."""
 
 from collections import Counter
 
 import pytest
 
 from reconkit import deck as deckmod
-from reconkit import isotype, verify
+from reconkit import isotype, verify, whitney
 from reconkit.errors import ConsistencyError
 from reconkit.graphcore import all_graphs, graph, vertex_deck, write_graph6
-from reconkit.verify import CHECKS, run_checks
+from reconkit.isotype import canonical_code, code_graph
+from reconkit.verify import CHAIN_TYPES, CHECKS, run_checks
+from reconkit.whitney import type_key
 
 STAR5 = graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])  # one card without an edge
 
@@ -35,11 +38,12 @@ def test_each_artifact_is_built_once_per_call(which, prism, monkeypatch):
     charpolys = _counted(monkeypatch, verify, "charpoly_oracle")
     hams = _counted(monkeypatch, verify, "ham_oracle")
     tables = _counted(monkeypatch, isotype, "subgraph_type_table")
+    verify._card_matrix.cache_clear()
     out = run_checks(g, sorted(CHECKS))
     assert all(not fails for name, fails in out.items() if name != "elp-aut")
-    # once on g, and once on each card with an edge for `childdeck`
-    cards = [card for card in vertex_deck(g) if card.e]
-    assert Counter(nmatrices) == Counter([g] + cards)
+    # once on g, and for `childdeck` once per card type with an edge, on its canonical form
+    types = {canonical_code(card) for card in vertex_deck(g) if card.e}
+    assert Counter(nmatrices) == Counter([g] + [code_graph(code) for code in types])
     assert len(recons) == 1
     assert decks == [g]
     assert charpolys.count(g) == 1
@@ -77,3 +81,45 @@ def test_a_failed_artifact_is_each_readers_own_error(paw, bowtie, monkeypatch):
         got[name] = want[paw][name]
     assert got == want[paw]
     assert run_checks(bowtie, names) == want[bowtie]
+
+
+def test_chain_weights_are_kept_once_per_type_and_order():
+    verify._chain_weights.cache_clear()
+    for g in all_graphs(5, min_edges=1):
+        assert run_checks(g, ["whitney-chain"]) == {"whitney-chain": []}
+    info = verify._chain_weights.cache_info()
+    # orders 2..5, so nothing is evicted
+    assert info.currsize <= len(CHAIN_TYPES) * 4 <= info.maxsize
+
+
+def test_whitney_chain_fails_on_a_recursion_off_by_one(bowtie, monkeypatch):
+    verify._chain_weights.cache_clear()
+    whitney.covers_of_type.cache_clear()
+    wrong, real = CHAIN_TYPES[4], verify.count_type
+    monkeypatch.setattr(verify, "count_type",
+                        lambda g, fams: real(g, fams) + (type_key(fams) == type_key(wrong)))
+    want = [f"chain sum != recursion for {len(wrong)}-block type"]
+    assert run_checks(bowtie, ["whitney-chain"]) == {"whitney-chain": want}
+
+
+def test_childdeck_fails_when_a_child_is_dropped(bowtie, monkeypatch):
+    verify._card_matrix.cache_clear()
+    real = deckmod.child_nmatrices
+
+    def one_fewer(nm):
+        (sub, mult), *rest = real(nm)
+        return [(sub, mult - 1)] * (mult > 1) + rest
+
+    monkeypatch.setattr(deckmod, "child_nmatrices", one_fewer)
+    want = ["child matrices disagree with direct computation"]
+    assert run_checks(bowtie, ["childdeck"]) == {"childdeck": want}
+
+
+def test_kocay_identity_fails_on_a_count_off_by_one(bowtie):
+    """The bowtie's count of itself enters only the covers' side of the identity."""
+    verify._kocay_covers.cache_clear()
+    s = verify._Subject(bowtie)
+    assert verify._check_kocay(s) == []
+    s.subgraph_counts[canonical_code(bowtie)] += 1
+    fails = verify._check_kocay(s)
+    assert fails and all(f.startswith("kocay identity violated") for f in fails)

@@ -10,9 +10,11 @@ from reconkit.graphcore import (complete, cycle, disjoint_union, empty_graph,
                                 graph, parse_graph6, path, vertex_deck)
 from reconkit.isotype import canonical_code, code_graph
 from reconkit.oracle import charpoly_oracle, cover_count_oracle
-from reconkit.verify import count_type_chain
+from reconkit.verify import CHAIN_TYPES, count_type_chain
 from reconkit.whitney import (block_type, charpoly_from_vertex_deck,
                               count_type, covers_of_type, type_key)
+
+from check_oracles import chain_walk
 
 
 def test_block_type_examples(bowtie):
@@ -113,6 +115,13 @@ def test_chain_sum_equals_recursion(corpus5):
         for r in (1, 2, 3):
             for fams in combinations_with_replacement(pool, r):
                 assert count_type(g, fams) == count_type_chain(g, fams)
+
+
+def test_chain_sum_equals_its_walk_for_each_graph(corpus5):
+    """The weights per type and order give the sum that walking every chain for g gives."""
+    for g in corpus5:
+        for fams in CHAIN_TYPES:
+            assert count_type_chain(g, fams) == chain_walk(g, fams), (g, type_key(fams))
 
 
 def test_kocay_identity_by_types(corpus5):
