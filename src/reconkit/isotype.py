@@ -24,8 +24,9 @@ round before started from, so a cell that did not split neither splits nor
 orders it; the last fragment's count is the old cell's less the others', and
 as it stands after them in the signature it never decides an order either.
 
-The search runs once per first-leaf form.  `_canon(g)` descends to the first
-leaf, individualising the least vertex of the first non-singleton cell, with
+The search runs once per first-leaf form.  `_first_leaf`, which `_canon(g)`
+and the subset codes below share, descends to the first leaf,
+individualising the least vertex of the first non-singleton cell, with
 ordering perm (new -> old); g relabelled by perm, packed like a code, is the
 form.  `_search(form)` is cached per form, and `_canon` maps its witness back
 by x -> perm[x] and each automorphism sigma to gamma[perm[k]] = perm[sigma[k]].
@@ -71,8 +72,14 @@ first mask of each code.  The automorphisms the search of g found generate
 Aut g, and an automorphism maps g[S] onto an isomorphic g[gamma(S)], so the
 pass canonicalises one subset per orbit, the smallest, and gives its code to
 the whole orbit; every entry is the one that canonicalising each subset
-would give.  Since a code starts with its vertex
-count, the one table answers every order:
+would give.  A subset is canonicalised from its labelled adjacency bits, not
+from a `Graph`: `_subset_bits` builds the bits of g[S] from those of g[S - t]
+for the top vertex t of S, whose column lands above them, and
+`_subset_code(k, bits)` decodes them into adjacency masks and runs
+`_canon`'s first-leaf descent and `_search`, keeping only the code.  A table
+therefore adds to `_canon` only g itself, whose automorphisms it needs, and
+its subsets fill a cache of small integer keys.  Since a code starts with
+its vertex count, the one table answers every order:
 `count_induced(g, f)` is a lookup of f's code (the empty f counts once, from
 mask 0) and `induced_type_table(g, k)` is the table's slice at order k.  The
 N-matrix of `deck` is tallied from the same codes.
@@ -87,7 +94,7 @@ from typing import NamedTuple
 
 from .combi import exact_div
 from .errors import DomainError, InconsistentDeckError
-from .graphcore import Graph, adjacency_masks, graph, induced_subgraph
+from .graphcore import Graph, adjacency_masks, graph
 
 __all__ = [
     "canonical_code",
@@ -169,12 +176,24 @@ def _pack(n: int, val: int) -> bytes:
     return bytes([n]) + val.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
-# Labelled graphs and first-leaf forms per seed-1 bench pass: `recon` 597 and
-# 172, `build` 1,120 and 345, `decks` 1,466 and 213, `sweep` 860 and 53; 32,886
-# and 13,608 in `all_graphs(8)`.  At 16384 each, a pass, an n <= 7 sweep (12.7k
-# graphs) and every form up to 8 vertices stay cached; a 2^16 subset table or
-# a cold n = 10 deck (61k graphs) evicts, but what they canonicalise again,
-# the decoded codes, was used recently.
+def _first_leaf(masks, n):
+    """(perm, form): the first leaf's ordering new -> old, reached by
+    individualising the least vertex of the first non-singleton cell, and
+    the graph relabelled by it, packed like a code."""
+    cells = _refine(masks, [list(range(n))], [(1 << n) - 1])
+    while len(cells) < n:
+        target = next(i for i, c in enumerate(cells) if len(c) > 1)
+        cells = _individualise(masks, cells, target, min(cells[target]))
+    perm = tuple(c[0] for c in cells)
+    return perm, _pack(n, _bits_int(masks, perm, n))
+
+
+# Labelled graphs and first-leaf forms per seed-1 bench pass: `recon` 27 and
+# 173, `build` 45 and 346, `decks` 1,466 and 213, `sweep` 245 and 54; 32,886
+# and 13,608 in `all_graphs(8)`.  A subset table adds only its graph here.  At
+# 16384 each, a pass, an n <= 7 sweep (12.1k graphs) and every form up to 8
+# vertices stay cached; a cold n = 10 deck (61k graphs) evicts, but what it
+# canonicalises again, the decoded codes, was used recently.
 @lru_cache(maxsize=16384)
 def _canon(g: Graph):
     """Return (minimal bitstring as int, witness permutation new->old, automorphisms).
@@ -184,15 +203,8 @@ def _canon(g: Graph):
     tuples old -> old, generate Aut g.
     """
     n = g.n
-    if n == 0:
-        return 0, (), ()
-    masks = adjacency_masks(g)
-    cells = _refine(masks, [list(range(n))], [(1 << n) - 1])
-    while len(cells) < n:
-        target = next(i for i, c in enumerate(cells) if len(c) > 1)
-        cells = _individualise(masks, cells, target, min(cells[target]))
-    perm = tuple(c[0] for c in cells)
-    val, witness, autos = _search(_pack(n, _bits_int(masks, perm, n)))
+    perm, form = _first_leaf(adjacency_masks(g), n)
+    val, witness, autos = _search(form)
     pos = sorted(range(n), key=perm.__getitem__)  # perm's inverse
     return (val, tuple(perm[x] for x in witness),
             tuple(tuple(perm[sigma[pos[v]]] for v in range(n)) for sigma in autos))
@@ -322,6 +334,49 @@ class SubsetTable(NamedTuple):
     first: dict
 
 
+def _subset_bits(masks, n) -> list:
+    """bits[S] for every vertex subset S of the graph g with these adjacency
+    masks: g[S], relabelled in increasing order, with edge (i, j), i < j, at
+    bit C(j, 2) + i, which is graph6's column order.  The top vertex t of S
+    is vertex |S| - 1 of g[S], so its column lands above bits[S - t]."""
+    bits = [0] * (1 << n)
+    for t in range(1, n):
+        adj = masks[t]
+        col = [0] * (1 << t)  # col[r]: t's adjacency to the vertices of r, by rank in r
+        for r in range(1, 1 << t):
+            top = r.bit_length() - 1
+            k = r.bit_count() - 1  # top's rank in r
+            col[r] = col[r ^ 1 << top] | (adj >> top & 1) << k
+            bits[r | 1 << t] = bits[r] | col[r] << (k + 1) * k // 2
+    return bits
+
+
+def _column_masks(k: int, bits: int) -> list:
+    """The adjacency masks of the k-vertex graph that `bits` spells in
+    `_subset_bits`' order."""
+    masks = [0] * k
+    for j in range(1, k):
+        col = bits >> j * (j - 1) // 2 & (1 << j) - 1  # j's neighbours below j
+        masks[j] = col
+        while col:
+            low = col & -col
+            masks[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return masks
+
+
+# Labelled subsets per seed-1 bench pass: `build` 1,120, `recon` 597, `sweep`
+# 83, `decks` none; 3,276 in an n <= 7 sweep.  At 16384 these stay cached; the
+# tables of `all_graphs(8)` (64k) or of one 16-vertex graph (56k) evict, and
+# an entry is two ints and a code, so eviction frees no graph.
+@lru_cache(maxsize=16384)
+def _subset_code(k: int, bits: int) -> bytes:
+    """The canonical code of the k-vertex graph that `bits` spells: the
+    first-leaf descent and `_search` of `_canon`, with no `Graph` built and
+    no entry added to `_canon`."""
+    return _pack(k, _search(_first_leaf(_column_masks(k, bits), k)[1])[0])
+
+
 @lru_cache(maxsize=256)
 def subset_table(g: Graph) -> SubsetTable:
     """One pass over the 2^n vertex subsets of g, canonicalising one per orbit.
@@ -329,11 +384,12 @@ def subset_table(g: Graph) -> SubsetTable:
     An automorphism maps g[S] onto g[gamma(S)], so the subsets in one orbit
     of Aut g share a code.  Masks are visited in increasing order; a mask
     that no earlier orbit reached is the smallest of its orbit, is
-    canonicalised, and its code is spread over the orbit under the
-    automorphisms `_canon(g)` found.  Each code's first mask is therefore
-    that of the per-mask pass.
+    canonicalised from its labelled adjacency bits, and its code is spread
+    over the orbit under the automorphisms `_canon(g)` found.  Each code's
+    first mask is therefore that of the per-mask pass.
     """
     n = g.n
+    bits = _subset_bits(adjacency_masks(g), n)
     images = []  # per automorphism, the image of every mask
     for gamma in _canon(g)[2]:
         img = [0] * (1 << n)
@@ -345,7 +401,7 @@ def subset_table(g: Graph) -> SubsetTable:
     for mask in range(1 << n):
         if codes[mask] is not None:
             continue
-        code = canonical_code(induced_subgraph(g, [v for v in range(n) if mask >> v & 1]))
+        code = _subset_code(mask.bit_count(), bits[mask])
         codes[mask] = code
         orbit = [mask]
         for m in orbit:

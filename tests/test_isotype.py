@@ -260,12 +260,49 @@ def _reference_subset_table(g):
     return tuple(codes), counts, first
 
 
+def _asymmetric_gnm(rng, n, m):
+    """A seeded G(n, m) whose only automorphism is the identity."""
+    pairs = list(combinations(range(n), 2))
+    while True:
+        g = graph(n, rng.sample(pairs, m))
+        if automorphism_count(g) == 1:
+            return g
+
+
 def test_subset_table_equals_the_per_mask_pass(corpus6):
-    """Canonicalising one subset per automorphism orbit changes no field."""
+    """Canonicalising one subset per automorphism orbit, from its adjacency
+    bits, changes no field.  An asymmetric 9-vertex graph canonicalises all
+    512 subsets; K9 - e, K3,3,3 and K2,2,2,3 few."""
     rng = random.Random(13)
-    graphs = list(corpus6) + _orbit_shapes()
+    graphs = list(corpus6) + _orbit_shapes() + [_complete_multipartite(2, 2, 2, 3)]
+    graphs += [_asymmetric_gnm(rng, 9, m) for m in (8, 11, 24, 26)]
     for g in graphs + [_random_relabel(g, rng) for g in graphs]:
         assert tuple(subset_table(g)) == _reference_subset_table(g), g
+
+
+def test_subset_bits_spell_the_induced_subgraphs():
+    """Decoding the adjacency bits of each vertex subset S gives the masks of
+    induced_subgraph(g, S)."""
+    rng = random.Random(37)
+    pairs = list(combinations(range(8), 2))
+    for g in (graph(8, rng.sample(pairs, 11)), graph(8, rng.sample(pairs, 19))):
+        bits = isotype._subset_bits(adjacency_masks(g), g.n)
+        for mask in range(1 << g.n):
+            s = [v for v in range(g.n) if mask >> v & 1]
+            assert isotype._column_masks(len(s), bits[mask]) == \
+                adjacency_masks(induced_subgraph(g, s)), (g, s)
+
+
+def test_a_subset_table_adds_at_most_its_graph_to_the_canonical_cache():
+    """The subsets are canonicalised through the bounded `_subset_code`
+    cache, keyed by their bits; before, each of the 512 subsets of an
+    asymmetric 9-vertex graph became a graph in `_canon`."""
+    g = _asymmetric_gnm(random.Random(41), 9, 18)
+    _canon.cache_clear()
+    subset_table.__wrapped__(g)
+    assert _canon.cache_info().currsize <= 1
+    info = isotype._subset_code.cache_info()
+    assert 0 < info.currsize <= info.maxsize
 
 
 def test_are_isomorphic_agrees_with_networkx():
