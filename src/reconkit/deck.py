@@ -279,7 +279,7 @@ def child_nmatrices(nm: NMatrix) -> list:
         keep = [k for k, x in enumerate(rows[j]) if x]
         canon = canonical_nmatrix(
             NMatrix(tuple(tuple(rows[a][b] for b in keep) for a in keep), None))
-        _canon, total = merged.get(canon.rows, (canon, 0))
+        total = merged.get(canon.rows, (canon, 0))[1]
         merged[canon.rows] = (canon, total + mult)
     return [pair for _key, pair in sorted(merged.items())]
 
@@ -307,19 +307,25 @@ def _stable_cells(nm: NMatrix, ve) -> list:
     ids are assigned in sorted signature order, so the final cell order is
     invariant under admissible permutations.  A discrete partition is
     final: each signature leads with the row's own cell id, so a further
-    round would keep its order.
+    round would keep its order.  For the same reason a row alone in its
+    cell takes its id alone as its signature; cells only split, so only the
+    rows that share a cell in the first round get their entries listed.
     """
     size = nm.size
     ids = _intern(ve)
     below = above = None
     while max(ids) + 1 < size:
+        shared = Counter(ids)
         if below is None:
-            below = [[(j, x) for j, x in enumerate(row) if x and j != i]
-                     for i, row in enumerate(nm.rows)]
-            above = [[(j, x) for j, x in enumerate(col) if x and j != i]
-                     for i, col in enumerate(zip(*nm.rows))]
+            cols = list(zip(*nm.rows))
+            below, above = [None] * size, [None] * size
+            for i in range(size):
+                if shared[ids[i]] > 1:
+                    below[i] = [(j, x) for j, x in enumerate(nm.rows[i]) if x and j != i]
+                    above[i] = [(j, x) for j, x in enumerate(cols[i]) if x and j != i]
         new = _intern([(ids[i], tuple(sorted((ids[j], x) for j, x in below[i])),
-                        tuple(sorted((ids[j], x) for j, x in above[i]))) for i in range(size)])
+                        tuple(sorted((ids[j], x) for j, x in above[i])))
+                       if shared[ids[i]] > 1 else (ids[i],) for i in range(size)])
         if max(new) == max(ids):
             break
         ids = new

@@ -338,22 +338,24 @@ def all_graphs(max_n: int, min_edges: int = 0) -> list:
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  No
     type is lost: deleting a vertex of largest degree from any graph leaves
     a parent, and joining the vertex back passes the filter.  Deduplication
-    uses canonical codes from reconkit.isotype; results are the canonical
+    uses canonical codes from reconkit.isotype, read from each candidate's
+    adjacency bits without building it as a graph; results are the canonical
     forms the codes spell, in code order, which puts smaller n first.
     """
-    from .isotype import canonical_code, code_graph
+    from .isotype import bits_code, code_graph, edge_bits
 
     levels = {1: [empty_graph(1)]}
     for n in range(2, max_n + 1):
         seen = set()
         for parent in levels[n - 1]:
             pdeg = [m.bit_count() for m in adjacency_masks(parent)]
+            pbits = edge_bits(parent.edges)
             for nbrs in range(1 << (n - 1)):
                 d = nbrs.bit_count()
                 if any(pdeg[i] + (nbrs >> i & 1) > d for i in range(n - 1)):
                     continue
-                extra = [(i, n - 1) for i in range(n - 1) if (nbrs >> i) & 1]
-                seen.add(canonical_code(graph(n, list(parent.edges) + extra)))
+                # the new vertex's column: edge (i, n - 1) is bit C(n - 1, 2) + i
+                seen.add(bits_code(n, pbits | nbrs << (n - 1) * (n - 2) // 2))
         levels[n] = [code_graph(code) for code in sorted(seen)]
     out = []
     for n in range(1, max_n + 1):

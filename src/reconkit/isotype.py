@@ -24,12 +24,24 @@ round before started from, so a cell that did not split neither splits nor
 orders it; the last fragment's count is the old cell's less the others', and
 as it stands after them in the signature it never decides an order either.
 
-The search runs once per first-leaf form.  `_first_leaf`, which `_canon(g)`
-and the subset codes below share, descends to the first leaf,
-individualising the least vertex of the first non-singleton cell, with
-ordering perm (new -> old); g relabelled by perm, packed like a code, is the
-form.  `_search(form)` is cached per form, and `_canon` maps its witness back
-by x -> perm[x] and each automorphism sigma to gamma[perm[k]] = perm[sigma[k]].
+Codes are read from adjacency bits.  `edge_bits` numbers the pairs in
+graph6's column order, edge (i, j), i < j, at bit C(j, 2) + i, and
+`bits_code(n, bits)` is the one entry point for codes: `canonical_code(g)`
+passes g's bits, the subset tables below the bits of each vertex subset,
+`whitney` those of each gluing and `graphcore.all_graphs` those of each
+candidate.  Behind it, `_bits_code` is one bounded cache keyed by the two
+integers; it decodes the bits into adjacency masks and keeps only the code,
+so no `Graph` is built or kept for it.  `_canon(g)`, cached per labelled
+graph, runs the same search and also keeps its witness and the
+automorphisms it found; it serves only `automorphism_generators` and the
+subset table of g.
+
+The search runs once per first-leaf form.  `_first_leaf`, which `_canon` and
+`_bits_code` share, descends to the first leaf, individualising the least
+vertex of the first non-singleton cell, with ordering perm (new -> old); g
+relabelled by perm, packed like a code, is the form.  `_search(form)` is
+cached per form, and `_canon` maps its witness back by x -> perm[x] and each
+automorphism sigma to gamma[perm[k]] = perm[sigma[k]].
 Refinement commutes with relabelling, so the form's tree is g's relabelled by
 perm, only with children in another order: the minimum, the code, is g's, and
 the conjugated automorphisms generate Aut g.  The form's first leaf is the
@@ -61,7 +73,9 @@ edge of g, found by a backtrack over adjacency bitmasks.  An embedding maps f
 onto the copy made of the images of f's edges, and since every vertex of f is
 an edge endpoint, two embeddings hit the same copy exactly when they differ by
 an automorphism of f.  Each copy is therefore hit |Aut f| times, and the count
-is emb(f -> g) // emb(f -> f).  `subgraph_type_table(g, m)` canonicalises every
+is emb(f -> g) // emb(f -> f).  A pair whose degrees rule out an embedding,
+g's degrees in decreasing order below f's at some place, is answered 0
+before the backtrack.  `subgraph_type_table(g, m)` canonicalises every
 m-edge subset of g instead.  No code in `reconkit` calls it any more; it stays
 only because the benchmark's `perfbench/tracer.py` names it in `LAYERS`.
 
@@ -74,11 +88,10 @@ pass canonicalises one subset per orbit, the smallest, and gives its code to
 the whole orbit; every entry is the one that canonicalising each subset
 would give.  A subset is canonicalised from its labelled adjacency bits, not
 from a `Graph`: `_subset_bits` builds the bits of g[S] from those of g[S - t]
-for the top vertex t of S, whose column lands above them, and
-`_subset_code(k, bits)` decodes them into adjacency masks and runs
-`_canon`'s first-leaf descent and `_search`, keeping only the code.  A table
-therefore adds to `_canon` only g itself, whose automorphisms it needs, and
-its subsets fill a cache of small integer keys.  Since a code starts with
+for the top vertex t of S, whose column lands above them, and `bits_code`
+reads the code.  The full mask takes its code from the search `_canon(g)`
+runs for the automorphisms, so a table adds to `_canon` only g itself and
+canonicalises g once.  Since a code starts with
 its vertex count, the one table answers every order:
 `count_induced(g, f)` is a lookup of f's code (the empty f counts once, from
 mask 0) and `induced_type_table(g, k)` is the table's slice at order k.  The
@@ -98,6 +111,8 @@ from .graphcore import Graph, adjacency_masks, graph
 
 __all__ = [
     "canonical_code",
+    "edge_bits",
+    "bits_code",
     "canonical_rep",
     "code_graph",
     "are_isomorphic",
@@ -188,13 +203,11 @@ def _first_leaf(masks, n):
     return perm, _pack(n, _bits_int(masks, perm, n))
 
 
-# Labelled graphs and first-leaf forms per seed-1 bench pass: `recon` 27 and
-# 173, `build` 45 and 346, `decks` 1,466 and 213, `sweep` 245 and 54; 32,886
-# and 13,608 in `all_graphs(8)`.  A subset table adds only its graph here.  At
-# 16384 each, a pass, an n <= 7 sweep (12.1k graphs) and every form up to 8
-# vertices stay cached; a cold n = 10 deck (61k graphs) evicts, but what it
-# canonicalises again, the decoded codes, was used recently.
-@lru_cache(maxsize=16384)
+# Graphs whose automorphisms are asked for, per seed-1 bench pass: `recon`
+# 27, `build` 45, `decks` 87, `sweep` 78; 1,276 in an n <= 7 sweep with every
+# check and 1,918 in a cold n = 10 deck.  At 4096 all of these stay cached.
+# Codes alone come from `bits_code` and add nothing here.
+@lru_cache(maxsize=4096)
 def _canon(g: Graph):
     """Return (minimal bitstring as int, witness permutation new->old, automorphisms).
 
@@ -210,7 +223,10 @@ def _canon(g: Graph):
             tuple(tuple(perm[sigma[pos[v]]] for v in range(n)) for sigma in autos))
 
 
-@lru_cache(maxsize=16384)  # forms; the counts are above `_canon`
+# First-leaf forms per seed-1 bench pass: `recon` 173, `build` 346, `decks`
+# 214, `sweep` 54; 13,608 in `all_graphs(8)`.  At 16384 a pass, an n <= 7
+# sweep and every form up to 8 vertices stay cached.
+@lru_cache(maxsize=16384)
 def _search(form: bytes):
     """(minimal bitstring as int, witness new->old, automorphisms) of a first-leaf form.
 
@@ -271,8 +287,28 @@ def _search(form: bytes):
 
 
 def canonical_code(g: Graph) -> bytes:
-    """Relabelling-invariant certificate: n byte plus packed minimal bitstring."""
-    return _pack(g.n, _canon(g)[0])
+    """Relabelling-invariant certificate: n byte plus packed minimal bitstring.
+
+    It is read from g's adjacency bits, so it adds nothing to `_canon`."""
+    return bits_code(g.n, edge_bits(g.edges))
+
+
+def edge_bits(edges) -> int:
+    """The adjacency bits of an edge list in graph6's column order: edge
+    (i, j), i < j, at bit C(j, 2) + i.  A pair may come in either order, and
+    a repeated pair sets its bit once."""
+    bits = 0
+    for i, j in edges:
+        if i > j:
+            i, j = j, i
+        bits |= 1 << (j * (j - 1) // 2 + i)
+    return bits
+
+
+def bits_code(n: int, bits: int) -> bytes:
+    """The canonical code of the n-vertex graph whose `edge_bits` are `bits`,
+    from the bounded cache `_bits_code`."""
+    return _bits_code(n, bits)
 
 
 @lru_cache(maxsize=4096)
@@ -353,7 +389,7 @@ def _subset_bits(masks, n) -> list:
 
 def _column_masks(k: int, bits: int) -> list:
     """The adjacency masks of the k-vertex graph that `bits` spells in
-    `_subset_bits`' order."""
+    `edge_bits`' order."""
     masks = [0] * k
     for j in range(1, k):
         col = bits >> j * (j - 1) // 2 & (1 << j) - 1  # j's neighbours below j
@@ -365,15 +401,16 @@ def _column_masks(k: int, bits: int) -> list:
     return masks
 
 
-# Labelled subsets per seed-1 bench pass: `build` 1,120, `recon` 597, `sweep`
-# 83, `decks` none; 3,276 in an n <= 7 sweep.  At 16384 these stay cached; the
-# tables of `all_graphs(8)` (64k) or of one 16-vertex graph (56k) evict, and
-# an entry is two ints and a code, so eviction frees no graph.
+# Labelled graphs, as (n, bits), per seed-1 bench pass: `recon` 570, `build`
+# 1,078, `decks` 1,466, `sweep` 247; 12,388 in an n <= 7 sweep with every
+# check.  At 16384 these stay cached; the 32,886 candidates of
+# `all_graphs(8)`, each seen once, or the tables of one 16-vertex graph
+# (55,629 subsets) evict, and an entry is two ints and a code.
 @lru_cache(maxsize=16384)
-def _subset_code(k: int, bits: int) -> bytes:
-    """The canonical code of the k-vertex graph that `bits` spells: the
-    first-leaf descent and `_search` of `_canon`, with no `Graph` built and
-    no entry added to `_canon`."""
+def _bits_code(k: int, bits: int) -> bytes:
+    """The canonical code of the k-vertex graph whose adjacency bits, in
+    `edge_bits`' order, are `bits`: the first-leaf descent and `_search` of
+    `_canon`, with no `Graph` built and no entry added to `_canon`."""
     return _pack(k, _search(_first_leaf(_column_masks(k, bits), k)[1])[0])
 
 
@@ -385,13 +422,16 @@ def subset_table(g: Graph) -> SubsetTable:
     of Aut g share a code.  Masks are visited in increasing order; a mask
     that no earlier orbit reached is the smallest of its orbit, is
     canonicalised from its labelled adjacency bits, and its code is spread
-    over the orbit under the automorphisms `_canon(g)` found.  Each code's
-    first mask is therefore that of the per-mask pass.
+    over the orbit under the automorphisms `_canon(g)` found; the full mask
+    takes its code from that same search.  Each code's first mask is
+    therefore that of the per-mask pass.
     """
     n = g.n
+    full = (1 << n) - 1
     bits = _subset_bits(adjacency_masks(g), n)
+    val, _witness, autos = _canon(g)
     images = []  # per automorphism, the image of every mask
-    for gamma in _canon(g)[2]:
+    for gamma in autos:
         img = [0] * (1 << n)
         for m in range(1, 1 << n):
             low = m & -m
@@ -401,7 +441,7 @@ def subset_table(g: Graph) -> SubsetTable:
     for mask in range(1 << n):
         if codes[mask] is not None:
             continue
-        code = _subset_code(mask.bit_count(), bits[mask])
+        code = bits_code(mask.bit_count(), bits[mask]) if mask != full else _pack(n, val)
         codes[mask] = code
         orbit = [mask]
         for m in orbit:
@@ -448,7 +488,8 @@ def subgraph_type_table(g: Graph, m: int) -> dict:
 
 @lru_cache(maxsize=1024)
 def _pattern(f: Graph) -> tuple:
-    """(plan, |Aut f|): the order in which embeddings place f's vertices, and emb(f -> f).
+    """(plan, degrees, |Aut f|): the order in which embeddings place f's
+    vertices, f's degrees in decreasing order, and emb(f -> f).
 
     The plan puts each vertex of f after as many of its neighbours as
     possible, and gives each position the earlier positions adjacent to it
@@ -463,12 +504,13 @@ def _pattern(f: Graph) -> tuple:
         placed |= 1 << v
     plan = tuple((tuple(j for j in range(i) if masks[v] >> order[j] & 1), masks[v].bit_count())
                  for i, v in enumerate(order))
-    return plan, _embedding_count(plan, f)
+    degrees = tuple(sorted((m.bit_count() for m in masks), reverse=True))
+    return plan, degrees, _embedding_count(plan, masks)
 
 
 def automorphism_count(f: Graph) -> int:
     """|Aut f|, counted as emb(f -> f)."""
-    return _pattern(f)[1]
+    return _pattern(f)[2]
 
 
 def automorphism_generators(g: Graph) -> tuple:
@@ -476,8 +518,9 @@ def automorphism_generators(g: Graph) -> tuple:
     return _canon(g)[2]
 
 
-def _embedding_count(plan: tuple, g: Graph) -> int:
-    """Injective maps V(f) -> V(g) that send every edge of f to an edge of g.
+def _embedding_count(plan: tuple, gmasks: list) -> int:
+    """Injective maps V(f) -> V(g) that send every edge of f to an edge of g,
+    for the graph g with adjacency masks `gmasks`.
 
     f is given by its plan, and the backtrack places its vertices in the
     plan's order.  A vertex's candidates are the common g-neighbours of its
@@ -485,9 +528,8 @@ def _embedding_count(plan: tuple, g: Graph) -> int:
     is at least its f-degree; the candidates of the last vertex are counted,
     not visited.
     """
-    gmasks = adjacency_masks(g)
     gdeg = [m.bit_count() for m in gmasks]
-    levels = [(back, sum(1 << x for x in range(g.n) if gdeg[x] >= deg)) for back, deg in plan]
+    levels = [(back, sum(1 << x for x, d in enumerate(gdeg) if d >= deg)) for back, deg in plan]
     image = [0] * len(plan)
     last = len(plan) - 1
 
@@ -514,14 +556,20 @@ def count_subgraphs(g: Graph, f: Graph) -> int:
     """The number of subgraphs of g isomorphic to f; f may not have isolated vertices.
 
     Every copy of f in g is hit by exactly |Aut f| embeddings of f, so the
-    count is emb(f -> g) // emb(f -> f).
+    count is emb(f -> g) // emb(f -> f).  An embedding maps the k vertices of
+    largest degree in f to k distinct vertices of g, each of degree at least
+    the k-th largest of f, so unless g's degrees in decreasing order are at
+    least f's place by place there is no copy, and no backtrack is run.
     """
     if f.has_isolated_vertex():
         raise DomainError("count_subgraphs requires f without isolated vertices")
     if f.n > g.n or f.e > g.e:
         return 0
-    plan, automorphisms = _pattern(f)
-    return _embedding_count(plan, g) // automorphisms
+    plan, degrees, automorphisms = _pattern(f)
+    gmasks = adjacency_masks(g)
+    if any(d > h for d, h in zip(degrees, sorted((m.bit_count() for m in gmasks), reverse=True))):
+        return 0
+    return _embedding_count(plan, gmasks) // automorphisms
 
 
 def kelly_count(deck, f: Graph, induced: bool = False) -> int:

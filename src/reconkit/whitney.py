@@ -25,8 +25,9 @@ from .combi import (Polynomial, card_sum_coeffs, exact_div, multiset_symmetry,
                     partitions_min2, sachs_constant)
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
 from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
-from .isotype import (automorphism_count, automorphism_generators, canonical_code,
-                      code_graph, count_subgraphs, kelly_count)
+from .isotype import (automorphism_count, automorphism_generators, bits_code,
+                      canonical_code, code_graph, count_subgraphs, edge_bits,
+                      kelly_count)
 from .polydeck import charpoly
 
 __all__ = [
@@ -97,8 +98,9 @@ def _glue(u: Graph, f: Graph, vmax: int) -> tuple:
     (alpha, beta) maps the union glued by phi onto the union glued by its
     image, so every gluing of one orbit reaches the same union.  Gluings are
     visited in the order of the full enumeration; the first of each orbit,
-    closed under the generators of both groups, is glued and canonicalised,
-    and the orbit's size is added to its union's ways.  Every gluing still
+    closed under the generators of both groups, is glued, as u's adjacency
+    bits with f's mapped edges added, and canonicalised from those bits, and
+    the orbit's size is added to its union's ways.  Every gluing still
     counts once, so `ways`, and the order in which unions are first
     reached, are those of gluing every map.
     """
@@ -108,6 +110,7 @@ def _glue(u: Graph, f: Graph, vmax: int) -> tuple:
     # which every alpha extended by alpha[-1] = -1 keeps free
     ugens = [alpha + (-1,) for alpha in automorphism_generators(u)]
     fgens = automorphism_generators(f)
+    ubits = edge_bits(u.edges)
     for k in range(0, min(u.n, f.n) + 1):
         if u.n + f.n - k > vmax:
             continue
@@ -130,9 +133,8 @@ def _glue(u: Graph, f: Graph, vmax: int) -> tuple:
                             orbit.append(q)
                 fresh = iter(range(u.n, u.n + f.n))
                 mapping = [t if t >= 0 else next(fresh) for t in phi]
-                cand = graph(u.n + f.n - k,
-                             list(u.edges) + [(mapping[a], mapping[b]) for a, b in f.edges])
-                code = canonical_code(cand)
+                code = bits_code(u.n + f.n - k, ubits | edge_bits(
+                    (mapping[a], mapping[b]) for a, b in f.edges))
                 found[code] = found.get(code, 0) + len(orbit)
     return tuple(found.items())
 

@@ -10,7 +10,9 @@ polynomial methods, whose cost grows with n alone.  `dense_fill` fills a
 poset's matrix entry by entry, the witness of the sparse fill in
 `deck.nmatrix_from_elp`.  `chain_walk` walks the chain sum of Kocay's
 identity for one graph, the witness of the weights per type and order in
-`verify.count_type_chain`.
+`verify.count_type_chain`.  `unguarded_subgraph_count` counts copies by a
+plain embedding backtrack, with no degree filter and no degree-dominance
+guard, the witness of `isotype.count_subgraphs`.
 """
 
 from collections import Counter
@@ -21,7 +23,7 @@ from math import prod
 from reconkit.combi import exact_div
 from reconkit.deck import Elp, NMatrix
 from reconkit.errors import DomainError, InvalidMatrixError
-from reconkit.graphcore import Graph, elementary_graph
+from reconkit.graphcore import Graph, adjacency_masks, elementary_graph
 from reconkit.isotype import code_graph, count_subgraphs
 from reconkit.oracle import _copies, _elementary, _unions, psi_oracle
 from reconkit.whitney import covers_of_type, type_key
@@ -225,3 +227,40 @@ def chain_walk(g: Graph, members) -> int:
     if total.denominator != 1:
         raise ValueError("chain sum is not integral")
     return int(total)
+
+
+def _embeddings(f: Graph, g: Graph) -> int:
+    """Injective maps V(f) -> V(g) that send every edge of f to an edge of g.
+
+    f's vertices are placed each after as many of its neighbours as can be;
+    a vertex's candidates are the unused vertices of g adjacent to the
+    images of its placed neighbours, and those of the last vertex are
+    counted, not visited."""
+    fmasks, gmasks = adjacency_masks(f), adjacency_masks(g)
+    order = []
+    while len(order) < f.n:
+        order.append(max((v for v in range(f.n) if v not in order),
+                         key=lambda v: sum(fmasks[v] >> u & 1 for u in order)))
+    back = [[k for k in range(i) if fmasks[v] >> order[k] & 1] for i, v in enumerate(order)]
+    image = [0] * f.n
+
+    def extend(i, used):
+        cand = ((1 << g.n) - 1) & ~used
+        for k in back[i]:
+            cand &= gmasks[image[k]]
+        if i == f.n - 1:
+            return cand.bit_count()
+        total = 0
+        while cand:
+            low = cand & -cand
+            image[i] = low.bit_length() - 1
+            total += extend(i + 1, used | low)
+            cand ^= low
+        return total
+
+    return extend(0, 0) if f.n else 1
+
+
+def unguarded_subgraph_count(g: Graph, f: Graph) -> int:
+    """Copies of f in g, for f without isolated vertices: emb(f -> g) / emb(f -> f)."""
+    return exact_div(_embeddings(f, g), _embeddings(f, f), "embeddings per copy")

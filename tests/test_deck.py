@@ -14,7 +14,7 @@ from reconkit.deck import (VERTEX_LIMIT, Elp, NMatrix, canonical_nmatrix, child_
                            nmatrix_from_json, nmatrix_to_json, strip)
 from reconkit.errors import DomainError, InvalidMatrixError
 from reconkit.graphcore import (all_graphs, complete, empty_graph, graph,
-                                induced_subgraph, path, write_graph6)
+                                induced_subgraph, parse_graph6, path, write_graph6)
 from reconkit.isotype import are_isomorphic, canonical_code, count_induced
 
 from check_oracles import dense_fill
@@ -421,10 +421,13 @@ def test_json_roundtrip(prism):
 
 def test_matrix_labels_must_have_their_rows_orders_and_sizes(monkeypatch):
     """A label whose (v, e) is not its row's is refused before any label is
-    canonicalised, a 62-vertex one included."""
+    canonicalised, a 62-vertex one included.  Codes are read from adjacency
+    bits, so the spy sits on their entry point, and it sees the labels of
+    the matrix it accepts."""
     canonicalised = []
-    canon = isotype._canon
-    monkeypatch.setattr(isotype, "_canon", lambda g: canonicalised.append(g) or canon(g))
+    bits_code = isotype.bits_code
+    monkeypatch.setattr(isotype, "bits_code",
+                        lambda n, bits: canonicalised.append((n, bits)) or bits_code(n, bits))
     for labels in (["Bw"], [write_graph6(complete(62))], ["@"]):
         with pytest.raises(InvalidMatrixError, match="label 0 has"):
             nmatrix_from_json({"rows": [[1]], "labels": labels})
@@ -434,6 +437,8 @@ def test_matrix_labels_must_have_their_rows_orders_and_sizes(monkeypatch):
     nm = nmatrix_from_json({"rows": [[1, 0], [2, 1]], "labels": ["A_", "Bg"]})
     assert [c.code for c in nm.labels.classes] == [canonical_code(path(2)),
                                                    canonical_code(path(3))]
+    labels = [(g.n, isotype.edge_bits(g.edges)) for g in map(parse_graph6, ("A_", "Bg"))]
+    assert canonicalised[:2] == labels
 
 
 def test_matrix_labels_of_the_right_sizes_but_the_wrong_types_are_refused(prism):
@@ -473,7 +478,7 @@ def test_a_matrix_over_the_vertex_limit_is_refused_before_any_work(monkeypatch):
 
     monkeypatch.setattr(deck, "subset_table", refuse)
     monkeypatch.setattr(isotype, "_canon", refuse)
-    monkeypatch.setattr(isotype, "_subset_code", refuse)
+    monkeypatch.setattr(isotype, "_bits_code", refuse)
     for d in (_k2_plus_isolated_json(62), {"rows": _k2_plus_isolated_json(20)["rows"]},
               {"rows": _k2_plus_isolated_json(VERTEX_LIMIT + 1)["rows"]}):
         with pytest.raises(InvalidMatrixError, match=f"over the limit of {VERTEX_LIMIT}"):

@@ -7,7 +7,8 @@ module only the names allowed below, the oracle module borrows nothing from
 `isotype` or the pipelines, every name a module imports must be used in it,
 every layer the benchmark tracer wraps must exist, as must every name a
 module exports in `__all__`, every certifying division goes through
-`combi.exact_div`, and no cache of `verify` takes a graph.
+`combi.exact_div`, no cache of `verify` takes a graph, and no module but
+`isotype` names its canonical-labelling caches.
 """
 
 import ast
@@ -201,6 +202,52 @@ def test_the_graph_keyed_cache_guard_sees_every_spelling():
                  "@cached_property\ndef matrix(self, g): pass": set()}
     for spelling, sites in spellings.items():
         assert _graph_keyed_caches(ast.parse(spelling), "m") == sites, spelling
+
+
+# `_canon` keeps labelled graphs with their automorphisms and `_bits_code`
+# codes keyed by adjacency bits; other modules reach them only through
+# `canonical_code`, `bits_code` and `automorphism_generators`.
+ISOTYPE_CACHES = {"_canon", "_bits_code"}
+
+
+def _spelled(tree) -> set:
+    """Every identifier a module spells: names, attributes, definitions,
+    arguments, imported names and string constants."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.arg):
+            found.add(node.arg)
+        elif isinstance(node, ast.alias):
+            found |= {node.name, node.asname}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_only_isotype_names_its_canonical_caches():
+    found = {}
+    for path, tree in _trees():
+        names = _spelled(tree) & ISOTYPE_CACHES
+        if names and path.stem != "isotype":
+            found[path.stem] = names
+    assert found == {}
+
+
+def test_the_cache_name_guard_sees_every_spelling():
+    spellings = {"from .isotype import _canon": {"_canon"},
+                 "from .isotype import _bits_code as code": {"_bits_code"},
+                 "isotype._canon.cache_clear()": {"_canon"},
+                 "_canon, total = pair": {"_canon"}, "def f(_canon): pass": {"_canon"},
+                 "getattr(isotype, '_bits_code')": {"_bits_code"},
+                 "canonical_code(g)": set(), "bits_code(n, bits)": set()}
+    for spelling, names in spellings.items():
+        assert _spelled(ast.parse(spelling)) & ISOTYPE_CACHES == names, spelling
 
 
 def _imports_from(tree, module: str) -> set:

@@ -18,6 +18,8 @@ from reconkit.isotype import (IsoClass, _canon, are_isomorphic, automorphism_cou
                               count_subgraphs, kelly_count, subgraph_type_table,
                               subset_table)
 
+from check_oracles import unguarded_subgraph_count
+
 
 def _random_relabel(g, rng):
     perm = list(range(g.n))
@@ -294,15 +296,39 @@ def test_subset_bits_spell_the_induced_subgraphs():
 
 
 def test_a_subset_table_adds_at_most_its_graph_to_the_canonical_cache():
-    """The subsets are canonicalised through the bounded `_subset_code`
+    """The subsets are canonicalised through the bounded `_bits_code`
     cache, keyed by their bits; before, each of the 512 subsets of an
-    asymmetric 9-vertex graph became a graph in `_canon`."""
+    asymmetric 9-vertex graph became a graph in `_canon`.  The full mask
+    takes its code from the search of g that `_canon` runs, so g is
+    searched once and all 511 other subsets go through the bits cache."""
     g = _asymmetric_gnm(random.Random(41), 9, 18)
     _canon.cache_clear()
+    isotype._bits_code.cache_clear()
+    isotype._search.cache_clear()
     subset_table.__wrapped__(g)
-    assert _canon.cache_info().currsize <= 1
-    info = isotype._subset_code.cache_info()
+    assert _canon.cache_info().currsize == 1
+    info = isotype._bits_code.cache_info()
+    assert info.hits + info.misses == 511
     assert 0 < info.currsize <= info.maxsize
+    # g's form is looked up once, by `_canon`, and each subset's once, by a miss
+    searched = isotype._search.cache_info()
+    assert searched.hits + searched.misses == 1 + info.misses
+
+
+def test_canonical_code_reads_adjacency_bits():
+    """The code from bits is the code of `_canon`'s search, on every graph
+    with n <= 6 in seeded relabellings and on seeded G(n, p), n = 8..10,
+    and reading it adds nothing to `_canon`."""
+    rng = random.Random(53)
+    graphs = [_random_relabel(g, rng) for g in all_graphs(6) for _ in range(2)]
+    for n in (8, 9, 10):
+        pairs = list(combinations(range(n), 2))
+        graphs += [graph(n, [e for e in pairs if rng.random() < p])
+                   for p in (0.2, 0.5, 0.8) for _ in range(3)]
+    _canon.cache_clear()
+    for g in graphs:
+        assert canonical_code(g) == isotype._pack(g.n, _canon.__wrapped__(g)[0]), g
+    assert _canon.cache_info().currsize == 0
 
 
 def test_are_isomorphic_agrees_with_networkx():
@@ -423,6 +449,29 @@ def test_count_subgraphs_examples():
 def test_count_subgraphs_rejects_isolated_vertices():
     with pytest.raises(DomainError):
         count_subgraphs(complete(3), disjoint_union(path(2), empty_graph(1)))
+
+
+def test_count_subgraphs_equals_the_unguarded_backtrack(monkeypatch):
+    """On every pair of a graph g with n <= 6 and a type f without isolated
+    vertices, v(f) <= v(g), the count equals that of a plain backtrack with
+    no degree guard, and the degree-dominance guard answers 4,758 of the
+    14,053 pairs with e(f) <= e(g) without a backtrack."""
+    graphs = all_graphs(6)
+    shapes = [f for f in graphs if f.e and not f.has_isolated_vertex()]
+    for f in shapes:
+        automorphism_count(f)  # the pattern's own backtrack, before the spy
+    backtracks = []
+    real = isotype._embedding_count
+    monkeypatch.setattr(isotype, "_embedding_count",
+                        lambda plan, masks: backtracks.append(plan) or real(plan, masks))
+    skipped = 0
+    for g in graphs:
+        for f in shapes:
+            if f.n <= g.n:
+                before = len(backtracks)
+                assert count_subgraphs.__wrapped__(g, f) == unguarded_subgraph_count(g, f), (g, f)
+                skipped += f.e <= g.e and len(backtracks) == before
+    assert skipped == 4758
 
 
 def test_subgraph_induced_relation(corpus5):

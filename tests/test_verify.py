@@ -10,7 +10,7 @@ from reconkit import deck as deckmod
 from reconkit import isotype, verify, whitney
 from reconkit.errors import ConsistencyError
 from reconkit.graphcore import all_graphs, graph, vertex_deck, write_graph6
-from reconkit.isotype import canonical_code, code_graph
+from reconkit.isotype import are_isomorphic, canonical_code, code_graph
 from reconkit.verify import CHAIN_TYPES, CHECKS, run_checks
 from reconkit.whitney import type_key
 
@@ -123,3 +123,22 @@ def test_kocay_identity_fails_on_a_count_off_by_one(bowtie):
     s.subgraph_counts[canonical_code(bowtie)] += 1
     fails = verify._check_kocay(s)
     assert fails and all(f.startswith("kocay identity violated") for f in fails)
+
+
+def test_eq1_and_kocay_fail_on_a_guarded_count_off_by_one(bowtie, monkeypatch):
+    """The diamond K4 - e has two vertices of degree 3 and the bowtie one, so
+    `count_subgraphs`' degree guard answers 0 with no backtrack; read as 1,
+    both checks that compare subgraph counts fail."""
+    diamond = graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    isotype.automorphism_count(diamond)  # the pattern's own backtrack, before the spy
+    backtracks = _counted(monkeypatch, isotype, "_embedding_count")
+    assert isotype.count_subgraphs.__wrapped__(bowtie, diamond) == 0 and backtracks == []
+    names = ["eq1", "kocay-identity"]
+    assert run_checks(bowtie, names) == {"eq1": [], "kocay-identity": []}
+    real = verify.count_subgraphs
+    monkeypatch.setattr(verify, "count_subgraphs",
+                        lambda g, f: real(g, f) + (g == bowtie and are_isomorphic(f, diamond)))
+    got = run_checks(bowtie, names)
+    assert got["eq1"] == ["subgraph/induced relation violated"]
+    assert got["kocay-identity"] and all(f.startswith("kocay identity violated")
+                                         for f in got["kocay-identity"])
