@@ -339,10 +339,11 @@ def all_graphs(max_n: int, min_edges: int = 0) -> list:
     type is lost: deleting a vertex of largest degree from any graph leaves
     a parent, and joining the vertex back passes the filter.  Deduplication
     uses canonical codes from reconkit.isotype, read from each candidate's
-    adjacency bits without building it as a graph; results are the canonical
+    adjacency bits without building it as a graph and without caching them,
+    since each candidate is a new labelled graph; results are the canonical
     forms the codes spell, in code order, which puts smaller n first.
     """
-    from .isotype import bits_code, code_graph, edge_bits
+    from .isotype import _descend, code_graph, edge_bits
 
     levels = {1: [empty_graph(1)]}
     for n in range(2, max_n + 1):
@@ -355,7 +356,7 @@ def all_graphs(max_n: int, min_edges: int = 0) -> list:
                 if any(pdeg[i] + (nbrs >> i & 1) > d for i in range(n - 1)):
                     continue
                 # the new vertex's column: edge (i, n - 1) is bit C(n - 1, 2) + i
-                seen.add(bits_code(n, pbits | nbrs << (n - 1) * (n - 2) // 2))
+                seen.add(_descend(n, pbits | nbrs << (n - 1) * (n - 2) // 2)[0])
         levels[n] = [code_graph(code) for code in sorted(seen)]
     out = []
     for n in range(1, max_n + 1):

@@ -27,21 +27,22 @@ as it stands after them in the signature it never decides an order either.
 Codes are read from adjacency bits.  `edge_bits` numbers the pairs in
 graph6's column order, edge (i, j), i < j, at bit C(j, 2) + i, and
 `bits_code(n, bits)` is the one entry point for codes: `canonical_code(g)`
-passes g's bits, the subset tables below the bits of each vertex subset,
-`whitney` those of each gluing and `graphcore.all_graphs` those of each
-candidate.  Behind it, `_bits_code` is one bounded cache keyed by the two
-integers; it decodes the bits into adjacency masks and keeps only the code,
-so no `Graph` is built or kept for it.  `_canon(g)`, cached per labelled
-graph, runs the same search and also keeps its witness and the
-automorphisms it found; it serves only `automorphism_generators` and the
-subset table of g.
+passes g's bits, the subset tables below the bits of each vertex subset and
+`whitney` those of each gluing.  Behind it, `_labelled` is the one cache per
+labelled graph, bounded and keyed by the two integers; it decodes the bits
+into adjacency masks, so no `Graph` is built or kept for it.  Its entry holds
+the code and the first leaf's perm and form (below), and
+`automorphism_generators(g)` reads the entry for g's bits, so a graph whose
+code and automorphisms are both asked for is descended once.
+`graphcore.all_graphs` reads each candidate's code from `_descend`, the
+function behind the cache, since no candidate is asked for again.
 
-The search runs once per first-leaf form.  `_first_leaf`, which `_canon` and
-`_bits_code` share, descends to the first leaf, individualising the least
-vertex of the first non-singleton cell, with ordering perm (new -> old); g
-relabelled by perm, packed like a code, is the form.  `_search(form)` is
-cached per form, and `_canon` maps its witness back by x -> perm[x] and each
-automorphism sigma to gamma[perm[k]] = perm[sigma[k]].
+The search runs once per first-leaf form.  `_descend` descends to the first
+leaf, individualising the least vertex of the first non-singleton cell, with
+ordering perm (new -> old); the graph relabelled by perm, packed like a code,
+is the form.  `_search(form)` is cached per form; its witness maps back to
+the graph's by x -> perm[x] and each automorphism sigma to
+gamma[perm[k]] = perm[sigma[k]].
 Refinement commutes with relabelling, so the form's tree is g's relabelled by
 perm, only with children in another order: the minimum, the code, is g's, and
 the conjugated automorphisms generate Aut g.  The form's first leaf is the
@@ -89,13 +90,12 @@ the whole orbit; every entry is the one that canonicalising each subset
 would give.  A subset is canonicalised from its labelled adjacency bits, not
 from a `Graph`: `_subset_bits` builds the bits of g[S] from those of g[S - t]
 for the top vertex t of S, whose column lands above them, and `bits_code`
-reads the code.  The full mask takes its code from the search `_canon(g)`
-runs for the automorphisms, so a table adds to `_canon` only g itself and
-canonicalises g once.  Since a code starts with
-its vertex count, the one table answers every order:
-`count_induced(g, f)` is a lookup of f's code (the empty f counts once, from
-mask 0) and `induced_type_table(g, k)` is the table's slice at order k.  The
-N-matrix of `deck` is tallied from the same codes.
+reads the code.  The full mask's bits are g's `edge_bits`, so its code comes
+from the entry that `automorphism_generators(g)` made, and g is descended
+once.  Since a code starts with its vertex count, the one table answers
+every order: `count_induced(g, f)` is a lookup of f's code (the empty f
+counts once, from mask 0) and `induced_type_table(g, k)` is the table's slice
+at order k.  The N-matrix of `deck` is tallied from the same codes.
 """
 
 from __future__ import annotations
@@ -191,36 +191,30 @@ def _pack(n: int, val: int) -> bytes:
     return bytes([n]) + val.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
-def _first_leaf(masks, n):
-    """(perm, form): the first leaf's ordering new -> old, reached by
-    individualising the least vertex of the first non-singleton cell, and
-    the graph relabelled by it, packed like a code."""
-    cells = _refine(masks, [list(range(n))], [(1 << n) - 1])
-    while len(cells) < n:
+def _descend(k: int, bits: int) -> tuple:
+    """(code, perm, form) of the k-vertex graph whose adjacency bits, in
+    `edge_bits`' order, are `bits`, with no `Graph` built: perm (new -> old),
+    one byte per vertex, orders the first leaf, reached by individualising
+    the least vertex of the first non-singleton cell; the form is the graph
+    relabelled by perm and packed like a code; the code is `_search`'s
+    minimum of the form."""
+    masks = _column_masks(k, bits)
+    cells = _refine(masks, [list(range(k))], [(1 << k) - 1])
+    while len(cells) < k:
         target = next(i for i, c in enumerate(cells) if len(c) > 1)
         cells = _individualise(masks, cells, target, min(cells[target]))
-    perm = tuple(c[0] for c in cells)
-    return perm, _pack(n, _bits_int(masks, perm, n))
+    perm = bytes(c[0] for c in cells)
+    form = _pack(k, _bits_int(masks, perm, k))
+    return _pack(k, _search(form)[0]), perm, form
 
 
-# Graphs whose automorphisms are asked for, per seed-1 bench pass: `recon`
-# 27, `build` 45, `decks` 87, `sweep` 78; 1,276 in an n <= 7 sweep with every
-# check and 1,918 in a cold n = 10 deck.  At 4096 all of these stay cached.
-# Codes alone come from `bits_code` and add nothing here.
-@lru_cache(maxsize=4096)
-def _canon(g: Graph):
-    """Return (minimal bitstring as int, witness permutation new->old, automorphisms).
-
-    `_search` of the first-leaf form, mapped back through the first leaf's
-    ordering perm, as the module docstring describes.  The automorphisms, as
-    tuples old -> old, generate Aut g.
-    """
-    n = g.n
-    perm, form = _first_leaf(adjacency_masks(g), n)
-    val, witness, autos = _search(form)
-    pos = sorted(range(n), key=perm.__getitem__)  # perm's inverse
-    return (val, tuple(perm[x] for x in witness),
-            tuple(tuple(perm[sigma[pos[v]]] for v in range(n)) for sigma in autos))
+# Labelled graphs, as (n, bits), per seed-1 bench pass: `recon` 597, `build`
+# 1,120, `decks` 1,466, `sweep` 230; 11,580 in an n <= 7 sweep with every
+# check.  At 16384 these stay cached; the tables of one 16-vertex graph
+# (55,629 subsets) evict.  An entry is two ints, a code, a perm and a form:
+# 16384 entries from the subsets of a 15-vertex graph take 4.1 MB.
+# `all_graphs` adds none.
+_labelled = lru_cache(maxsize=16384)(_descend)
 
 
 # First-leaf forms per seed-1 bench pass: `recon` 173, `build` 346, `decks`
@@ -287,9 +281,7 @@ def _search(form: bytes):
 
 
 def canonical_code(g: Graph) -> bytes:
-    """Relabelling-invariant certificate: n byte plus packed minimal bitstring.
-
-    It is read from g's adjacency bits, so it adds nothing to `_canon`."""
+    """Relabelling-invariant certificate: n byte plus packed minimal bitstring."""
     return bits_code(g.n, edge_bits(g.edges))
 
 
@@ -307,8 +299,8 @@ def edge_bits(edges) -> int:
 
 def bits_code(n: int, bits: int) -> bytes:
     """The canonical code of the n-vertex graph whose `edge_bits` are `bits`,
-    from the bounded cache `_bits_code`."""
-    return _bits_code(n, bits)
+    from the bounded cache `_labelled`."""
+    return _labelled(n, bits)[0]
 
 
 @lru_cache(maxsize=4096)
@@ -401,19 +393,6 @@ def _column_masks(k: int, bits: int) -> list:
     return masks
 
 
-# Labelled graphs, as (n, bits), per seed-1 bench pass: `recon` 570, `build`
-# 1,078, `decks` 1,466, `sweep` 247; 12,388 in an n <= 7 sweep with every
-# check.  At 16384 these stay cached; the 32,886 candidates of
-# `all_graphs(8)`, each seen once, or the tables of one 16-vertex graph
-# (55,629 subsets) evict, and an entry is two ints and a code.
-@lru_cache(maxsize=16384)
-def _bits_code(k: int, bits: int) -> bytes:
-    """The canonical code of the k-vertex graph whose adjacency bits, in
-    `edge_bits`' order, are `bits`: the first-leaf descent and `_search` of
-    `_canon`, with no `Graph` built and no entry added to `_canon`."""
-    return _pack(k, _search(_first_leaf(_column_masks(k, bits), k)[1])[0])
-
-
 @lru_cache(maxsize=256)
 def subset_table(g: Graph) -> SubsetTable:
     """One pass over the 2^n vertex subsets of g, canonicalising one per orbit.
@@ -422,16 +401,13 @@ def subset_table(g: Graph) -> SubsetTable:
     of Aut g share a code.  Masks are visited in increasing order; a mask
     that no earlier orbit reached is the smallest of its orbit, is
     canonicalised from its labelled adjacency bits, and its code is spread
-    over the orbit under the automorphisms `_canon(g)` found; the full mask
-    takes its code from that same search.  Each code's first mask is
-    therefore that of the per-mask pass.
+    over the orbit under `automorphism_generators(g)`.  Each code's first
+    mask is therefore that of the per-mask pass.
     """
     n = g.n
-    full = (1 << n) - 1
     bits = _subset_bits(adjacency_masks(g), n)
-    val, _witness, autos = _canon(g)
     images = []  # per automorphism, the image of every mask
-    for gamma in autos:
+    for gamma in automorphism_generators(g):
         img = [0] * (1 << n)
         for m in range(1, 1 << n):
             low = m & -m
@@ -441,7 +417,7 @@ def subset_table(g: Graph) -> SubsetTable:
     for mask in range(1 << n):
         if codes[mask] is not None:
             continue
-        code = bits_code(mask.bit_count(), bits[mask]) if mask != full else _pack(n, val)
+        code = bits_code(mask.bit_count(), bits[mask])
         codes[mask] = code
         orbit = [mask]
         for m in orbit:
@@ -514,8 +490,12 @@ def automorphism_count(f: Graph) -> int:
 
 
 def automorphism_generators(g: Graph) -> tuple:
-    """Maps old -> old, as tuples, that generate Aut g: those the canonical search found."""
-    return _canon(g)[2]
+    """Maps old -> old, as tuples, that generate Aut g: those `_search` found
+    on g's first-leaf form, each sigma mapped back through the first leaf's
+    ordering perm to gamma[perm[k]] = perm[sigma[k]]."""
+    _code, perm, form = _labelled(g.n, edge_bits(g.edges))
+    pos = sorted(range(g.n), key=perm.__getitem__)  # perm's inverse
+    return tuple(tuple([perm[sigma[p]] for p in pos]) for sigma in _search(form)[2])
 
 
 def _embedding_count(plan: tuple, gmasks: list) -> int:

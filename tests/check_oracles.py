@@ -12,7 +12,9 @@ poset's matrix entry by entry, the witness of the sparse fill in
 identity for one graph, the witness of the weights per type and order in
 `verify.count_type_chain`.  `unguarded_subgraph_count` counts copies by a
 plain embedding backtrack, with no degree filter and no degree-dominance
-guard, the witness of `isotype.count_subgraphs`.
+guard, the witness of `isotype.count_subgraphs`.  `canonical_witness` maps
+the witness of the search of g's first-leaf form back to g's labelling, for
+the checks against a search that visits every leaf.
 """
 
 from collections import Counter
@@ -24,7 +26,8 @@ from reconkit.combi import exact_div
 from reconkit.deck import Elp, NMatrix
 from reconkit.errors import DomainError, InvalidMatrixError
 from reconkit.graphcore import Graph, adjacency_masks, elementary_graph
-from reconkit.isotype import code_graph, count_subgraphs
+from reconkit import isotype
+from reconkit.isotype import code_graph, count_subgraphs, edge_bits
 from reconkit.oracle import _copies, _elementary, _unions, psi_oracle
 from reconkit.whitney import covers_of_type, type_key
 
@@ -264,3 +267,12 @@ def _embeddings(f: Graph, g: Graph) -> int:
 def unguarded_subgraph_count(g: Graph, f: Graph) -> int:
     """Copies of f in g, for f without isolated vertices: emb(f -> g) / emb(f -> f)."""
     return exact_div(_embeddings(f, g), _embeddings(f, f), "embeddings per copy")
+
+
+def canonical_witness(g: Graph) -> tuple:
+    """(minimal bitstring as int, witness new -> old) of g's canonical search:
+    `_search` of the first-leaf form in g's cache entry, its witness mapped
+    back through the entry's first-leaf ordering perm by x -> perm[x]."""
+    _code, perm, form = isotype._labelled(g.n, edge_bits(g.edges))
+    val, witness, _autos = isotype._search(form)
+    return val, tuple(perm[x] for x in witness)

@@ -477,8 +477,8 @@ def test_a_matrix_over_the_vertex_limit_is_refused_before_any_work(monkeypatch):
         raise RuntimeError(f"canonical work on {args}")
 
     monkeypatch.setattr(deck, "subset_table", refuse)
-    monkeypatch.setattr(isotype, "_canon", refuse)
-    monkeypatch.setattr(isotype, "_bits_code", refuse)
+    monkeypatch.setattr(isotype, "_labelled", refuse)
+    monkeypatch.setattr(isotype, "_search", refuse)
     for d in (_k2_plus_isolated_json(62), {"rows": _k2_plus_isolated_json(20)["rows"]},
               {"rows": _k2_plus_isolated_json(VERTEX_LIMIT + 1)["rows"]}):
         with pytest.raises(InvalidMatrixError, match=f"over the limit of {VERTEX_LIMIT}"):

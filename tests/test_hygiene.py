@@ -204,10 +204,12 @@ def test_the_graph_keyed_cache_guard_sees_every_spelling():
         assert _graph_keyed_caches(ast.parse(spelling), "m") == sites, spelling
 
 
-# `_canon` keeps labelled graphs with their automorphisms and `_bits_code`
-# codes keyed by adjacency bits; other modules reach them only through
-# `canonical_code`, `bits_code` and `automorphism_generators`.
-ISOTYPE_CACHES = {"_canon", "_bits_code"}
+# `_labelled` keeps each labelled graph's code and first leaf, keyed by its
+# adjacency bits, and `_search` each first-leaf form's search; other modules
+# reach them only through `canonical_code`, `bits_code`,
+# `automorphism_generators` and `_descend`, the uncached function behind
+# `_labelled`.
+ISOTYPE_CACHES = {"_labelled", "_search"}
 
 
 def _spelled(tree) -> set:
@@ -240,11 +242,12 @@ def test_only_isotype_names_its_canonical_caches():
 
 
 def test_the_cache_name_guard_sees_every_spelling():
-    spellings = {"from .isotype import _canon": {"_canon"},
-                 "from .isotype import _bits_code as code": {"_bits_code"},
-                 "isotype._canon.cache_clear()": {"_canon"},
-                 "_canon, total = pair": {"_canon"}, "def f(_canon): pass": {"_canon"},
-                 "getattr(isotype, '_bits_code')": {"_bits_code"},
+    spellings = {"from .isotype import _labelled": {"_labelled"},
+                 "from .isotype import _search as search": {"_search"},
+                 "isotype._labelled.cache_clear()": {"_labelled"},
+                 "_search, total = pair": {"_search"}, "def f(_labelled): pass": {"_labelled"},
+                 "getattr(isotype, '_search')": {"_search"},
+                 "from .isotype import _descend": set(),
                  "canonical_code(g)": set(), "bits_code(n, bits)": set()}
     for spelling, names in spellings.items():
         assert _spelled(ast.parse(spelling)) & ISOTYPE_CACHES == names, spelling

@@ -12,13 +12,13 @@ from reconkit.graphcore import (adjacency_masks, all_graphs, complete, cycle,
                                 graph, induced_subgraph, parse_graph6, path,
                                 vertex_deck)
 from reconkit import isotype
-from reconkit.isotype import (IsoClass, _canon, are_isomorphic, automorphism_count,
+from reconkit.isotype import (IsoClass, are_isomorphic, automorphism_count,
                               automorphism_generators,
                               canonical_code, canonical_rep, code_graph, count_induced,
-                              count_subgraphs, kelly_count, subgraph_type_table,
+                              count_subgraphs, edge_bits, kelly_count, subgraph_type_table,
                               subset_table)
 
-from check_oracles import unguarded_subgraph_count
+from check_oracles import canonical_witness, unguarded_subgraph_count
 
 
 def _random_relabel(g, rng):
@@ -90,7 +90,7 @@ def test_pruned_search_matches_the_reference(corpus6):
     # map taken from a new best, not from a tie, changes the witness.
     graphs += [parse_graph6(s) for s in ("FCXc_", "FyU|o", "IGA?oqCW?")]
     for g in graphs:
-        assert _canon(g)[:2] == _reference_canon(g), g
+        assert canonical_witness(g) == _reference_canon(g), g
 
 
 def _reference_refine(masks, cells):
@@ -209,8 +209,8 @@ def test_the_search_returns_generators_of_the_automorphism_group():
 def test_a_leaf_that_ties_returns_to_where_the_paths_part(monkeypatch):
     """After a tying leaf the search leaves the subtree that maps onto one
     already searched: K2 + 18K1 visits one leaf per isolated vertex and one
-    more, not one per isolated vertex at every depth.  `_canon` adds the one
-    leaf it descends to, and on a form searched before visits that leaf alone."""
+    more, not one per isolated vertex at every depth.  The descent adds the
+    one leaf it reaches, and on a form searched before visits that leaf alone."""
     leaves = []
     bits_int = isotype._bits_int
 
@@ -221,7 +221,7 @@ def test_a_leaf_that_ties_returns_to_where_the_paths_part(monkeypatch):
     monkeypatch.setattr(isotype, "_bits_int", counting)
     g = graph(20, [(0, 1)])
     isotype._search.cache_clear()
-    _canon.__wrapped__(g)
+    isotype._descend(g.n, edge_bits(g.edges))
     cold = len(leaves)
     form = isotype._pack(g.n, bits_int(adjacency_masks(g), leaves[0], g.n))
     leaves.clear()
@@ -229,7 +229,7 @@ def test_a_leaf_that_ties_returns_to_where_the_paths_part(monkeypatch):
     assert len(leaves) <= 19
     assert cold == len(leaves) + 1
     leaves.clear()
-    _canon.__wrapped__(g)
+    isotype._descend(g.n, edge_bits(g.edges))
     assert len(leaves) == 1
 
 
@@ -240,12 +240,12 @@ def test_the_search_runs_once_per_class():
     rng = random.Random(23)
     by_order = {n: [_random_relabel(g, rng) for g in all_graphs(n) if g.n == n for _ in range(4)]
                 for n in (5, 6)}
-    _canon.cache_clear()
+    isotype._labelled.cache_clear()
     isotype._search.cache_clear()
     for n, classes in ((5, 34), (6, 156)):
         before = isotype._search.cache_info().misses
         for g in by_order[n]:
-            _canon(g)
+            canonical_code(g)
         assert isotype._search.cache_info().misses - before == classes
 
 
@@ -296,39 +296,63 @@ def test_subset_bits_spell_the_induced_subgraphs():
 
 
 def test_a_subset_table_adds_at_most_its_graph_to_the_canonical_cache():
-    """The subsets are canonicalised through the bounded `_bits_code`
-    cache, keyed by their bits; before, each of the 512 subsets of an
-    asymmetric 9-vertex graph became a graph in `_canon`.  The full mask
-    takes its code from the search of g that `_canon` runs, so g is
-    searched once and all 511 other subsets go through the bits cache."""
+    """The subsets are canonicalised through the bounded `_labelled` cache,
+    keyed by their bits; before, each of the 512 subsets of an asymmetric
+    9-vertex graph became a `Graph` in a cache of its own.  The full mask's
+    bits are g's, so the entry that g's generators made gives its code: g is
+    descended once, and every other labelled subset once."""
     g = _asymmetric_gnm(random.Random(41), 9, 18)
-    _canon.cache_clear()
-    isotype._bits_code.cache_clear()
+    bits = isotype._subset_bits(adjacency_masks(g), g.n)
+    keys = {(mask.bit_count(), bits[mask]) for mask in range(1 << g.n)}
+    assert (g.n, edge_bits(g.edges)) in keys
+    isotype._labelled.cache_clear()
     isotype._search.cache_clear()
     subset_table.__wrapped__(g)
-    assert _canon.cache_info().currsize == 1
-    info = isotype._bits_code.cache_info()
-    assert info.hits + info.misses == 511
-    assert 0 < info.currsize <= info.maxsize
-    # g's form is looked up once, by `_canon`, and each subset's once, by a miss
+    info = isotype._labelled.cache_info()
+    # one lookup for g's generators and one per mask, one miss per labelled graph
+    assert info.hits + info.misses == 1 + 512
+    assert info.misses == info.currsize == len(keys) <= info.maxsize
+    # each miss searches its form once; the generators read g's form again
     searched = isotype._search.cache_info()
-    assert searched.hits + searched.misses == 1 + info.misses
+    assert searched.hits + searched.misses == info.misses + 1
+
+
+def test_a_graph_is_descended_once_for_its_generators_and_its_code(monkeypatch):
+    """After `automorphism_generators(g)`, `canonical_code(g)` reads the same
+    cache entry: no second first-leaf descent, and no leaf evaluated."""
+    leaves = []
+    bits_int = isotype._bits_int
+
+    def counting(masks, perm, n):
+        leaves.append(perm)
+        return bits_int(masks, perm, n)
+
+    monkeypatch.setattr(isotype, "_bits_int", counting)
+    rng = random.Random(59)
+    for g in _orbit_shapes() + [_asymmetric_gnm(rng, 9, 18), graph(20, [(0, 1)])]:
+        isotype._labelled.cache_clear()
+        isotype._search.cache_clear()
+        automorphism_generators(g)
+        leaves.clear()
+        code = canonical_code(g)
+        assert leaves == [], g
+        info = isotype._labelled.cache_info()
+        assert (info.hits, info.misses) == (1, 1), g
+        assert code == isotype._descend(g.n, edge_bits(g.edges))[0], g
 
 
 def test_canonical_code_reads_adjacency_bits():
-    """The code from bits is the code of `_canon`'s search, on every graph
-    with n <= 6 in seeded relabellings and on seeded G(n, p), n = 8..10,
-    and reading it adds nothing to `_canon`."""
+    """The code read from the bits is the minimum of the search that visits
+    every leaf of g's own tree, on every graph with n <= 6 in seeded
+    relabellings and on seeded G(n, p), n = 8..10."""
     rng = random.Random(53)
     graphs = [_random_relabel(g, rng) for g in all_graphs(6) for _ in range(2)]
     for n in (8, 9, 10):
         pairs = list(combinations(range(n), 2))
         graphs += [graph(n, [e for e in pairs if rng.random() < p])
                    for p in (0.2, 0.5, 0.8) for _ in range(3)]
-    _canon.cache_clear()
     for g in graphs:
-        assert canonical_code(g) == isotype._pack(g.n, _canon.__wrapped__(g)[0]), g
-    assert _canon.cache_info().currsize == 0
+        assert canonical_code(g) == isotype._pack(g.n, _reference_canon(g)[0]), g
 
 
 def test_are_isomorphic_agrees_with_networkx():
@@ -397,7 +421,7 @@ def test_a_code_spells_the_witness_relabelling(corpus6):
     rng = random.Random(15)
     graphs = list(corpus6) + _orbit_shapes()
     for g in graphs + [_random_relabel(g, rng) for g in graphs]:
-        pos = {v: k for k, v in enumerate(_canon(g)[1])}
+        pos = {v: k for k, v in enumerate(canonical_witness(g)[1])}
         relabelled = graph(g.n, [(pos[u], pos[v]) for u, v in g.edges])
         code = canonical_code(g)
         assert code_graph(code) == relabelled, g
