@@ -81,21 +81,18 @@ m-edge subset of g instead.  No code in `reconkit` calls it any more; it stays
 only because the benchmark's `perfbench/tracer.py` names it in `LAYERS`.
 
 Induced subgraphs are counted from one table per graph, `subset_table(g)`:
-a single pass over the vertex subsets of g, as bitmasks 0 .. 2^n - 1, stores
-the canonical code of each g[mask], the number of masks per code, and the
-first mask of each code.  The automorphisms the search of g found generate
-Aut g, and an automorphism maps g[S] onto an isomorphic g[gamma(S)], so the
-pass canonicalises one subset per orbit, the smallest, and gives its code to
-the whole orbit; every entry is the one that canonicalising each subset
-would give.  A subset is canonicalised from its labelled adjacency bits, not
-from a `Graph`: `_subset_bits` builds the bits of g[S] from those of g[S - t]
-for the top vertex t of S, whose column lands above them, and `bits_code`
-reads the code.  The full mask's bits are g's `edge_bits`, so its code comes
-from the entry that `automorphism_generators(g)` made, and g is descended
-once.  Since a code starts with its vertex count, the one table answers
-every order: `count_induced(g, f)` is a lookup of f's code (the empty f
-counts once, from mask 0) and `induced_type_table(g, k)` is the table's slice
-at order k.  The N-matrix of `deck` is tallied from the same codes.
+a single pass over the vertex subsets of g, as bitmasks 0 .. 2^n - 1 in
+increasing order, stores the canonical code of each g[mask], the number of
+masks per code, and the first mask of each code.  Every subset is
+canonicalised from its labelled adjacency bits, not from a `Graph`:
+`_subset_bits` builds the bits of g[S] from those of g[S - t] for the top
+vertex t of S, whose column lands above them, and `bits_code` reads the code,
+so a labelled subset that this table or an earlier one met is a cache hit.
+The pass asks for no automorphism of g.  Since a code starts with its vertex
+count, the one table answers every order: `count_induced(g, f)` is a lookup
+of f's code (the empty f counts once, from mask 0) and
+`induced_type_table(g, k)` is the table's slice at order k.  The N-matrix of
+`deck` is tallied from the same codes.
 """
 
 from __future__ import annotations
@@ -208,12 +205,12 @@ def _descend(k: int, bits: int) -> tuple:
     return _pack(k, _search(form)[0]), perm, form
 
 
-# Labelled graphs, as (n, bits), per seed-1 bench pass: `recon` 597, `build`
-# 1,120, `decks` 1,466, `sweep` 230; 11,580 in an n <= 7 sweep with every
-# check.  At 16384 these stay cached; the tables of one 16-vertex graph
-# (55,629 subsets) evict.  An entry is two ints, a code, a perm and a form:
-# 16384 entries from the subsets of a 15-vertex graph take 4.1 MB.
-# `all_graphs` adds none.
+# Labelled graphs, as (n, bits), per seed-1 bench pass: `recon` 709, `build`
+# 1,758, `decks` 1,466, `sweep` 241; 11,635 in an n <= 7 sweep with every
+# check.  At 16384 these stay cached; the table of one 16-vertex graph
+# (54,981 distinct labelled subsets in a seeded G(16, 1/2)) evicts.  An entry
+# is two ints, a code, a perm and a form: 16384 entries from the subsets of a
+# 15-vertex graph take 4.1 MB.  `all_graphs` adds none.
 _labelled = lru_cache(maxsize=16384)(_descend)
 
 
@@ -395,41 +392,21 @@ def _column_masks(k: int, bits: int) -> list:
 
 @lru_cache(maxsize=256)
 def subset_table(g: Graph) -> SubsetTable:
-    """One pass over the 2^n vertex subsets of g, canonicalising one per orbit.
+    """One pass over the 2^n vertex subsets of g, in increasing mask order.
 
-    An automorphism maps g[S] onto g[gamma(S)], so the subsets in one orbit
-    of Aut g share a code.  Masks are visited in increasing order; a mask
-    that no earlier orbit reached is the smallest of its orbit, is
-    canonicalised from its labelled adjacency bits, and its code is spread
-    over the orbit under `automorphism_generators(g)`.  Each code's first
-    mask is therefore that of the per-mask pass.
+    Each g[mask] is canonicalised from its labelled adjacency bits by
+    `bits_code`, so a labelled subset met before, in this table or another,
+    is read from the cache.  The first mask that carries a code is its
+    `first`.
     """
-    n = g.n
-    bits = _subset_bits(adjacency_masks(g), n)
-    images = []  # per automorphism, the image of every mask
-    for gamma in automorphism_generators(g):
-        img = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            img[m] = img[m ^ low] | 1 << gamma[low.bit_length() - 1]
-        images.append(img)
-    codes, counts, first = [None] * (1 << n), {}, {}
-    for mask in range(1 << n):
-        if codes[mask] is not None:
-            continue
-        code = bits_code(mask.bit_count(), bits[mask])
-        codes[mask] = code
-        orbit = [mask]
-        for m in orbit:
-            for img in images:
-                x = img[m]
-                if codes[x] is None:
-                    codes[x] = code
-                    orbit.append(x)
+    codes, counts, first = [], {}, {}
+    for mask, bits in enumerate(_subset_bits(adjacency_masks(g), g.n)):
+        code = bits_code(mask.bit_count(), bits)
+        codes.append(code)
         if code in counts:
-            counts[code] += len(orbit)
+            counts[code] += 1
         else:
-            counts[code], first[code] = len(orbit), mask
+            counts[code], first[code] = 1, mask
     return SubsetTable(tuple(codes), counts, first)
 
 

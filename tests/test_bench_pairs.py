@@ -1,0 +1,44 @@
+"""scripts/bench_pairs.py: the run order and the summary, on canned records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _run(seed, side, wall_s, failed=0):
+    return {"seed": seed, "side": side, "trace": 0,
+            "result": {"correct": not failed, "attempted": 10, "failed": failed,
+                       "metrics": {"wall_s": {"value": wall_s, "unit": "s"}}}}
+
+
+def test_sides_alternate_by_seed_parity():
+    assert [bench_pairs.order(s) for s in (1, 2, 3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_summary_of_canned_pairs():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [1.5, 1.0, 3.5, 3.0, 6.0]  # lower in pairs 2 and 4
+    runs = [_run(s, "parent", p) for s, p in enumerate(parent, 1)]
+    runs += [_run(s, "change", c) for s, c in enumerate(change, 1)]
+    [row] = bench_pairs.summary(runs, ["wall_s"])
+    assert row["parent"] == 3.0 and (row["q1"], row["q3"]) == (2.0, 4.0)
+    assert row["change"] == 3.0 and row["pct"] == 0.0
+    assert (row["lower"], row["pairs"]) == (2, 5)
+    [line] = bench_pairs.format_summary([row])
+    assert line.split() == ["wall_s", "parent", "3.0000", "[2.0000-4.0000]", "change",
+                            "3.0000", "(+0.0", "%)", "lower", "in", "2", "of", "5"]
+
+
+def test_a_seed_run_on_one_side_only_is_no_pair():
+    runs = [_run(1, "parent", 2.0), _run(1, "change", 1.0), _run(2, "parent", 4.0)]
+    [row] = bench_pairs.summary(runs, ["wall_s"])
+    assert (row["lower"], row["pairs"]) == (1, 1)
+    assert row["q1"] == pytest.approx(2.5) and row["q3"] == pytest.approx(3.5)
+    assert row["pct"] == pytest.approx(-66.666, abs=1e-3)

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from reconkit import verify
+from reconkit.deck import nmatrix
 from reconkit.errors import ConsistencyError, DomainError, InconsistentDeckError
 from reconkit.graphcore import (adjacency_masks, all_graphs, complete, cycle,
                                 disjoint_union, elementary_graph, empty_graph,
@@ -197,7 +198,7 @@ def _group_order(n, generators):
 def test_the_search_returns_generators_of_the_automorphism_group():
     """Each returned map keeps the edge set, and together they span a group of
     order emb(g -> g), an embedding count the search does not use.  The orbit
-    passes of `subset_table` and `whitney._glue` rely on it."""
+    pass of `whitney._glue` relies on it."""
     for g in all_graphs(7) + _orbit_shapes():
         autos = automorphism_generators(g)
         for gamma in autos:
@@ -272,11 +273,14 @@ def _asymmetric_gnm(rng, n, m):
 
 
 def test_subset_table_equals_the_per_mask_pass(corpus6):
-    """Canonicalising one subset per automorphism orbit, from its adjacency
-    bits, changes no field.  An asymmetric 9-vertex graph canonicalises all
-    512 subsets; K9 - e, K3,3,3 and K2,2,2,3 few."""
+    """Canonicalising each subset from its adjacency bits changes no field,
+    on asymmetric and symmetric 9-vertex graphs, and on K10 - e and K5,5 at
+    the command line's vertex limit, 1,024 masks each; every graph also
+    relabelled."""
     rng = random.Random(13)
     graphs = list(corpus6) + _orbit_shapes() + [_complete_multipartite(2, 2, 2, 3)]
+    graphs += [graph(10, [e for e in complete(10).edges if e != (0, 1)]),
+               _complete_multipartite(5, 5)]
     graphs += [_asymmetric_gnm(rng, 9, m) for m in (8, 11, 24, 26)]
     for g in graphs + [_random_relabel(g, rng) for g in graphs]:
         assert tuple(subset_table(g)) == _reference_subset_table(g), g
@@ -298,9 +302,8 @@ def test_subset_bits_spell_the_induced_subgraphs():
 def test_a_subset_table_adds_at_most_its_graph_to_the_canonical_cache():
     """The subsets are canonicalised through the bounded `_labelled` cache,
     keyed by their bits; before, each of the 512 subsets of an asymmetric
-    9-vertex graph became a `Graph` in a cache of its own.  The full mask's
-    bits are g's, so the entry that g's generators made gives its code: g is
-    descended once, and every other labelled subset once."""
+    9-vertex graph became a `Graph` in a cache of its own.  Each distinct
+    labelled subset, g's own bits included, is descended once."""
     g = _asymmetric_gnm(random.Random(41), 9, 18)
     bits = isotype._subset_bits(adjacency_masks(g), g.n)
     keys = {(mask.bit_count(), bits[mask]) for mask in range(1 << g.n)}
@@ -309,12 +312,35 @@ def test_a_subset_table_adds_at_most_its_graph_to_the_canonical_cache():
     isotype._search.cache_clear()
     subset_table.__wrapped__(g)
     info = isotype._labelled.cache_info()
-    # one lookup for g's generators and one per mask, one miss per labelled graph
-    assert info.hits + info.misses == 1 + 512
+    # one lookup per mask and none for g's generators, one miss per labelled graph
+    assert info.hits + info.misses == 512
     assert info.misses == info.currsize == len(keys) <= info.maxsize
-    # each miss searches its form once; the generators read g's form again
+    # each miss looks its form up once
     searched = isotype._search.cache_info()
-    assert searched.hits + searched.misses == info.misses + 1
+    assert searched.hits + searched.misses == info.misses
+
+
+def test_n_matrices_read_no_automorphism_group(monkeypatch):
+    """Subset tables, N-matrices and induced counts come from the codes of
+    the vertex subsets alone: with `automorphism_generators` refusing, they
+    are what they are without, on the orbit shapes (K3,3,3 among them)."""
+    graphs = _orbit_shapes()
+    assert _complete_multipartite(3, 3, 3) in graphs
+    small = all_graphs(4)
+
+    def run():
+        subset_table.cache_clear()
+        isotype._labelled.cache_clear()
+        return [(subset_table.__wrapped__(g), nmatrix(g),
+                 [count_induced(g, f) for f in small]) for g in graphs]
+
+    want = run()
+
+    def refuse(g):
+        raise AssertionError("automorphism_generators called")
+
+    monkeypatch.setattr(isotype, "automorphism_generators", refuse)
+    assert run() == want
 
 
 def test_a_graph_is_descended_once_for_its_generators_and_its_code(monkeypatch):

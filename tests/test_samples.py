@@ -1,4 +1,4 @@
-"""Seeded 7-, 8- and 9-vertex samples: the pipelines and the sweep's checks
+"""Seeded 7- to 10-vertex samples: the pipelines and the sweep's checks
 beyond the exhaustive-sweep orders."""
 
 import random
@@ -59,6 +59,22 @@ def test_nrecon_sample_nine_vertices():
         assert all(tp.psi.get(i, 0) == psi_oracle(g, i) for i in range(2, 10))
         assert tp.tr == tr_oracle(g), write_graph6(g)
         assert all(tp.uni.get(r, 0) == uni_oracle(g, r) for r in range(3, 10))
+        assert rec.rankpoly() == rankpoly_oracle(g), write_graph6(g)
+
+
+def test_nrecon_sample_ten_vertices():
+    """The same at the command line's vertex limit, up to 41 of 45 edges."""
+    rng = random.Random(10)
+    pairs = list(combinations(range(10), 2))
+    for m in (14, 23, 32, 41):
+        g = graph(10, rng.sample(pairs, m))
+        rec = reconstruct(strip(nmatrix(g)))
+        tp = rec.top
+        assert tp.charpoly.coeffs == charpoly_oracle(g).coeffs, write_graph6(g)
+        assert tp.ham == ham_oracle(g)
+        assert all(tp.psi.get(i, 0) == psi_oracle(g, i) for i in range(2, 11))
+        assert tp.tr == tr_oracle(g), write_graph6(g)
+        assert all(tp.uni.get(r, 0) == uni_oracle(g, r) for r in range(3, 11))
         assert rec.rankpoly() == rankpoly_oracle(g), write_graph6(g)
 
 
