@@ -17,12 +17,12 @@ Every pipeline is validated against independent brute-force oracles
 from .errors import (ConsistencyError, DomainError, Graph6ParseError,
                      InconsistentDeckError, InvalidMatrixError,
                      NotReconstructibleError, ReconkitError)
-from .graphcore import (Graph, all_graphs, blocks, complete, components,
-                        cycle, disjoint_union, elementary_graph, empty_graph,
-                        graph, induced_subgraph, is_connected, parse_graph6,
-                        path, vertex_deck, write_graph6)
-from .isotype import (IsoClass, are_isomorphic, canonical_code, canonical_rep,
-                      count_induced, count_subgraphs, kelly_count)
+from .graphcore import (Graph, all_graphs, blocks, complete, cycle,
+                        disjoint_union, elementary_graph, empty_graph, graph,
+                        induced_subgraph, parse_graph6, path, vertex_deck,
+                        write_graph6)
+from .isotype import (IsoClass, canonical_code, count_induced, count_subgraphs,
+                      kelly_count)
 from .deck import (Elp, LambdaDeck, NMatrix, canonical_nmatrix,
                    child_nmatrices, count_empty_induced, elp_automorphisms,
                    elp_from_nmatrix, infer_v_e, lambda_deck, nmatrix,

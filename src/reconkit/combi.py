@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from math import factorial
 
-from .errors import DomainError, InconsistentDeckError, InvalidMatrixError
+from .errors import InconsistentDeckError, InvalidMatrixError
 
 __all__ = [
     "Polynomial",
@@ -63,15 +63,6 @@ class Polynomial:
 
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i]
-
-    def derivative(self) -> "Polynomial":
-        n = self.degree
-        return Polynomial(tuple(c * (n - i) for i, c in enumerate(self.coeffs[:-1])))
-
-    def add(self, other: "Polynomial") -> "Polynomial":
-        if self.degree != other.degree:
-            raise DomainError(f"cannot add polynomials of degrees {self.degree} and {other.degree}")
-        return Polynomial(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __str__(self):
         n = self.degree

@@ -31,8 +31,6 @@ __all__ = [
     "write_graph6",
     "induced_subgraph",
     "vertex_deck",
-    "components",
-    "is_connected",
     "blocks",
     "adjacency_masks",
     "cycles_on_sets",
@@ -59,9 +57,6 @@ class Graph:
     @property
     def e(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def has_isolated_vertex(self) -> bool:
         return len({x for e in self.edges for x in e}) < self.n
@@ -278,22 +273,6 @@ def _reach(masks: list, v: int, allowed: int) -> int:
 
 def _bits(mask: int) -> list:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
-
-
-def components(g: Graph) -> list:
-    """Connected components as standalone graphs, ordered by smallest vertex."""
-    masks = adjacency_masks(g)
-    left = (1 << g.n) - 1
-    comps = []
-    while left:
-        comp = _reach(masks, (left & -left).bit_length() - 1, left)
-        left &= ~comp
-        comps.append(induced_subgraph(g, _bits(comp)))
-    return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
 
 
 def blocks(g: Graph) -> list:

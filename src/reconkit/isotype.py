@@ -11,9 +11,9 @@ are equal, so codes double as dictionary keys for all counting in the package.
 A code spells its canonical form: after the vertex count n, its bits are the
 pairs (0, 1), (0, 2), ..., (n-2, n-1) of that form, highest first.
 `code_graph(code)` reads the form back, so a type carried as its code needs no
-stored representative, and `canonical_rep(g)` is `code_graph(canonical_code(g))`.
-Decoded codes are cached: every caller that decodes a code gets the same
-`Graph`, which the caches keyed on graphs, such as `count_subgraphs`', share.
+stored representative.  Decoded codes are cached: every caller that decodes a
+code gets the same `Graph`, which the caches keyed on graphs, such as
+`count_subgraphs`', share.
 
 Refinement counts neighbours only in the cells that split in the round
 before, less the last fragment of each: the root in its one cell, a child
@@ -110,9 +110,7 @@ __all__ = [
     "canonical_code",
     "edge_bits",
     "bits_code",
-    "canonical_rep",
     "code_graph",
-    "are_isomorphic",
     "IsoClass",
     "count_induced",
     "count_subgraphs",
@@ -210,7 +208,7 @@ def _descend(k: int, bits: int) -> tuple:
 # check.  At 16384 these stay cached; the table of one 16-vertex graph
 # (54,981 distinct labelled subsets in a seeded G(16, 1/2)) evicts.  An entry
 # is two ints, a code, a perm and a form: 16384 entries from the subsets of a
-# 15-vertex graph take 4.1 MB.  `all_graphs` adds none.
+# 15-vertex graph take 4.1 MB, about 260 bytes each.  `all_graphs` adds none.
 _labelled = lru_cache(maxsize=16384)(_descend)
 
 
@@ -308,15 +306,6 @@ def code_graph(code: bytes) -> Graph:
     return Graph(code[0], frozenset(p for k, p in enumerate(reversed(pairs)) if val >> k & 1))
 
 
-def canonical_rep(g: Graph) -> Graph:
-    """The canonically relabelled form of g."""
-    return code_graph(canonical_code(g))
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and g.e == h.e and canonical_code(g) == canonical_code(h)
-
-
 @dataclass(frozen=True)
 class IsoClass:
     """An isomorphism type, carried as its canonical code."""
@@ -335,10 +324,6 @@ class IsoClass:
     def rep(self) -> Graph:
         """The canonical form the code spells."""
         return code_graph(self.code)
-
-    @staticmethod
-    def of(g: Graph) -> "IsoClass":
-        return IsoClass(canonical_code(g))
 
     def sort_key(self):
         return (self.v, self.e, self.code)

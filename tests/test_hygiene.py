@@ -7,8 +7,9 @@ module only the names allowed below, the oracle module borrows nothing from
 `isotype` or the pipelines, every name a module imports must be used in it,
 every layer the benchmark tracer wraps must exist, as must every name a
 module exports in `__all__`, every certifying division goes through
-`combi.exact_div`, no cache of `verify` takes a graph, and no module but
-`isotype` names its canonical-labelling caches.
+`combi.exact_div`, no cache of `verify` takes a graph, no module but
+`isotype` names its canonical-labelling caches, and every function, class
+and method of the library has a reader outside the tests.
 """
 
 import ast
@@ -343,12 +344,18 @@ def test_every_exported_name_exists():
     assert missing == []
 
 
-def test_every_traced_layer_resolves():
-    """Each `module.name` or `module.Class.method` in the tracer's LAYERS is in reconkit."""
+def _layers() -> list:
+    """The benchmark tracer's LAYERS, read from its source."""
     tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
     [layers] = [ast.literal_eval(node.value) for node in tree.body
                 if isinstance(node, ast.Assign)
                 and any(_name(target) == "LAYERS" for target in node.targets)]
+    return layers
+
+
+def test_every_traced_layer_resolves():
+    """Each `module.name` or `module.Class.method` in the tracer's LAYERS is in reconkit."""
+    layers = _layers()
     missing = []
     for layer in layers:
         mod, *attrs = layer.split(".")
@@ -358,3 +365,76 @@ def test_every_traced_layer_resolves():
         if not callable(obj):
             missing.append(layer)
     assert layers and missing == []
+
+
+# The definitions that nothing in `src/reconkit` or `demos/` reads: the
+# documented reader of poset JSON, and the reconstruction's query access to
+# its top row.  The guard compares with equality, so a name that gains a
+# reader, or goes, leaves the list too.
+UNREAD_ALLOWED = {"deck.elp_from_json", "nrecon.Reconstruction.top_index"}
+
+
+def _spellings(node) -> set:
+    """The names a node reads: a Name, an Attribute, or an imported name."""
+    if isinstance(node, ast.alias):
+        return {node.name.rsplit(".", 1)[-1]} | ({node.asname} - {None})
+    name = _name(node)
+    return {name} if name else set()
+
+
+def _unread_definitions(trees: dict, defining: set, leaves: set) -> set:
+    """`module.qualname` of each function, class and method defined in the
+    modules `defining` of `trees` (module -> tree), dunders aside, whose name
+    is not in `leaves` and is spelled by no tree outside that definition."""
+    defs, stacks = [], {}  # name -> the enclosing definitions of each spelling
+
+    def walk(node, stack, qual, defines):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if defines and not (child.name.startswith("__") and child.name.endswith("__")):
+                    defs.append((f"{qual}.{child.name}", child))
+                walk(child, stack + (child,), f"{qual}.{child.name}", defines)
+                continue
+            for name in _spellings(child):
+                stacks.setdefault(name, []).append(stack)
+            walk(child, stack, qual, defines)
+
+    for module, tree in trees.items():
+        walk(tree, (), module, module in defining)
+    return {qual for qual, node in defs if node.name not in leaves
+            and all(node in stack for stack in stacks.get(node.name, ()))}
+
+
+def test_every_library_name_has_a_reader():
+    """Every function, class and method of the library is read by the library,
+    a demo or the benchmark tracer's LAYERS, not only by tests or through the
+    package `__init__` (ROADMAP aim 2).  Attribute names can collide, as
+    `Graph.degree` did with `Polynomial.degree`, so a pass does not prove that
+    a name is read."""
+    trees = {path.stem: tree for path, tree in _trees() if path.stem != "__init__"}
+    library = set(trees)
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        trees[path.name] = ast.parse(path.read_text(), filename=str(path))
+    leaves = {layer.rsplit(".", 1)[-1] for layer in _layers()}
+    assert _unread_definitions(trees, library, leaves) == UNREAD_ALLOWED
+
+
+def test_the_unread_definition_guard_sees_every_spelling():
+    spellings = {"def f(): pass": {"m.f"}, "def f(): pass\nf()": set(),
+                 "def f(): pass\ng = x.f": set(), "def f():\n    return f()": {"m.f"},
+                 "def f(): pass\ngetattr(x, 'f')": {"m.f"},
+                 "def f():\n    def g(): pass\n    return g\nf()": set(),
+                 "def f():\n    def g(): pass\nf()": {"m.f.g"},
+                 "class C:\n    def g(self):\n        return self.g\nC": {"m.C.g"},
+                 "class C:\n    def g(self): pass\n    def h(self):\n        self.g()\nC().h":
+                     set(),
+                 "class C:\n    def __repr__(self): pass\nC": set(),
+                 "def layer(): pass": set()}
+    for spelling, names in spellings.items():
+        trees = {"m": ast.parse(spelling)}
+        assert _unread_definitions(trees, {"m"}, {"layer"}) == names, spelling
+    imports = {"from m import f": set(), "from .m import f as g\ng()": set(),
+               "import m.f": set(), "from m import g": {"m.f"}, "def f(): pass": {"m.f"}}
+    for spelling, names in imports.items():
+        trees = {"m": ast.parse("def f(): pass"), "demo": ast.parse(spelling)}
+        assert _unread_definitions(trees, {"m"}, set()) == names, spelling

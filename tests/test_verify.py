@@ -8,9 +8,10 @@ import pytest
 
 from reconkit import deck as deckmod
 from reconkit import isotype, verify, whitney
+from reconkit.combi import Polynomial
 from reconkit.errors import ConsistencyError
 from reconkit.graphcore import all_graphs, graph, vertex_deck, write_graph6
-from reconkit.isotype import are_isomorphic, canonical_code, code_graph
+from reconkit.isotype import canonical_code, code_graph
 from reconkit.verify import CHAIN_TYPES, CHECKS, run_checks
 from reconkit.whitney import type_key
 
@@ -135,10 +136,39 @@ def test_eq1_and_kocay_fail_on_a_guarded_count_off_by_one(bowtie, monkeypatch):
     assert isotype.count_subgraphs.__wrapped__(bowtie, diamond) == 0 and backtracks == []
     names = ["eq1", "kocay-identity"]
     assert run_checks(bowtie, names) == {"eq1": [], "kocay-identity": []}
-    real = verify.count_subgraphs
+    real, planted = verify.count_subgraphs, canonical_code(diamond)
     monkeypatch.setattr(verify, "count_subgraphs",
-                        lambda g, f: real(g, f) + (g == bowtie and are_isomorphic(f, diamond)))
+                        lambda g, f: real(g, f) + (g == bowtie and canonical_code(f) == planted))
     got = run_checks(bowtie, names)
     assert got["eq1"] == ["subgraph/induced relation violated"]
     assert got["kocay-identity"] and all(f.startswith("kocay identity violated")
                                          for f in got["kocay-identity"])
+
+
+def test_derivative_fails_on_one_planted_card_polynomial(paw, monkeypatch):
+    """One card's c_3 moved by 1, which n - 3 = 1 divides, rebuilds a wrong c_3
+    of g; its c_2 moved by 1 leaves a remainder over n - 2 = 2, and
+    `card_sum_coeffs` refuses the cards.  g's own polynomial stays right."""
+    assert run_checks(paw, ["derivative"]) == {"derivative": []}
+    real = verify.charpoly_oracle
+
+    def plant(i):
+        faulted = []
+
+        def oracle(h):
+            p = real(h)
+            if h.n == paw.n - 1 and not faulted:
+                faulted.append(h)
+                p = Polynomial(p.coeffs[:i] + (p[i] + 1,) + p.coeffs[i + 1:])
+            return p
+
+        monkeypatch.setattr(verify, "charpoly_oracle", oracle)
+        return faulted
+
+    faulted = plant(3)
+    assert run_checks(paw, ["derivative"]) == {"derivative": ["derivative identity violated"]}
+    assert len(faulted) == 1
+    faulted = plant(2)
+    [fail] = run_checks(paw, ["derivative"])["derivative"]
+    assert fail.startswith("InconsistentDeckError: card coefficient sum at index 2")
+    assert len(faulted) == 1
