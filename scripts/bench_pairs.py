@@ -2,12 +2,15 @@
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload build --pairs 10
 
-Pair k runs seed k on both sides, the parent first when k is odd and the
-change first when k is even, so that a slow spell of the host falls on both
-sides alike.  Before every run the checkout's `__pycache__` directories are
-removed, and `perfbench/run.py --workload W --seed k --trace 0` runs in the
-checkout with PYTHONDONTWRITEBYTECODE=1, so that no run starts from bytecode
-compiled by an earlier one (set-up time depends on it).
+The pairs run seeds F, F + 1, .., F + pairs - 1, where F is `--first-seed`
+(default 1), so that a claim can be checked on seeds not used while the
+change was made.  Pair k runs seed k on both sides, the parent first when k
+is odd and the change first when k is even, so that a slow spell of the host
+falls on both sides alike.  Before every run the checkout's `__pycache__`
+directories are removed, and `perfbench/run.py --workload W --seed k
+--trace 0` runs in the checkout with PYTHONDONTWRITEBYTECODE=1, so that no
+run starts from bytecode compiled by an earlier one (set-up time depends on
+it).
 
 Each run prints one line as it ends, `{"seed", "side", "trace", "result"}`,
 the form of a run in `BENCH_*.json`.  Then, per end-to-end metric of the
@@ -86,16 +89,18 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     runs = []
-    for seed in range(1, args.pairs + 1):
+    for seed in range(args.first_seed, args.first_seed + args.pairs):
         for side in order(seed):
             result = run_once(checkouts[side], args.workload, seed)
             runs.append({"seed": seed, "side": side, "trace": 0, "result": result})
             print(json.dumps(runs[-1]), flush=True)
-    print(f"workload {args.workload}: {args.pairs} pairs, medians [parent quartiles]")
+    print(f"workload {args.workload}: {args.pairs} pairs from seed {args.first_seed},"
+          f" medians [parent quartiles]")
     for line in format_summary(summary(runs, [m["name"] for m in spec["end_to_end"]])):
         print(line)
     for side in SIDES:

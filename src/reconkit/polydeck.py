@@ -38,9 +38,22 @@ such an H that holds v = min T is an edge {v, u} or a cycle C through v, so
                  2 (-1)^(|C| - 1) hc(C) E(T - C),
 
 with E(empty) = 1, where hc(C) is the number of hamiltonian cycles of G[C],
-read from `graphcore.cycles_on_sets`.  The sums over T in S, one per size,
-are a subset-sum transform of the E table.  The recursion shares no code
-with `oracle.charpoly_oracle`, which counts no cycles and stays its witness.
+read from `graphcore.cycles_on_sets`.  The recursion shares no code with
+`oracle.charpoly_oracle`, which counts no cycles and stays its witness.
+
+The sums over T in S, one per size, are a subset-sum transform of the E
+table, done on packed rows: the row of S is the one int sum over k of
+r_k 2^(W k), so one int addition adds all n + 1 fields, and since packing is
+linear over the integers the packed transform is exactly the transform of
+the fields.  E(T) = det A[T], a sum of |T|! terms of 0 or +-1, so
+|E(T)| <= |T|!; every field, partial sums included, is a signed sum of at
+most C(n, k) such E(T) with |T| = k, so |r_k| <= C(n, k) k! <= n!.  W is the
+narrowest signed struct field, of 1, 2, 4 or 8 bytes, with 2^(W - 1) > n!,
+which caps n at 20.  Adding 2^(W - 1) to every field of the empty set's row
+adds it once to every row, since the empty set lies in every S, and puts
+each field in [0, 2^W): the base-2^W digits of a row are then its biased
+fields, with no borrow between them.  Flipping the top bit of each digit
+leaves the W-bit two's complement of each field, which `struct` reads back.
 """
 
 from __future__ import annotations
@@ -50,6 +63,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb, factorial
+from struct import Struct, calcsize
 
 from .combi import (Polynomial, card_sum_coeffs, exact_div, json_int, multiset_symmetry,
                     partitions_min2)
@@ -135,33 +149,51 @@ def charpoly(g: Graph) -> Polynomial:
     return Polynomial(tuple(-c if k % 2 else c for k, c in enumerate(acc)))
 
 
+def _field_code(n: int) -> str:
+    """The narrowest signed struct code whose field holds every value in [-n!, n!]."""
+    bits = factorial(n).bit_length()
+    for code in "bhiq":
+        if 8 * calcsize("<" + code) > bits:
+            return code
+    raise DomainError(f"polynomial deck of {n} vertices: its fields need more than 64 bits")
+
+
 def build_polydeck(g: Graph) -> PolyDeck:
-    """P(G_Y) for every nonempty proper subset Y of the vertex set.
+    """P(G_Y) for every nonempty proper subset Y of the vertex set, for 2 <= n <= 20.
 
     Entries come by size, then in the lexicographic order of the subsets.
-    rows[S][k] starts as (-1)^k E(S) at k = |S|, and adding, for one vertex
-    at a time, the row of S without that vertex to each S that holds it
-    leaves the sum of (-1)^k E(T) over the k-sets T in S: coefficient k of
-    P(G[S]).
+    The row of S is one int with field k at bit W k, and starts as
+    (-1)^k E(S) in field k = |S|.  Adding, for one vertex at a time, the row
+    of S without that vertex to each S that holds it leaves the sum of
+    (-1)^k E(T) over the k-sets T in S in field k: coefficient k of P(G[S]).
+    No field, partial sums included, exceeds n! in magnitude, and a field of
+    W bits with 2^(W - 1) > n! holds each one exactly; the bias 2^(W - 1) per
+    field, added to the empty set's row, reaches every row once, so the
+    fields read back from the row's digits with no borrow (module docstring).
     """
     n = g.n
     if n < 2:
         raise DomainError("polynomial deck needs at least 2 vertices")
+    code = _field_code(n)
+    width = 8 * calcsize("<" + code)
     rows = []
     for t, val in enumerate(_elementary_sums(g)):
-        row = [0] * (n + 1)
         k = t.bit_count()
-        row[k] = -val if k % 2 else val
-        rows.append(row)
+        rows.append((-val if k % 2 else val) << (width * k))
+    bias = sum(1 << (width * k + width - 1) for k in range(n + 1))
+    rows[0] += bias
     for i in range(n):
         bit = 1 << i
         for s in range(1 << n):
             if s & bit:
-                rows[s] = [a + b for a, b in zip(rows[s], rows[s ^ bit])]
+                rows[s] += rows[s ^ bit]
     polys = []
+    bits = [1 << v for v in range(n)]
     for size in range(1, n):
-        for subset in combinations(range(n), size):
-            polys.append(tuple(rows[sum(1 << v for v in subset)][:size + 1]))
+        # fields above |S| are 0 once the bias is flipped off, so size + 1 fields hold the row
+        nbytes = (size + 1) * width // 8
+        polys += Struct(f"<{size + 1}{code}").iter_unpack(b"".join(
+            [(rows[sum(c)] ^ bias).to_bytes(nbytes, "little") for c in combinations(bits, size)]))
     return PolyDeck(n, tuple(polys))
 
 
@@ -171,11 +203,13 @@ def low_coeffs(d: PolyDeck) -> tuple:
 
 
 def _p_value(coeffs, parts) -> int:
-    """Sum over tuples of elementary subgraphs: prod of (-1)^a * c_a readings."""
+    """Sum over tuples of elementary subgraphs: prod of (-1)^a * c_a readings.
+
+    Every part must be below len(coeffs).
+    """
     val = 1
     for a in parts:
-        c = coeffs[a] if a < len(coeffs) else 0
-        val *= (-1) ** a * c
+        val *= (-1) ** a * coeffs[a]
         if val == 0:
             return 0
     return val
@@ -186,17 +220,19 @@ def c_lambda(d: PolyDeck, parts) -> int:
 
     Every part must be at most n-1: the subset sum needs the product of low
     coefficients on the full vertex set, and c_n(G) is exactly what the deck
-    withholds.
+    withholds.  Entries of degree below the largest part are skipped: their
+    reading of that coefficient is 0, and so is their product.
     """
     parts = tuple(sorted(parts, reverse=True))
     if not parts or parts[-1] < 2:
         raise DomainError("parts must be >= 2")
-    if parts[0] >= d.n:
-        raise DomainError(f"part {parts[0]} >= n={d.n} is not computable from the deck")
+    top = parts[0]
+    if top >= d.n:
+        raise DomainError(f"part {top} >= n={d.n} is not computable from the deck")
     total = _p_value(d.low, parts)
     for p in d.polys:
-        sign = (-1) ** (d.n - (len(p) - 1))
-        total += sign * _p_value(p, parts)
+        if len(p) > top:
+            total += (-1) ** (d.n - len(p) + 1) * _p_value(p, parts)
     return total
 
 

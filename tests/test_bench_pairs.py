@@ -22,6 +22,29 @@ def test_sides_alternate_by_seed_parity():
         ("parent", "change"), ("change", "parent"), ("parent", "change")]
 
 
+@pytest.mark.parametrize("argv, first", [([], 1), (["--first-seed", "12"], 12)])
+def test_runs_cover_the_seed_range_in_alternating_order(tmp_path, monkeypatch, capsys,
+                                                        argv, first):
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s"}]}')
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        calls.append((seed, checkout.name))
+        return _run(seed, checkout.name, 1.0)["result"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "decks",
+                             "--pairs", "3", *argv]) == 0
+    odd, even = ("parent", "change"), ("change", "parent")
+    sides = [odd, even, odd] if first % 2 else [even, odd, even]
+    assert calls == [(first + i, side) for i in range(3) for side in sides[i]]
+    assert f"3 pairs from seed {first}," in capsys.readouterr().out
+
+
 def test_summary_of_canned_pairs():
     parent = [1.0, 2.0, 3.0, 4.0, 5.0]
     change = [1.5, 1.0, 3.5, 3.0, 6.0]  # lower in pairs 2 and 4

@@ -35,6 +35,14 @@ def test_build_polydeck_examples():
         Counter([(1, 0, -1)] * 3 + [(1, 0)] * 3)
     with pytest.raises(DomainError):
         build_polydeck(empty_graph(1))
+    with pytest.raises(DomainError, match="64 bits"):
+        build_polydeck(empty_graph(21))  # refused before the 2^21 subsets are visited
+
+
+def _oracle_entries(g) -> list:
+    """The oracle's polynomial of every nonempty proper induced subgraph, in deck order."""
+    return [charpoly_oracle(induced_subgraph(g, subset)).coeffs
+            for size in range(1, g.n) for subset in combinations(range(g.n), size)]
 
 
 def test_subset_charpolys_match_the_oracle(corpus6):
@@ -44,9 +52,56 @@ def test_subset_charpolys_match_the_oracle(corpus6):
         assert charpoly(g).coeffs == charpoly_oracle(g).coeffs, g
         if g.n < 2:
             continue
-        want = [charpoly_oracle(induced_subgraph(g, subset)).coeffs
-                for size in range(1, g.n) for subset in combinations(range(g.n), size)]
-        assert list(build_polydeck(g).polys) == want, g
+        assert list(build_polydeck(g).polys) == _oracle_entries(g), g
+
+
+def _dense_and_random(n: int) -> list:
+    """K_n, the balanced complete bipartite graph and two seeded G(n, p)."""
+    rng = random.Random(n)
+    half = n // 2
+    return [complete(n), graph(n, [(u, v) for u in range(half) for v in range(half, n)])] + [
+        graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]) for p in (0.3, 0.6)]
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_every_entry_matches_the_oracle_at_ten_and_eleven_vertices(n):
+    """Entry by entry in order, where the packed rows have 32-bit fields."""
+    for g in _dense_and_random(n):
+        assert list(build_polydeck(g).polys) == _oracle_entries(g), g
+
+
+def _plain_entries(n: int, e: list) -> list:
+    """The subset-sum transform on lists of n + 1 coefficients, one list per subset."""
+    rows = []
+    for t, val in enumerate(e):
+        row = [0] * (n + 1)
+        k = t.bit_count()
+        row[k] = (-1) ** k * val
+        rows.append(row)
+    for i in range(n):
+        for s in range(1 << n):
+            if s >> i & 1:
+                rows[s] = [a + b for a, b in zip(rows[s], rows[s ^ 1 << i])]
+    return [tuple(rows[sum(1 << v for v in subset)][:size + 1])
+            for size in range(1, n) for subset in combinations(range(n), size)]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_packed_transform_at_the_field_bound(monkeypatch, sign):
+    """|E(T)| <= |T|! is the bound the field width rests on.  With E(T) at it
+    and (-1)^|T| E(T) of one sign for every T, no partial sum cancels, and
+    every field of every row is as large as the bound allows.  Singletons keep
+    E = 0, as in every graph, since a deck's single-vertex entries are lambda.
+    n = 2..13 reads fields of each struct width: 1, 2, 4 and 8 bytes."""
+    for n in range(2, 14):
+        e = [sign * (-1) ** t.bit_count() * factorial(t.bit_count()) for t in range(1 << n)]
+        e[0] = 1
+        for v in range(n):
+            e[1 << v] = 0
+        monkeypatch.setattr(polydeck, "_elementary_sums", lambda g: e)
+        want = _plain_entries(n, e)
+        assert max(abs(c) for p in want for c in p) == factorial(n - 1)
+        assert list(build_polydeck(empty_graph(n)).polys) == want, n
 
 
 def _sympy_charpoly(g) -> tuple:
@@ -142,6 +197,25 @@ def test_c_lambda_examples():
         c_lambda(d, (4,))  # part equal to n is out of reach
     # a part larger than every deck degree contributes nothing
     assert c_lambda(build_polydeck(disjoint_union(path(2), path(2))), (3,)) == 0
+
+
+def test_c_lambda_skips_the_entries_below_its_largest_part():
+    """Perturbing the entries of a JSON-read deck whose degree is below the
+    largest part leaves c_lambda as it was.  Perturbing the entries of degree
+    equal to it does not, below n - 1; at n - 1 the low coefficients, which
+    those entries also give, move with them."""
+    g = graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (4, 5), (0, 2)])
+    j = polydeck_to_json(build_polydeck(g))
+    d = polydeck_from_json(j)
+    for parts in [(3,), (4,), (5,), (3, 2), (4, 2), (3, 3)]:
+        top = parts[0]
+        below = {"n": 6, "polys": [p[:2] + [c + 7 for c in p[2:]] if 2 < len(p) <= top else p
+                                   for p in j["polys"]]}
+        assert c_lambda(polydeck_from_json(below), parts) == c_lambda(d, parts), parts
+        if top < 5:
+            at_top = {"n": 6, "polys": [p[:top] + [p[top] + 1] if len(p) == top + 1 else p
+                                        for p in j["polys"]]}
+            assert c_lambda(polydeck_from_json(at_top), parts) != c_lambda(d, parts), parts
 
 
 def test_c_lambda_depends_only_on_multiset():
