@@ -68,17 +68,19 @@ subtree already searched, and the search returns to that depth.
 
 `count_subgraphs(g, f)` is the number of subgraphs of g isomorphic to f, where
 a subgraph is identified with its edge set (its vertex set is the set of edge
-endpoints); f must therefore have no isolated vertices.  It is counted by
-embeddings, the injective maps V(f) -> V(g) that send every edge of f to an
-edge of g, found by a backtrack over adjacency bitmasks.  An embedding maps f
-onto the copy made of the images of f's edges, and since every vertex of f is
-an edge endpoint, two embeddings hit the same copy exactly when they differ by
-an automorphism of f.  Each copy is therefore hit |Aut f| times, and the count
-is emb(f -> g) // emb(f -> f).  A pair whose degrees rule out an embedding,
-g's degrees in decreasing order below f's at some place, is answered 0
-before the backtrack.  `subgraph_type_table(g, m)` canonicalises every
-m-edge subset of g instead.  No code in `reconkit` calls it any more; it stays
-only because the benchmark's `perfbench/tracer.py` names it in `LAYERS`.
+endpoints); f must therefore have no isolated vertices.  It counts copies,
+not embeddings.  An embedding, an injective map V(f) -> V(g) that sends
+every edge of f to an edge of g, maps f onto the copy made of the images of
+f's edges; since every vertex of f is an edge endpoint, two embeddings hit
+the same copy exactly when they differ by an automorphism of f.  The
+backtrack over adjacency bitmasks keeps one of them per copy, by the
+symmetry-breaking conditions that `_pattern` reads off f's stabiliser chain
+(Grochow and Kellis, RECOMB 2007), and |Aut f| comes from the same chain,
+with no group listed.  A pair whose degrees rule out an embedding, g's
+degrees in decreasing order below f's at some place, is answered 0 before
+the backtrack.  `subgraph_type_table(g, m)` canonicalises every m-edge
+subset of g instead.  No code in `reconkit` calls it any more; it stays only
+because the benchmark's `perfbench/tracer.py` names it in `LAYERS`.
 
 Induced subgraphs are counted from one table per graph, `subset_table(g)`:
 a single pass over the vertex subsets of g, as bitmasks 0 .. 2^n - 1 in
@@ -424,14 +426,30 @@ def subgraph_type_table(g: Graph, m: int) -> dict:
     return table
 
 
-@lru_cache(maxsize=1024)
+# Types without isolated vertices and at most 7 vertices: 1,043, which an
+# n = 7 subject's counts walk in the same order for every graph.  At 1024 the
+# walk evicted each pattern just before it came round again, so a dense
+# 7-vertex graph missed on every lookup; at 2048 one walk's patterns stay
+# cached, and a miss costs up to n(n - 1)/2 orbit searches.
+@lru_cache(maxsize=2048)
 def _pattern(f: Graph) -> tuple:
-    """(plan, degrees, |Aut f|): the order in which embeddings place f's
-    vertices, f's degrees in decreasing order, and emb(f -> f).
+    """(plan, degrees, |Aut f|): the order in which the backtrack places f's
+    vertices, f's degrees in decreasing order, and the order of Aut f.
 
     The plan puts each vertex of f after as many of its neighbours as
-    possible, and gives each position the earlier positions adjacent to it
-    and its degree.
+    possible.  Each position carries the earlier positions adjacent to it,
+    its degree, and the earlier positions whose images must be smaller than
+    its own: the symmetry-breaking conditions of Grochow and Kellis ("Network
+    motif discovery using subgraph enumeration and symmetry-breaking",
+    RECOMB 2007), read off f's stabiliser chain in plan order.  For position
+    i, the orbit of its vertex v_i under the automorphisms fixing v_0 ..
+    v_{i-1} is found by one `_extends` search per later vertex of v_i's
+    degree, so the group is never listed; each other vertex of the orbit sits
+    at a later position, whose image must then exceed v_i's.  Of the
+    embeddings that differ by an automorphism of f exactly one meets every
+    condition: the one whose image of v_0 is least over its orbit, then of
+    v_1 over its orbit in the stabiliser of v_0, and so on.  |Aut f| is the
+    product of the orbit sizes.
     """
     masks = adjacency_masks(f)
     order, placed = [], 0
@@ -440,14 +458,50 @@ def _pattern(f: Graph) -> tuple:
                 key=lambda u: ((masks[u] & placed).bit_count(), masks[u].bit_count()))
         order.append(v)
         placed |= 1 << v
-    plan = tuple((tuple(j for j in range(i) if masks[v] >> order[j] & 1), masks[v].bit_count())
-                 for i, v in enumerate(order))
+    links = [(tuple(j for j in range(i) if masks[v] >> order[j] & 1), masks[v].bit_count())
+             for i, v in enumerate(order)]
+    smaller = [[] for _ in order]
+    automorphisms = 1
+    for i, (_back, deg) in enumerate(links):
+        orbit = [p for p in range(i + 1, f.n) if links[p][1] == deg
+                 and _extends(links, masks, order[:i] + [order[p]])]
+        for p in orbit:
+            smaller[p].append(i)
+        automorphisms *= 1 + len(orbit)
+    plan = tuple((back, deg, tuple(low)) for (back, deg), low in zip(links, smaller))
     degrees = tuple(sorted((m.bit_count() for m in masks), reverse=True))
-    return plan, degrees, _embedding_count(plan, masks)
+    return plan, degrees, automorphisms
+
+
+def _extends(links, masks, pins) -> bool:
+    """Whether some automorphism of f, the graph with adjacency masks
+    `masks`, maps the vertex at plan position k to pins[k] for each k <
+    len(pins).  `links` gives each position's earlier neighbours and degree;
+    the search places the positions in order and stops at its first
+    success."""
+    image = [0] * len(links)
+
+    def extend(i, used):
+        if i == len(links):
+            return True
+        back, deg = links[i]
+        cand = (1 << pins[i] if i < len(pins) else (1 << len(links)) - 1) & ~used
+        for j in back:
+            cand &= masks[image[j]]
+        while cand:
+            low = cand & -cand
+            image[i] = low.bit_length() - 1
+            if masks[image[i]].bit_count() == deg and extend(i + 1, used | low):
+                return True
+            cand ^= low
+        return False
+
+    return extend(0, 0)
 
 
 def automorphism_count(f: Graph) -> int:
-    """|Aut f|, counted as emb(f -> f)."""
+    """|Aut f|, the product of the orbit sizes of f's stabiliser chain in
+    `_pattern`'s plan order."""
     return _pattern(f)[2]
 
 
@@ -461,25 +515,29 @@ def automorphism_generators(g: Graph) -> tuple:
 
 
 def _embedding_count(plan: tuple, gmasks: list) -> int:
-    """Injective maps V(f) -> V(g) that send every edge of f to an edge of g,
-    for the graph g with adjacency masks `gmasks`.
+    """Injective maps V(f) -> V(g) that send every edge of f to an edge of g
+    and meet the plan's symmetry-breaking conditions, for the graph g with
+    adjacency masks `gmasks`: one map per copy of f in g.
 
     f is given by its plan, and the backtrack places its vertices in the
     plan's order.  A vertex's candidates are the common g-neighbours of its
     placed neighbours' images, less the used vertices, kept where the g-degree
-    is at least its f-degree; the candidates of the last vertex are counted,
-    not visited.
+    is at least its f-degree and above the images that the plan's conditions
+    put below it; the candidates of the last vertex are counted, not visited.
     """
     gdeg = [m.bit_count() for m in gmasks]
-    levels = [(back, sum(1 << x for x, d in enumerate(gdeg) if d >= deg)) for back, deg in plan]
+    levels = [(back, smaller, sum(1 << x for x, d in enumerate(gdeg) if d >= deg))
+              for back, deg, smaller in plan]
     image = [0] * len(plan)
     last = len(plan) - 1
 
     def extend(i, used):
-        back, cand = levels[i]
+        back, smaller, cand = levels[i]
         cand &= ~used
         for j in back:
             cand &= gmasks[image[j]]
+        for j in smaller:
+            cand &= -(2 << image[j])
         if i == last:
             return cand.bit_count()
         total = 0
@@ -497,21 +555,22 @@ def _embedding_count(plan: tuple, gmasks: list) -> int:
 def count_subgraphs(g: Graph, f: Graph) -> int:
     """The number of subgraphs of g isomorphic to f; f may not have isolated vertices.
 
-    Every copy of f in g is hit by exactly |Aut f| embeddings of f, so the
-    count is emb(f -> g) // emb(f -> f).  An embedding maps the k vertices of
-    largest degree in f to k distinct vertices of g, each of degree at least
-    the k-th largest of f, so unless g's degrees in decreasing order are at
-    least f's place by place there is no copy, and no backtrack is run.
+    Each copy of f in g is counted once, by the one embedding of f that
+    meets the symmetry-breaking conditions of f's plan (see `_pattern`).  An
+    embedding maps the k vertices of largest degree in f to k distinct
+    vertices of g, each of degree at least the k-th largest of f, so unless
+    g's degrees in decreasing order are at least f's place by place there is
+    no copy, and no backtrack is run.
     """
     if f.has_isolated_vertex():
         raise DomainError("count_subgraphs requires f without isolated vertices")
     if f.n > g.n or f.e > g.e:
         return 0
-    plan, degrees, automorphisms = _pattern(f)
+    plan, degrees, _automorphisms = _pattern(f)
     gmasks = adjacency_masks(g)
     if any(d > h for d, h in zip(degrees, sorted((m.bit_count() for m in gmasks), reverse=True))):
         return 0
-    return _embedding_count(plan, gmasks) // automorphisms
+    return _embedding_count(plan, gmasks)
 
 
 def kelly_count(deck, f: Graph, induced: bool = False) -> int:

@@ -10,9 +10,11 @@ polynomial methods, whose cost grows with n alone.  `dense_fill` fills a
 poset's matrix entry by entry, the witness of the sparse fill in
 `deck.nmatrix_from_elp`.  `chain_walk` walks the chain sum of Kocay's
 identity for one graph, the witness of the weights per type and order in
-`verify.count_type_chain`.  `unguarded_subgraph_count` counts copies by a
-plain embedding backtrack, with no degree filter and no degree-dominance
-guard, the witness of `isotype.count_subgraphs`.  `canonical_witness` maps
+`verify.count_type_chain`.  `unguarded_subgraph_count` counts every
+embedding by a plain backtrack, with no degree filter, no degree-dominance
+guard and no symmetry-breaking condition, and divides by the embeddings of f
+into itself: the witness of `isotype.count_subgraphs`, which visits one
+embedding per copy.  `canonical_witness` maps
 the witness of the search of g's first-leaf form back to g's labelling, for
 the checks against a search that visits every leaf.
 """

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import factorial
 
 import networkx as nx
 import pytest
@@ -196,8 +197,9 @@ def _group_order(n, generators):
 
 def test_the_search_returns_generators_of_the_automorphism_group():
     """Each returned map keeps the edge set, and together they span a group of
-    order emb(g -> g), an embedding count the search does not use.  The orbit
-    pass of `whitney._glue` relies on it."""
+    order `automorphism_count(g)`, the product of the orbit sizes of g's
+    stabiliser chain, which embedding searches find without the canonical
+    search.  The orbit pass of `whitney._glue` relies on it."""
     for g in all_graphs(7) + _orbit_shapes():
         autos = automorphism_generators(g)
         for gamma in autos:
@@ -523,6 +525,44 @@ def test_count_subgraphs_equals_the_unguarded_backtrack(monkeypatch):
     assert skipped == 4758
 
 
+def test_each_copy_is_counted_once():
+    """Every type f without isolated vertices on at most 7 vertices is one
+    copy of itself, and K_m for m <= 8 holds m! / ((m - v_f)! |Aut f|) copies
+    of each such f with v_f <= 5, where |Aut f| is the order of the group
+    the canonical search's generators span, not the pattern's own count."""
+    types = verify._small_types(7, False)
+    for f in types:
+        assert count_subgraphs(f, f) == 1, f
+    for f in types:
+        if f.n <= 5:
+            auts = _group_order(f.n, automorphism_generators(f))
+            for m in range(f.n, 9):
+                want = factorial(m) // (factorial(m - f.n) * auts)
+                assert count_subgraphs(complete(m), f) == want, (m, f)
+
+
+def test_the_pattern_cache_holds_every_type_of_a_seven_vertex_subject():
+    """An n = 7 subject's counts walk all these types in the same order, so a
+    smaller cache would evict each pattern before the walk came back to it."""
+    assert isotype._pattern.cache_parameters()["maxsize"] >= len(verify._small_types(7, False))
+
+
+def test_automorphism_count_reads_the_stabiliser_chain(monkeypatch):
+    """|Aut f| of highly symmetric graphs, from at most n^2 orbit searches
+    each, with no automorphism listed: K10 has 3,628,800."""
+    petersen = graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    searches = []
+    real = isotype._extends
+    monkeypatch.setattr(isotype, "_extends",
+                        lambda links, masks, pins: searches.append(pins) or real(links, masks, pins))
+    for g, order in [(complete(10), 3628800), (_complete_multipartite(5, 5), 28800),
+                     (petersen, 120), (cycle(10), 20)]:
+        searches.clear()
+        assert isotype._pattern.__wrapped__(g)[2] == order, g
+        assert 0 < len(searches) <= g.n ** 2, (g, len(searches))
+
+
 def test_subgraph_induced_relation(corpus5):
     """<G,F> = sum over types H with v(H) = v(F) of (G choose H) <H,F>."""
     small = [h for h in all_graphs(4)]
@@ -540,7 +580,7 @@ def test_subgraph_induced_relation(corpus5):
 
 
 def test_count_subgraphs_matches_the_type_table():
-    """The embedding count against canonicalising every e(f)-edge subset of g,
+    """The copy count against canonicalising every e(f)-edge subset of g,
     and against networkx's monomorphisms divided by the automorphisms of f."""
     small = all_graphs(5)
     shapes = [f for f in small if f.e and not f.has_isolated_vertex()]
