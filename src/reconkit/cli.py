@@ -19,7 +19,7 @@ from .deck import VERTEX_LIMIT
 from .errors import (DomainError, Graph6ParseError, InconsistentDeckError,
                      InvalidMatrixError, NotReconstructibleError, ReconkitError)
 from .graphcore import Graph, all_graphs, parse_graph6, write_graph6
-from .nrecon import reconstruct
+from .nrecon import invariant_report, reconstruct
 from .oracle import (charpoly_oracle, ham_oracle, psi_oracle, rankpoly_oracle,
                      tr_oracle, uni_oracle)
 from .whitney import charpoly_from_vertex_deck
@@ -91,15 +91,10 @@ def _cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _direct_report(g: Graph) -> dict:
-    return {
-        "charpoly": list(charpoly_oracle(g).coeffs),
-        "tr": tr_oracle(g),
-        "ham": ham_oracle(g),
-        "psi": {str(i): psi_oracle(g, i) for i in range(2, g.n + 1)},
-        "uni": {str(r): uni_oracle(g, r) for r in range(3, g.n + 1)},
-        "rankpoly": [{"r": r, "s": s, "count": c}
-                     for (r, s), c in sorted(rankpoly_oracle(g).items())],
-    }
+    return invariant_report(charpoly_oracle(g), tr_oracle(g), ham_oracle(g),
+                            {i: psi_oracle(g, i) for i in range(2, g.n + 1)},
+                            {r: uni_oracle(g, r) for r in range(3, g.n + 1)},
+                            rankpoly_oracle(g))
 
 
 def _cmd_recon(args) -> int:
@@ -151,7 +146,7 @@ def _cmd_sweep(args) -> int:
         if name not in verify.CHECKS and name != "golden":
             raise DomainError(f"unknown check '{name}'")
     run_golden = args.checks == "all" or "golden" in names
-    names = [n for n in names if n != "golden"]
+    names = [n for n in dict.fromkeys(names) if n != "golden"]  # a repeated name runs once
     unparsed = []
     if args.corpus:
         corpus = []

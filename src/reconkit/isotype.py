@@ -30,26 +30,27 @@ graph6's column order, edge (i, j), i < j, at bit C(j, 2) + i, and
 passes g's bits, the subset tables below the bits of each vertex subset and
 `whitney` those of each gluing.  Behind it, `_labelled` is the one cache per
 labelled graph, bounded and keyed by the two integers; it decodes the bits
-into adjacency masks, so no `Graph` is built or kept for it.  Its entry holds
-the code and the first leaf's perm and form (below), and
-`automorphism_generators(g)` reads the entry for g's bits, so a graph whose
-code and automorphisms are both asked for is descended once.
-`graphcore.all_graphs` reads each candidate's code from `_descend`, the
-function behind the cache, since no candidate is asked for again.
+into adjacency masks, so no `Graph` is built or kept for it, and keeps the
+code alone.  `graphcore.all_graphs` reads each candidate's code from
+`_descend`, the function behind it, since no candidate is asked for again.
 
 The search runs once per first-leaf form.  `_descend` descends to the first
 leaf, individualising the least vertex of the first non-singleton cell, with
 ordering perm (new -> old); the graph relabelled by perm, packed like a code,
 is the form.  `_search(form)` is cached per form; its witness maps back to
-the graph's by x -> perm[x] and each automorphism sigma to
-gamma[perm[k]] = perm[sigma[k]].
+the graph's by x -> perm[x].
 Refinement commutes with relabelling, so the form's tree is g's relabelled by
-perm, only with children in another order: the minimum, the code, is g's, and
-the conjugated automorphisms generate Aut g.  The form's first leaf is the
-image of g's, so when it is minimal, as in practice it is (every leaf of the
-`build` bench is), both witnesses are the first leaf and the witness is g's
-own, and isomorphic graphs share one form, the code.  Otherwise the two may
-pick different minimal leaves, which differ by an automorphism.
+perm, only with children in another order: the minimum, the code, is g's.
+The form's first leaf is the image of g's, so when it is minimal, as in
+practice it is (every leaf of the `build` bench is), both witnesses are the
+first leaf and the witness is g's own, and isomorphic graphs share one form,
+the code.  Otherwise the two may pick different minimal leaves, which differ
+by an automorphism.
+
+A code is itself a packed graph, its canonical form: `code_automorphisms`
+returns the generators of its group that `_search(code)` finds, on the
+form's own labels.  A code is in practice the form of its graphs, so that
+search is already cached.
 
 The search prunes with the automorphisms it finds (McKay & Piperno, "Practical
 graph isomorphism, II", J. Symb. Comput. 2014).  A leaf that ties the best
@@ -117,7 +118,7 @@ __all__ = [
     "count_induced",
     "count_subgraphs",
     "automorphism_count",
-    "automorphism_generators",
+    "code_automorphisms",
     "SubsetTable",
     "subset_table",
     "induced_type_table",
@@ -209,9 +210,11 @@ def _descend(k: int, bits: int) -> tuple:
 # 1,758, `decks` 1,466, `sweep` 241; 11,635 in an n <= 7 sweep with every
 # check.  At 16384 these stay cached; the table of one 16-vertex graph
 # (54,981 distinct labelled subsets in a seeded G(16, 1/2)) evicts.  An entry
-# is two ints, a code, a perm and a form: 16384 entries from the subsets of a
-# 15-vertex graph take 4.1 MB, about 260 bytes each.  `all_graphs` adds none.
-_labelled = lru_cache(maxsize=16384)(_descend)
+# is two ints and a code: 16384 from the subsets of a seeded G(15, 1/2) hold
+# 4.3 MB, about 260 bytes each (tracemalloc).  `all_graphs` adds none.
+@lru_cache(maxsize=16384)
+def _labelled(k: int, bits: int) -> bytes:
+    return _descend(k, bits)[0]
 
 
 # First-leaf forms per seed-1 bench pass: `recon` 173, `build` 346, `decks`
@@ -219,7 +222,7 @@ _labelled = lru_cache(maxsize=16384)(_descend)
 # sweep and every form up to 8 vertices stay cached.
 @lru_cache(maxsize=16384)
 def _search(form: bytes):
-    """(minimal bitstring as int, witness new->old, automorphisms) of a first-leaf form.
+    """(minimal bitstring as int, witness new->old, automorphisms) of a packed graph.
 
     The search prunes by automorphism, as the module docstring describes.
     The automorphisms, as tuples old -> old, are the ones it found, and they
@@ -297,7 +300,7 @@ def edge_bits(edges) -> int:
 def bits_code(n: int, bits: int) -> bytes:
     """The canonical code of the n-vertex graph whose `edge_bits` are `bits`,
     from the bounded cache `_labelled`."""
-    return _labelled(n, bits)[0]
+    return _labelled(n, bits)
 
 
 @lru_cache(maxsize=4096)
@@ -505,13 +508,10 @@ def automorphism_count(f: Graph) -> int:
     return _pattern(f)[2]
 
 
-def automorphism_generators(g: Graph) -> tuple:
-    """Maps old -> old, as tuples, that generate Aut g: those `_search` found
-    on g's first-leaf form, each sigma mapped back through the first leaf's
-    ordering perm to gamma[perm[k]] = perm[sigma[k]]."""
-    _code, perm, form = _labelled(g.n, edge_bits(g.edges))
-    pos = sorted(range(g.n), key=perm.__getitem__)  # perm's inverse
-    return tuple(tuple([perm[sigma[p]] for p in pos]) for sigma in _search(form)[2])
+def code_automorphisms(code: bytes) -> tuple:
+    """Maps old -> old, as tuples, that generate Aut `code_graph(code)`: those
+    `_search` finds on the canonical form the code spells."""
+    return _search(code)[2]
 
 
 def _embedding_count(plan: tuple, gmasks: list) -> int:

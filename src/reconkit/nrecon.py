@@ -37,7 +37,7 @@ from .combi import (Polynomial, exact_div, grouped_cover_partitions, multiset_sy
 from .deck import Elp, NMatrix, _poset, _top_row, nmatrix_from_elp
 from .errors import InvalidMatrixError
 
-__all__ = ["NodeInvariants", "Reconstruction", "reconstruct"]
+__all__ = ["NodeInvariants", "Reconstruction", "invariant_report", "reconstruct"]
 
 
 @dataclass(frozen=True)
@@ -311,15 +311,16 @@ class Reconstruction:
     def report(self) -> dict:
         """The InvariantReport for the top node, JSON-shaped."""
         tp = self.top
-        return {
-            "charpoly": list(tp.charpoly.coeffs),
-            "tr": tp.tr,
-            "ham": tp.ham,
-            "psi": {str(i): tp.psi[i] for i in sorted(tp.psi)},
-            "uni": {str(r): tp.uni[r] for r in sorted(tp.uni)},
-            "rankpoly": [{"r": r, "s": s, "count": c}
-                         for (r, s), c in sorted(self.rankpoly().items())],
-        }
+        return invariant_report(tp.charpoly, tp.tr, tp.ham, tp.psi, tp.uni, self.rankpoly())
+
+
+def invariant_report(charpoly: Polynomial, tr: int, ham: int, psi, uni, rankpoly) -> dict:
+    """The InvariantReport, JSON-shaped, of invariants however they were found:
+    psi and uni map orders to counts, rankpoly maps (r, s) to counts."""
+    return {"charpoly": list(charpoly.coeffs), "tr": tr, "ham": ham,
+            "psi": {str(i): psi[i] for i in sorted(psi)},
+            "uni": {str(r): uni[r] for r in sorted(uni)},
+            "rankpoly": [{"r": r, "s": s, "count": c} for (r, s), c in sorted(rankpoly.items())]}
 
 
 def reconstruct(nm: NMatrix) -> Reconstruction:

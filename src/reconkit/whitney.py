@@ -25,8 +25,8 @@ from .combi import (Polynomial, card_sum_coeffs, exact_div, multiset_symmetry,
                     partitions_min2, sachs_constant)
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
 from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
-from .isotype import (automorphism_count, automorphism_generators, bits_code,
-                      canonical_code, code_graph, count_subgraphs, edge_bits,
+from .isotype import (IsoClass, automorphism_count, bits_code, canonical_code,
+                      code_automorphisms, code_graph, count_subgraphs, edge_bits,
                       kelly_count)
 from .polydeck import charpoly
 
@@ -83,14 +83,14 @@ class CoverTable:
 # One entry per (partial union, block, vmax): 131 in a bench `decks` pass,
 # 278 in a whole n <= 7 sweep and 2,690 in a cold n = 10 deck.
 @lru_cache(maxsize=4096)
-def _glue(u: Graph, f: Graph, vmax: int) -> tuple:
-    """The unions of u with one fresh copy of f, up to vmax vertices.
+def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
+    """The unions of u with one fresh copy of f, up to vmax vertices, where
+    u and f are the canonical forms that `ucode` and `fcode` spell.
 
     Pairs each union's canonical code with its ways: the number of gluings
     (shared vertices of f, their images in u) that reach it, in the order
-    the first gluing reaches each union.  The pairs depend only on the
-    labelled u and f, which callers pass as the canonical forms of their
-    codes, and on vmax; they are cached, so the tables of one deck glue each
+    the first gluing reaches each union.  The pairs depend only on the two
+    codes and vmax; they are cached, so the tables of one deck glue each
     partial union to each block once.
 
     A gluing is a partial injection phi from V(f) into V(u), and the group
@@ -98,18 +98,20 @@ def _glue(u: Graph, f: Graph, vmax: int) -> tuple:
     (alpha, beta) maps the union glued by phi onto the union glued by its
     image, so every gluing of one orbit reaches the same union.  Gluings are
     visited in the order of the full enumeration; the first of each orbit,
-    closed under the generators of both groups, is glued, as u's adjacency
-    bits with f's mapped edges added, and canonicalised from those bits, and
-    the orbit's size is added to its union's ways.  Every gluing still
-    counts once, so `ways`, and the order in which unions are first
-    reached, are those of gluing every map.
+    closed under the generators of both groups that `code_automorphisms`
+    reads off the codes, is glued, as u's adjacency bits with f's mapped
+    edges added, and canonicalised from those bits, and the orbit's size is
+    added to its union's ways.  Every gluing still counts once, so `ways`,
+    and the order in which unions are first reached, are those of gluing
+    every map.
     """
     from itertools import combinations, permutations
+    u, f = code_graph(ucode), code_graph(fcode)
     found = {}
     # a gluing is the tuple of images of f's vertices, -1 for a free vertex,
     # which every alpha extended by alpha[-1] = -1 keeps free
-    ugens = [alpha + (-1,) for alpha in automorphism_generators(u)]
-    fgens = automorphism_generators(f)
+    ugens = [alpha + (-1,) for alpha in code_automorphisms(ucode)]
+    fgens = code_automorphisms(fcode)
     ubits = edge_bits(u.edges)
     for k in range(0, min(u.n, f.n) + 1):
         if u.n + f.n - k > vmax:
@@ -147,10 +149,10 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
     """Enumerate union graphs of one copy of each block of a type, with cover counts.
 
     `root` is the type key: the sorted tuple of the block codes.  The blocks
-    are decoded and glued in order of (v, e), then code, one at a time, and
-    D(X), the number of gluing sequences that end in a union isomorphic to
-    X, is carried along: D(X) = sum over partial unions U of D(U) *
-    ways(U -> X), from D(empty) = 1.  `_glue` canonicalises one gluing per
+    are glued in order of (v, e), then code, one at a time, and D(X), the
+    number of gluing sequences that end in a union isomorphic to X, is
+    carried along: D(X) = sum over partial unions U of D(U) * ways(U -> X),
+    from D(empty) = 1.  `_glue` canonicalises one gluing per
     orbit of Aut U x Aut F and weighs it by the orbit's size, so ways(U -> X)
     still counts every gluing, and D(X) and the counts below are those of
     gluing every map.
@@ -163,16 +165,15 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
     """
     if list(root) != sorted(root):
         raise DomainError("covers_of_type takes a type key: the sorted tuple of block codes")
-    # root is in code order, so a stable sort by (v, e) orders by (v, e, code)
-    fams = sorted(map(code_graph, root), key=lambda b: (b.n, b.e))
+    fams = sorted(root, key=lambda code: IsoClass(code).sort_key())
     partials = {canonical_code(graph(0)): 1}
     for f in fams:
         nxt = {}
         for code, d in partials.items():
-            for union, ways in _glue(code_graph(code), f, vmax):
+            for union, ways in _glue(code, f, vmax):
                 nxt[union] = nxt.get(union, 0) + d * ways
         partials = nxt
-    fam_automorphisms = prod(automorphism_count(f) for f in fams)
+    fam_automorphisms = prod(automorphism_count(code_graph(f)) for f in fams)
     member_table = {}
     by_type = {}
     nonspanning_roots = []

@@ -273,8 +273,8 @@ def unguarded_subgraph_count(g: Graph, f: Graph) -> int:
 
 def canonical_witness(g: Graph) -> tuple:
     """(minimal bitstring as int, witness new -> old) of g's canonical search:
-    `_search` of the first-leaf form in g's cache entry, its witness mapped
-    back through the entry's first-leaf ordering perm by x -> perm[x]."""
-    _code, perm, form = isotype._labelled(g.n, edge_bits(g.edges))
+    `_search` of the first-leaf form that `_descend` reaches, its witness
+    mapped back through the first-leaf ordering perm by x -> perm[x]."""
+    _code, perm, form = isotype._descend(g.n, edge_bits(g.edges))
     val, witness, _autos = isotype._search(form)
     return val, tuple(perm[x] for x in witness)

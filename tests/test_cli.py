@@ -400,6 +400,28 @@ def test_sweep_records_a_check_error_and_goes_on(capsys, monkeypatch):
             "failures": [{"graph6": "Bw", "detail": ["ConsistencyError: boom"]}]}
 
 
+def test_sweep_runs_a_repeated_check_once(capsys, monkeypatch):
+    """`--checks roundtrip,roundtrip` reports what `--checks roundtrip` does,
+    with one call per graph."""
+    calls = []
+    check = verify.CHECKS["roundtrip"]
+
+    def counting(subject):
+        calls.append(write_graph6(subject.g))
+        return check.run(subject)
+
+    monkeypatch.setitem(verify.CHECKS, "roundtrip", check._replace(run=counting))
+    reports = []
+    for checks in ("roundtrip,roundtrip", "roundtrip"):
+        calls.clear()
+        code, out = _run(capsys, ["sweep", "--max-n", "3", "--checks", checks])
+        assert code == 0 and out["graphs"] == 4
+        assert len(calls) == len(set(calls)) == out["graphs"] == 4, checks
+        del out["elapsed_seconds"]
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
 def test_sweep_all_runs_every_registry_check_and_the_readme_lists_them(capsys):
     names = set(verify.CHECKS) | {"golden"}
     code, out = _run(capsys, ["sweep", "--max-n", "3", "--checks", "all"])

@@ -190,6 +190,13 @@ def test_verify_caches_take_no_graph():
     assert _graph_keyed_caches(ast.parse(path.read_text(), filename=str(path)), "verify") == set()
 
 
+def test_whitney_caches_take_no_graph():
+    """`whitney` carries blocks, unions and cards as codes, so each of its
+    caches is keyed by codes and decodes them through `code_graph`."""
+    path = SRC / "whitney.py"
+    assert _graph_keyed_caches(ast.parse(path.read_text(), filename=str(path)), "whitney") == set()
+
+
 def test_the_graph_keyed_cache_guard_sees_every_spelling():
     spellings = {"@lru_cache(maxsize=8)\ndef f(g): pass": {"m.f"},
                  "@functools.lru_cache(maxsize=8)\ndef f(h: Graph): pass": {"m.f"},
@@ -205,10 +212,10 @@ def test_the_graph_keyed_cache_guard_sees_every_spelling():
         assert _graph_keyed_caches(ast.parse(spelling), "m") == sites, spelling
 
 
-# `_labelled` keeps each labelled graph's code and first leaf, keyed by its
-# adjacency bits, and `_search` each first-leaf form's search; other modules
-# reach them only through `canonical_code`, `bits_code`,
-# `automorphism_generators` and `_descend`, the uncached function behind
+# `_labelled` keeps each labelled graph's code alone, keyed by its adjacency
+# bits, and `_search` the search of each packed graph, a first-leaf form or a
+# code; other modules reach them only through `canonical_code`, `bits_code`,
+# `code_automorphisms` and `_descend`, the uncached descent behind
 # `_labelled`.
 ISOTYPE_CACHES = {"_labelled", "_search"}
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 from math import factorial
@@ -14,8 +15,8 @@ from reconkit.graphcore import (adjacency_masks, all_graphs, complete, cycle,
                                 graph, induced_subgraph, parse_graph6, path,
                                 vertex_deck)
 from reconkit import isotype
-from reconkit.isotype import (IsoClass, automorphism_count, automorphism_generators,
-                              canonical_code, code_graph, count_induced,
+from reconkit.isotype import (IsoClass, automorphism_count, canonical_code,
+                              code_automorphisms, code_graph, count_induced,
                               count_subgraphs, edge_bits, kelly_count, subgraph_type_table,
                               subset_table)
 
@@ -196,15 +197,18 @@ def _group_order(n, generators):
 
 
 def test_the_search_returns_generators_of_the_automorphism_group():
-    """Each returned map keeps the edge set, and together they span a group of
-    order `automorphism_count(g)`, the product of the orbit sizes of g's
+    """The maps the search of a code returns each keep the edge set of the
+    form the code spells, and together they span a group of order
+    `automorphism_count(g)`, the product of the orbit sizes of g's
     stabiliser chain, which embedding searches find without the canonical
     search.  The orbit pass of `whitney._glue` relies on it."""
     for g in all_graphs(7) + _orbit_shapes():
-        autos = automorphism_generators(g)
+        code = canonical_code(g)
+        form = code_graph(code)
+        autos = code_automorphisms(code)
         for gamma in autos:
             assert sorted(gamma) == list(range(g.n)), g
-            assert {tuple(sorted((gamma[u], gamma[v]))) for u, v in g.edges} == g.edges, g
+            assert {tuple(sorted((gamma[u], gamma[v]))) for u, v in form.edges} == form.edges, g
         assert _group_order(g.n, autos) == automorphism_count(g), g
 
 
@@ -323,8 +327,9 @@ def test_a_subset_table_adds_at_most_its_graph_to_the_canonical_cache():
 
 def test_n_matrices_read_no_automorphism_group(monkeypatch):
     """Subset tables, N-matrices and induced counts come from the codes of
-    the vertex subsets alone: with `automorphism_generators` refusing, they
-    are what they are without, on the orbit shapes (K3,3,3 among them)."""
+    the vertex subsets alone: with `code_automorphisms` refusing in every
+    module that reads it, they are what they are without, on the orbit
+    shapes (K3,3,3 among them)."""
     graphs = _orbit_shapes()
     assert _complete_multipartite(3, 3, 3) in graphs
     small = all_graphs(4)
@@ -337,35 +342,13 @@ def test_n_matrices_read_no_automorphism_group(monkeypatch):
 
     want = run()
 
-    def refuse(g):
-        raise AssertionError("automorphism_generators called")
+    def refuse(code):
+        raise AssertionError("code_automorphisms called")
 
-    monkeypatch.setattr(isotype, "automorphism_generators", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reconkit") and hasattr(module, "code_automorphisms"):
+            monkeypatch.setattr(module, "code_automorphisms", refuse)
     assert run() == want
-
-
-def test_a_graph_is_descended_once_for_its_generators_and_its_code(monkeypatch):
-    """After `automorphism_generators(g)`, `canonical_code(g)` reads the same
-    cache entry: no second first-leaf descent, and no leaf evaluated."""
-    leaves = []
-    bits_int = isotype._bits_int
-
-    def counting(masks, perm, n):
-        leaves.append(perm)
-        return bits_int(masks, perm, n)
-
-    monkeypatch.setattr(isotype, "_bits_int", counting)
-    rng = random.Random(59)
-    for g in _orbit_shapes() + [_asymmetric_gnm(rng, 9, 18), graph(20, [(0, 1)])]:
-        isotype._labelled.cache_clear()
-        isotype._search.cache_clear()
-        automorphism_generators(g)
-        leaves.clear()
-        code = canonical_code(g)
-        assert leaves == [], g
-        info = isotype._labelled.cache_info()
-        assert (info.hits, info.misses) == (1, 1), g
-        assert code == isotype._descend(g.n, edge_bits(g.edges))[0], g
 
 
 def test_canonical_code_reads_adjacency_bits():
@@ -535,7 +518,7 @@ def test_each_copy_is_counted_once():
         assert count_subgraphs(f, f) == 1, f
     for f in types:
         if f.n <= 5:
-            auts = _group_order(f.n, automorphism_generators(f))
+            auts = _group_order(f.n, code_automorphisms(canonical_code(f)))
             for m in range(f.n, 9):
                 want = factorial(m) // (factorial(m - f.n) * auts)
                 assert count_subgraphs(complete(m), f) == want, (m, f)

@@ -4,9 +4,9 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from reconkit import whitney
+from reconkit import isotype, whitney
 from reconkit.errors import DomainError, InconsistentDeckError
-from reconkit.graphcore import (complete, cycle, disjoint_union, empty_graph,
+from reconkit.graphcore import (all_graphs, complete, cycle, disjoint_union, empty_graph,
                                 graph, parse_graph6, path, vertex_deck)
 from reconkit.isotype import canonical_code, code_graph
 from reconkit.oracle import charpoly_oracle, cover_count_oracle
@@ -213,9 +213,11 @@ def test_card_labelling_and_order_do_not_matter(corpus6, monkeypatch):
         assert charpoly_from_vertex_deck(shuffled).coeffs == want, g
 
 
-def _reference_glue(u, f, vmax):
-    """The gluing of u and f that canonicalises every partial injection V(f) -> V(u)."""
+def _reference_glue(ucode, fcode, vmax):
+    """The gluing of the forms u and f of two codes that canonicalises every
+    partial injection V(f) -> V(u)."""
     from itertools import permutations
+    u, f = code_graph(ucode), code_graph(fcode)
     found = {}
     fverts = list(range(f.n))
     for k in range(0, min(u.n, f.n) + 1):
@@ -273,6 +275,28 @@ def _clear_every_cache():
             for fn in vars(mod).values():
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
+
+
+def test_cover_tables_read_automorphisms_off_searched_codes(monkeypatch):
+    """Every code a cover table asks `code_automorphisms` about, on the
+    vertex decks of all graphs with 3 <= n <= 6 from empty caches, was
+    already searched as the first-leaf form of a graph of its type: the
+    lookups add no `_search` miss."""
+    lookup = whitney.code_automorphisms
+    added = []
+
+    def counting(code):
+        before = isotype._search.cache_info().misses
+        gens = lookup(code)
+        added.append(isotype._search.cache_info().misses - before)
+        return gens
+
+    monkeypatch.setattr(whitney, "code_automorphisms", counting)
+    _clear_every_cache()
+    for g in all_graphs(6):
+        if g.n >= 3:
+            charpoly_from_vertex_deck(vertex_deck(g))
+    assert added and set(added) == {0}
 
 
 def test_cover_tables_do_not_depend_on_build_order(monkeypatch):
