@@ -1,6 +1,7 @@
 """Alternating benchmark pairs: a parent and a change, each in its own checkout.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload build --pairs 10
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload decks,recon --pairs 4
 
 The pairs run seeds F, F + 1, .., F + pairs - 1, where F is `--first-seed`
 (default 1), so that a claim can be checked on seeds not used while the
@@ -12,11 +13,14 @@ directories are removed, and `perfbench/run.py --workload W --seed k
 run starts from bytecode compiled by an earlier one (set-up time depends on
 it).
 
-Each run prints one line as it ends, `{"seed", "side", "trace", "result"}`,
-the form of a run in `BENCH_*.json`.  Then, per end-to-end metric of the
-change's BENCHMARK.json, come the parent's median and quartiles, the change's
-median and its difference in per cent, and the number of pairs in which the
-change is lower; last, the failed operations per side.  Standard library only.
+`--workload` takes one workload or a comma-separated list, run one after
+the other, each over the same seeds.  Each run prints one line as it ends,
+`{"seed", "side", "trace", "result"}`, the form of a run in `BENCH_*.json`.
+When a workload's pairs are done, its summary block follows: per end-to-end
+metric of the change's BENCHMARK.json, the parent's median and quartiles,
+the change's median and its difference in per cent, and the number of pairs
+in which the change is lower; last, the failed operations per side.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -87,24 +91,26 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="a workload, or several, comma-separated")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    runs = []
-    for seed in range(args.first_seed, args.first_seed + args.pairs):
-        for side in order(seed):
-            result = run_once(checkouts[side], args.workload, seed)
-            runs.append({"seed": seed, "side": side, "trace": 0, "result": result})
-            print(json.dumps(runs[-1]), flush=True)
-    print(f"workload {args.workload}: {args.pairs} pairs from seed {args.first_seed},"
-          f" medians [parent quartiles]")
-    for line in format_summary(summary(runs, [m["name"] for m in spec["end_to_end"]])):
-        print(line)
-    for side in SIDES:
-        print(f"{side} failed {sum(r['result']['failed'] for r in runs if r['side'] == side)}")
+    for workload in args.workload.split(","):
+        runs = []
+        for seed in range(args.first_seed, args.first_seed + args.pairs):
+            for side in order(seed):
+                result = run_once(checkouts[side], workload, seed)
+                runs.append({"seed": seed, "side": side, "trace": 0, "result": result})
+                print(json.dumps(runs[-1]), flush=True)
+        print(f"workload {workload}: {args.pairs} pairs from seed {args.first_seed},"
+              f" medians [parent quartiles]")
+        for line in format_summary(summary(runs, [m["name"] for m in spec["end_to_end"]])):
+            print(line)
+        for side in SIDES:
+            print(f"{side} failed {sum(r['result']['failed'] for r in runs if r['side'] == side)}",
+                  flush=True)
     return 0
 
 

@@ -52,6 +52,19 @@ returns the generators of its group that `_search(code)` finds, on the
 form's own labels.  A code is in practice the form of its graphs, so that
 search is already cached.
 
+`code_automorphism_count(code)` reads |Aut| off the same search, with no
+group listed.  Let w_0, w_1, .. be the vertices individualised along the
+witness's path, and G_d the automorphisms fixing w_0 .. w_{d-1}.  At each
+node of that path the search finds the orbit of w_d under G_d complete
+under the maps it found that fix w_0 .. w_{d-1} (`_search`'s docstring).
+The leaf is discrete, so G_d for the full path is trivial, and by
+orbit-stabiliser |G_d| = |orbit of w_d under G_d| * |G_{d+1}|: |Aut| is the
+product of those orbit sizes.  The path is walked again from the witness,
+since individualising w puts it at the front of its cell, where it stays,
+and a level with no map fixing the path ends the product.  Only the cover
+tables of `whitney` ask for it, so the searches that label graphs pay
+nothing for it.
+
 The search prunes with the automorphisms it finds (McKay & Piperno, "Practical
 graph isomorphism, II", J. Symb. Comput. 2014).  A leaf that ties the best
 bitstring so far gives the automorphism mapping the best witness onto it.  A
@@ -76,12 +89,12 @@ f's edges; since every vertex of f is an edge endpoint, two embeddings hit
 the same copy exactly when they differ by an automorphism of f.  The
 backtrack over adjacency bitmasks keeps one of them per copy, by the
 symmetry-breaking conditions that `_pattern` reads off f's stabiliser chain
-(Grochow and Kellis, RECOMB 2007), and |Aut f| comes from the same chain,
-with no group listed.  A pair whose degrees rule out an embedding, g's
-degrees in decreasing order below f's at some place, is answered 0 before
-the backtrack.  `subgraph_type_table(g, m)` canonicalises every m-edge
-subset of g instead.  No code in `reconkit` calls it any more; it stays only
-because the benchmark's `perfbench/tracer.py` names it in `LAYERS`.
+(Grochow and Kellis, RECOMB 2007).  A pair whose degrees rule out an
+embedding, g's degrees in decreasing order below f's at some place, is
+answered 0 before the backtrack.  `subgraph_type_table(g, m)`
+canonicalises every m-edge subset of g instead.  No code in `reconkit`
+calls it any more; it stays only because the benchmark's
+`perfbench/tracer.py` names it in `LAYERS`.
 
 Induced subgraphs are counted from one table per graph, `subset_table(g)`:
 a single pass over the vertex subsets of g, as bitmasks 0 .. 2^n - 1 in
@@ -117,8 +130,8 @@ __all__ = [
     "IsoClass",
     "count_induced",
     "count_subgraphs",
-    "automorphism_count",
     "code_automorphisms",
+    "code_automorphism_count",
     "SubsetTable",
     "subset_table",
     "induced_type_table",
@@ -436,8 +449,8 @@ def subgraph_type_table(g: Graph, m: int) -> dict:
 # cached, and a miss costs up to n(n - 1)/2 orbit searches.
 @lru_cache(maxsize=2048)
 def _pattern(f: Graph) -> tuple:
-    """(plan, degrees, |Aut f|): the order in which the backtrack places f's
-    vertices, f's degrees in decreasing order, and the order of Aut f.
+    """(plan, degrees): the order in which the backtrack places f's vertices,
+    and f's degrees in decreasing order.
 
     The plan puts each vertex of f after as many of its neighbours as
     possible.  Each position carries the earlier positions adjacent to it,
@@ -451,8 +464,7 @@ def _pattern(f: Graph) -> tuple:
     at a later position, whose image must then exceed v_i's.  Of the
     embeddings that differ by an automorphism of f exactly one meets every
     condition: the one whose image of v_0 is least over its orbit, then of
-    v_1 over its orbit in the stabiliser of v_0, and so on.  |Aut f| is the
-    product of the orbit sizes.
+    v_1 over its orbit in the stabiliser of v_0, and so on.
     """
     masks = adjacency_masks(f)
     order, placed = [], 0
@@ -464,16 +476,13 @@ def _pattern(f: Graph) -> tuple:
     links = [(tuple(j for j in range(i) if masks[v] >> order[j] & 1), masks[v].bit_count())
              for i, v in enumerate(order)]
     smaller = [[] for _ in order]
-    automorphisms = 1
     for i, (_back, deg) in enumerate(links):
-        orbit = [p for p in range(i + 1, f.n) if links[p][1] == deg
-                 and _extends(links, masks, order[:i] + [order[p]])]
-        for p in orbit:
-            smaller[p].append(i)
-        automorphisms *= 1 + len(orbit)
+        for p in range(i + 1, f.n):
+            if links[p][1] == deg and _extends(links, masks, order[:i] + [order[p]]):
+                smaller[p].append(i)
     plan = tuple((back, deg, tuple(low)) for (back, deg), low in zip(links, smaller))
     degrees = tuple(sorted((m.bit_count() for m in masks), reverse=True))
-    return plan, degrees, automorphisms
+    return plan, degrees
 
 
 def _extends(links, masks, pins) -> bool:
@@ -502,16 +511,37 @@ def _extends(links, masks, pins) -> bool:
     return extend(0, 0)
 
 
-def automorphism_count(f: Graph) -> int:
-    """|Aut f|, the product of the orbit sizes of f's stabiliser chain in
-    `_pattern`'s plan order."""
-    return _pattern(f)[2]
-
-
 def code_automorphisms(code: bytes) -> tuple:
     """Maps old -> old, as tuples, that generate Aut `code_graph(code)`: those
     `_search` finds on the canonical form the code spells."""
     return _search(code)[2]
+
+
+# Codes asked for their order, the blocks and unions of the cover tables:
+# 145 in a seed-1 bench `decks` pass and in the vertex decks of all graphs
+# with n <= 7, 1,371 and 4,576 in cold decks of a seeded G(9, 1/2) and
+# G(10, 1/2).  At 8192, as for the unions' block types, a deck the CLI
+# accepts computes each once.
+@lru_cache(maxsize=8192)
+def code_automorphism_count(code: bytes) -> int:
+    """|Aut `code_graph(code)`|, the product of the orbit sizes along the
+    witness's path of `_search(code)`, as the module docstring argues."""
+    _val, witness, autos = _search(code)
+    masks = adjacency_masks(code_graph(code))
+    cells = _refine(masks, [list(range(code[0]))], [(1 << code[0]) - 1])
+    order = 1
+    while autos:  # the maps found that fix the path so far
+        target = next(i for i, c in enumerate(cells) if len(c) > 1)
+        w = witness[target]  # the cells before it are singletons
+        orbit = [w]
+        for x in orbit:
+            for gamma in autos:
+                if gamma[x] not in orbit:
+                    orbit.append(gamma[x])
+        order *= len(orbit)
+        autos = [gamma for gamma in autos if gamma[w] == w]
+        cells = _individualise(masks, cells, target, w)
+    return order
 
 
 def _embedding_count(plan: tuple, gmasks: list) -> int:
@@ -566,7 +596,7 @@ def count_subgraphs(g: Graph, f: Graph) -> int:
         raise DomainError("count_subgraphs requires f without isolated vertices")
     if f.n > g.n or f.e > g.e:
         return 0
-    plan, degrees, _automorphisms = _pattern(f)
+    plan, degrees = _pattern(f)
     gmasks = adjacency_masks(g)
     if any(d > h for d, h in zip(degrees, sorted((m.bit_count() for m in gmasks), reverse=True))):
         return 0

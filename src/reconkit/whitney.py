@@ -13,19 +13,29 @@ polynomial in non-separable subgraph counts; with Kelly-sourced counts on a
 vertex deck this reconstructs every elementary spanning count and finally the
 characteristic polynomial.  Blocks and unions are carried as codes, and
 decoded (`isotype.code_graph`) where a graph is needed, never re-coded.
+
+A cover table glues the blocks of its type one at a time onto partial
+unions, one gluing per orbit of Aut u x Aut f: one shared set per Aut
+f-orbit, and one target per orbit of Aut u and of the set's stabiliser, so
+an orbit weighs |orbit of the set| x |orbit of the target| (`_glue`).  Each
+orbit is glued at its first gluing in the full enumeration, so the tables,
+their counts and their member order are those of gluing every map, and a
+gluing inside u is read off u's code.  |Aut| of the blocks and unions comes
+from the canonical search of their codes (`isotype.code_automorphism_count`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import prod
 
 from .combi import (Polynomial, card_sum_coeffs, exact_div, multiset_symmetry,
                     partitions_min2, sachs_constant)
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
 from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
-from .isotype import (IsoClass, automorphism_count, bits_code, canonical_code,
+from .isotype import (IsoClass, bits_code, canonical_code, code_automorphism_count,
                       code_automorphisms, code_graph, count_subgraphs, edge_bits,
                       kelly_count)
 from .polydeck import charpoly
@@ -96,49 +106,92 @@ def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
     A gluing is a partial injection phi from V(f) into V(u), and the group
     Aut u x Aut f acts on gluings by phi -> alpha phi beta^-1.  The pair
     (alpha, beta) maps the union glued by phi onto the union glued by its
-    image, so every gluing of one orbit reaches the same union.  Gluings are
-    visited in the order of the full enumeration; the first of each orbit,
-    closed under the generators of both groups that `code_automorphisms`
-    reads off the codes, is glued, as u's adjacency bits with f's mapped
-    edges added, and canonicalised from those bits, and the orbit's size is
-    added to its union's ways.  Every gluing still counts once, so `ways`,
-    and the order in which unions are first reached, are those of gluing
-    every map.
+    image, so every gluing of one orbit reaches the same union.  The orbits
+    are found without visiting every gluing.  For each number k of shared
+    vertices, the shared sets A, the domains of the gluings, are walked in
+    `combinations` order, and a set in the Aut f-orbit of an earlier one is
+    skipped.  A representative A meets every orbit of gluings whose domain
+    lies in its orbit, and the gluings with domain A of one such orbit form
+    one orbit of Aut u x H, where H is the setwise stabiliser of A in Aut f:
+    the orbit's size is |orbit of A| times the size of that orbit.  Aut u
+    acts on the targets, the images of A's vertices in
+    `permutations(range(u.n), k)` order, and H on their positions, through
+    the Schreier generators over A's orbit (`_set_orbit`).  The first target
+    of each target orbit is glued, as u's adjacency bits with f's mapped
+    edges added, and canonicalised from those bits; a gluing that adds no
+    edge, all of f mapped onto edges of u, is u itself, whose code is
+    `ucode`.  The first gluing of every orbit in the full enumeration has a
+    representative shared set and the first target of its orbit, so the
+    gluings made, `ways`, and the order in which unions are first reached
+    are those of gluing every map.
     """
-    from itertools import combinations, permutations
     u, f = code_graph(ucode), code_graph(fcode)
     found = {}
-    # a gluing is the tuple of images of f's vertices, -1 for a free vertex,
-    # which every alpha extended by alpha[-1] = -1 keeps free
-    ugens = [alpha + (-1,) for alpha in code_automorphisms(ucode)]
+    ugens = code_automorphisms(ucode)
     fgens = code_automorphisms(fcode)
     ubits = edge_bits(u.edges)
     for k in range(0, min(u.n, f.n) + 1):
-        if u.n + f.n - k > vmax:
+        n = u.n + f.n - k
+        if n > vmax:
             continue
-        seen = set()
+        done = set()  # the shared sets of the orbits walked so far
         for shared in combinations(range(f.n), k):
+            if shared in done:
+                continue
+            orbit_sets, pgens = _set_orbit(shared, fgens)
+            done.update(orbit_sets)
+            free = [v for v in range(f.n) if v not in shared]
+            mapping = [0] * f.n
+            for i, v in enumerate(free):
+                mapping[v] = u.n + i
+            seen = set()
             for target in permutations(range(u.n), k):
-                phi = [-1] * f.n
-                for s, t in zip(shared, target):
-                    phi[s] = t
-                phi = tuple(phi)
-                if phi in seen:
+                if target in seen:
                     continue
-                seen.add(phi)
-                orbit = [phi]
-                for p in orbit:
-                    for q in ([tuple([alpha[x] for x in p]) for alpha in ugens]
-                              + [tuple([p[b] for b in beta]) for beta in fgens]):
+                seen.add(target)
+                orbit = [target]
+                for t in orbit:
+                    for q in ([tuple([alpha[x] for x in t]) for alpha in ugens]
+                              + [tuple([t[i] for i in sigma]) for sigma in pgens]):
                         if q not in seen:
                             seen.add(q)
                             orbit.append(q)
-                fresh = iter(range(u.n, u.n + f.n))
-                mapping = [t if t >= 0 else next(fresh) for t in phi]
-                code = bits_code(u.n + f.n - k, ubits | edge_bits(
-                    (mapping[a], mapping[b]) for a, b in f.edges))
-                found[code] = found.get(code, 0) + len(orbit)
+                for s, t in zip(shared, target):
+                    mapping[s] = t
+                bits = ubits | edge_bits((mapping[a], mapping[b]) for a, b in f.edges)
+                code = ucode if bits == ubits and n == u.n else bits_code(n, bits)
+                found[code] = found.get(code, 0) + len(orbit_sets) * len(orbit)
     return tuple(found.items())
+
+
+def _set_orbit(shared: tuple, gens) -> tuple:
+    """(orbit, stabiliser): the orbit of the vertex set `shared`, as sorted
+    tuples, under the group the maps `gens` generate, and generators of its
+    setwise stabiliser acting on `shared`'s positions.
+
+    A transversal maps `shared` onto each set B of the orbit, stored as the
+    images r_B of its vertices in order.  By Schreier's lemma the elements
+    r_{sB}^-1 s r_B, over the sets B and the generators s, generate the
+    stabiliser; each is kept as the permutation sigma of positions with
+    r_{sB}[sigma[i]] = s[r_B[i]], the identity left out.
+    """
+    trans = {shared: shared}
+    orbit = [shared]
+    stabiliser = set()
+    for b in orbit:
+        images = trans[b]
+        for s in gens:
+            r = tuple([s[x] for x in images])
+            key = tuple(sorted(r))
+            if key not in trans:
+                trans[key] = r
+                orbit.append(key)
+                continue
+            at = {x: j for j, x in enumerate(trans[key])}
+            sigma = tuple([at[x] for x in r])
+            if sigma != tuple(range(len(sigma))):
+                stabiliser.add(sigma)
+    return orbit, list(stabiliser)
 
 
 # Tables depend only on (root, vmax).  One vertex-deck reconstruction at
@@ -173,17 +226,16 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
             for union, ways in _glue(code, f, vmax):
                 nxt[union] = nxt.get(union, 0) + d * ways
         partials = nxt
-    fam_automorphisms = prod(automorphism_count(code_graph(f)) for f in fams)
+    fam_automorphisms = prod(code_automorphism_count(f) for f in fams)
     member_table = {}
     by_type = {}
     nonspanning_roots = []
     for code, d in partials.items():
-        x = code_graph(code)
-        c = exact_div(d * automorphism_count(x), fam_automorphisms,
+        c = exact_div(d * code_automorphism_count(code), fam_automorphisms,
                       f"cover count of a union from {d} gluings", ConsistencyError)
         member_table[code] = c
         tk = _code_type(code)
-        if tk == root and x.n < vmax:
+        if tk == root and code[0] < vmax:
             nonspanning_roots.append(code)
         if by_type.setdefault(tk, c) != c:
             raise ConsistencyError(

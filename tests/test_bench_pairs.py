@@ -45,6 +45,34 @@ def test_runs_cover_the_seed_range_in_alternating_order(tmp_path, monkeypatch, c
     assert f"3 pairs from seed {first}," in capsys.readouterr().out
 
 
+def test_a_workload_list_runs_each_in_turn_with_its_own_block(tmp_path, monkeypatch, capsys):
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s"}]}')
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        calls.append((workload, seed, checkout.name))
+        wall_s = {"decks": 2.0, "recon": 1.0}[workload] * (0.9 if checkout.name == "change" else 1)
+        return _run(seed, checkout.name, wall_s, failed=workload == "recon")["result"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "decks,recon",
+                             "--pairs", "2", "--first-seed", "5"]) == 0
+    pair5, pair6 = [(5, "parent"), (5, "change")], [(6, "change"), (6, "parent")]
+    assert calls == [(w, seed, side) for w in ("decks", "recon") for seed, side in pair5 + pair6]
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("{")]
+    assert lines == [
+        "workload decks: 2 pairs from seed 5, medians [parent quartiles]",
+        "wall_s       parent 2.0000 [2.0000-2.0000]  change 1.8000 (-10.0 %)  lower in 2 of 2",
+        "parent failed 0", "change failed 0",
+        "workload recon: 2 pairs from seed 5, medians [parent quartiles]",
+        "wall_s       parent 1.0000 [1.0000-1.0000]  change 0.9000 (-10.0 %)  lower in 2 of 2",
+        "parent failed 2", "change failed 2"]
+
+
 def test_summary_of_canned_pairs():
     parent = [1.0, 2.0, 3.0, 4.0, 5.0]
     change = [1.5, 1.0, 3.5, 3.0, 6.0]  # lower in pairs 2 and 4

@@ -2,10 +2,11 @@ import random
 import sys
 from collections import Counter
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 import networkx as nx
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from reconkit import verify
 from reconkit.deck import nmatrix
@@ -15,7 +16,7 @@ from reconkit.graphcore import (adjacency_masks, all_graphs, complete, cycle,
                                 graph, induced_subgraph, parse_graph6, path,
                                 vertex_deck)
 from reconkit import isotype
-from reconkit.isotype import (IsoClass, automorphism_count, canonical_code,
+from reconkit.isotype import (IsoClass, canonical_code, code_automorphism_count,
                               code_automorphisms, code_graph, count_induced,
                               count_subgraphs, edge_bits, kelly_count, subgraph_type_table,
                               subset_table)
@@ -181,27 +182,18 @@ def _orbit_shapes():
 
 
 def _group_order(n, generators):
-    """The order of the permutation group the generators span, by closure."""
-    identity = tuple(range(n))
-    group, frontier = {identity}, [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for gen in generators:
-                q = tuple(gen[p[i]] for i in range(n))
-                if q not in group:
-                    group.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return len(group)
+    """The order of the permutation group the generators span, by sympy's
+    Schreier-Sims method, which knows nothing of graphs."""
+    return PermutationGroup([Permutation(list(gamma)) for gamma in generators]
+                            or [Permutation(n - 1)]).order()
 
 
 def test_the_search_returns_generators_of_the_automorphism_group():
     """The maps the search of a code returns each keep the edge set of the
-    form the code spells, and together they span a group of order
-    `automorphism_count(g)`, the product of the orbit sizes of g's
-    stabiliser chain, which embedding searches find without the canonical
-    search.  The orbit pass of `whitney._glue` relies on it."""
+    form the code spells, and there are none exactly when the order the
+    search's orbits give is 1; that they span the whole group is tested
+    with the three ways to its order.  The orbit pass of `whitney._glue`
+    relies on it."""
     for g in all_graphs(7) + _orbit_shapes():
         code = canonical_code(g)
         form = code_graph(code)
@@ -209,7 +201,7 @@ def test_the_search_returns_generators_of_the_automorphism_group():
         for gamma in autos:
             assert sorted(gamma) == list(range(g.n)), g
             assert {tuple(sorted((gamma[u], gamma[v]))) for u, v in form.edges} == form.edges, g
-        assert _group_order(g.n, autos) == automorphism_count(g), g
+        assert (autos == ()) == (code_automorphism_count(code) == 1), g
 
 
 def test_a_leaf_that_ties_returns_to_where_the_paths_part(monkeypatch):
@@ -273,7 +265,7 @@ def _asymmetric_gnm(rng, n, m):
     pairs = list(combinations(range(n), 2))
     while True:
         g = graph(n, rng.sample(pairs, m))
-        if automorphism_count(g) == 1:
+        if code_automorphism_count(canonical_code(g)) == 1:
             return g
 
 
@@ -493,7 +485,7 @@ def test_count_subgraphs_equals_the_unguarded_backtrack(monkeypatch):
     graphs = all_graphs(6)
     shapes = [f for f in graphs if f.e and not f.has_isolated_vertex()]
     for f in shapes:
-        automorphism_count(f)  # the pattern's own backtrack, before the spy
+        isotype._pattern(f)  # the pattern's own orbit searches, before the spy
     backtracks = []
     real = isotype._embedding_count
     monkeypatch.setattr(isotype, "_embedding_count",
@@ -530,20 +522,51 @@ def test_the_pattern_cache_holds_every_type_of_a_seven_vertex_subject():
     assert isotype._pattern.cache_parameters()["maxsize"] >= len(verify._small_types(7, False))
 
 
-def test_automorphism_count_reads_the_stabiliser_chain(monkeypatch):
-    """|Aut f| of highly symmetric graphs, from at most n^2 orbit searches
-    each, with no automorphism listed: K10 has 3,628,800."""
+def _plan_order(f):
+    """|Aut f| from `_pattern`'s plan: the orbit of position i under the
+    stabiliser of the earlier positions is i and the later positions whose
+    conditions name i."""
+    plan, _degrees = isotype._pattern.__wrapped__(f)
+    return prod(1 + sum(i in smaller for _back, _deg, smaller in plan) for i in range(len(plan)))
+
+
+def _build_shapes():
+    """The symmetric shapes of the `build` bench: complete multipartite
+    graphs, and K8 or K9 less a matching or a star."""
+    def less(n, missing):
+        return graph(n, [e for e in complete(n).edges if e not in missing])
+
+    parts = [(4, 4), (2, 2, 2, 2), (1, 1, 1, 5), (2, 3, 3), (1, 2, 5), (3, 3, 3), (2, 2, 5),
+             (1, 4, 4), (4, 5), (2, 2, 2, 3)]
+    return ([_complete_multipartite(*sizes) for sizes in parts]
+            + [less(n, {(2 * i, 2 * i + 1) for i in range(k)})
+               for n, k in ((9, 1), (8, 1), (8, 2), (8, 3), (8, 4), (9, 4))]
+            + [less(8, {(0, i + 1) for i in range(k)}) for k in (2, 3, 4)])
+
+
+def test_three_ways_to_the_automorphism_group_order(monkeypatch):
+    """|Aut g| three independent ways: the product of the orbit sizes along
+    the canonical search's witness path, the order of the group its
+    generators span, and the product over the pattern's stabiliser chain,
+    found by at most n^2 embedding searches with no automorphism listed.
+    K10, K5,5, Petersen and C10 have 3,628,800, 28,800, 120 and 20."""
     petersen = graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    named = [(complete(10), 3628800), (_complete_multipartite(5, 5), 28800),
+             (petersen, 120), (cycle(10), 20)]
     searches = []
     real = isotype._extends
     monkeypatch.setattr(isotype, "_extends",
                         lambda links, masks, pins: searches.append(pins) or real(links, masks, pins))
-    for g, order in [(complete(10), 3628800), (_complete_multipartite(5, 5), 28800),
-                     (petersen, 120), (cycle(10), 20)]:
+    for g in all_graphs(7) + _orbit_shapes() + _build_shapes() + [g for g, _order in named]:
+        code = canonical_code(g)
         searches.clear()
-        assert isotype._pattern.__wrapped__(g)[2] == order, g
-        assert 0 < len(searches) <= g.n ** 2, (g, len(searches))
+        order = _plan_order(g)
+        assert len(searches) <= g.n ** 2, (g, len(searches))
+        assert code_automorphism_count(code) == _group_order(g.n, code_automorphisms(code)) \
+            == order, g
+    for g, order in named:
+        assert code_automorphism_count(canonical_code(g)) == order, g
 
 
 def test_subgraph_induced_relation(corpus5):

@@ -2,12 +2,14 @@
 sharing it changes no check's verdict; the per-type caches, and that the
 checks reading them still fail on a wrong count."""
 
+import sys
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
 from reconkit import deck as deckmod
-from reconkit import isotype, verify, whitney
+from reconkit import graphcore, isotype, oracle, verify, whitney
 from reconkit.combi import Polynomial
 from reconkit.errors import ConsistencyError
 from reconkit.graphcore import all_graphs, graph, vertex_deck, write_graph6
@@ -131,7 +133,7 @@ def test_eq1_and_kocay_fail_on_a_guarded_count_off_by_one(bowtie, monkeypatch):
     `count_subgraphs`' degree guard answers 0 with no backtrack; read as 1,
     both checks that compare subgraph counts fail."""
     diamond = graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-    isotype.automorphism_count(diamond)  # the pattern's own backtrack, before the spy
+    isotype._pattern(diamond)  # the pattern's own orbit searches, before the spy
     backtracks = _counted(monkeypatch, isotype, "_embedding_count")
     assert isotype.count_subgraphs.__wrapped__(bowtie, diamond) == 0 and backtracks == []
     names = ["eq1", "kocay-identity"]
@@ -172,3 +174,37 @@ def test_derivative_fails_on_one_planted_card_polynomial(paw, monkeypatch):
     [fail] = run_checks(paw, ["derivative"])["derivative"]
     assert fail.startswith("InconsistentDeckError: card coefficient sum at index 2")
     assert len(faulted) == 1
+
+
+def test_a_planted_cycle_count_fails_the_checks_that_read_it(bowtie, monkeypatch):
+    """The oracles' cycle counts and `polydeck`'s subset recursion read one
+    table, `graphcore.cycles_on_sets`, so no check may compare two values
+    that both come from it.  With the hamiltonian count of one triangle of
+    the bowtie off by one in every module that holds the table, `nrecon`
+    finds psi_3 against the N-matrix reconstruction, and `polydeck` finds
+    its charpoly against Berkowitz's."""
+    names = ["nrecon", "polydeck"]
+    assert run_checks(bowtie, names) == {name: [] for name in names}
+    real = graphcore.cycles_on_sets
+    triangle = min(mask for mask in real(bowtie) if mask.bit_count() == 3)
+
+    def planted(g):
+        table = dict(real(g))
+        if g == bowtie:
+            table[triangle] += 1
+        return MappingProxyType(table)
+
+    holders = [mod for name, mod in sys.modules.items()
+               if name.startswith("reconkit.") and getattr(mod, "cycles_on_sets", None) is real]
+    assert {mod.__name__ for mod in holders} >= {"reconkit.graphcore", "reconkit.oracle",
+                                                  "reconkit.polydeck"}
+    oracle._unicyclic_by_length.cache_clear()  # the one cache that reads the table
+    try:
+        for mod in holders:
+            monkeypatch.setattr(mod, "cycles_on_sets", planted)
+        got = run_checks(bowtie, names)
+    finally:
+        monkeypatch.undo()
+        oracle._unicyclic_by_length.cache_clear()
+    assert "psi_3 mismatch" in got["nrecon"]
+    assert got["polydeck"] == ["asserted polydeck charpoly mismatch"]

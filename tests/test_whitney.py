@@ -1,6 +1,7 @@
 import random
 import sys
 from itertools import combinations, combinations_with_replacement
+from math import comb, perm
 
 import pytest
 
@@ -8,7 +9,7 @@ from reconkit import isotype, whitney
 from reconkit.errors import DomainError, InconsistentDeckError
 from reconkit.graphcore import (all_graphs, complete, cycle, disjoint_union, empty_graph,
                                 graph, parse_graph6, path, vertex_deck)
-from reconkit.isotype import canonical_code, code_graph
+from reconkit.isotype import canonical_code, code_graph, edge_bits
 from reconkit.oracle import charpoly_oracle, cover_count_oracle
 from reconkit.verify import CHAIN_TYPES, count_type_chain
 from reconkit.whitney import (block_type, charpoly_from_vertex_deck,
@@ -278,25 +279,65 @@ def _clear_every_cache():
 
 
 def test_cover_tables_read_automorphisms_off_searched_codes(monkeypatch):
-    """Every code a cover table asks `code_automorphisms` about, on the
-    vertex decks of all graphs with 3 <= n <= 6 from empty caches, was
-    already searched as the first-leaf form of a graph of its type: the
-    lookups add no `_search` miss."""
-    lookup = whitney.code_automorphisms
-    added = []
+    """Every code a cover table asks `code_automorphisms` or
+    `code_automorphism_count` about, on the vertex decks of all graphs with
+    3 <= n <= 6 from empty caches, was already searched as the first-leaf
+    form of a graph of its type: the lookups add no `_search` miss."""
+    added = {}
 
-    def counting(code):
-        before = isotype._search.cache_info().misses
-        gens = lookup(code)
-        added.append(isotype._search.cache_info().misses - before)
-        return gens
+    def counting(name):
+        lookup = getattr(whitney, name)
 
-    monkeypatch.setattr(whitney, "code_automorphisms", counting)
+        def wrapped(code):
+            before = isotype._search.cache_info().misses
+            found = lookup(code)
+            added.setdefault(name, []).append(isotype._search.cache_info().misses - before)
+            return found
+        monkeypatch.setattr(whitney, name, wrapped)
+
+    counting("code_automorphisms")
+    counting("code_automorphism_count")
     _clear_every_cache()
     for g in all_graphs(6):
         if g.n >= 3:
             charpoly_from_vertex_deck(vertex_deck(g))
-    assert added and set(added) == {0}
+    assert set(added) == {"code_automorphisms", "code_automorphism_count"}
+    assert all(set(misses) == {0} for misses in added.values())
+
+
+def test_orbit_ways_sum_to_every_gluing(pipeline_tables, monkeypatch):
+    """Without the reference gluing: on every `_glue` call that the tables
+    of the vertex decks with 3 <= n <= 6 and the all-K2 table at n = 7 make,
+    the ways sum to the number of partial injections V(f) -> V(u), that is
+    C(f.n, k) P(u.n, k) summed over the k shared vertices that keep the
+    union within vmax.  No gluing asks `bits_code` for the partial union's
+    own bits: a gluing that adds no edge is u, read off its code."""
+    calls = set()
+    glue = whitney._glue
+
+    def recording(*args):
+        calls.add(args)
+        return glue(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(whitney, "_glue", recording)
+        for table in pipeline_tables:
+            whitney.covers_of_type.__wrapped__(table.root, table.vmax)
+    asked = []
+    bits_code = whitney.bits_code
+    monkeypatch.setattr(whitney, "bits_code",
+                        lambda n, bits: asked.append((n, bits)) or bits_code(n, bits))
+    onto_u = 0
+    for ucode, fcode, vmax in sorted(calls):
+        u, f = code_graph(ucode), code_graph(fcode)
+        asked.clear()
+        glued = dict(whitney._glue.__wrapped__(ucode, fcode, vmax))
+        want = sum(comb(f.n, k) * perm(u.n, k)
+                   for k in range(min(u.n, f.n) + 1) if u.n + f.n - k <= vmax)
+        assert sum(glued.values()) == want, (ucode, fcode, vmax)
+        assert (u.n, edge_bits(u.edges)) not in asked, (ucode, fcode, vmax)
+        onto_u += ucode in glued
+    assert len(calls) > 100 and onto_u > 0
 
 
 def test_cover_tables_do_not_depend_on_build_order(monkeypatch):
