@@ -52,18 +52,16 @@ returns the generators of its group that `_search(code)` finds, on the
 form's own labels.  A code is in practice the form of its graphs, so that
 search is already cached.
 
-`code_automorphism_count(code)` reads |Aut| off the same search, with no
-group listed.  Let w_0, w_1, .. be the vertices individualised along the
-witness's path, and G_d the automorphisms fixing w_0 .. w_{d-1}.  At each
-node of that path the search finds the orbit of w_d under G_d complete
-under the maps it found that fix w_0 .. w_{d-1} (`_search`'s docstring).
-The leaf is discrete, so G_d for the full path is trivial, and by
-orbit-stabiliser |G_d| = |orbit of w_d under G_d| * |G_{d+1}|: |Aut| is the
-product of those orbit sizes.  The path is walked again from the witness,
-since individualising w puts it at the front of its cell, where it stays,
-and a level with no map fixing the path ends the product.  Only the cover
-tables of `whitney` ask for it, so the searches that label graphs pay
-nothing for it.
+`_search` returns |Aut| as well, with no group listed.  Let w_0, w_1, ..
+be the vertices individualised along the witness's path, and G_d the
+automorphisms fixing w_0 .. w_{d-1}.  At each node of that path the search
+finds the orbit of w_d under G_d complete under the maps it found that fix
+w_0 .. w_{d-1} (`_search`'s docstring).  The leaf is discrete, so G_d for
+the full path is trivial, and by orbit-stabiliser |G_d| = |orbit of w_d
+under G_d| * |G_{d+1}|: |Aut| is the product of those orbit sizes.  The
+search takes it at its end from the witness's path and the maps it found,
+so no path is walked again, and `code_automorphism_count(code)` reads it
+off the cached search of the code.
 
 The search prunes with the automorphisms it finds (McKay & Piperno, "Practical
 graph isomorphism, II", J. Symb. Comput. 2014).  A leaf that ties the best
@@ -235,7 +233,8 @@ def _labelled(k: int, bits: int) -> bytes:
 # sweep and every form up to 8 vertices stay cached.
 @lru_cache(maxsize=16384)
 def _search(form: bytes):
-    """(minimal bitstring as int, witness new->old, automorphisms) of a packed graph.
+    """(minimal bitstring as int, witness new->old, automorphisms, |Aut|) of
+    a packed graph.
 
     The search prunes by automorphism, as the module docstring describes.
     The automorphisms, as tuples old -> old, are the ones it found, and they
@@ -244,7 +243,8 @@ def _search(form: bytes):
     of it comes first, or the witness would lie under that child; each later
     one is skipped as joined to it by the maps found, or is searched until a
     leaf ties the witness, which gives a map, fixing the path, onto it; only
-    a tie returns the search from below that child.
+    a tie returns the search from below that child.  |Aut| is the product of
+    those orbits' sizes.
     """
     n = form[0]
     masks = adjacency_masks(code_graph.__wrapped__(form))  # searched once: keep no decoded graph
@@ -290,7 +290,16 @@ def _search(form: bytes):
         return n
 
     search(_refine(masks, [list(range(n))], [(1 << n) - 1]), ())
-    return best[0], best[1], tuple(map(tuple, autos))
+    order, fixing = 1, autos  # the maps found that fix the path so far
+    for w in best[2]:
+        orbit = [w]
+        for x in orbit:
+            for gamma in fixing:
+                if gamma[x] not in orbit:
+                    orbit.append(gamma[x])
+        order *= len(orbit)
+        fixing = [gamma for gamma in fixing if gamma[w] == w]
+    return best[0], best[1], tuple(map(tuple, autos)), order
 
 
 def canonical_code(g: Graph) -> bytes:
@@ -517,31 +526,10 @@ def code_automorphisms(code: bytes) -> tuple:
     return _search(code)[2]
 
 
-# Codes asked for their order, the blocks and unions of the cover tables:
-# 145 in a seed-1 bench `decks` pass and in the vertex decks of all graphs
-# with n <= 7, 1,371 and 4,576 in cold decks of a seeded G(9, 1/2) and
-# G(10, 1/2).  At 8192, as for the unions' block types, a deck the CLI
-# accepts computes each once.
-@lru_cache(maxsize=8192)
 def code_automorphism_count(code: bytes) -> int:
     """|Aut `code_graph(code)`|, the product of the orbit sizes along the
     witness's path of `_search(code)`, as the module docstring argues."""
-    _val, witness, autos = _search(code)
-    masks = adjacency_masks(code_graph(code))
-    cells = _refine(masks, [list(range(code[0]))], [(1 << code[0]) - 1])
-    order = 1
-    while autos:  # the maps found that fix the path so far
-        target = next(i for i, c in enumerate(cells) if len(c) > 1)
-        w = witness[target]  # the cells before it are singletons
-        orbit = [w]
-        for x in orbit:
-            for gamma in autos:
-                if gamma[x] not in orbit:
-                    orbit.append(gamma[x])
-        order *= len(orbit)
-        autos = [gamma for gamma in autos if gamma[w] == w]
-        cells = _individualise(masks, cells, target, w)
-    return order
+    return _search(code)[3]
 
 
 def _embedding_count(plan: tuple, gmasks: list) -> int:

@@ -15,13 +15,15 @@ characteristic polynomial.  Blocks and unions are carried as codes, and
 decoded (`isotype.code_graph`) where a graph is needed, never re-coded.
 
 A cover table glues the blocks of its type one at a time onto partial
-unions, one gluing per orbit of Aut u x Aut f: one shared set per Aut
-f-orbit, and one target per orbit of Aut u and of the set's stabiliser, so
-an orbit weighs |orbit of the set| x |orbit of the target| (`_glue`).  Each
-orbit is glued at its first gluing in the full enumeration, so the tables,
-their counts and their member order are those of gluing every map, and a
-gluing inside u is read off u's code.  |Aut| of the blocks and unions comes
-from the canonical search of their codes (`isotype.code_automorphism_count`).
+unions (`_glue`).  Per number of shared vertices, the targets in the
+partial union u are listed once, one per Aut u-orbit, and the shared sets
+of the block f are walked one per Aut f-orbit; each pair is glued and
+weighs |orbit of the set| x |orbit of the target|.  The first gluing that
+reaches each union in the full enumeration is among those glued, so the
+tables, their counts and their member order are those of gluing every map,
+and a gluing inside u is read off u's code.  |Aut| of the blocks and unions
+comes with the canonical search of their codes
+(`isotype.code_automorphism_count`).
 """
 
 from __future__ import annotations
@@ -106,24 +108,21 @@ def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
     A gluing is a partial injection phi from V(f) into V(u), and the group
     Aut u x Aut f acts on gluings by phi -> alpha phi beta^-1.  The pair
     (alpha, beta) maps the union glued by phi onto the union glued by its
-    image, so every gluing of one orbit reaches the same union.  The orbits
-    are found without visiting every gluing.  For each number k of shared
-    vertices, the shared sets A, the domains of the gluings, are walked in
-    `combinations` order, and a set in the Aut f-orbit of an earlier one is
-    skipped.  A representative A meets every orbit of gluings whose domain
-    lies in its orbit, and the gluings with domain A of one such orbit form
-    one orbit of Aut u x H, where H is the setwise stabiliser of A in Aut f:
-    the orbit's size is |orbit of A| times the size of that orbit.  Aut u
-    acts on the targets, the images of A's vertices in
-    `permutations(range(u.n), k)` order, and H on their positions, through
-    the Schreier generators over A's orbit (`_set_orbit`).  The first target
-    of each target orbit is glued, as u's adjacency bits with f's mapped
-    edges added, and canonicalised from those bits; a gluing that adds no
-    edge, all of f mapped onto edges of u, is u itself, whose code is
-    `ucode`.  The first gluing of every orbit in the full enumeration has a
-    representative shared set and the first target of its orbit, so the
-    gluings made, `ways`, and the order in which unions are first reached
-    are those of gluing every map.
+    image, so every gluing of one orbit reaches the same union, and not
+    every gluing is visited.  For each number k of shared vertices, Aut u
+    splits the targets, the images of the shared vertices in
+    `permutations(range(u.n), k)` order, into orbits, listed once as the
+    first target of each with its size.  The shared sets A, the domains of
+    the gluings, are walked in `combinations` order, and a set in the Aut
+    f-orbit of an earlier one is skipped.  For a representative A each
+    listed target is glued, as u's adjacency bits with f's mapped edges
+    added, and canonicalised from those bits, and it weighs |orbit of A| x
+    |orbit of the target|; a gluing that adds no edge, all of f mapped onto
+    edges of u, is u itself, whose code is `ucode`.  The first gluing that
+    reaches a union in the full enumeration has a representative shared set,
+    or the image of an earlier set would reach it first, and likewise the
+    first target of its orbit, so `ways` and the order in which unions are
+    first reached are those of gluing every map.
     """
     u, f = code_graph(ucode), code_graph(fcode)
     found = {}
@@ -134,64 +133,43 @@ def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
         n = u.n + f.n - k
         if n > vmax:
             continue
+        targets = []  # the first target of each Aut u-orbit, with the orbit's size
+        seen = set()
+        for target in permutations(range(u.n), k):
+            if target not in seen:
+                orbit = _orbit(target, ugens, lambda alpha, t: tuple([alpha[x] for x in t]))
+                seen |= orbit
+                targets.append((target, len(orbit)))
         done = set()  # the shared sets of the orbits walked so far
         for shared in combinations(range(f.n), k):
             if shared in done:
                 continue
-            orbit_sets, pgens = _set_orbit(shared, fgens)
-            done.update(orbit_sets)
+            sets = _orbit(shared, fgens, lambda beta, a: tuple(sorted([beta[x] for x in a])))
+            done |= sets
             free = [v for v in range(f.n) if v not in shared]
             mapping = [0] * f.n
             for i, v in enumerate(free):
                 mapping[v] = u.n + i
-            seen = set()
-            for target in permutations(range(u.n), k):
-                if target in seen:
-                    continue
-                seen.add(target)
-                orbit = [target]
-                for t in orbit:
-                    for q in ([tuple([alpha[x] for x in t]) for alpha in ugens]
-                              + [tuple([t[i] for i in sigma]) for sigma in pgens]):
-                        if q not in seen:
-                            seen.add(q)
-                            orbit.append(q)
+            for target, size in targets:
                 for s, t in zip(shared, target):
                     mapping[s] = t
                 bits = ubits | edge_bits((mapping[a], mapping[b]) for a, b in f.edges)
                 code = ucode if bits == ubits and n == u.n else bits_code(n, bits)
-                found[code] = found.get(code, 0) + len(orbit_sets) * len(orbit)
+                found[code] = found.get(code, 0) + len(sets) * size
     return tuple(found.items())
 
 
-def _set_orbit(shared: tuple, gens) -> tuple:
-    """(orbit, stabiliser): the orbit of the vertex set `shared`, as sorted
-    tuples, under the group the maps `gens` generate, and generators of its
-    setwise stabiliser acting on `shared`'s positions.
-
-    A transversal maps `shared` onto each set B of the orbit, stored as the
-    images r_B of its vertices in order.  By Schreier's lemma the elements
-    r_{sB}^-1 s r_B, over the sets B and the generators s, generate the
-    stabiliser; each is kept as the permutation sigma of positions with
-    r_{sB}[sigma[i]] = s[r_B[i]], the identity left out.
-    """
-    trans = {shared: shared}
-    orbit = [shared]
-    stabiliser = set()
-    for b in orbit:
-        images = trans[b]
-        for s in gens:
-            r = tuple([s[x] for x in images])
-            key = tuple(sorted(r))
-            if key not in trans:
-                trans[key] = r
-                orbit.append(key)
-                continue
-            at = {x: j for j, x in enumerate(trans[key])}
-            sigma = tuple([at[x] for x in r])
-            if sigma != tuple(range(len(sigma))):
-                stabiliser.add(sigma)
-    return orbit, list(stabiliser)
+def _orbit(point, gens, act) -> set:
+    """The orbit of `point` under the group the maps `gens` generate, where
+    `act(gamma, x)` is the image of x under gamma."""
+    orbit, todo = {point}, [point]
+    for x in todo:
+        for gamma in gens:
+            y = act(gamma, x)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
 
 
 # Tables depend only on (root, vmax).  One vertex-deck reconstruction at

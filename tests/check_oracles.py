@@ -276,5 +276,5 @@ def canonical_witness(g: Graph) -> tuple:
     `_search` of the first-leaf form that `_descend` reaches, its witness
     mapped back through the first-leaf ordering perm by x -> perm[x]."""
     _code, perm, form = isotype._descend(g.n, edge_bits(g.edges))
-    val, witness, _autos = isotype._search(form)
+    val, witness, _autos, _order = isotype._search(form)
     return val, tuple(perm[x] for x in witness)

@@ -317,6 +317,19 @@ def test_sweep_corpus_file_and_jobs(tmp_path, capsys):
     assert out["graphs"] == 2
 
 
+def test_sweep_corpus_skips_graphs_beyond_max_n_without_a_record(tmp_path, capsys):
+    """Corpus graphs with more than `--max-n` vertices, or with no edge, are
+    skipped, as the README says: K9 and the prism at `--max-n 5` sweep no
+    graph, and the report is ok."""
+    f = tmp_path / "corpus.g6"
+    f.write_text("H~~~~~~\nE{Sw\n")
+    code, out = _run(capsys, ["sweep", "--max-n", "5", "--checks", "roundtrip",
+                              "--corpus", str(f)])
+    assert code == 0 and out["ok"] is True
+    assert out["graphs"] == 0 and out["checks"]["roundtrip"] == {"graphs": 0, "failures": []}
+    assert out["unparsed"] == [] and out["candidates"] == []
+
+
 def test_sweep_jobs_is_checked_and_capped(capsys, monkeypatch):
     code, out = _run(capsys, ["sweep", "--max-n", "3", "--jobs", "0"])
     assert code == 3 and out["error"] == "domain"

@@ -204,6 +204,34 @@ def test_the_search_returns_generators_of_the_automorphism_group():
         assert (autos == ()) == (code_automorphism_count(code) == 1), g
 
 
+def test_the_automorphism_count_is_read_off_the_cached_search(monkeypatch):
+    """With the search of each code warm, from otherwise empty caches,
+    `code_automorphism_count` refines nothing, decodes no code and searches
+    nothing anew, for every graph with n <= 7: the order comes with the
+    search, and no second walk of its path is made."""
+    codes = {canonical_code(g) for g in all_graphs(7)}
+    for fn in vars(isotype).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    for code in codes:
+        isotype._search(code)
+    refined, decoded = [], []
+    refine, decode = isotype._refine, isotype.code_graph
+
+    def decoding(code):
+        decoded.append(code)
+        return decode(code)
+
+    decoding.__wrapped__ = decode.__wrapped__
+    monkeypatch.setattr(isotype, "_refine", lambda *args: refined.append(args) or refine(*args))
+    monkeypatch.setattr(isotype, "code_graph", decoding)
+    misses = isotype._search.cache_info().misses
+    for code in codes:
+        code_automorphism_count(code)
+    assert refined == [] and decoded == []
+    assert isotype._search.cache_info().misses == misses
+
+
 def test_a_leaf_that_ties_returns_to_where_the_paths_part(monkeypatch):
     """After a tying leaf the search leaves the subtree that maps onto one
     already searched: K2 + 18K1 visits one leaf per isolated vertex and one

@@ -340,6 +340,51 @@ def test_orbit_ways_sum_to_every_gluing(pipeline_tables, monkeypatch):
     assert len(calls) > 100 and onto_u > 0
 
 
+def _cold_vertex_decks():
+    """Empty every cache, then reconstruct the charpoly from the vertex deck
+    of every graph with 3 <= n <= 6 and an edge; the graphs are generated
+    before the caches are emptied, so only the decks' work is counted."""
+    graphs = [g for g in all_graphs(6) if g.n >= 3 and g.e]
+    _clear_every_cache()
+    for g in graphs:
+        charpoly_from_vertex_deck(vertex_deck(g))
+
+
+def test_glue_walks_the_targets_once_per_shared_set_size(monkeypatch):
+    """On every `_glue` call of the cold vertex decks of all graphs with
+    3 <= n <= 6, `permutations` is walked at most once per number k of
+    shared vertices: the target orbits do not depend on the shared set, so
+    one list serves every shared-set orbit of that size."""
+    calls = []
+    glue = whitney._glue
+    with monkeypatch.context() as mp:
+        mp.setattr(whitney, "_glue", lambda *args: calls.append(args) or glue(*args))
+        _cold_vertex_decks()
+    walks = []
+    permutations = whitney.permutations
+    monkeypatch.setattr(whitney, "permutations",
+                        lambda items, k: walks.append(k) or permutations(items, k))
+    for args in dict.fromkeys(calls):
+        walks.clear()
+        glue.__wrapped__(*args)
+        assert walks and len(walks) == len(set(walks)), (args, walks)
+
+
+def test_cold_vertex_decks_do_the_pinned_work(monkeypatch):
+    """Work pin: the cold vertex decks of all graphs with 3 <= n <= 6 and an
+    edge make 86 `_glue` misses, in which `_glue` canonicalises 394 gluings,
+    and 418 `_labelled` and 80 `_search` misses.  Counts of work on a fixed
+    input do not drift as timings do; a change that moves one on purpose
+    updates it here and says why."""
+    glued = []
+    bits_code = whitney.bits_code
+    monkeypatch.setattr(whitney, "bits_code",
+                        lambda n, bits: glued.append((n, bits)) or bits_code(n, bits))
+    _cold_vertex_decks()
+    assert (whitney._glue.cache_info().misses, len(glued), isotype._labelled.cache_info().misses,
+            isotype._search.cache_info().misses) == (86, 394, 418, 80)
+
+
 def test_cover_tables_do_not_depend_on_build_order(monkeypatch):
     """The tables one deck reaches at each n = 4..7, built by increasing and,
     after every cache is emptied, by decreasing vertex bound, are equal field
