@@ -21,20 +21,32 @@ own poset, `deck.nmatrix_from_elp`, and a matrix that is not is refused.  A
 failed check, a remainder in a division or a negative count proves the
 matrix invalid.
 
+By Kelly's lemma the rows under a node are the N-matrix of the subgraph the
+node stands for, and every count the pass reads off the node comes from
+those rows alone: (v, e) are its rank down to the K2 row and its K2 entry,
+both inside its down-set.  So the counts of every node but the top are kept
+in one bounded store per process, keyed by the node's down-set submatrix in
+matrix order, and equal keys give equal counts, for labelled and stripped
+matrices alike.  A node whose computation refuses the matrix stores
+nothing.  The top is computed and not stored: it is no lower node of its own
+matrix, so the store holds nodes of at most the second-largest order.
+
 The memos, per (node, sequence) for `con`, per (row, sequence, order) for the
 inner sums of `q_m` and per (row, order) for the family powers, live on the
-`Reconstruction` instance, so nothing is shared between matrices.  The rows
-below each node are bucketed by order.  All arithmetic is exact.
+`Reconstruction` instance, and a stored node's are rebuilt there when a
+later node asks.  The rows below each node are bucketed by order.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 from .combi import (Polynomial, exact_div, grouped_cover_partitions, multiset_symmetry,
                     sachs_constant)
-from .deck import Elp, NMatrix, _poset, _top_row, nmatrix_from_elp
+from .deck import Elp, NMatrix, _flatten, _poset, _top_row, nmatrix_from_elp
 from .errors import InvalidMatrixError
 
 __all__ = ["NodeInvariants", "Reconstruction", "invariant_report", "reconstruct"]
@@ -51,6 +63,24 @@ class NodeInvariants:
     ham: int
     uni: dict
     charpoly: Polynomial
+
+
+# The store of every node but the top, keyed by its down-set submatrix.  The
+# graphs with 3 <= n <= 6 and an edge, in increasing order from an emptied
+# store, read 2,005 nodes from it and compute 47 (pinned in test_nrecon.py);
+# those with n <= 7 read 27,132 and compute 202, one per type with an edge on
+# at most 6 vertices; a seed-1 `recon` bench pass reads 576 and computes 140.
+# At 2048 the lower nodes of every graph the sweep takes, the 1,245 types
+# with an edge on at most 7 vertices, stay.  An entry is mostly its key, a
+# tuple of the down-set's size squared: the 202 above hold 0.55 MB, about
+# 2.7 KB each; the 1,069 of the 40 seeded G(9, p) graphs 12.9 MB, 12 KB
+# each; the 232 of one seeded G(10, 23) 3.4 MB, 14.5 KB each (tracemalloc).
+# At the bound, entries of that size would hold about 30 MB.
+@lru_cache(maxsize=2048)
+def _slot(key: tuple) -> list:
+    """A down-set submatrix's slot: empty until a node with that submatrix is
+    computed without a refusal, then (psi, tr, ham, uni, charpoly, families)."""
+    return []
 
 
 class Reconstruction:
@@ -100,6 +130,21 @@ class Reconstruction:
     # -- the bottom-up pass -------------------------------------------------
 
     def _process(self, t: int):
+        """Node t's invariants: the top's are computed, every other node's are
+        read from the store, or computed and stored on a miss."""
+        if t == self._top:
+            self._compute(t)
+            return
+        slot = _slot(_flatten(self._rows, [j for j, x in enumerate(self._rows[t]) if x]))
+        if slot:
+            (self._psi[t], self._tr[t], self._ham[t], self._uni[t], self._poly[t],
+             self._fam[t]) = slot[0]
+        else:
+            self._compute(t)
+            slot.append((self._psi[t], self._tr[t], self._ham[t], self._uni[t],
+                         self._poly[t], self._fam[t]))
+
+    def _compute(self, t: int):
         v, e = self._ve[t]
         row, below = self._rows[t], self._by_order[t]
         fam = self._fam[t] = self._families_at(t)
@@ -234,8 +279,9 @@ class Reconstruction:
 
     def families(self) -> list:
         """Per row t, (l, m) -> spanning subgraphs of node t with l components and
-        m edges, none with an isolated vertex; zero counts are left out."""
-        return list(self._fam)
+        m edges, none with an isolated vertex; zero counts are left out.  The
+        dicts are copies, since the store shares a node's own between instances."""
+        return [dict(fam) for fam in self._fam]
 
     def _families_at(self, t: int) -> dict:
         """The spanning-subgraph families of node t, from those of the smaller rows.

@@ -10,9 +10,11 @@ import pytest
 
 import reconkit
 from reconkit.combi import grouped_cover_partitions, partitions_min2
-from reconkit.deck import NMatrix, canonical_nmatrix, nmatrix, strip
+from reconkit import nrecon
+from reconkit.deck import (Elp, NMatrix, _flatten, canonical_nmatrix, elp_from_nmatrix, nmatrix,
+                           nmatrix_from_elp, strip)
 from reconkit.errors import InvalidMatrixError
-from reconkit.graphcore import all_graphs, complete, cycle, path, write_graph6
+from reconkit.graphcore import all_graphs, complete, cycle, parse_graph6, path, write_graph6
 from reconkit.nrecon import reconstruct
 from reconkit.oracle import (charpoly_oracle, ham_oracle, psi_oracle,
                              rankpoly_oracle, tr_oracle, uni_oracle)
@@ -119,6 +121,72 @@ def test_reports_do_not_leak_between_instances(prism):
     for g in (complete(4), prism):
         rep = reconstruct(strip(nmatrix(g))).report()
         assert json.loads(json.dumps(rep)) == fresh[write_graph6(g)]
+
+
+def test_edited_results_leave_the_store_unchanged(prism):
+    """The store shares each node's dicts between instances, so `families()`
+    and `nodes` hand out copies: editing them changes no later reconstruction."""
+    nm = strip(nmatrix(prism))
+    rec = reconstruct(nm)
+    report, families = rec.report(), [dict(fam) for fam in rec.families()]
+    for fam in rec.families():
+        fam.clear()
+    for node in rec.nodes:
+        node.psi.clear()
+        node.uni.clear()
+    fresh = reconstruct(nm)
+    assert fresh.report() == report and fresh.families() == families
+
+
+def test_stored_nodes_equal_computed_ones(corpus6):
+    """Every graph with n <= 6 and an edge, largest first so that the lower
+    nodes of the smaller graphs are read from the store, gives node by node
+    what it gives with the store emptied before each graph."""
+    matrices = [strip(nmatrix(g)) for g in reversed(corpus6) if g.e]
+
+    def outputs(rec):
+        return rec.nodes, rec.families(), rec.rankpoly()
+
+    cold = []
+    for nm in matrices:
+        nrecon._slot.cache_clear()
+        cold.append(outputs(reconstruct(nm)))
+    nrecon._slot.cache_clear()
+    for nm, expected in zip(matrices, cold):
+        assert outputs(reconstruct(nm)) == expected
+    assert nrecon._slot.cache_info().hits > 0
+
+
+def test_a_refusal_below_the_top_is_not_stored():
+    """Kelly's lemma holds on the fill of a poset whose one cover label is
+    raised, so the refusal comes from node 2, below the top: a second call
+    refuses again with the same message, and node 2's slot stays empty."""
+    elp = elp_from_nmatrix(strip(nmatrix(parse_graph6("D?C"))))
+    (j, i, label), *rest = elp.covers
+    nm = nmatrix_from_elp(Elp(elp.ranks, ((j, i, label + 1), *rest)))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InvalidMatrixError) as refusal:
+            reconstruct(nm)
+        messages.append(str(refusal.value))
+    assert messages == 2 * ["negative spanning-subgraph count at node 2"]
+    assert not all(nm.rows[2])
+    assert nrecon._slot(_flatten(nm.rows, [k for k, x in enumerate(nm.rows[2]) if x])) == []
+
+
+def test_reconstructions_do_the_pinned_work(corpus6):
+    """Work pin: every graph with 3 <= n <= 6 and an edge, reconstructed in
+    increasing order from an emptied store, reads 2,005 nodes from the store
+    and computes 47, one per type with an edge on at most 5 vertices; the
+    tops are computed and not counted.  A change that moves a count on
+    purpose updates it here and says why, as for the cold vertex decks'
+    pin in test_whitney.py."""
+    matrices = [strip(nmatrix(g)) for g in corpus6 if g.n >= 3 and g.e]
+    nrecon._slot.cache_clear()
+    for nm in matrices:
+        reconstruct(nm)
+    info = nrecon._slot.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2005, 47, 47)
 
 
 def test_con_matches_oracle_on_every_node(corpus5):
