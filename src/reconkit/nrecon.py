@@ -31,11 +31,12 @@ matrices alike.  A node whose computation refuses the matrix stores
 nothing.  The top is computed and not stored: it is no lower node of its own
 matrix, so the store holds nodes of at most the second-largest order.
 
-The memos, per (node, sequence) for `con`, per (row, sequence, order) for the
-inner sums of `q_m` and per (row, order) for the family powers, live on the
-`Reconstruction` instance, and a stored node's are rebuilt there when a
-later node asks.  The rows below each node are bucketed by order.  All
-arithmetic is exact.
+Each node also has one memo: `con` per sequence, `q_m`'s inner sums per
+(sequence, order) and the family powers per order.  Its entries read only
+the node's down-set too, so a lower node's memo is stored with its counts and
+every matrix holding the node sees what any of them writes there; the top's
+memo is its instance's own.  The rows below each node are bucketed by order.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -71,16 +72,29 @@ class NodeInvariants:
 # those with n <= 7 read 27,132 and compute 202, one per type with an edge on
 # at most 6 vertices; a seed-1 `recon` bench pass reads 576 and computes 140.
 # At 2048 the lower nodes of every graph the sweep takes, the 1,245 types
-# with an edge on at most 7 vertices, stay.  An entry is mostly its key, a
-# tuple of the down-set's size squared: the 202 above hold 0.55 MB, about
-# 2.7 KB each; the 1,069 of the 40 seeded G(9, p) graphs 12.9 MB, 12 KB
-# each; the 232 of one seeded G(10, 23) 3.4 MB, 14.5 KB each (tracemalloc).
-# At the bound, entries of that size would hold about 30 MB.
+# with an edge on at most 7 vertices, stay.  An entry ends with the node's
+# memo, which later nodes keep filling.  Its keys are orders and sequences
+# whose parts fit in the node, sub-multisets of (r, 2, ..., 2) of at most the
+# top's order, so it stays small: at most 162 entries at n = 9 and 10.  An
+# entry is mostly its memo, since the key is packed into bytes (tracemalloc,
+# the drop on emptying the store): 0.89 MB for the 202 above,
+# 4.4 KB each; 13.1 MB for the 1,069 of the 40 seeded G(9, p) graphs (`n9`
+# in test_nrecon.py), 12.3 KB each.  At the bound, about 30 MB.
 @lru_cache(maxsize=2048)
-def _slot(key: tuple) -> list:
+def _slot(key: bytes | tuple) -> list:
     """A down-set submatrix's slot: empty until a node with that submatrix is
-    computed without a refusal, then (psi, tr, ham, uni, charpoly, families)."""
+    computed without a refusal, then (psi, tr, ham, uni, charpoly, families, memo)."""
     return []
+
+
+def _key(rows, t: int):
+    """Node t's down-set submatrix in matrix order: bytes when every entry is
+    in 0..255, else the tuple, which never equals a bytes key."""
+    flat = _flatten(rows, [j for j, x in enumerate(rows[t]) if x])
+    try:
+        return bytes(flat)
+    except ValueError:
+        return flat
 
 
 class Reconstruction:
@@ -109,9 +123,7 @@ class Reconstruction:
         self._uni = [dict() for _ in range(self._size)]
         self._poly = [None] * self._size
         self._fam = [None] * self._size
-        self._con_memo = {}
-        self._inner_memo = {}
-        self._tops = {}
+        self._memo = [{} for _ in range(self._size)]
         for t in sorted(range(self._size), key=lambda i: self._ve[i][0]):
             self._process(t)
         self.nodes = [NodeInvariants(self._ve[i][0], self._ve[i][1],
@@ -135,14 +147,14 @@ class Reconstruction:
         if t == self._top:
             self._compute(t)
             return
-        slot = _slot(_flatten(self._rows, [j for j, x in enumerate(self._rows[t]) if x]))
+        slot = _slot(_key(self._rows, t))
         if slot:
             (self._psi[t], self._tr[t], self._ham[t], self._uni[t], self._poly[t],
-             self._fam[t]) = slot[0]
+             self._fam[t], self._memo[t]) = slot[0]
         else:
             self._compute(t)
             slot.append((self._psi[t], self._tr[t], self._ham[t], self._uni[t],
-                         self._poly[t], self._fam[t]))
+                         self._poly[t], self._fam[t], self._memo[t]))
 
     def _compute(self, t: int):
         v, e = self._ve[t]
@@ -215,9 +227,9 @@ class Reconstruction:
         The callers build `seq` non-increasing: the unicyclic sequences
         (r, 2, ..., 2), and the parts of `multiset_partitions`.
         """
-        key = (t, seq)
-        if key in self._con_memo:
-            return self._con_memo[key]
+        memo = self._memo[t]
+        if seq in memo:
+            return memo[seq]
         v_t = self._ve[t][0]
         if not seq or seq[0] > v_t or sum(seq) < v_t:
             val = 0
@@ -230,7 +242,7 @@ class Reconstruction:
             if val < 0:
                 raise InvalidMatrixError(
                     f"negative connected cover count for {seq} at node {t}")
-        self._con_memo[key] = val
+        memo[seq] = val
         return val
 
     def q_m(self, t: int, m: int, listing) -> int:
@@ -239,18 +251,19 @@ class Reconstruction:
         `listing` pairs each cycle sequence with the order of the subset it
         must span: Q sums, over rows of order m, the product of per-sequence
         row-weighted connected cover counts.  Each inner sum depends only on
-        (row, sequence, order), not on t, and is memoised on that key.
+        the row s and the (sequence, order) pair, not on t, and is memoised in
+        s's memo under the listing's own pair.
         """
         total = 0
         for s in self._by_order[t].get(m, ()):
             term = self._rows[t][s]
-            for part, b in listing:
-                key = (s, part, b)
-                inner = self._inner_memo.get(key)
+            memo = self._memo[s]
+            for pair in listing:
+                inner = memo.get(pair)
                 if inner is None:
-                    inner = sum(self._rows[s][j] * self.con(j, part)
-                                for j in self._by_order[s].get(b, ()))
-                    self._inner_memo[key] = inner
+                    part, b = pair
+                    inner = memo[pair] = sum(self._rows[s][j] * self.con(j, part)
+                                             for j in self._by_order[s].get(b, ()))
                 term *= inner
                 if term == 0:
                     break
@@ -316,8 +329,9 @@ class Reconstruction:
         return {key: c for key, c in fam.items() if c}
 
     def _top_coeffs(self, s: int, a: int) -> list:
-        """Per l >= 2, m -> the x^a y^m coefficient of W_s^l, memoised per (s, a)."""
-        if (s, a) not in self._tops:
+        """Per l >= 2, m -> the x^a y^m coefficient of W_s^l, memoised in s's memo per a."""
+        memo = self._memo[s]
+        if a not in memo:
             w = {}
             for order in range(2, a - 1):
                 for j in self._by_order[s].get(order, ()):
@@ -333,8 +347,8 @@ class Reconstruction:
                             nxt[b + b2, m + m2] = nxt.get((b + b2, m + m2), 0) + c * c2
                 power = nxt
                 coeffs.append({m: c for (b, m), c in power.items() if b == a})
-            self._tops[s, a] = coeffs
-        return self._tops[s, a]
+            memo[a] = coeffs
+        return memo[a]
 
     def rankpoly(self) -> dict:
         """(rank, corank) -> subgraph count for the top node.

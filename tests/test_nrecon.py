@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
-from itertools import product
+import time
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -11,10 +14,11 @@ import pytest
 import reconkit
 from reconkit.combi import grouped_cover_partitions, partitions_min2
 from reconkit import nrecon
-from reconkit.deck import (Elp, NMatrix, _flatten, canonical_nmatrix, elp_from_nmatrix, nmatrix,
+from reconkit.deck import (Elp, NMatrix, canonical_nmatrix, elp_from_nmatrix, nmatrix,
                            nmatrix_from_elp, strip)
 from reconkit.errors import InvalidMatrixError
-from reconkit.graphcore import all_graphs, complete, cycle, parse_graph6, path, write_graph6
+from reconkit.graphcore import (all_graphs, complete, cycle, graph, parse_graph6, path,
+                                write_graph6)
 from reconkit.nrecon import reconstruct
 from reconkit.oracle import (charpoly_oracle, ham_oracle, psi_oracle,
                              rankpoly_oracle, tr_oracle, uni_oracle)
@@ -157,6 +161,34 @@ def test_stored_nodes_equal_computed_ones(corpus6):
     assert nrecon._slot.cache_info().hits > 0
 
 
+def test_con_on_any_order_of_a_sequence_leaves_the_store_sound(corpus5, corpus6):
+    """`con` is public and writes to the memos the store shares: on every node
+    of every graph with n <= 5 and an edge, every order of every sequence of
+    parts >= 2 summing to at most v + 1 gives the value of the sequence sorted
+    non-increasing, and afterwards every graph with n <= 6 and an edge
+    reconstructs node by node as from an emptied store."""
+    matrices = [strip(nmatrix(g)) for g in corpus6 if g.e]
+
+    def outputs(rec):
+        return rec.nodes, rec.families(), rec.rankpoly()
+
+    cold = []
+    for nm in matrices:
+        nrecon._slot.cache_clear()
+        cold.append(outputs(reconstruct(nm)))
+    nrecon._slot.cache_clear()
+    for g in corpus5:
+        if g.e == 0:
+            continue
+        rec = reconstruct(strip(nmatrix(g)))
+        for t, node in enumerate(rec.nodes):
+            for seq in _seqs_upto(node.v + 1):
+                for order in set(permutations(seq)):
+                    assert rec.con(t, order) == rec.con(t, seq), (g, t, order)
+    for nm, expected in zip(matrices, cold):
+        assert outputs(reconstruct(nm)) == expected
+
+
 def test_a_refusal_below_the_top_is_not_stored():
     """Kelly's lemma holds on the fill of a poset whose one cover label is
     raised, so the refusal comes from node 2, below the top: a second call
@@ -171,22 +203,46 @@ def test_a_refusal_below_the_top_is_not_stored():
         messages.append(str(refusal.value))
     assert messages == 2 * ["negative spanning-subgraph count at node 2"]
     assert not all(nm.rows[2])
-    assert nrecon._slot(_flatten(nm.rows, [k for k, x in enumerate(nm.rows[2]) if x])) == []
+    assert nrecon._slot(nrecon._key(nm.rows, 2)) == []
 
 
-def test_reconstructions_do_the_pinned_work(corpus6):
+def test_a_down_set_with_an_entry_above_255_is_keyed_by_its_tuple():
+    """K5 lies in K11 462 times, so K12's K11 node is stored under the tuple
+    of its down-set, and a second run that reads it from there gives what the
+    run from an emptied store gave."""
+    nm = strip(nmatrix(complete(12)))
+    nrecon._slot.cache_clear()
+    cold = reconstruct(nm)
+    k11 = next(t for t, node in enumerate(cold.nodes) if node.v == 11)
+    assert max(nm.rows[k11]) == 462
+    key = nrecon._key(nm.rows, k11)
+    assert isinstance(key, tuple) and nrecon._slot(key)
+    warm = reconstruct(nm)
+    assert (warm.nodes, warm.families(), warm.rankpoly()) == \
+        (cold.nodes, cold.families(), cold.rankpoly())
+    assert warm.top.charpoly.coeffs == charpoly_oracle(complete(12)).coeffs
+
+
+def test_reconstructions_do_the_pinned_work(corpus6, monkeypatch):
     """Work pin: every graph with 3 <= n <= 6 and an edge, reconstructed in
     increasing order from an emptied store, reads 2,005 nodes from the store
     and computes 47, one per type with an edge on at most 5 vertices; the
-    tops are computed and not counted.  A change that moves a count on
-    purpose updates it here and says why, as for the cold vertex decks'
-    pin in test_whitney.py."""
+    tops are computed and not counted.  The cover-count memos travel with the
+    stored nodes, so `con` reaches `grouped_cover_partitions` 648 times (4,447
+    with the memos kept per reconstruction).  A change that moves a count on
+    purpose updates it here and says why, as for the cold vertex decks' pin
+    in test_whitney.py."""
+    calls = []
+    real = nrecon.grouped_cover_partitions
+    monkeypatch.setattr(nrecon, "grouped_cover_partitions",
+                        lambda *args: calls.append(args) or real(*args))
     matrices = [strip(nmatrix(g)) for g in corpus6 if g.n >= 3 and g.e]
     nrecon._slot.cache_clear()
     for nm in matrices:
         reconstruct(nm)
     info = nrecon._slot.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2005, 47, 47)
+    assert len(calls) == 648
 
 
 def test_con_matches_oracle_on_every_node(corpus5):
@@ -357,6 +413,32 @@ def test_report_shape(prism):
     assert got == rankpoly_oracle(prism)
 
 
+def _n9():
+    """Hand-run measurement at n = 9: `PYTHONPATH=src python tests/test_nrecon.py n9`.
+
+    The 40 seeded G(9, p) graphs: `rng = random.Random(9)`, and graph k, for
+    k = 0..39, keeps each pair of `combinations(range(9), 2)` in turn when
+    `rng.random() < 0.2 + 0.6 * k / 39` (the graphs of
+    `test_deck._seeded9_posets`).  Their stripped matrices are built first;
+    then `reconstruct(nm).report()` on each, in order, in one process, is
+    timed.  Prints those seconds, `nrecon._slot.cache_info()`, the peak RSS
+    in MB and the SHA-1 of the reports, as compact sorted-key JSON.
+    """
+    rng = random.Random(9)
+    pairs = list(combinations(range(9), 2))
+    graphs = [graph(9, [e for e in pairs if rng.random() < 0.2 + 0.6 * k / 39])
+              for k in range(40)]
+    matrices = [strip(nmatrix(g)) for g in graphs]
+    start = time.perf_counter()
+    reports = [reconstruct(nm).report() for nm in matrices]
+    seconds = time.perf_counter() - start
+    text = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    print("seconds %.3f" % seconds)
+    print(nrecon._slot.cache_info())
+    print("peak_rss_mb %.1f" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+    print("reports", hashlib.sha1(text.encode()).hexdigest())
+
+
 # tried, refused and the SHA-1 of the accepted reports, over every graph with n <= 6
 CORRUPTIONS6 = (39047, 39043, "bd133557f56676e31c32891b96d5ef5343b94c85")
 
@@ -367,3 +449,6 @@ if __name__ == "__main__" and sys.argv[1:] == ["corruptions6"]:
     print("tried", tried, "refused", refused, "accepted", digest)
     if (tried, refused, digest) != CORRUPTIONS6:
         sys.exit("expected tried %d refused %d accepted %s" % CORRUPTIONS6)
+
+if __name__ == "__main__" and sys.argv[1:] == ["n9"]:
+    _n9()
