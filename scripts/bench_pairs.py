@@ -13,8 +13,10 @@ directories are removed, and `perfbench/run.py --workload W --seed k
 run starts from bytecode compiled by an earlier one (set-up time depends on
 it).
 
-`--workload` takes one workload or a comma-separated list, run one after
-the other, each over the same seeds.  Each run prints one line as it ends,
+First it prints the line count of each checkout's `src/**/*.py` files and
+the change's difference, the source size a change reports.  `--workload`
+takes one workload or a comma-separated list, run one after the other, each
+over the same seeds.  Each run prints one line as it ends,
 `{"seed", "side", "trace", "result"}`, the form of a run in `BENCH_*.json`.
 When a workload's pairs are done, its summary block follows: per end-to-end
 metric of the change's BENCHMARK.json, the parent's median and quartiles,
@@ -52,6 +54,11 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         cwd=checkout, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    """The number of lines in the checkout's `src/**/*.py` files, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/**/*.py"))
 
 
 def _quartiles(values: list) -> tuple:
@@ -97,6 +104,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    lines = {side: src_lines(checkouts[side]) for side in SIDES}
+    print(f"src lines: parent {lines['parent']}, change {lines['change']}"
+          f" ({lines['change'] - lines['parent']:+d})", flush=True)
     for workload in args.workload.split(","):
         runs = []
         for seed in range(args.first_seed, args.first_seed + args.pairs):

@@ -61,22 +61,26 @@ the full path is trivial, and by orbit-stabiliser |G_d| = |orbit of w_d
 under G_d| * |G_{d+1}|: |Aut| is the product of those orbit sizes.  The
 search takes it at its end from the witness's path and the maps it found,
 so no path is walked again, and `code_automorphism_count(code)` reads it
-off the cached search of the code.
+off the cached search of the code.  Every orbit here, and in `whitney`'s
+gluing, is found by one closure, `_orbit`: the points reached from the
+given ones by the maps, until no map adds a point.
 
 The search prunes with the automorphisms it finds (McKay & Piperno, "Practical
 graph isomorphism, II", J. Symb. Comput. 2014).  A leaf that ties the best
 bitstring so far gives the automorphism mapping the best witness onto it.  A
-node skips a child when the automorphisms found so far that fix the node's
-path pointwise map an already explored child onto it.  Refinement commutes
-with relabelling, so such an automorphism maps the explored subtree onto the
-skipped one, leaf values included: the skipped subtree holds no smaller value,
-and each of its values already occurs at an earlier leaf.  The minimum and
-its first witness are therefore those of the full search, and codes, witness
-orderings and canonical forms are unchanged by the pruning.  The automorphism
-a tying leaf gives maps the best leaf's path onto the leaf's own: it fixes
-their common prefix and maps the best path's next vertex onto this path's.
-The rest of the subtree where the two paths part is therefore its image of a
-subtree already searched, and the search returns to that depth.
+node skips a child in the orbit of an explored child under the group that the
+automorphisms found so far that fix the node's path pointwise generate; each
+time such maps arrive, it closes all its explored children again in one call.
+Refinement commutes with relabelling, so an automorphism of that group maps
+the explored subtree onto the skipped one, leaf values included: the skipped
+subtree holds no smaller value, and each of its values already occurs at an
+earlier leaf.  The minimum and its first witness are therefore those of the
+full search, and codes, witness orderings and canonical forms are unchanged
+by the pruning.  The automorphism a tying leaf gives maps the best leaf's
+path onto the leaf's own: it fixes their common prefix and maps the best
+path's next vertex onto this path's.  The rest of the subtree where the two
+paths part is therefore its image of a subtree already searched, and the
+search returns to that depth.
 
 `count_subgraphs(g, f)` is the number of subgraphs of g isomorphic to f, where
 a subgraph is identified with its edge set (its vertex set is the set of edge
@@ -114,6 +118,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import getitem
 from typing import NamedTuple
 
 from .combi import exact_div
@@ -185,14 +190,18 @@ def _bits_int(masks, perm, n):
     return val
 
 
-def _join_orbits(orbit, gamma):
-    """Merge the orbit labels (vertex -> label) of each x and gamma[x]."""
-    for x in orbit:
-        a, b = orbit[x], orbit[gamma[x]]
-        if a != b:
-            for y in orbit:
-                if orbit[y] == b:
-                    orbit[y] = a
+def _orbit(points, gens, act=getitem) -> set:
+    """The union of the orbits of `points` under the group the maps `gens`
+    generate, where `act(gamma, x)` is the image of x under gamma."""
+    orbit = set(points)
+    todo = list(orbit)
+    for x in todo:
+        for gamma in gens:
+            y = act(gamma, x)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
 
 
 def _pack(n: int, val: int) -> bytes:
@@ -241,10 +250,12 @@ def _search(form: bytes):
     generate the group.  At each node of the witness's path, take the orbit
     of the witness's child under the automorphisms fixing the path: no child
     of it comes first, or the witness would lie under that child; each later
-    one is skipped as joined to it by the maps found, or is searched until a
-    leaf ties the witness, which gives a map, fixing the path, onto it; only
-    a tie returns the search from below that child.  |Aut| is the product of
-    those orbits' sizes.
+    one is skipped as in the `_orbit` of the explored children under the
+    maps found, or is searched until a leaf ties the witness, which gives a
+    map, fixing the path, onto it; only a tie returns the search from below
+    that child.  |Aut| is the product of those orbits' sizes, each the
+    `_orbit` of the path's vertex under the maps found that fix the path
+    before it.
     """
     n = form[0]
     masks = adjacency_masks(code_graph.__wrapped__(form))  # searched once: keep no decoded graph
@@ -268,22 +279,17 @@ def _search(form: bytes):
                 # below there is gamma's image of a subtree already searched
                 return next(d for d, (a, b) in enumerate(zip(best[2], path)) if a != b)
             return n
-        cell = cells[target]
-        orbit = {v: v for v in cell}
-        folded = 0
-        explored = []
-        taken = set()  # orbit labels of the explored children
-        for w in sorted(cell):
+        fixing, folded = [], 0  # the maps of autos[:folded] that fix the path
+        explored, covered = [], set()  # covered: the explored children's orbits
+        for w in sorted(cells[target]):
             if folded < len(autos):
-                for gamma in autos[folded:]:
-                    if all(gamma[p] == p for p in path):
-                        _join_orbits(orbit, gamma)
+                fixing += [gamma for gamma in autos[folded:] if all(gamma[p] == p for p in path)]
                 folded = len(autos)
-                taken = {orbit[u] for u in explored}
-            if orbit[w] in taken:
+                covered = _orbit(explored, fixing)
+            if w in covered:
                 continue
             explored.append(w)
-            taken.add(orbit[w])
+            covered |= _orbit((w,), fixing)
             depth = search(_individualise(masks, cells, target, w), path + (w,))
             if depth < len(path):
                 return depth
@@ -292,12 +298,7 @@ def _search(form: bytes):
     search(_refine(masks, [list(range(n))], [(1 << n) - 1]), ())
     order, fixing = 1, autos  # the maps found that fix the path so far
     for w in best[2]:
-        orbit = [w]
-        for x in orbit:
-            for gamma in fixing:
-                if gamma[x] not in orbit:
-                    orbit.append(gamma[x])
-        order *= len(orbit)
+        order *= len(_orbit((w,), fixing))
         fixing = [gamma for gamma in fixing if gamma[w] == w]
     return best[0], best[1], tuple(map(tuple, autos)), order
 

@@ -18,12 +18,13 @@ A cover table glues the blocks of its type one at a time onto partial
 unions (`_glue`).  Per number of shared vertices, the targets in the
 partial union u are listed once, one per Aut u-orbit, and the shared sets
 of the block f are walked one per Aut f-orbit; each pair is glued and
-weighs |orbit of the set| x |orbit of the target|.  The first gluing that
-reaches each union in the full enumeration is among those glued, so the
-tables, their counts and their member order are those of gluing every map,
-and a gluing inside u is read off u's code.  |Aut| of the blocks and unions
-comes with the canonical search of their codes
-(`isotype.code_automorphism_count`).
+weighs |orbit of the set| x |orbit of the target|.  Both orbits are closed
+under the generators of the canonical search by `isotype._orbit`, the
+closure that search prunes with.  The first gluing that reaches each union
+in the full enumeration is among those glued, so the tables, their counts
+and their member order are those of gluing every map, and a gluing inside u
+is read off u's code.  |Aut| of the blocks and unions comes with the
+canonical search of their codes (`isotype.code_automorphism_count`).
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .combi import (Polynomial, card_sum_coeffs, exact_div, multiset_symmetry,
                     partitions_min2, sachs_constant)
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
 from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
-from .isotype import (IsoClass, bits_code, canonical_code, code_automorphism_count,
-                      code_automorphisms, code_graph, count_subgraphs, edge_bits,
-                      kelly_count)
+from .isotype import (IsoClass, _orbit, bits_code, canonical_code,
+                      code_automorphism_count, code_automorphisms, code_graph,
+                      count_subgraphs, edge_bits, kelly_count)
 from .polydeck import charpoly
 
 __all__ = [
@@ -114,15 +115,16 @@ def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
     `permutations(range(u.n), k)` order, into orbits, listed once as the
     first target of each with its size.  The shared sets A, the domains of
     the gluings, are walked in `combinations` order, and a set in the Aut
-    f-orbit of an earlier one is skipped.  For a representative A each
-    listed target is glued, as u's adjacency bits with f's mapped edges
-    added, and canonicalised from those bits, and it weighs |orbit of A| x
-    |orbit of the target|; a gluing that adds no edge, all of f mapped onto
-    edges of u, is u itself, whose code is `ucode`.  The first gluing that
-    reaches a union in the full enumeration has a representative shared set,
-    or the image of an earlier set would reach it first, and likewise the
-    first target of its orbit, so `ways` and the order in which unions are
-    first reached are those of gluing every map.
+    f-orbit of an earlier one is skipped.  Each orbit is the `_orbit` of its
+    first member under `code_automorphisms`, which generate the group.  For
+    a representative A each listed target is glued, as u's adjacency bits
+    with f's mapped edges added, and canonicalised from those bits, and it
+    weighs |orbit of A| x |orbit of the target|; a gluing that adds no edge,
+    all of f mapped onto edges of u, is u itself, whose code is `ucode`.
+    The first gluing that reaches a union in the full enumeration has a
+    representative shared set, or the image of an earlier set would reach it
+    first, and likewise the first target of its orbit, so `ways` and the
+    order in which unions are first reached are those of gluing every map.
     """
     u, f = code_graph(ucode), code_graph(fcode)
     found = {}
@@ -137,14 +139,14 @@ def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
         seen = set()
         for target in permutations(range(u.n), k):
             if target not in seen:
-                orbit = _orbit(target, ugens, lambda alpha, t: tuple([alpha[x] for x in t]))
+                orbit = _orbit((target,), ugens, lambda alpha, t: tuple([alpha[x] for x in t]))
                 seen |= orbit
                 targets.append((target, len(orbit)))
         done = set()  # the shared sets of the orbits walked so far
         for shared in combinations(range(f.n), k):
             if shared in done:
                 continue
-            sets = _orbit(shared, fgens, lambda beta, a: tuple(sorted([beta[x] for x in a])))
+            sets = _orbit((shared,), fgens, lambda beta, a: tuple(sorted([beta[x] for x in a])))
             done |= sets
             free = [v for v in range(f.n) if v not in shared]
             mapping = [0] * f.n
@@ -157,19 +159,6 @@ def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
                 code = ucode if bits == ubits and n == u.n else bits_code(n, bits)
                 found[code] = found.get(code, 0) + len(sets) * size
     return tuple(found.items())
-
-
-def _orbit(point, gens, act) -> set:
-    """The orbit of `point` under the group the maps `gens` generate, where
-    `act(gamma, x)` is the image of x under gamma."""
-    orbit, todo = {point}, [point]
-    for x in todo:
-        for gamma in gens:
-            y = act(gamma, x)
-            if y not in orbit:
-                orbit.add(y)
-                todo.append(y)
-    return orbit
 
 
 # Tables depend only on (root, vmax).  One vertex-deck reconstruction at

@@ -65,6 +65,7 @@ def test_a_workload_list_runs_each_in_turn_with_its_own_block(tmp_path, monkeypa
     assert calls == [(w, seed, side) for w in ("decks", "recon") for seed, side in pair5 + pair6]
     lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("{")]
     assert lines == [
+        "src lines: parent 0, change 0 (+0)",
         "workload decks: 2 pairs from seed 5, medians [parent quartiles]",
         "wall_s       parent 2.0000 [2.0000-2.0000]  change 1.8000 (-10.0 %)  lower in 2 of 2",
         "parent failed 0", "change failed 0",

@@ -192,8 +192,9 @@ def test_the_search_returns_generators_of_the_automorphism_group():
     """The maps the search of a code returns each keep the edge set of the
     form the code spells, and there are none exactly when the order the
     search's orbits give is 1; that they span the whole group is tested
-    with the three ways to its order.  The orbit pass of `whitney._glue`
-    relies on it."""
+    with the three ways to its order.  `whitney._glue` lists its target and
+    shared-set orbits as the `isotype._orbit` closures under these maps, so
+    its cover tables rely on it."""
     for g in all_graphs(7) + _orbit_shapes():
         code = canonical_code(g)
         form = code_graph(code)
@@ -273,6 +274,25 @@ def test_the_search_runs_once_per_class():
         for g in by_order[n]:
             canonical_code(g)
         assert isotype._search.cache_info().misses - before == classes
+
+
+def test_the_search_does_the_pinned_work(monkeypatch):
+    """Work pin: from emptied caches, the searches of the 1,252 codes of the
+    graphs with 1 <= n <= 7 individualise 5,983 children, and their orders
+    sum to 24,083.  A node that did not close its explored children again
+    under the maps that arrive while it runs would search more children.
+    Counts of work on a fixed input do not drift as timings do; a change that
+    moves one on purpose updates it here and says why."""
+    codes = {canonical_code(g) for g in all_graphs(7)}
+    for fn in vars(isotype).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    children = []
+    individualise = isotype._individualise
+    monkeypatch.setattr(isotype, "_individualise",
+                        lambda *args: children.append(args[3]) or individualise(*args))
+    total = sum(code_automorphism_count(code) for code in codes)
+    assert (len(codes), len(children), total) == (1252, 5983, 24083)
 
 
 def _reference_subset_table(g):

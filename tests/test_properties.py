@@ -1,9 +1,11 @@
 """Derandomised property tests through the pipelines.
 
-Random graphs on 7 and 8 vertices go through `reconstruct(strip(nmatrix(g)))`
-and through `charpoly_from_vertex_deck(vertex_deck(g))`.  The poset-fill
-validation and the deck's exact divisions must refuse none of them, and every
-invariant a pipeline reports must equal its oracle.
+Random graphs on 7 and 8 vertices, and six on 9, go through
+`reconstruct(strip(nmatrix(g)))` and through
+`charpoly_from_vertex_deck(vertex_deck(g))`.  The poset-fill validation and
+the deck's exact divisions must refuse none of them, and every invariant a
+pipeline reports must equal its oracle.  A 9-vertex deck glues unions of up
+to 9 vertices, an order at which no other test builds a cover table.
 """
 
 from itertools import combinations
@@ -22,21 +24,20 @@ from reconkit.oracle import (charpoly_oracle, ham_oracle, psi_oracle, rankpoly_o
 from reconkit.whitney import charpoly_from_vertex_deck
 
 PIPELINE = settings(derandomize=True, database=None, deadline=None, max_examples=10)
+NINE = settings(PIPELINE, max_examples=6)
 
 
 @st.composite
-def _graphs(draw):
-    """A graph on 7 or 8 vertices: one drawn edge, and each pair an edge with
-    probability 1/2."""
-    n = draw(st.integers(7, 8))
+def _graphs(draw, lo=7, hi=8):
+    """A graph on lo to hi vertices: one drawn edge, and each pair an edge
+    with probability 1/2."""
+    n = draw(st.integers(lo, hi))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return graph(n, [draw(st.sampled_from(pairs))] + [e for e, k in zip(pairs, keep) if k])
 
 
-@PIPELINE
-@given(_graphs())
-def test_nrecon_accepts_random_graphs_and_matches_the_oracles(g):
+def _nrecon_matches_the_oracles(g):
     rec = reconstruct(strip(nmatrix(g)))
     tp = rec.top
     assert tp.charpoly.coeffs == charpoly_oracle(g).coeffs
@@ -49,5 +50,23 @@ def test_nrecon_accepts_random_graphs_and_matches_the_oracles(g):
 
 @PIPELINE
 @given(_graphs())
+def test_nrecon_accepts_random_graphs_and_matches_the_oracles(g):
+    _nrecon_matches_the_oracles(g)
+
+
+@NINE
+@given(_graphs(9, 9))
+def test_nrecon_accepts_random_nine_vertex_graphs_and_matches_the_oracles(g):
+    _nrecon_matches_the_oracles(g)
+
+
+@PIPELINE
+@given(_graphs())
 def test_the_vertex_deck_gives_random_graphs_their_oracle_charpoly(g):
+    assert charpoly_from_vertex_deck(vertex_deck(g)).coeffs == charpoly_oracle(g).coeffs
+
+
+@NINE
+@given(_graphs(9, 9))
+def test_the_vertex_deck_gives_random_nine_vertex_graphs_their_oracle_charpoly(g):
     assert charpoly_from_vertex_deck(vertex_deck(g)).coeffs == charpoly_oracle(g).coeffs
