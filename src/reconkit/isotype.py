@@ -23,16 +23,20 @@ round starts from has constant counts in every cell of the partition the
 round before started from, so a cell that did not split neither splits nor
 orders it; the last fragment's count is the old cell's less the others', and
 as it stands after them in the signature it never decides an order either.
+A signature is an int, not a tuple: one count, or the counts in several
+splitters packed into fixed-width fields that order as the tuples do
+(`_refine`).
 
 Codes are read from adjacency bits.  `edge_bits` numbers the pairs in
 graph6's column order, edge (i, j), i < j, at bit C(j, 2) + i, and
 `bits_code(n, bits)` is the one entry point for codes: `canonical_code(g)`
-passes g's bits, the subset tables below the bits of each vertex subset and
-`whitney` those of each gluing.  Behind it, `_labelled` is the one cache per
-labelled graph, bounded and keyed by the two integers; it decodes the bits
-into adjacency masks, so no `Graph` is built or kept for it, and keeps the
-code alone.  `graphcore.all_graphs` reads each candidate's code from
-`_descend`, the function behind it, since no candidate is asked for again.
+passes g's bits and `whitney` those of each gluing, while the subset tables
+below call `_labelled`, the cache behind it, directly, once per vertex
+subset.  `_labelled` is the one cache per labelled graph, bounded and keyed
+by the two integers; it decodes the bits into adjacency masks, so no `Graph`
+is built or kept for it, and keeps the code alone.  `graphcore.all_graphs`
+reads each candidate's code from `_descend`, the function behind it, since
+no candidate is asked for again.
 
 The search runs once per first-leaf form.  `_descend` descends to the first
 leaf, individualising the least vertex of the first non-singleton cell, with
@@ -104,7 +108,7 @@ increasing order, stores the canonical code of each g[mask], the number of
 masks per code, and the first mask of each code.  Every subset is
 canonicalised from its labelled adjacency bits, not from a `Graph`:
 `_subset_bits` builds the bits of g[S] from those of g[S - t] for the top
-vertex t of S, whose column lands above them, and `bits_code` reads the code,
+vertex t of S, whose column lands above them, and `_labelled` reads the code,
 so a labelled subset that this table or an earlier one met is a cache hit.
 The pass asks for no automorphism of g.  Since a code starts with its vertex
 count, the one table answers every order: `count_induced(g, f)` is a lookup
@@ -147,20 +151,46 @@ def _refine(masks, cells, splitters):
     """Equitable refinement of an ordered partition by neighbour counts in the
     splitters, the masks of the cells that split in the round before, less the
     last fragment of each (the module docstring says why that suffices).
+
+    A vertex's signature is its count in the one splitter, or its counts in
+    several packed into one int, the first splitter's most significant.  A
+    count is at most n - 1, below 2^w for w the bit length of n, so each
+    count takes w bits and the ints order as the tuples of counts would.  A
+    two-vertex cell under one splitter is split by comparing its two counts.
     """
+    width = len(masks).bit_length()
     while splitters:
-        one = splitters[0] if len(splitters) == 1 else 0  # then a count, not a 1-tuple
+        one = splitters[0] if len(splitters) == 1 else None
         new_cells, new_splitters = [], []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
+            if one is not None and len(cell) == 2:
+                a, b = cell
+                ca, cb = (masks[a] & one).bit_count(), (masks[b] & one).bit_count()
+                if ca == cb:
+                    new_cells.append(cell)
+                    continue
+                if ca > cb:
+                    a, b = b, a
+                new_cells += [[a], [b]]
+                new_splitters.append(1 << a)
+                continue
             groups = {}
             for v in cell:
                 mv = masks[v]
-                sig = (mv & one).bit_count() if one else \
-                    tuple([(mv & s).bit_count() for s in splitters])
-                groups.setdefault(sig, []).append(v)
+                if one is not None:
+                    sig = (mv & one).bit_count()
+                else:
+                    sig = 0
+                    for s in splitters:
+                        sig = sig << width | (mv & s).bit_count()
+                group = groups.get(sig)
+                if group is None:
+                    groups[sig] = [v]
+                else:
+                    group.append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
                 continue
@@ -209,6 +239,26 @@ def _pack(n: int, val: int) -> bytes:
     return bytes([n]) + val.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
+def _form_masks(form: bytes) -> list:
+    """The adjacency masks of a graph packed like a code: row i of its upper
+    triangle holds the pairs (i, i + 1) .. (i, n - 1), highest first, so bit
+    b of the row is the pair (i, n - 1 - b)."""
+    n = form[0]
+    val = int.from_bytes(form[1:], "big")
+    masks = [0] * n
+    shift = n * (n - 1) // 2
+    for i in range(n - 1):
+        shift -= n - 1 - i
+        row = val >> shift & (1 << n - 1 - i) - 1
+        while row:
+            low = row & -row
+            j = n - low.bit_length()
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+            row ^= low
+    return masks
+
+
 def _descend(k: int, bits: int) -> tuple:
     """(code, perm, form) of the k-vertex graph whose adjacency bits, in
     `edge_bits`' order, are `bits`, with no `Graph` built: perm (new -> old),
@@ -219,8 +269,10 @@ def _descend(k: int, bits: int) -> tuple:
     masks = _column_masks(k, bits)
     cells = _refine(masks, [list(range(k))], [(1 << k) - 1])
     while len(cells) < k:
-        target = next(i for i, c in enumerate(cells) if len(c) > 1)
-        cells = _individualise(masks, cells, target, min(cells[target]))
+        for target, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        cells = _individualise(masks, cells, target, min(cell))
     perm = bytes(c[0] for c in cells)
     form = _pack(k, _bits_int(masks, perm, k))
     return _pack(k, _search(form)[0]), perm, form
@@ -258,14 +310,16 @@ def _search(form: bytes):
     before it.
     """
     n = form[0]
-    masks = adjacency_masks(code_graph.__wrapped__(form))  # searched once: keep no decoded graph
+    masks = _form_masks(form)  # searched once: keep no decoded graph
     best = [None, None, None]  # value, witness, the witness's path
     autos = []  # automorphisms as lists old -> old
 
     def search(cells, path):
         """Search below `path`; return the depth the search resumes at."""
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
+        for target, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:
             perm = tuple(c[0] for c in cells)
             val = _bits_int(masks, perm, n)
             if best[0] is None or val < best[0]:
@@ -281,7 +335,7 @@ def _search(form: bytes):
             return n
         fixing, folded = [], 0  # the maps of autos[:folded] that fix the path
         explored, covered = [], set()  # covered: the explored children's orbits
-        for w in sorted(cells[target]):
+        for w in sorted(cell):
             if folded < len(autos):
                 fixing += [gamma for gamma in autos[folded:] if all(gamma[p] == p for p in path)]
                 folded = len(autos)
@@ -408,13 +462,13 @@ def subset_table(g: Graph) -> SubsetTable:
     """One pass over the 2^n vertex subsets of g, in increasing mask order.
 
     Each g[mask] is canonicalised from its labelled adjacency bits by
-    `bits_code`, so a labelled subset met before, in this table or another,
+    `_labelled`, so a labelled subset met before, in this table or another,
     is read from the cache.  The first mask that carries a code is its
     `first`.
     """
     codes, counts, first = [], {}, {}
     for mask, bits in enumerate(_subset_bits(adjacency_masks(g), g.n)):
-        code = bits_code(mask.bit_count(), bits)
+        code = _labelled(mask.bit_count(), bits)
         codes.append(code)
         if code in counts:
             counts[code] += 1

@@ -1,5 +1,8 @@
+import hashlib
 import random
+import resource
 import sys
+import time
 from collections import Counter
 from itertools import combinations
 from math import factorial, prod
@@ -136,21 +139,47 @@ def _individualisations(cells):
                 yield w, cells[:t] + [[w], [u for u in cell if u != w]] + cells[t + 1:]
 
 
+def _assert_refines_like_the_reference(g):
+    """The root, every one-vertex individualisation of its refined partition
+    and every one of each such child refine to the reference's ordered cells."""
+    masks = adjacency_masks(g)
+    root = isotype._refine(masks, [list(range(g.n))], [(1 << g.n) - 1])
+    assert root == _reference_refine(masks, [list(range(g.n))]), g
+    for w, split in _individualisations(root):
+        child = isotype._refine(masks, split, [1 << w])
+        assert child == _reference_refine(masks, split), (g, w)
+        for x, split2 in _individualisations(child):
+            assert isotype._refine(masks, split2, [1 << x]) == \
+                _reference_refine(masks, split2), (g, w, x)
+
+
 def test_refining_against_split_cells_matches_counting_every_cell(corpus6):
     """The root, every one-vertex individualisation of its refined partition
     and every one of each such child refine to the same ordered cells."""
     rng = random.Random(29)
     graphs = list(corpus6) + _orbit_shapes()
     for g in graphs + [_random_relabel(g, rng) for g in graphs]:
-        masks = adjacency_masks(g)
-        root = isotype._refine(masks, [list(range(g.n))], [(1 << g.n) - 1])
-        assert root == _reference_refine(masks, [list(range(g.n))]), g
-        for w, split in _individualisations(root):
-            child = isotype._refine(masks, split, [1 << w])
-            assert child == _reference_refine(masks, split), (g, w)
-            for x, split2 in _individualisations(child):
-                assert isotype._refine(masks, split2, [1 << x]) == \
-                    _reference_refine(masks, split2), (g, w, x)
+        _assert_refines_like_the_reference(g)
+
+
+def test_packed_signatures_refine_like_count_tuples_at_larger_orders():
+    """As above, on seeded G(n, p) for 9 <= n <= 16, the Petersen graph, Q4,
+    C16, K8,8, K5,5,6 and a 15-vertex graph with 91 edges, each also
+    relabelled.  The last is one where packing each splitter's count into
+    one bit fewer than the bit length of n refines differently: a count
+    that overflows its field carries into the next splitter's."""
+    rng = random.Random(31)
+    graphs = [graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+              for n in range(9, 17) for p in (0.15, 0.35, 0.5, 0.65, 0.85)]
+    petersen = graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    q4 = graph(16, [(u, u ^ 1 << b) for u in range(16) for b in range(4) if u < u ^ 1 << b])
+    dense15 = parse_graph6("N|~uz~vz^~~V^vv}~~g")
+    assert (dense15.n, dense15.e) == (15, 91)
+    graphs += [petersen, q4, cycle(16), _complete_multipartite(8, 8),
+               _complete_multipartite(5, 5, 6), dense15]
+    for g in graphs + [_random_relabel(g, rng) for g in graphs]:
+        _assert_refines_like_the_reference(g)
 
 
 def _nx(g):
@@ -293,6 +322,58 @@ def test_the_search_does_the_pinned_work(monkeypatch):
                         lambda *args: children.append(args[3]) or individualise(*args))
     total = sum(code_automorphism_count(code) for code in codes)
     assert (len(codes), len(children), total) == (1252, 5983, 24083)
+
+
+def _seeded9_graphs():
+    """The 40 seeded G(9, p) graphs of `test_deck._seeded9_posets`."""
+    rng = random.Random(9)
+    pairs = list(combinations(range(9), 2))
+    return [graph(9, [e for e in pairs if rng.random() < 0.2 + 0.6 * k / 39])
+            for k in range(40)]
+
+
+def _clear_isotype_caches():
+    for fn in vars(isotype).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def _table_digest(graphs):
+    """The SHA-1 of the codes of the graphs' subset tables, in table order.
+    A code's first byte fixes its length, so the bytes split back into
+    codes one way only."""
+    h = hashlib.sha1()
+    for g in graphs:
+        for code in subset_table(g).codes:
+            h.update(code)
+    return h.hexdigest()
+
+
+def _counted_table_work(graphs, monkeypatch):
+    """From emptied caches: the `_labelled` and `_search` misses, `_refine`
+    calls and `_bits_int` calls of the graphs' subset tables, and their
+    `_table_digest`."""
+    _clear_isotype_caches()
+    calls = Counter()
+    for name in ("_refine", "_bits_int"):
+        fn = getattr(isotype, name)
+        monkeypatch.setattr(isotype, name,
+                            lambda *args, fn=fn, name=name: calls.update((name,)) or fn(*args))
+    digest = _table_digest(graphs)
+    return (isotype._labelled.cache_info().misses, isotype._search.cache_info().misses,
+            calls["_refine"], calls["_bits_int"], digest)
+
+
+SEEDED9_TABLE_WORK = (5463, 1116, 17832, 8058, "0e12ca026a640eb304bbde5a22e02006b557e83d")
+
+
+def test_the_labelled_misses_do_the_pinned_work(monkeypatch):
+    """Work pin: from emptied caches, the subset tables of the 40 seeded
+    G(9, p) graphs make 5,463 first-leaf descents and 1,116 searches, with
+    17,832 refinements and 8,058 leaves, and their codes hash as pinned.  A
+    change to the refinement kernel that walks another tree moves a count;
+    one that moves a count on purpose updates it here and says why."""
+    assert _counted_table_work(_seeded9_graphs(), monkeypatch) == SEEDED9_TABLE_WORK
 
 
 def _reference_subset_table(g):
@@ -485,6 +566,21 @@ def test_a_decoded_code_is_cached():
     hits = code_graph.cache_info().hits
     assert code_graph(code) is first and first == graph(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
     assert code_graph.cache_info().hits == hits + 1
+
+
+def test_the_search_reads_a_form_as_the_graph_it_spells(corpus6):
+    """`_search` decodes its form straight into adjacency masks.  For every
+    graph with n <= 6, a relabelled K12 and C13, the graph packed in its own
+    labels and its code each decode to the masks of the graph `code_graph`
+    reads from the same bytes, and the first to the graph's own masks."""
+    rng = random.Random(37)
+    graphs = list(corpus6) + [_random_relabel(complete(12), rng), cycle(13)]
+    for g in graphs:
+        masks = adjacency_masks(g)
+        form = isotype._pack(g.n, isotype._bits_int(masks, range(g.n), g.n))
+        for packed in (form, canonical_code(g)):
+            assert isotype._form_masks(packed) == adjacency_masks(code_graph.__wrapped__(packed)), g
+        assert isotype._form_masks(form) == masks, g
 
 
 def test_count_induced_prism_values(prism):
@@ -737,3 +833,31 @@ def test_isoclass_ordering_prefers_fewer_edges(paw):
     b = IsoClass(canonical_code(paw))
     c = IsoClass(canonical_code(cycle(4)))
     assert a.sort_key() < b.sort_key() < c.sort_key()
+
+
+def _n9():
+    """Hand-run kernel timing: `PYTHONPATH=src python tests/test_isotype.py n9`.
+
+    From emptied caches, builds the subset tables of the 40 seeded G(9, p)
+    graphs (`_seeded9_graphs`) in one process and prints the CPU seconds
+    they take, the `_labelled` and `_search` misses, the peak RSS in MB and
+    the `_table_digest`.  Then, from emptied caches again, it counts every
+    `_refine` and `_bits_int` call of the same tables, outside the timing.
+    """
+    graphs = _seeded9_graphs()
+    _clear_isotype_caches()
+    start = time.process_time()
+    digest = _table_digest(graphs)
+    seconds = time.process_time() - start
+    print("seconds %.3f" % seconds)
+    print("labelled_misses", isotype._labelled.cache_info().misses,
+          "search_misses", isotype._search.cache_info().misses)
+    print("peak_rss_mb %.1f" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+    print("codes", digest)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        work = _counted_table_work(graphs, monkeypatch)
+    print("refine_calls", work[2], "bits_int_calls", work[3])
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["n9"]:
+    _n9()
