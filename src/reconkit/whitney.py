@@ -25,6 +25,19 @@ in the full enumeration is among those glued, so the tables, their counts
 and their member order are those of gluing every map, and a gluing inside u
 is read off u's code.  |Aut| of the blocks and unions comes with the
 canonical search of their codes (`isotype.code_automorphism_count`).
+The largest block is glued first, so that the partial unions contain it
+and fewer of them are glued; the order moves only the members' order, as
+D(X) |Aut X| / prod |Aut F_i| counts the same cover tuples for any order.
+
+The all-K2 families, whose expansion gives the hamiltonian term, read
+their rows in closed form (`_k2_rows`) and glue nothing.  A j-tuple of
+edges covers a union X exactly when it uses all of them, so the count is
+the number of surjections of j onto e(X); the types are the block
+multisets with at most j edges that fit in vmax vertices when chained at
+cut vertices, the blocks being K2 and the 2-connected graphs that open
+ears grow from the cycles (`_ear_blocks`).  `covers_of_type` still glues
+any root, and the sweep's `whitney-chain` check holds the closed form
+against the glued tables.
 """
 
 from __future__ import annotations
@@ -32,12 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import prod
+from math import comb, factorial, prod
 
 from .combi import (Polynomial, card_sum_coeffs, exact_div, multiset_symmetry,
                     partitions_min2, sachs_constant)
 from .errors import ConsistencyError, DomainError, InconsistentDeckError
-from .graphcore import Graph, blocks, cycle, elementary_blocks, graph, path
+from .graphcore import Graph, blocks, cycle, elementary_blocks, graph
 from .isotype import (IsoClass, _orbit, bits_code, canonical_code,
                       code_automorphism_count, code_automorphisms, code_graph,
                       count_subgraphs, edge_bits, kelly_count)
@@ -65,8 +78,8 @@ def type_key(members) -> tuple:
     return tuple(sorted(canonical_code(b) for b in members))
 
 
-# One entry per union code: 145 in a bench `decks` pass, 4,576 in a cold
-# n = 10 deck.
+# One entry per union code: 108 in a bench `decks` pass, 119 in a whole
+# n <= 7 sweep, 4,278 in a cold n = 10 deck.
 @lru_cache(maxsize=8192)
 def _code_type(code: bytes) -> tuple:
     """The block type of the graph a code spells."""
@@ -93,8 +106,9 @@ class CoverTable:
     nonspanning_roots: tuple = ()
 
 
-# One entry per (partial union, block, vmax): 131 in a bench `decks` pass,
-# 278 in a whole n <= 7 sweep and 2,690 in a cold n = 10 deck.
+# One entry per (partial union, block, vmax): 60 in a bench `decks` pass,
+# 157 in a whole n <= 7 sweep, 1,707 in a cold n = 10 deck and 2,518 in the
+# cold decks of n = 3..10 in one process.
 @lru_cache(maxsize=4096)
 def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
     """The unions of u with one fresh copy of f, up to vmax vertices, where
@@ -162,30 +176,38 @@ def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
 
 
 # Tables depend only on (root, vmax).  One vertex-deck reconstruction at
-# n = 10, the CLI's limit, reaches 374 tables, and n = 3..10 together 692,
+# n = 10, the CLI's limit, reaches 365 tables, and n = 3..10 together 644,
 # so every table of a deck the CLI accepts stays cached.
 @lru_cache(maxsize=1024)
 def covers_of_type(root: tuple, vmax: int) -> CoverTable:
     """Enumerate union graphs of one copy of each block of a type, with cover counts.
 
     `root` is the type key: the sorted tuple of the block codes.  The blocks
-    are glued in order of (v, e), then code, one at a time, and D(X), the
-    number of gluing sequences that end in a union isomorphic to X, is
-    carried along: D(X) = sum over partial unions U of D(U) * ways(U -> X),
-    from D(empty) = 1.  `_glue` canonicalises one gluing per
-    orbit of Aut U x Aut F and weighs it by the orbit's size, so ways(U -> X)
-    still counts every gluing, and D(X) and the counts below are those of
-    gluing every map.
+    are glued one at a time, largest first, in decreasing order of (v, e),
+    then code, and D(X), the number of gluing sequences that end in a union
+    isomorphic to X, is carried along: D(X) = sum over partial unions U of
+    D(U) * ways(U -> X), from D(empty) = 1.  `_glue` canonicalises one
+    gluing per orbit of Aut U x Aut F and weighs it by the orbit's size, so
+    ways(U -> X) still counts every gluing, and D(X) and the counts below
+    are those of gluing every map.
     A sequence is a tuple of embeddings of the F_i covering X, taken up to
     the automorphisms of X, which act on such tuples without fixed points, so
-    c(S0, X) = D(X) |Aut X| / prod |Aut F_i| (orbit-stabiliser).  A remainder
+    c(S0, X) = D(X) |Aut X| / prod |Aut F_i| (orbit-stabiliser).  That holds
+    for any order of the blocks, so the order moves only the members' order,
+    and gluing the largest first keeps the partial unions few.  A remainder
     in that division, or a count that is not constant on a type, raises
     ConsistencyError: either would contradict the type-grouping identity, not
     merely signal bad input.
+
+    This glues any root.  The deck pipeline reads an all-K2 root's counts
+    from `_k2_rows` instead, the surjection counts over the block multisets
+    that fit, and glues an all-K2 table only for the members of its
+    (2, ..., 2) partition; `verify`'s `whitney-chain` check and the tests
+    hold the two against each other.
     """
     if list(root) != sorted(root):
         raise DomainError("covers_of_type takes a type key: the sorted tuple of block codes")
-    fams = sorted(root, key=lambda code: IsoClass(code).sort_key())
+    fams = sorted(root, key=lambda code: IsoClass(code).sort_key(), reverse=True)
     partials = {canonical_code(graph(0)): 1}
     for f in fams:
         nxt = {}
@@ -214,6 +236,73 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
                       tuple(nonspanning_roots))
 
 
+_K2 = bits_code(2, 1)  # the code of K2, the one block that is a bridge
+
+
+def _ear_blocks(vmax: int, emax: int) -> list:
+    """The codes of the 2-connected graphs with at most vmax vertices and
+    emax edges, from the cycles by open ears (Whitney, 1932).
+
+    An ear is a path of length L >= 1 between two distinct vertices, with
+    new inner vertices, and L >= 2 when they are adjacent.  Every
+    2-connected graph has an ear decomposition from any of its cycles, each
+    step 2-connected and no larger, so closing the cycles under ears within
+    the bounds reaches every such graph.  An ear's result depends only on
+    the Aut-orbit of its pair of ends, so one pair per orbit is tried.
+    """
+    found = [bits_code(k, edge_bits((i, (i + 1) % k) for i in range(k)))
+             for k in range(3, min(vmax, emax) + 1)]
+    seen = set(found)
+    for code in found:
+        g = code_graph(code)
+        bits = edge_bits(g.edges)
+        gens = code_automorphisms(code)
+        done = set()
+        for pair in combinations(range(g.n), 2):
+            if pair in done:
+                continue
+            done |= _orbit((pair,), gens, lambda alpha, p: tuple(sorted([alpha[x] for x in p])))
+            a, b = pair
+            for length in range(1 + (pair in g.edges), min(vmax - g.n + 1, emax - g.e) + 1):
+                ear = [a, *range(g.n, g.n + length - 1), b]
+                grown = bits_code(g.n + length - 1, bits | edge_bits(zip(ear, ear[1:])))
+                if grown not in seen:
+                    seen.add(grown)
+                    found.append(grown)
+    return found
+
+
+# One entry per (j, vmax): 52 in the decks of n = 3..10, where j <= vmax,
+# and 28 in a whole n <= 7 sweep.
+@lru_cache(maxsize=128)
+def _k2_rows(j: int, vmax: int) -> tuple:
+    """(by_type, self_cover) of `covers_of_type((K2,) * j, vmax)`, in closed form.
+
+    The copies of K2 in a union X are its edges, and X has no isolated
+    vertex, so a j-tuple of them covers X exactly when it uses every edge:
+    c(K2^j, X) = surj(j, e(X)), the number of maps of j onto e(X) things.
+    A graph with k components has k + sum (v(B) - 1) vertices over its
+    blocks B, and any multiset of blocks chains into one component at cut
+    vertices, so the types are the multisets of K2 and `_ear_blocks` with
+    sum e(B) <= j and sum (v(B) - 1) <= vmax - 1.
+    """
+    surj = [sum((-1) ** i * comb(e, i) * (e - i) ** j for i in range(e + 1))
+            for e in range(j + 1)]
+    weighed = [(code, code[0] - 1, IsoClass(code).e)
+               for code in sorted([_K2, *_ear_blocks(vmax, j)])]
+    by_type = {}
+
+    def extend(start, key, v, e):
+        for i in range(start, len(weighed)):
+            code, dv, de = weighed[i]
+            if v + dv < vmax and e + de <= j:
+                by_type[key + (code,)] = surj[e + de]
+                extend(i, key + (code,), v + dv, e + de)
+
+    extend(0, (), 0, 0)
+    return by_type, factorial(j)
+
+
 def count_type(g: Graph, members) -> int:
     """Number of subgraphs of g whose block multiset matches `members`."""
     return _expand(lambda code: count_subgraphs(g, code_graph(code)), g.n,
@@ -224,8 +313,11 @@ def _expand(count, n: int, root: tuple, memo: dict) -> int:
     """<G, root> for a graph G of order n and a type key `root`, by Kocay's identity.
 
     `count(code)` is the number of subgraphs of G isomorphic to the block
-    with that code.  Memoised per type: strictly smaller types have strictly
-    fewer blocks, so the recursion terminates.
+    with that code.  The rows c(root, S) and c(root, root) come in closed
+    form for an all-K2 root (`_k2_rows`; a type key is sorted, so its ends
+    match only then) and from its cover table otherwise.  Memoised per type:
+    strictly smaller types have strictly fewer blocks, so the recursion
+    terminates.
     """
     if root in memo:
         return memo[root]
@@ -234,17 +326,21 @@ def _expand(count, n: int, root: tuple, memo: dict) -> int:
         total *= count(code)
         if total == 0:
             break
-    table = covers_of_type(root, n)
-    total -= _other_types(table, root, count, memo)
-    memo[root] = exact_div(total, table.self_cover, f"type count for {root}",
+    if root and root[0] == root[-1] == _K2:
+        by_type, self_cover = _k2_rows(len(root), n)
+    else:
+        table = covers_of_type(root, n)
+        by_type, self_cover = table.by_type, table.self_cover
+    total -= _other_types(by_type, n, root, count, memo)
+    memo[root] = exact_div(total, self_cover, f"type count for {root}",
                            InconsistentDeckError)
     return memo[root]
 
 
-def _other_types(table: CoverTable, skip: tuple, count, memo: dict) -> int:
-    """Sum of c(S0, S) <G, S> over the types S of the table other than `skip`."""
-    return sum(c * (memo[tk] if tk in memo else _expand(count, table.vmax, tk, memo))
-               for tk, c in table.by_type.items() if tk != skip)
+def _other_types(by_type: dict, n: int, skip: tuple, count, memo: dict) -> int:
+    """Sum of c(S0, S) <G, S> over the types S of `by_type` other than `skip`."""
+    return sum(c * (memo[tk] if tk in memo else _expand(count, n, tk, memo))
+               for tk, c in by_type.items() if tk != skip)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +408,12 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
             cnt -= kelly(code)
         spanning[parts] = cnt
 
-    # hamiltonian cycles from the n-fold K2 type: no subgraph has n K2 blocks
-    k2 = canonical_code(path(2))
-    table = covers_of_type((k2,) * n, n)
+    # hamiltonian cycles from the n-fold K2 type: no subgraph has n K2 blocks,
+    # and the n-cycle, an ear-grown block, is one of its types
+    by_type, _ = _k2_rows(n, n)
     cn_key = type_key([cycle(n)])
-    rhs = kelly(k2) ** n - _other_types(table, cn_key, kelly, w_memo)
-    if cn_key not in table.by_type:
-        raise ConsistencyError("n-cycle type missing from the all-K2 cover table")
-    spanning[(n,)] = exact_div(rhs, table.by_type[cn_key], "hamiltonian count",
+    rhs = kelly(_K2) ** n - _other_types(by_type, n, cn_key, kelly, w_memo)
+    spanning[(n,)] = exact_div(rhs, by_type[cn_key], "hamiltonian count",
                                InconsistentDeckError)
 
     return Polynomial(coeffs + (sachs_constant(n, spanning.__getitem__),))

@@ -1,14 +1,18 @@
+import hashlib
 import random
+import resource
 import sys
+import time
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
-from math import comb, perm
+from math import comb, factorial, perm
 
 import pytest
 
 from reconkit import isotype, whitney
 from reconkit.errors import DomainError, InconsistentDeckError
-from reconkit.graphcore import (all_graphs, complete, cycle, disjoint_union, empty_graph,
-                                graph, parse_graph6, path, vertex_deck)
+from reconkit.graphcore import (all_graphs, blocks, complete, cycle, disjoint_union,
+                                empty_graph, graph, parse_graph6, path, vertex_deck)
 from reconkit.isotype import canonical_code, code_graph, edge_bits
 from reconkit.oracle import charpoly_oracle, cover_count_oracle
 from reconkit.verify import CHAIN_TYPES, count_type_chain
@@ -50,10 +54,15 @@ def test_cover_count_constant_on_types():
     assert table.by_type[type_key([k3, k3])] == 2
 
 
+# The all-K2 families (K2^j, vmax), 1 <= j <= vmax, 3 <= vmax <= 7: the
+# pipeline reads their rows in closed form, so the table tests glue them here.
+ALL_K2 = [((whitney._K2,) * j, vmax) for vmax in range(3, 8) for j in range(1, vmax + 1)]
+
+
 @pytest.fixture(scope="module")
 def pipeline_tables(corpus6):
     """Every cover table the vertex-deck pipeline builds for n <= 6, plus the
-    all-K2 table at n = 7."""
+    all-K2 tables of `ALL_K2`."""
     tables = {}
     build = whitney.covers_of_type
 
@@ -66,7 +75,9 @@ def pipeline_tables(corpus6):
         for g in corpus6:
             if g.n >= 3:
                 charpoly_from_vertex_deck(vertex_deck(g))
-    return [*tables.values(), covers_of_type(type_key([path(2)] * 7), 7)]
+    for root, vmax in ALL_K2:
+        tables[root, vmax] = covers_of_type(root, vmax)
+    return list(tables.values())
 
 
 def test_cover_counts_match_the_cover_oracle(pipeline_tables):
@@ -239,8 +250,9 @@ def _reference_glue(ucode, fcode, vmax):
 
 def test_orbit_gluing_builds_the_reference_tables(corpus6, monkeypatch):
     """Every cover table the vertex-deck pipeline reaches on the graphs with
-    n <= 6 and on seeded 7-vertex graphs equals, field by field and in member
-    order, the table built by gluing every partial injection."""
+    n <= 6 and on seeded 7-vertex graphs, and every all-K2 table of `ALL_K2`,
+    equals, field by field and in member order, the table built by gluing
+    every partial injection."""
     rng = random.Random(14)
     sevens = [graph(7, [e for e in combinations(range(7), 2) if rng.random() < p])
               for p in (0.3, 0.5, 0.7)]
@@ -255,6 +267,7 @@ def test_orbit_gluing_builds_the_reference_tables(corpus6, monkeypatch):
         mp.setattr(whitney, "covers_of_type", recording)
         for g in [h for h in corpus6 if h.n >= 3] + sevens:
             charpoly_from_vertex_deck(vertex_deck(g))
+    families.update(ALL_K2)
     assert {vmax for _root, vmax in families} == {3, 4, 5, 6, 7}
 
     def tables(glue):
@@ -307,7 +320,7 @@ def test_cover_tables_read_automorphisms_off_searched_codes(monkeypatch):
 
 def test_orbit_ways_sum_to_every_gluing(pipeline_tables, monkeypatch):
     """Without the reference gluing: on every `_glue` call that the tables
-    of the vertex decks with 3 <= n <= 6 and the all-K2 table at n = 7 make,
+    of the vertex decks with 3 <= n <= 6 and the all-K2 tables of `ALL_K2` make,
     the ways sum to the number of partial injections V(f) -> V(u), that is
     C(f.n, k) P(u.n, k) summed over the k shared vertices that keep the
     union within vmax.  No gluing asks `bits_code` for the partial union's
@@ -372,17 +385,115 @@ def test_glue_walks_the_targets_once_per_shared_set_size(monkeypatch):
 
 def test_cold_vertex_decks_do_the_pinned_work(monkeypatch):
     """Work pin: the cold vertex decks of all graphs with 3 <= n <= 6 and an
-    edge make 86 `_glue` misses, in which `_glue` canonicalises 394 gluings,
-    and 418 `_labelled` and 80 `_search` misses.  Counts of work on a fixed
-    input do not drift as timings do; a change that moves one on purpose
-    updates it here and says why."""
-    glued = []
-    bits_code = whitney.bits_code
-    monkeypatch.setattr(whitney, "bits_code",
-                        lambda n, bits: glued.append((n, bits)) or bits_code(n, bits))
+    edge make 36 `_glue` misses, in which `_glue` canonicalises 111 gluings,
+    31 codes asked while `_ear_blocks` grows blocks, and 311 `_labelled` and
+    71 `_search` misses.  Counts of work on a fixed input do not drift as timings do; a
+    change that moves one on purpose updates it here and says why."""
+    codes = {"glue": [], "ears": []}
+    growing = []
+    ear_blocks, bits_code = whitney._ear_blocks, whitney.bits_code
+
+    def counted_ears(*args):
+        growing.append(args)
+        try:
+            return ear_blocks(*args)
+        finally:
+            growing.pop()
+
+    def counted_code(n, bits):
+        codes["ears" if growing else "glue"].append((n, bits))
+        return bits_code(n, bits)
+
+    monkeypatch.setattr(whitney, "_ear_blocks", counted_ears)
+    monkeypatch.setattr(whitney, "bits_code", counted_code)
     _cold_vertex_decks()
-    assert (whitney._glue.cache_info().misses, len(glued), isotype._labelled.cache_info().misses,
-            isotype._search.cache_info().misses) == (86, 394, 418, 80)
+    assert (whitney._glue.cache_info().misses, len(codes["glue"]), len(codes["ears"]),
+            isotype._labelled.cache_info().misses,
+            isotype._search.cache_info().misses) == (36, 111, 31, 311, 71)
+
+
+def _seeded_gnp(n):
+    """G(n, 1/2) drawn by `random.Random(n)`, the pairs in `combinations` order."""
+    rng = random.Random(n)
+    return graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+
+
+def test_a_cold_eight_vertex_deck_does_the_pinned_work():
+    """Work pin: the cold vertex deck of `_seeded_gnp(8)` makes 182 `_glue`
+    and 1,402 `_labelled` misses, and gives the oracle's polynomial."""
+    g = _seeded_gnp(8)
+    deck = vertex_deck(g)
+    _clear_every_cache()
+    got = charpoly_from_vertex_deck(deck)
+    assert (whitney._glue.cache_info().misses,
+            isotype._labelled.cache_info().misses) == (182, 1402)
+    assert got == charpoly_oracle(g)
+
+
+def test_all_k2_rows_equal_the_glued_tables():
+    """The closed-form rows of every all-K2 family (K2^j, vmax), 1 <= j <=
+    vmax <= 7, are the glued table's `by_type`, and `self_cover` is j!."""
+    for vmax in range(1, 8):
+        for j in range(1, vmax + 1):
+            table = covers_of_type((whitney._K2,) * j, vmax)
+            assert table.self_cover == factorial(j)
+            assert whitney._k2_rows(j, vmax) == (table.by_type, table.self_cover), (j, vmax)
+
+
+def test_ear_blocks_are_the_two_connected_graphs():
+    """The ears grow, from the cycles, each 2-connected graph with at most
+    vmax <= 7 vertices and emax edges once: those of `all_graphs(vmax)` with
+    no isolated vertex, one block and e <= emax, less K2."""
+    graphs = all_graphs(7)
+    for vmax in range(1, 8):
+        for emax in range(vmax + 3):
+            grown = whitney._ear_blocks(vmax, emax)
+            want = {canonical_code(h) for h in graphs
+                    if 3 <= h.n <= vmax and h.e <= emax and not h.has_isolated_vertex()
+                    and len(blocks(h)) == 1}
+            assert len(grown) == len(set(grown)) and set(grown) == want, (vmax, emax)
+
+
+def test_fake_decks_meet_the_same_fate_with_glued_all_k2_rows(monkeypatch):
+    """A real deck of a seeded graph on 4..6 vertices with one card swapped
+    for another card type of its order, one with the card's edge count when
+    there is one, gives the same polynomial, or `InconsistentDeckError`, with
+    the closed-form all-K2 rows as with the glued tables' rows.  Only an
+    error message may name another type, as the types are read in another
+    order."""
+    rng = random.Random(45)
+    cards = {}
+    for h in all_graphs(5):
+        cards.setdefault(h.n, []).append(h)
+    closed = whitney._k2_rows
+    glued_calls = []
+
+    def glued(j, vmax):
+        glued_calls.append((j, vmax))
+        table = covers_of_type((whitney._K2,) * j, vmax)
+        return table.by_type, table.self_cover
+
+    def outcome(deck, rows):
+        with monkeypatch.context() as mp:
+            mp.setattr(whitney, "_k2_rows", rows)
+            try:
+                return charpoly_from_vertex_deck(deck).coeffs
+            except InconsistentDeckError:
+                return InconsistentDeckError
+    fates = Counter()
+    for n in (4, 5, 6):
+        for _ in range(60):
+            deck = vertex_deck(graph(n, [e for e in combinations(range(n), 2)
+                                         if rng.random() < 0.5]))
+            i = rng.randrange(n)
+            others = [h for h in cards[n - 1] if canonical_code(h) != canonical_code(deck[i])]
+            deck[i] = rng.choice([h for h in others if h.e == deck[i].e] or others)
+            glued_calls.clear()
+            want = outcome(deck, glued)
+            assert outcome(deck, closed) == want, deck
+            fates[want is InconsistentDeckError, bool(glued_calls)] += 1
+    # refused before any table, refused by the tables, and accepted
+    assert fates[True, False] and fates[True, True] and fates[False, True]
 
 
 def test_cover_tables_do_not_depend_on_build_order(monkeypatch):
@@ -421,3 +532,30 @@ def test_nonspanning_roots_match_the_member_filter(pipeline_tables):
         want = [code for code in t.members
                 if code[0] < t.vmax and block_type(code_graph(code)) == t.root]
         assert list(t.nonspanning_roots) == want, t.root
+
+
+def _cold():
+    """Hand-run cold-deck timing: `PYTHONPATH=src python tests/test_whitney.py cold`.
+
+    For n = 8, 9 and 10 in turn (or the orders given after `cold`), empties
+    every cache and reconstructs the charpoly from the vertex deck of
+    `_seeded_gnp(n)`, and prints the CPU seconds it takes, the `_glue`,
+    `_labelled` and `_search` misses, the peak RSS in MB so far (a larger n
+    takes more, so it is that n's) and a SHA-1 of the polynomial.
+    """
+    for n in map(int, sys.argv[2:] or (8, 9, 10)):
+        deck = vertex_deck(_seeded_gnp(n))
+        _clear_every_cache()
+        start = time.process_time()
+        p = charpoly_from_vertex_deck(deck)
+        seconds = time.process_time() - start
+        print("n %d seconds %.3f" % (n, seconds),
+              "glue_misses", whitney._glue.cache_info().misses,
+              "labelled_misses", isotype._labelled.cache_info().misses,
+              "search_misses", isotype._search.cache_info().misses,
+              "peak_rss_mb %.1f" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
+              "charpoly", hashlib.sha1(repr(p.coeffs).encode()).hexdigest()[:12])
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["cold"]:
+    _cold()
