@@ -16,9 +16,9 @@ card type, and eq1's rows of each order.  No check compares one shared
 value with another: `nrecon` and `rankpoly` hold the reconstruction against
 oracles, `roundtrip` the matrix against the one it refills from the poset,
 `kocay-identity` and `eq1` the counts against `cover_count_oracle` and the
-subset table.  `whitney-chain` holds `count_type`, which reads the all-K2
-rows in closed form, against the chain sum over the tables that
-`covers_of_type` glues, the all-K2 ones included.
+subset table.  `whitney-chain` holds `count_type`, which reads the rows of
+each root with at most one block besides K2 in closed form, against the
+chain sum over the tables that `covers_of_type` glues, those roots' included.
 """
 
 from __future__ import annotations

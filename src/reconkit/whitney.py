@@ -29,15 +29,17 @@ The largest block is glued first, so that the partial unions contain it
 and fewer of them are glued; the order moves only the members' order, as
 D(X) |Aut X| / prod |Aut F_i| counts the same cover tuples for any order.
 
-The all-K2 families, whose expansion gives the hamiltonian term, read
-their rows in closed form (`_k2_rows`) and glue nothing.  A j-tuple of
-edges covers a union X exactly when it uses all of them, so the count is
-the number of surjections of j onto e(X); the types are the block
-multisets with at most j edges that fit in vmax vertices when chained at
-cut vertices, the blocks being K2 and the 2-connected graphs that open
-ears grow from the cycles (`_ear_blocks`).  `covers_of_type` still glues
-any root, and the sweep's `whitney-chain` check holds the closed form
-against the glued tables.
+A root with at most one block B besides K2, K2^i B, reads its rows in
+closed form (`_block_rows`) and glues nothing; the all-K2 families, whose
+expansion gives the hamiltonian term, are among them.  A copy of B and i
+edges cover a union X exactly when the edges use every edge of X outside
+the copy, so the count is the copies of B in X times a sum of surjection
+counts of i onto those edges; the types are the block multisets that fit
+in vmax vertices when chained at cut vertices, with at most e(B) + i edges
+and a block that holds B, the blocks being those that open ears grow from
+B and from K2 (`_ear_blocks`).  `covers_of_type` still glues any root, and
+the sweep's `whitney-chain` check holds the closed form against the glued
+tables.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .combi import (Polynomial, card_sum_coeffs, exact_div, multiset_symmetry,
                     partitions_min2, sachs_constant)
@@ -78,8 +80,8 @@ def type_key(members) -> tuple:
     return tuple(sorted(canonical_code(b) for b in members))
 
 
-# One entry per union code: 108 in a bench `decks` pass, 119 in a whole
-# n <= 7 sweep, 4,278 in a cold n = 10 deck.
+# One entry per union code: 29 in a bench `decks` pass, 46 in a whole
+# n <= 7 sweep, 1,930 in a cold n = 10 deck.
 @lru_cache(maxsize=8192)
 def _code_type(code: bytes) -> tuple:
     """The block type of the graph a code spells."""
@@ -106,9 +108,9 @@ class CoverTable:
     nonspanning_roots: tuple = ()
 
 
-# One entry per (partial union, block, vmax): 60 in a bench `decks` pass,
-# 157 in a whole n <= 7 sweep, 1,707 in a cold n = 10 deck and 2,518 in the
-# cold decks of n = 3..10 in one process.
+# One entry per (partial union, block, vmax): 12 in a bench `decks` pass,
+# 92 in a whole n <= 7 sweep, 520 in a cold n = 10 deck and 714 in the cold
+# decks of n = 3..10 in one process.
 @lru_cache(maxsize=4096)
 def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
     """The unions of u with one fresh copy of f, up to vmax vertices, where
@@ -176,8 +178,9 @@ def _glue(ucode: bytes, fcode: bytes, vmax: int) -> tuple:
 
 
 # Tables depend only on (root, vmax).  One vertex-deck reconstruction at
-# n = 10, the CLI's limit, reaches 365 tables, and n = 3..10 together 644,
-# so every table of a deck the CLI accepts stays cached.
+# n = 10, the CLI's limit, reaches 51 tables, n = 3..10 together 95 and a
+# whole n <= 7 sweep 99, so every table of a deck the CLI accepts stays
+# cached.
 @lru_cache(maxsize=1024)
 def covers_of_type(root: tuple, vmax: int) -> CoverTable:
     """Enumerate union graphs of one copy of each block of a type, with cover counts.
@@ -199,11 +202,11 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
     ConsistencyError: either would contradict the type-grouping identity, not
     merely signal bad input.
 
-    This glues any root.  The deck pipeline reads an all-K2 root's counts
-    from `_k2_rows` instead, the surjection counts over the block multisets
-    that fit, and glues an all-K2 table only for the members of its
-    (2, ..., 2) partition; `verify`'s `whitney-chain` check and the tests
-    hold the two against each other.
+    This glues any root.  The deck pipeline reads the counts of a root
+    with at most one block besides K2 from `_block_rows` instead, and glues
+    such a table only for the non-spanning members of a partition's root;
+    `verify`'s `whitney-chain` check and the tests hold the two against
+    each other.
     """
     if list(root) != sorted(root):
         raise DomainError("covers_of_type takes a type key: the sorted tuple of block codes")
@@ -239,22 +242,25 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
 _K2 = bits_code(2, 1)  # the code of K2, the one block that is a bridge
 
 
-def _ear_blocks(vmax: int, emax: int) -> list:
-    """The codes of the 2-connected graphs with at most vmax vertices and
-    emax edges, from the cycles by open ears (Whitney, 1932).
+def _ear_blocks(seed: bytes, vmax: int, emax: int) -> list:
+    """The codes of the blocks with at most vmax vertices and emax edges
+    that hold a copy of the block `seed`, grown from it by open ears
+    (Whitney, 1932), the seed first.
 
     An ear is a path of length L >= 1 between two distinct vertices, with
-    new inner vertices, and L >= 2 when they are adjacent.  Every
-    2-connected graph has an ear decomposition from any of its cycles, each
-    step 2-connected and no larger, so closing the cycles under ears within
-    the bounds reaches every such graph.  An ear's result depends only on
-    the Aut-orbit of its pair of ends, so one pair per orbit is tried.
+    new inner vertices, and L >= 2 when they are adjacent.  A 2-connected
+    graph has an ear decomposition from any 2-connected subgraph or edge it
+    holds, each step 2-connected and no larger, so closing the seed under
+    ears within the bounds reaches every such block; from K2 the first ears
+    give the cycles.  An ear's result depends only on the Aut-orbit of its
+    pair of ends, so one pair per orbit is tried.
     """
-    found = [bits_code(k, edge_bits((i, (i + 1) % k) for i in range(k)))
-             for k in range(3, min(vmax, emax) + 1)]
+    found = [seed] if seed[0] <= vmax and IsoClass(seed).e <= emax else []
     seen = set(found)
     for code in found:
         g = code_graph(code)
+        if g.e >= emax:
+            continue  # every ear adds an edge
         bits = edge_bits(g.edges)
         gens = code_automorphisms(code)
         done = set()
@@ -272,35 +278,55 @@ def _ear_blocks(vmax: int, emax: int) -> list:
     return found
 
 
-# One entry per (j, vmax): 52 in the decks of n = 3..10, where j <= vmax,
-# and 28 in a whole n <= 7 sweep.
-@lru_cache(maxsize=128)
-def _k2_rows(j: int, vmax: int) -> tuple:
-    """(by_type, self_cover) of `covers_of_type((K2,) * j, vmax)`, in closed form.
+# One entry per (i, block, vmax): 36 in a bench `decks` pass, 110 in a
+# whole n <= 7 sweep, 327 in a cold n = 10 deck and 613 in the cold decks of
+# n = 3..10 in one process.
+@lru_cache(maxsize=1024)
+def _block_rows(i: int, b: bytes, vmax: int) -> tuple:
+    """(by_type, self_cover) of `covers_of_type((K2,) * i + (b,), vmax)`
+    for a block b, K2 included, in closed form.
 
-    The copies of K2 in a union X are its edges, and X has no isolated
-    vertex, so a j-tuple of them covers X exactly when it uses every edge:
-    c(K2^j, X) = surj(j, e(X)), the number of maps of j onto e(X) things.
-    A graph with k components has k + sum (v(B) - 1) vertices over its
-    blocks B, and any multiset of blocks chains into one component at cut
-    vertices, so the types are the multisets of K2 and `_ear_blocks` with
-    sum e(B) <= j and sum (v(B) - 1) <= vmax - 1.
+    A cover tuple of a union X is a copy B' of b and i edges of X, and X has
+    no isolated vertex, so the edges must use every edge of X outside B';
+    with t of the e(b) edges of B' used too, they map onto e(X) - e(b) + t
+    edges.  Every copy of b weighs the same, so
+    c(K2^i b, X) = cop(b, X) sum_t C(e(b), t) surj(i, e(X) - e(b) + t),
+    where cop(b, X) sums the copies of b in each block of X: a copy of a
+    block lies within one block of X.  A block of X with at most e(b) edges
+    holds a copy only if it is b.
+    A graph with k components has k + sum (v(H) - 1) vertices over its
+    blocks H, and any multiset of blocks chains into one component at cut
+    vertices, so the types are the block multisets with sum (v(H) - 1) <=
+    vmax - 1, sum e(H) <= e(b) + i and cop > 0.  The block that holds B'
+    grows from b by ears, and the i edges alone cover every other block, so
+    the blocks are among the `_ear_blocks` of b within e(b) + i edges and of
+    K2 within i.
     """
-    surj = [sum((-1) ** i * comb(e, i) * (e - i) ** j for i in range(e + 1))
-            for e in range(j + 1)]
-    weighed = [(code, code[0] - 1, IsoClass(code).e)
-               for code in sorted([_K2, *_ear_blocks(vmax, j)])]
+    eb = IsoClass(b).e
+    emax = eb + i
+    surj = [sum((-1) ** k * comb(m, k) * (m - k) ** i for k in range(m + 1))
+            for m in range(i + 1)]
+    weight = [sum(comb(eb, t) * surj[e - eb + t] for t in range(eb + 1) if e - eb + t <= i)
+              for e in range(eb, emax + 1)]
+    fb = code_graph(b)
+
+    def copies(code):
+        return int(code == b) if IsoClass(code).e <= eb else count_subgraphs(code_graph(code), fb)
+
+    weighed = [(code, code[0] - 1, IsoClass(code).e, copies(code))
+               for code in sorted({*_ear_blocks(b, vmax, emax), *_ear_blocks(_K2, vmax, i)})]
     by_type = {}
 
-    def extend(start, key, v, e):
-        for i in range(start, len(weighed)):
-            code, dv, de = weighed[i]
-            if v + dv < vmax and e + de <= j:
-                by_type[key + (code,)] = surj[e + de]
-                extend(i, key + (code,), v + dv, e + de)
+    def extend(start, key, v, e, cop):
+        for k in range(start, len(weighed)):
+            code, dv, de, dc = weighed[k]
+            if v + dv < vmax and e + de <= emax:
+                if cop + dc:
+                    by_type[key + (code,)] = (cop + dc) * weight[e + de - eb]
+                extend(k, key + (code,), v + dv, e + de, cop + dc)
 
-    extend(0, (), 0, 0)
-    return by_type, factorial(j)
+    extend(0, (), 0, 0, 0)
+    return by_type, multiset_symmetry((_K2,) * i + (b,))
 
 
 def count_type(g: Graph, members) -> int:
@@ -314,8 +340,9 @@ def _expand(count, n: int, root: tuple, memo: dict) -> int:
 
     `count(code)` is the number of subgraphs of G isomorphic to the block
     with that code.  The rows c(root, S) and c(root, root) come in closed
-    form for an all-K2 root (`_k2_rows`; a type key is sorted, so its ends
-    match only then) and from its cover table otherwise.  Memoised per type:
+    form for a root with at most one block besides K2 (`_block_rows`; a
+    type key is sorted and K2's code is the least, so its K2 blocks come
+    first) and from its cover table otherwise.  Memoised per type:
     strictly smaller types have strictly fewer blocks, so the recursion
     terminates.
     """
@@ -326,8 +353,8 @@ def _expand(count, n: int, root: tuple, memo: dict) -> int:
         total *= count(code)
         if total == 0:
             break
-    if root and root[0] == root[-1] == _K2:
-        by_type, self_cover = _k2_rows(len(root), n)
+    if len(root) == 1 or root[-2:-1] == (_K2,):
+        by_type, self_cover = _block_rows(len(root) - 1, root[-1], n)
     else:
         table = covers_of_type(root, n)
         by_type, self_cover = table.by_type, table.self_cover
@@ -410,7 +437,7 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
 
     # hamiltonian cycles from the n-fold K2 type: no subgraph has n K2 blocks,
     # and the n-cycle, an ear-grown block, is one of its types
-    by_type, _ = _k2_rows(n, n)
+    by_type, _ = _block_rows(n - 1, _K2, n)
     cn_key = type_key([cycle(n)])
     rhs = kelly(_K2) ** n - _other_types(by_type, n, cn_key, kelly, w_memo)
     spanning[(n,)] = exact_div(rhs, by_type[cn_key], "hamiltonian count",

@@ -2,12 +2,14 @@
 
 Random graphs on 7 and 8 vertices, and six on 9, go through
 `reconstruct(strip(nmatrix(g)))` and through
-`charpoly_from_vertex_deck(vertex_deck(g))`.  The poset-fill validation and
-the deck's exact divisions must refuse none of them, and every invariant a
-pipeline reports must equal its oracle.  A 9-vertex deck glues unions of up
-to 9 vertices, an order at which no other test builds a cover table.
+`charpoly_from_vertex_deck(vertex_deck(g))`, and one seeded graph on 10
+through the vertex deck.  The poset-fill validation and the deck's exact
+divisions must refuse none of them, and every invariant a pipeline reports
+must equal its oracle.  The 9- and 10-vertex decks glue unions of up to 9
+and 10 vertices, orders at which no other test builds a cover table.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -69,4 +71,12 @@ def test_the_vertex_deck_gives_random_graphs_their_oracle_charpoly(g):
 @NINE
 @given(_graphs(9, 9))
 def test_the_vertex_deck_gives_random_nine_vertex_graphs_their_oracle_charpoly(g):
+    assert charpoly_from_vertex_deck(vertex_deck(g)).coeffs == charpoly_oracle(g).coeffs
+
+
+def test_the_vertex_deck_gives_a_ten_vertex_graph_its_oracle_charpoly():
+    """G(10, 1/2) drawn by `random.Random(10)`, the pairs in `combinations`
+    order: 10 vertices is the CLI's limit."""
+    rng = random.Random(10)
+    g = graph(10, [e for e in combinations(range(10), 2) if rng.random() < 0.5])
     assert charpoly_from_vertex_deck(vertex_deck(g)).coeffs == charpoly_oracle(g).coeffs

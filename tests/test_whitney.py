@@ -5,7 +5,7 @@ import sys
 import time
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, perm
+from math import comb, perm
 
 import pytest
 
@@ -13,7 +13,7 @@ from reconkit import isotype, whitney
 from reconkit.errors import DomainError, InconsistentDeckError
 from reconkit.graphcore import (all_graphs, blocks, complete, cycle, disjoint_union,
                                 empty_graph, graph, parse_graph6, path, vertex_deck)
-from reconkit.isotype import canonical_code, code_graph, edge_bits
+from reconkit.isotype import canonical_code, code_graph, count_subgraphs, edge_bits
 from reconkit.oracle import charpoly_oracle, cover_count_oracle
 from reconkit.verify import CHAIN_TYPES, count_type_chain
 from reconkit.whitney import (block_type, charpoly_from_vertex_deck,
@@ -59,10 +59,21 @@ def test_cover_count_constant_on_types():
 ALL_K2 = [((whitney._K2,) * j, vmax) for vmax in range(3, 8) for j in range(1, vmax + 1)]
 
 
+def _one_block_roots():
+    """(root, vmax) for every root K2^i + B, 0 <= i <= vmax <= 6, B a block
+    with at most vmax vertices and vmax + 2 edges: the pipeline reads the
+    rows of such roots in closed form.  K2 sorts first, so the keys are
+    sorted."""
+    return [((whitney._K2,) * i + (b,), vmax) for vmax in range(2, 7)
+            for b in whitney._ear_blocks(whitney._K2, vmax, vmax + 2) for i in range(vmax + 1)]
+
+
 @pytest.fixture(scope="module")
 def pipeline_tables(corpus6):
     """Every cover table the vertex-deck pipeline builds for n <= 6, plus the
-    all-K2 tables of `ALL_K2`."""
+    all-K2 tables of `ALL_K2` and those of `_one_block_roots` with at most
+    vmax + 2 edges.  The oracle takes 0.1 s on those 116 tables, and 8 s on
+    all 284: most of it on K2^5 B and K2^6 B at vmax = 6, with B dense."""
     tables = {}
     build = whitney.covers_of_type
 
@@ -75,7 +86,8 @@ def pipeline_tables(corpus6):
         for g in corpus6:
             if g.n >= 3:
                 charpoly_from_vertex_deck(vertex_deck(g))
-    for root, vmax in ALL_K2:
+    for root, vmax in ALL_K2 + [(root, vmax) for root, vmax in _one_block_roots()
+                                if sum(code_graph(code).e for code in root) <= vmax + 2]:
         tables[root, vmax] = covers_of_type(root, vmax)
     return list(tables.values())
 
@@ -94,7 +106,6 @@ def test_count_type_examples():
     assert count_type(k3, [k2, k2]) == 3
     assert count_type(cycle(4), [k2, k2, k2]) == 4
     # single-block types reduce to plain subgraph counts
-    from reconkit.isotype import count_subgraphs
     assert count_type(complete(4), [cycle(4)]) == count_subgraphs(complete(4), cycle(4))
 
 
@@ -138,7 +149,6 @@ def test_chain_sum_equals_its_walk_for_each_graph(corpus5):
 
 def test_kocay_identity_by_types(corpus5):
     """prod <g,F_i> = sum over types c(S0,S) <g,S>, straight from the table."""
-    from reconkit.isotype import count_subgraphs
     pool = [path(2), complete(3), cycle(4)]
     for g in corpus5:
         if g.e == 0:
@@ -385,9 +395,9 @@ def test_glue_walks_the_targets_once_per_shared_set_size(monkeypatch):
 
 def test_cold_vertex_decks_do_the_pinned_work(monkeypatch):
     """Work pin: the cold vertex decks of all graphs with 3 <= n <= 6 and an
-    edge make 36 `_glue` misses, in which `_glue` canonicalises 111 gluings,
-    31 codes asked while `_ear_blocks` grows blocks, and 311 `_labelled` and
-    71 `_search` misses.  Counts of work on a fixed input do not drift as timings do; a
+    edge make 12 `_glue` misses, in which `_glue` canonicalises 24 gluings,
+    57 codes asked while `_ear_blocks` grows blocks, and 276 `_labelled` and
+    56 `_search` misses.  Counts of work on a fixed input do not drift as timings do; a
     change that moves one on purpose updates it here and says why."""
     codes = {"glue": [], "ears": []}
     growing = []
@@ -409,7 +419,7 @@ def test_cold_vertex_decks_do_the_pinned_work(monkeypatch):
     _cold_vertex_decks()
     assert (whitney._glue.cache_info().misses, len(codes["glue"]), len(codes["ears"]),
             isotype._labelled.cache_info().misses,
-            isotype._search.cache_info().misses) == (36, 111, 31, 311, 71)
+            isotype._search.cache_info().misses) == (12, 24, 57, 276, 56)
 
 
 def _seeded_gnp(n):
@@ -419,63 +429,70 @@ def _seeded_gnp(n):
 
 
 def test_a_cold_eight_vertex_deck_does_the_pinned_work():
-    """Work pin: the cold vertex deck of `_seeded_gnp(8)` makes 182 `_glue`
-    and 1,402 `_labelled` misses, and gives the oracle's polynomial."""
+    """Work pin: the cold vertex deck of `_seeded_gnp(8)` makes 43 `_glue`
+    and 270 `_labelled` misses, and gives the oracle's polynomial."""
     g = _seeded_gnp(8)
     deck = vertex_deck(g)
     _clear_every_cache()
     got = charpoly_from_vertex_deck(deck)
     assert (whitney._glue.cache_info().misses,
-            isotype._labelled.cache_info().misses) == (182, 1402)
+            isotype._labelled.cache_info().misses) == (43, 270)
     assert got == charpoly_oracle(g)
 
 
-def test_all_k2_rows_equal_the_glued_tables():
-    """The closed-form rows of every all-K2 family (K2^j, vmax), 1 <= j <=
-    vmax <= 7, are the glued table's `by_type`, and `self_cover` is j!."""
-    for vmax in range(1, 8):
-        for j in range(1, vmax + 1):
-            table = covers_of_type((whitney._K2,) * j, vmax)
-            assert table.self_cover == factorial(j)
-            assert whitney._k2_rows(j, vmax) == (table.by_type, table.self_cover), (j, vmax)
+def test_block_rows_equal_the_glued_tables():
+    """The closed-form rows of every root K2^i + B of `_one_block_roots` are
+    the glued table's `by_type` and `self_cover`."""
+    for root, vmax in _one_block_roots():
+        table = covers_of_type(root, vmax)
+        assert whitney._block_rows(len(root) - 1, root[-1], vmax) == \
+            (table.by_type, table.self_cover), (root, vmax)
 
 
 def test_ear_blocks_are_the_two_connected_graphs():
-    """The ears grow, from the cycles, each 2-connected graph with at most
-    vmax <= 7 vertices and emax edges once: those of `all_graphs(vmax)` with
-    no isolated vertex, one block and e <= emax, less K2."""
-    graphs = all_graphs(7)
-    for vmax in range(1, 8):
-        for emax in range(vmax + 3):
-            grown = whitney._ear_blocks(vmax, emax)
-            want = {canonical_code(h) for h in graphs
-                    if 3 <= h.n <= vmax and h.e <= emax and not h.has_isolated_vertex()
-                    and len(blocks(h)) == 1}
-            assert len(grown) == len(set(grown)) and set(grown) == want, (vmax, emax)
+    """From every block seed with at most 6 vertices, the ears grow each
+    block with at most vmax <= 7 vertices and emax edges that holds a copy
+    of the seed once, the seed first: those of `all_graphs(7)` with no
+    isolated vertex and one block.  Seeded with K2 they are K2 and every
+    2-connected graph within the bounds."""
+    one_block = [h for h in all_graphs(7) if h.e and not h.has_isolated_vertex()
+                 and len(blocks(h)) == 1]
+    for seed in one_block:
+        if seed.n > 6:
+            continue
+        code = canonical_code(seed)
+        top = seed.e + 10 - seed.n  # the largest emax below, at vmax = 7
+        holders = [h for h in one_block if h.e <= top and count_subgraphs(h, seed)]
+        for vmax in range(seed.n - 1, 8):
+            for emax in range(seed.e - 1, seed.e + vmax - seed.n + 4):
+                grown = whitney._ear_blocks(code, vmax, emax)
+                want = {canonical_code(h) for h in holders if h.n <= vmax and h.e <= emax}
+                assert len(grown) == len(set(grown)) and set(grown) == want, (code, vmax, emax)
+                assert not want or grown[0] == code, (code, vmax, emax)
 
 
-def test_fake_decks_meet_the_same_fate_with_glued_all_k2_rows(monkeypatch):
+def test_fake_decks_meet_the_same_fate_with_glued_block_rows(monkeypatch):
     """A real deck of a seeded graph on 4..6 vertices with one card swapped
     for another card type of its order, one with the card's edge count when
     there is one, gives the same polynomial, or `InconsistentDeckError`, with
-    the closed-form all-K2 rows as with the glued tables' rows.  Only an
-    error message may name another type, as the types are read in another
-    order."""
+    the closed-form rows of the roots with at most one block besides K2 as
+    with the glued tables' rows.  Only an error message may name another
+    type, as the types are read in another order."""
     rng = random.Random(45)
     cards = {}
     for h in all_graphs(5):
         cards.setdefault(h.n, []).append(h)
-    closed = whitney._k2_rows
+    closed = whitney._block_rows
     glued_calls = []
 
-    def glued(j, vmax):
-        glued_calls.append((j, vmax))
-        table = covers_of_type((whitney._K2,) * j, vmax)
+    def glued(i, b, vmax):
+        glued_calls.append((i, b, vmax))
+        table = covers_of_type((whitney._K2,) * i + (b,), vmax)
         return table.by_type, table.self_cover
 
     def outcome(deck, rows):
         with monkeypatch.context() as mp:
-            mp.setattr(whitney, "_k2_rows", rows)
+            mp.setattr(whitney, "_block_rows", rows)
             try:
                 return charpoly_from_vertex_deck(deck).coeffs
             except InconsistentDeckError:
@@ -539,9 +556,11 @@ def _cold():
 
     For n = 8, 9 and 10 in turn (or the orders given after `cold`), empties
     every cache and reconstructs the charpoly from the vertex deck of
-    `_seeded_gnp(n)`, and prints the CPU seconds it takes, the `_glue`,
-    `_labelled` and `_search` misses, the peak RSS in MB so far (a larger n
-    takes more, so it is that n's) and a SHA-1 of the polynomial.
+    `_seeded_gnp(n)`, and prints the CPU seconds it takes, the
+    `covers_of_type` misses (the tables glued), the `_block_rows` misses (the
+    closed-form rows read), the `_glue`, `_labelled` and `_search` misses,
+    the peak RSS in MB so far (a larger n takes more, so it is that n's) and
+    a SHA-1 of the polynomial.
     """
     for n in map(int, sys.argv[2:] or (8, 9, 10)):
         deck = vertex_deck(_seeded_gnp(n))
@@ -550,6 +569,8 @@ def _cold():
         p = charpoly_from_vertex_deck(deck)
         seconds = time.process_time() - start
         print("n %d seconds %.3f" % (n, seconds),
+              "tables_glued", whitney.covers_of_type.cache_info().misses,
+              "block_rows", whitney._block_rows.cache_info().misses,
               "glue_misses", whitney._glue.cache_info().misses,
               "labelled_misses", isotype._labelled.cache_info().misses,
               "search_misses", isotype._search.cache_info().misses,
