@@ -7,13 +7,22 @@ type i.  The edge-labelled poset (ELP) is the Hasse diagram of Lambda(G) under
 the induced-subgraph order, each cover edge labelled with its multiplicity;
 matrix and poset determine each other.
 
-N is tallied over the subset lattice of V(G), from the codes of
-`isotype.subset_table(g)`.  Type i occurs as G[s] for its first mask s, so N[i][j]
-is the number of vertex subsets of G[s] inducing type j.  Those subsets are
-the submasks t of s, and G[s] restricted to t is G[t], whose code the table
-already holds: row i adds one to column j for each submask of s with code j.
-Submasks have at most v_i vertices and only s itself has v_i, which gives the
-zeros above order v_i and the 1 on the diagonal.
+N depends on G's type alone, so it is tallied over the subset lattice of G's
+canonical form F = `code_graph(canonical_code(G))`, from the codes of
+`isotype.subset_table(F)`.  Type i occurs as F[s] for its first mask s, so
+N[i][j] is the number of vertex subsets of F[s] inducing type j.  Those
+subsets are the submasks t of s, and F[s] restricted to t is F[t], whose code
+the table already holds: row i adds one to column j for each submask of s
+with code j.  Submasks have at most v_i vertices and only s itself has v_i,
+which gives the zeros above order v_i and the 1 on the diagonal.
+
+The form costs one more canonical descent, of G itself, and saves many.  Two
+vertex subsets induce equal labelled bits, and so share one entry of
+`isotype`'s cache of labelled graphs, when an automorphism maps one onto the
+other keeping the order of its vertices.  F lists the vertices of each
+refinement cell next to each other, so such maps are common in F and rare
+under a random labelling of G, where the subsets of one orbit of Aut(G) are
+mostly descended one by one.
 
 Back from an unlabelled matrix, `_poset` walks the covers once: each row, by
 subrow count, takes its highest remaining subrow as a cover, checks that the
@@ -36,7 +45,7 @@ from operator import itemgetter
 from .combi import json_int
 from .errors import DomainError, InvalidMatrixError
 from .graphcore import Graph, parse_graph6, write_graph6
-from .isotype import IsoClass, canonical_code, induced_type_table, subset_table
+from .isotype import IsoClass, canonical_code, code_graph, induced_type_table, subset_table
 
 __all__ = [
     "VERTEX_LIMIT",
@@ -110,7 +119,11 @@ def lambda_deck(g: Graph) -> LambdaDeck:
 
 
 def nmatrix(g: Graph) -> NMatrix:
-    """The labelled N-matrix of g, tallied over the submasks of each row's first mask."""
+    """The labelled N-matrix of g, tallied over the submasks of each row's first
+    mask in g's canonical form (the module docstring says why that form).  An
+    edgeless g is refused by `lambda_deck` before any canonical work."""
+    if g.e:
+        g = code_graph(canonical_code(g))
     deck = lambda_deck(g)
     table = subset_table(g)
     codes = table.codes

@@ -114,7 +114,9 @@ The pass asks for no automorphism of g.  Since a code starts with its vertex
 count, the one table answers every order: `count_induced(g, f)` is a lookup
 of f's code (the empty f counts once, from mask 0) and
 `induced_type_table(g, k)` is the table's slice at order k.  The N-matrix of
-`deck` is tallied from the same codes.
+`deck` is tallied from the table of g's canonical form, not of g: there the
+vertex subsets in one orbit of Aut(g) often induce equal labelled bits, and so
+share one cached code (`deck`'s module docstring says why).
 """
 
 from __future__ import annotations
@@ -278,11 +280,11 @@ def _descend(k: int, bits: int) -> tuple:
     return _pack(k, _search(form)[0]), perm, form
 
 
-# Labelled graphs, as (n, bits), per seed-1 bench pass: `recon` 709, `build`
-# 1,758, `decks` 1,466, `sweep` 241; 11,635 in an n <= 7 sweep with every
-# check.  At 16384 these stay cached; the table of one 16-vertex graph
-# (54,981 distinct labelled subsets in a seeded G(16, 1/2)) evicts.  An entry
-# is two ints and a code: 16384 from the subsets of a seeded G(15, 1/2) hold
+# Labelled graphs, as (n, bits), per seed-1 bench pass: `recon` 482, `build`
+# 965, `decks` 720, `sweep` 205; 11,159 in an n <= 7 sweep with every check.
+# At 16384 these stay cached; the table of one 16-vertex graph (54,981
+# distinct labelled subsets in a seeded G(16, 1/2)) evicts.  An entry is two
+# ints and a code: 16384 from the subsets of a seeded G(15, 1/2) hold
 # 4.3 MB, about 260 bytes each (tracemalloc).  `all_graphs` adds none.
 @lru_cache(maxsize=16384)
 def _labelled(k: int, bits: int) -> bytes:
@@ -290,7 +292,7 @@ def _labelled(k: int, bits: int) -> bytes:
 
 
 # First-leaf forms per seed-1 bench pass: `recon` 173, `build` 346, `decks`
-# 214, `sweep` 54; 13,608 in `all_graphs(8)`.  At 16384 a pass, an n <= 7
+# 139, `sweep` 54; 13,608 in `all_graphs(8)`.  At 16384 a pass, an n <= 7
 # sweep and every form up to 8 vertices stay cached.
 @lru_cache(maxsize=16384)
 def _search(form: bytes):

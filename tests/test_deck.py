@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from collections import Counter
 from itertools import combinations, permutations
 from math import comb
@@ -18,6 +20,7 @@ from reconkit.graphcore import (all_graphs, complete, empty_graph, graph,
 from reconkit.isotype import canonical_code, count_induced
 
 from check_oracles import dense_fill
+from test_isotype import _orbit_shapes, _random_relabel
 
 PRISM_MATRIX = (
     (1, 0, 0, 0, 0, 0, 0, 0, 0),
@@ -92,6 +95,84 @@ def test_lambda_deck_examples(prism):
     assert len(p3_classes) == 2
     with pytest.raises(DomainError):
         lambda_deck(empty_graph(3))
+
+
+def _labelled_nmatrix(g):
+    """The reference tally: over the submasks of each row's first mask in g's
+    own labelling, from `subset_table(g)`."""
+    labels = lambda_deck(g)
+    table = isotype.subset_table(g)
+    index = {c.code: j for j, c in enumerate(labels.classes)}
+    rows = []
+    for ci in labels.classes:
+        row = [0] * len(index)
+        s = t = table.first[ci.code]
+        while t:
+            j = index.get(table.codes[t])
+            if j is not None:
+                row[j] += 1
+            t = (t - 1) & s
+        rows.append(tuple(row))
+    return NMatrix(tuple(rows), labels)
+
+
+def test_the_canonical_tally_equals_the_labelled_one(corpus6):
+    """Tallied over the canonical form, the matrix and its labels are those
+    of the tally over g's own labels: on every graph with n <= 6 in two
+    seeded relabellings, the orbit shapes and six seeded G(9, p)."""
+    rng = random.Random(47)
+    pairs = list(combinations(range(9), 2))
+    graphs = [_random_relabel(g, rng) for g in corpus6 if g.e for _ in range(2)]
+    graphs += _orbit_shapes()
+    graphs += [graph(9, [e for e in pairs if rng.random() < p])
+               for p in (0.2, 0.3, 0.4, 0.5, 0.6, 0.8)]
+    for g in graphs:
+        assert nmatrix(g) == _labelled_nmatrix(g), write_graph6(g)
+
+
+def _relabelled_orbit_shapes():
+    """The orbit shapes of `test_isotype`, each relabelled by `Random(47)`."""
+    rng = random.Random(47)
+    return [_random_relabel(g, rng) for g in _orbit_shapes()]
+
+
+def _clear_nmatrix_caches():
+    for fn in (isotype._labelled, isotype._search, isotype.subset_table, isotype.code_graph):
+        fn.cache_clear()
+
+
+RELABELLED_SHAPES_WORK = (744, 125)
+
+
+def test_n_matrices_of_relabelled_shapes_do_the_pinned_work():
+    """Work pin: from emptied caches, the N-matrices of the relabelled orbit
+    shapes make 744 first-leaf descents and 125 searches.  Tallied over each
+    graph's own labels they made 1,007 and 124: there two vertex subsets in
+    one orbit rarely induce equal bits, and each is descended anew.  A
+    change that moves a count on purpose updates it here and says why."""
+    graphs = _relabelled_orbit_shapes()
+    _clear_nmatrix_caches()
+    for g in graphs:
+        nmatrix(g)
+    work = isotype._labelled.cache_info().misses, isotype._search.cache_info().misses
+    assert work == RELABELLED_SHAPES_WORK
+
+
+def test_an_edgeless_graph_is_refused_before_any_canonical_work(monkeypatch):
+    """`nmatrix` refuses an edgeless graph before it canonicalises anything,
+    the graph itself included."""
+    called = []
+
+    def refuse(*args):
+        called.append(args)
+        raise RuntimeError(f"canonical work on {args}")
+
+    monkeypatch.setattr(isotype, "_labelled", refuse)
+    monkeypatch.setattr(isotype, "_search", refuse)
+    for n in (0, 1, 5):
+        with pytest.raises(DomainError):
+            nmatrix(empty_graph(n))
+    assert called == []
 
 
 def test_nmatrix_prism_golden(prism):
@@ -588,3 +669,27 @@ def test_every_poset_with_at_most_seven_vertices_is_read_back():
     for g in all_graphs(7, min_edges=1):
         elp = elp_from_nmatrix(nmatrix(g))
         assert elp_from_json(elp_to_json(elp)) == elp, write_graph6(g)
+
+
+def _build():
+    """Hand-run N-matrix work: `PYTHONPATH=src python tests/test_deck.py build`.
+
+    For each relabelled orbit shape (`_relabelled_orbit_shapes`), from
+    emptied caches, prints its order and size, the `_labelled` and `_search`
+    misses of its `nmatrix` and the CPU seconds it takes; then the totals.
+    """
+    total = [0, 0, 0.0]
+    print("shape  n   e  labelled_misses  search_misses  cpu_s")
+    for k, g in enumerate(_relabelled_orbit_shapes()):
+        _clear_nmatrix_caches()
+        start = time.process_time()
+        nmatrix(g)
+        seconds = time.process_time() - start
+        work = isotype._labelled.cache_info().misses, isotype._search.cache_info().misses
+        print("%5d %2d %3d %16d %14d %7.4f" % (k, g.n, g.e, *work, seconds))
+        total = [a + b for a, b in zip(total, (*work, seconds))]
+    print("total %23d %14d %7.4f" % tuple(total))
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["build"]:
+    _build()
