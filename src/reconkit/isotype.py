@@ -63,11 +63,11 @@ finds the orbit of w_d under G_d complete under the maps it found that fix
 w_0 .. w_{d-1} (`_search`'s docstring).  The leaf is discrete, so G_d for
 the full path is trivial, and by orbit-stabiliser |G_d| = |orbit of w_d
 under G_d| * |G_{d+1}|: |Aut| is the product of those orbit sizes.  The
-search takes it at its end from the witness's path and the maps it found,
-so no path is walked again, and `code_automorphism_count(code)` reads it
-off the cached search of the code.  Every orbit here, and in `whitney`'s
-gluing, is found by one closure, `_orbit`: the points reached from the
-given ones by the maps, until no map adds a point.
+search takes it at its end from the witness's path and the maps it found
+(`_chain_order`), so no path is walked again, and `code_automorphism_count`
+reads it off the cached search of the code.  Every orbit here, in `_pattern`
+and in `whitney`'s gluing, is one closure, `_orbit`, over maps `_search`
+found: the points reached from the given ones until no map adds a point.
 
 The search prunes with the automorphisms it finds (McKay & Piperno, "Practical
 graph isomorphism, II", J. Symb. Comput. 2014).  A leaf that ties the best
@@ -95,12 +95,12 @@ f's edges; since every vertex of f is an edge endpoint, two embeddings hit
 the same copy exactly when they differ by an automorphism of f.  The
 backtrack over adjacency bitmasks keeps one of them per copy, by the
 symmetry-breaking conditions that `_pattern` reads off f's stabiliser chain
-(Grochow and Kellis, RECOMB 2007).  A pair whose degrees rule out an
-embedding, g's degrees in decreasing order below f's at some place, is
-answered 0 before the backtrack.  `subgraph_type_table(g, m)`
-canonicalises every m-edge subset of g instead.  No code in `reconkit`
-calls it any more; it stays only because the benchmark's
-`perfbench/tracer.py` names it in `LAYERS`.
+(Grochow and Kellis, RECOMB 2007), orbits of maps `_search` found.  A pair
+whose degrees rule out an embedding, g's degrees in decreasing order below
+f's at some place, is answered 0 before the backtrack.
+`subgraph_type_table(g, m)` canonicalises every m-edge subset of g instead.
+No code in `reconkit` calls it any more; it stays only because the
+benchmark's `perfbench/tracer.py` names it in `LAYERS`.
 
 Induced subgraphs are counted from one table per graph, `subset_table(g)`:
 a single pass over the vertex subsets of g, as bitmasks 0 .. 2^n - 1 in
@@ -295,7 +295,7 @@ def _labelled(k: int, bits: int) -> bytes:
 # 139, `sweep` 54; 13,608 in `all_graphs(8)`.  At 16384 a pass, an n <= 7
 # sweep and every form up to 8 vertices stay cached.
 @lru_cache(maxsize=16384)
-def _search(form: bytes):
+def _search(form: bytes, fixed=()):
     """(minimal bitstring as int, witness new->old, automorphisms, |Aut|) of
     a packed graph.
 
@@ -307,9 +307,12 @@ def _search(form: bytes):
     one is skipped as in the `_orbit` of the explored children under the
     maps found, or is searched until a leaf ties the witness, which gives a
     map, fixing the path, onto it; only a tie returns the search from below
-    that child.  |Aut| is the product of those orbits' sizes, each the
-    `_orbit` of the path's vertex under the maps found that fix the path
-    before it.
+    that child.  |Aut| is the product of those orbits' sizes, the
+    `_chain_order` of the maps found along the witness's path.
+
+    Given vertices `fixed` (uncached, by `__wrapped__`), the search starts
+    from each of them in a cell of its own: the maps and the order are then
+    their pointwise stabiliser's, and the value and witness not the code's.
     """
     n = form[0]
     masks = _form_masks(form)  # searched once: keep no decoded graph
@@ -351,12 +354,22 @@ def _search(form: bytes):
                 return depth
         return n
 
-    search(_refine(masks, [list(range(n))], [(1 << n) - 1]), ())
-    order, fixing = 1, autos  # the maps found that fix the path so far
-    for w in best[2]:
-        order *= len(_orbit((w,), fixing))
-        fixing = [gamma for gamma in fixing if gamma[w] == w]
-    return best[0], best[1], tuple(map(tuple, autos)), order
+    search(_refine(masks, [[w] for w in fixed] + [[u for u in range(n) if u not in fixed]],
+                   [1 << w for w in fixed] + [(1 << n) - 1]), ())
+    return best[0], best[1], tuple(map(tuple, autos)), _chain_order(autos, best[2])
+
+
+def _chain_order(gens, points) -> int:
+    """The product of the orbit sizes of `points` in turn, each the `_orbit`
+    under the maps of `gens` that fix the points before it.  If the maps lie
+    in a group G whose identity alone fixes every point, it is at most |G|,
+    and equal exactly when each orbit is the one under G's elements that
+    fix the points before it."""
+    order = 1
+    for w in points:
+        order *= len(_orbit((w,), gens))
+        gens = [gamma for gamma in gens if gamma[w] == w]
+    return order
 
 
 def canonical_code(g: Graph) -> bytes:
@@ -512,7 +525,7 @@ def subgraph_type_table(g: Graph, m: int) -> dict:
 # n = 7 subject's counts walk in the same order for every graph.  At 1024 the
 # walk evicted each pattern just before it came round again, so a dense
 # 7-vertex graph missed on every lookup; at 2048 one walk's patterns stay
-# cached, and a miss costs up to n(n - 1)/2 orbit searches.
+# cached, and a miss makes at most n - 2 prefixed searches (5 over all 1,043).
 @lru_cache(maxsize=2048)
 def _pattern(f: Graph) -> tuple:
     """(plan, degrees): the order in which the backtrack places f's vertices,
@@ -524,13 +537,18 @@ def _pattern(f: Graph) -> tuple:
     its own: the symmetry-breaking conditions of Grochow and Kellis ("Network
     motif discovery using subgraph enumeration and symmetry-breaking",
     RECOMB 2007), read off f's stabiliser chain in plan order.  For position
-    i, the orbit of its vertex v_i under the automorphisms fixing v_0 ..
-    v_{i-1} is found by one `_extends` search per later vertex of v_i's
-    degree, so the group is never listed; each other vertex of the orbit sits
-    at a later position, whose image must then exceed v_i's.  Of the
-    embeddings that differ by an automorphism of f exactly one meets every
-    condition: the one whose image of v_0 is least over its orbit, then of
-    v_1 over its orbit in the stabiliser of v_0, and so on.
+    i, the orbit of its vertex v_i under G_i, the automorphisms fixing v_0 ..
+    v_{i-1}, is the `_orbit` of v_i under generators of G_i from the
+    canonical search, G_0 = Aut f from the cached `_search` of f packed on
+    its own labels.  For G_{i+1} the maps that fix v_i are kept: their
+    orbits along the rest of the plan (`_chain_order`) lie in G_{i+1}'s, so
+    if their sizes multiply to |G_{i+1}| = |G_i| / |orbit| each is G_{i+1}'s;
+    if not, an uncached `_search` with v_0 .. v_i fixed gives generators of
+    G_{i+1}.  Each other vertex of the orbit sits at a later position, whose
+    image must then exceed v_i's.  Of the embeddings that differ by an
+    automorphism of f exactly one meets every condition: the one whose image
+    of v_0 is least over its orbit, then of v_1 over its orbit in G_1, and
+    so on.
     """
     masks = adjacency_masks(f)
     order, placed = [], 0
@@ -539,42 +557,22 @@ def _pattern(f: Graph) -> tuple:
                 key=lambda u: ((masks[u] & placed).bit_count(), masks[u].bit_count()))
         order.append(v)
         placed |= 1 << v
+    smaller = [[] for _ in order]
+    form = _pack(f.n, _bits_int(masks, range(f.n), f.n))
+    gens, size = _search(form)[2:]
+    for i, v in enumerate(order):
+        orbit = _orbit((v,), gens)
+        for u in orbit - {v}:
+            smaller[order.index(u)].append(i)
+        size //= len(orbit)
+        gens = [gamma for gamma in gens if gamma[v] == v]
+        if _chain_order(gens, order[i + 1:]) < size:
+            gens = _search.__wrapped__(form, order[:i + 1])[2]
     links = [(tuple(j for j in range(i) if masks[v] >> order[j] & 1), masks[v].bit_count())
              for i, v in enumerate(order)]
-    smaller = [[] for _ in order]
-    for i, (_back, deg) in enumerate(links):
-        for p in range(i + 1, f.n):
-            if links[p][1] == deg and _extends(links, masks, order[:i] + [order[p]]):
-                smaller[p].append(i)
     plan = tuple((back, deg, tuple(low)) for (back, deg), low in zip(links, smaller))
     degrees = tuple(sorted((m.bit_count() for m in masks), reverse=True))
     return plan, degrees
-
-
-def _extends(links, masks, pins) -> bool:
-    """Whether some automorphism of f, the graph with adjacency masks
-    `masks`, maps the vertex at plan position k to pins[k] for each k <
-    len(pins).  `links` gives each position's earlier neighbours and degree;
-    the search places the positions in order and stops at its first
-    success."""
-    image = [0] * len(links)
-
-    def extend(i, used):
-        if i == len(links):
-            return True
-        back, deg = links[i]
-        cand = (1 << pins[i] if i < len(pins) else (1 << len(links)) - 1) & ~used
-        for j in back:
-            cand &= masks[image[j]]
-        while cand:
-            low = cand & -cand
-            image[i] = low.bit_length() - 1
-            if masks[image[i]].bit_count() == deg and extend(i + 1, used | low):
-                return True
-            cand ^= low
-        return False
-
-    return extend(0, 0)
 
 
 def code_automorphisms(code: bytes) -> tuple:

@@ -646,11 +646,16 @@ def test_count_subgraphs_equals_the_unguarded_backtrack(monkeypatch):
 
 def test_each_copy_is_counted_once():
     """Every type f without isolated vertices on at most 7 vertices is one
-    copy of itself, and K_m for m <= 8 holds m! / ((m - v_f)! |Aut f|) copies
-    of each such f with v_f <= 5, where |Aut f| is the order of the group
-    the canonical search's generators span, not the pattern's own count."""
+    copy of itself, and so is each larger symmetric shape: those of the
+    `build` bench, the orbit shapes, K10, K5,5, Petersen and C10, whose
+    stabiliser chains are the deepest.  K_m for m <= 8 holds
+    m! / ((m - v_f)! |Aut f|) copies of each small f with v_f <= 5, where
+    |Aut f| is the order of the group the canonical search's generators
+    span, not the pattern's own count."""
     types = verify._small_types(7, False)
-    for f in types:
+    shapes = (_build_shapes() + [f for f in _orbit_shapes() if not f.has_isolated_vertex()]
+              + [f for f, _order in _named_shapes()])
+    for f in types + tuple(shapes):
         assert count_subgraphs(f, f) == 1, f
     for f in types:
         if f.n <= 5:
@@ -658,6 +663,36 @@ def test_each_copy_is_counted_once():
             for m in range(f.n, 9):
                 want = factorial(m) // (factorial(m - f.n) * auts)
                 assert count_subgraphs(complete(m), f) == want, (m, f)
+
+
+def _prefixed_searches(monkeypatch):
+    """A list that records the prefix of every uncached `_search` from here on."""
+    prefixes = []
+    real = isotype._search.__wrapped__
+    monkeypatch.setattr(isotype._search, "__wrapped__",
+                        lambda form, fixed=(): prefixes.append(fixed) or real(form, fixed))
+    return prefixes
+
+
+def _counted_patterns(types, monkeypatch):
+    """The SHA-1 of the concatenated `repr` of the types' uncached patterns,
+    in order, and the number of prefixed searches they make."""
+    prefixed = _prefixed_searches(monkeypatch)
+    h = hashlib.sha1()
+    for f in types:
+        h.update(repr(isotype._pattern.__wrapped__(f)).encode())
+    return h.hexdigest(), len(prefixed)
+
+
+def test_the_patterns_do_the_pinned_work(monkeypatch):
+    """Work pin: the plans of the 1,043 types without isolated vertices on
+    at most 7 vertices hash to a fixed SHA-1, and their stabiliser chains
+    make 5 searches with a prefix of the plan fixed; the maps of the group's
+    generators that fix the prefix give every other orbit.  A changed
+    condition, or a chain that searches more often, fails here without
+    timing noise."""
+    digest, prefixed = _counted_patterns(verify._small_types(7, False), monkeypatch)
+    assert (digest, prefixed) == ("6c4fe49fc59c95c17e6b498865b4511fcccade40", 5)
 
 
 def test_the_pattern_cache_holds_every_type_of_a_seven_vertex_subject():
@@ -688,25 +723,30 @@ def _build_shapes():
             + [less(8, {(0, i + 1) for i in range(k)}) for k in (2, 3, 4)])
 
 
-def test_three_ways_to_the_automorphism_group_order(monkeypatch):
-    """|Aut g| three independent ways: the product of the orbit sizes along
-    the canonical search's witness path, the order of the group its
-    generators span, and the product over the pattern's stabiliser chain,
-    found by at most n^2 embedding searches with no automorphism listed.
-    K10, K5,5, Petersen and C10 have 3,628,800, 28,800, 120 and 20."""
+def _named_shapes():
+    """K10, K5,5, the Petersen graph and C10, with their automorphism group
+    orders."""
     petersen = graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
-    named = [(complete(10), 3628800), (_complete_multipartite(5, 5), 28800),
-             (petersen, 120), (cycle(10), 20)]
-    searches = []
-    real = isotype._extends
-    monkeypatch.setattr(isotype, "_extends",
-                        lambda links, masks, pins: searches.append(pins) or real(links, masks, pins))
+    return [(complete(10), 3628800), (_complete_multipartite(5, 5), 28800),
+            (petersen, 120), (cycle(10), 20)]
+
+
+def test_three_ways_to_the_automorphism_group_order(monkeypatch):
+    """|Aut g| three ways: the product of the orbit sizes along the canonical
+    search's witness path, the order of the group its generators span, and
+    the product over the pattern's stabiliser chain in plan order, which
+    makes at most n searches with a prefix of the plan fixed.  The chain
+    keeps the search's maps only where their orbits multiply to its order,
+    so the third way mostly checks the prefixed searches.  K10, K5,5,
+    Petersen and C10 have 3,628,800, 28,800, 120 and 20."""
+    named = _named_shapes()
+    searches = _prefixed_searches(monkeypatch)
     for g in all_graphs(7) + _orbit_shapes() + _build_shapes() + [g for g, _order in named]:
         code = canonical_code(g)
         searches.clear()
         order = _plan_order(g)
-        assert len(searches) <= g.n ** 2, (g, len(searches))
+        assert len(searches) <= g.n, (g, len(searches))
         assert code_automorphism_count(code) == _group_order(g.n, code_automorphisms(code)) \
             == order, g
     for g, order in named:
@@ -859,5 +899,29 @@ def _n9():
     print("refine_calls", work[2], "bits_int_calls", work[3])
 
 
+def _patterns():
+    """Hand-run cold-pattern timing:
+    `PYTHONPATH=src python tests/test_isotype.py patterns`.
+
+    Builds the 1,043 types without isolated vertices on at most 7 vertices,
+    empties the caches (`_labelled`, `_search`, `_pattern` and `code_graph`
+    among them), then builds the types' patterns in one process and prints
+    the CPU seconds they take, the `_search` misses, the prefixed searches
+    and the plans' SHA-1 (`_counted_patterns`).
+    """
+    types = verify._small_types(7, False)
+    _clear_isotype_caches()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        start = time.process_time()
+        digest, prefixed = _counted_patterns(types, monkeypatch)
+        seconds = time.process_time() - start
+    print("seconds %.3f" % seconds)
+    print("search_misses", isotype._search.cache_info().misses, "prefixed_searches", prefixed)
+    print("plans", digest)
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["n9"]:
     _n9()
+
+if __name__ == "__main__" and sys.argv[1:] == ["patterns"]:
+    _patterns()
