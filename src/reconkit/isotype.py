@@ -525,32 +525,35 @@ def subgraph_type_table(g: Graph, m: int) -> dict:
 # n = 7 subject's counts walk in the same order for every graph.  At 1024 the
 # walk evicted each pattern just before it came round again, so a dense
 # 7-vertex graph missed on every lookup; at 2048 one walk's patterns stay
-# cached, and a miss makes at most n - 2 prefixed searches (5 over all 1,043).
+# cached.  A miss reads f's code through `_labelled` and that code's cached
+# `_search`, and makes at most n - 2 prefixed searches (5 over all 1,043).
 @lru_cache(maxsize=2048)
 def _pattern(f: Graph) -> tuple:
-    """(plan, degrees): the order in which the backtrack places f's vertices,
-    and f's degrees in decreasing order.
+    """(plan, degrees): the order in which the backtrack places the vertices
+    of f's canonical form, and f's degrees in decreasing order.
 
-    The plan puts each vertex of f after as many of its neighbours as
-    possible.  Each position carries the earlier positions adjacent to it,
-    its degree, and the earlier positions whose images must be smaller than
-    its own: the symmetry-breaking conditions of Grochow and Kellis ("Network
-    motif discovery using subgraph enumeration and symmetry-breaking",
-    RECOMB 2007), read off f's stabiliser chain in plan order.  For position
-    i, the orbit of its vertex v_i under G_i, the automorphisms fixing v_0 ..
-    v_{i-1}, is the `_orbit` of v_i under generators of G_i from the
-    canonical search, G_0 = Aut f from the cached `_search` of f packed on
-    its own labels.  For G_{i+1} the maps that fix v_i are kept: their
-    orbits along the rest of the plan (`_chain_order`) lie in G_{i+1}'s, so
-    if their sizes multiply to |G_{i+1}| = |G_i| / |orbit| each is G_{i+1}'s;
-    if not, an uncached `_search` with v_0 .. v_i fixed gives generators of
-    G_{i+1}.  Each other vertex of the orbit sits at a later position, whose
-    image must then exceed v_i's.  Of the embeddings that differ by an
-    automorphism of f exactly one meets every condition: the one whose image
-    of v_0 is least over its orbit, then of v_1 over its orbit in G_1, and
-    so on.
+    The plan is laid out on the form `canonical_code(f)` spells, so f on any
+    labels gets one plan and searches only its code.  It puts each vertex
+    after as many of its neighbours as possible.  Each position carries the
+    earlier positions adjacent to it, its degree, and the earlier positions
+    whose images must be smaller than its own: the symmetry-breaking
+    conditions of Grochow and Kellis ("Network motif discovery using
+    subgraph enumeration and symmetry-breaking", RECOMB 2007), read off f's
+    stabiliser chain in plan order.  For position i, the orbit of its vertex
+    v_i under G_i, the automorphisms fixing v_0 .. v_{i-1}, is the `_orbit`
+    of v_i under generators of G_i from the canonical search, G_0 = Aut f
+    from the cached `_search` of f's code.  For G_{i+1} the maps that fix
+    v_i are kept: their orbits along the rest of the plan (`_chain_order`)
+    lie in G_{i+1}'s, so if their sizes multiply to
+    |G_{i+1}| = |G_i| / |orbit| each is G_{i+1}'s; if not, an uncached
+    `_search` with v_0 .. v_i fixed gives generators of G_{i+1}.  Each other
+    vertex of the orbit sits at a later position, whose image must then
+    exceed v_i's.  Of the embeddings that differ by an automorphism of f
+    exactly one meets every condition: the one whose image of v_0 is least
+    over its orbit, then of v_1 over its orbit in G_1, and so on.
     """
-    masks = adjacency_masks(f)
+    form = canonical_code(f)
+    masks = _form_masks(form)
     order, placed = [], 0
     while len(order) < f.n:
         v = max((u for u in range(f.n) if not placed >> u & 1),
@@ -558,7 +561,6 @@ def _pattern(f: Graph) -> tuple:
         order.append(v)
         placed |= 1 << v
     smaller = [[] for _ in order]
-    form = _pack(f.n, _bits_int(masks, range(f.n), f.n))
     gens, size = _search(form)[2:]
     for i, v in enumerate(order):
         orbit = _orbit((v,), gens)

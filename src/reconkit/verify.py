@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from . import deck as deckmod
 from . import polydeck as pdmod
-from .combi import card_sum_coeffs, exact_div
+from .combi import card_sum_coeffs, exact_div, multiset_symmetry
 from .errors import ConsistencyError, NotReconstructibleError, ReconkitError
 from .graphcore import (Graph, all_graphs, complete, cycle, empty_graph,
                         parse_graph6, path, vertex_deck)
@@ -149,7 +149,8 @@ def _chain_weights(root: tuple, n: int) -> tuple:
     Kocay's identity, solved for <G, S0> and substituted into itself, gives
     <G, S0> as a sum over the chains S0 -> S1 -> ... -> Sq = T of distinct
     types, each weighing prod <G, block of T> by
-    (-1)^q / c(T, T) * prod_{i<q} c(S_i, S_{i+1}) / c(S_i, S_i).
+    (-1)^q / c(T, T) * prod_{i<q} c(S_i, S_{i+1}) / c(S_i, S_i), where
+    c(S, S) is S's block symmetry, `multiset_symmetry(S)`.
     Every chain is enumerated once per key, and the weights are summed per
     T: the result is ((T, weight), ...) as integers over one denominator,
     and that denominator.
@@ -157,11 +158,11 @@ def _chain_weights(root: tuple, n: int) -> tuple:
     weights = {}
 
     def walk(tk, q, acc):
-        table = covers_of_type(tk, n)
-        weights[tk] = weights.get(tk, 0) + (-1) ** q * acc / table.self_cover
-        for sub, c in table.by_type.items():
+        sym = multiset_symmetry(tk)
+        weights[tk] = weights.get(tk, 0) + (-1) ** q * acc / sym
+        for sub, c in covers_of_type(tk, n).by_type.items():
             if sub != tk:
-                walk(sub, q + 1, acc * Fraction(c, table.self_cover))
+                walk(sub, q + 1, acc * Fraction(c, sym))
 
     walk(root, 0, Fraction(1))
     den = lcm(*(w.denominator for w in weights.values()))

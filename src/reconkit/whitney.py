@@ -8,7 +8,8 @@ type S0 = {F_1..F_k} of non-separable graphs, Kocay's counting identity
 
 relates the product of per-block counts to counts of whole types, where
 c(S0, X) is the number of cover tuples of X by copies of the F_i and depends
-only on the type of X.  Solving for <G, S0> and iterating yields an explicit
+only on the type of X.  Solving for <G, S0> divides by c(S0, S0), S0's
+block symmetry (`combi.multiset_symmetry`), and iterating yields an explicit
 polynomial in non-separable subgraph counts; with Kelly-sourced counts on a
 vertex deck this reconstructs every elementary spanning count and finally the
 characteristic polynomial.  Blocks and unions are carried as codes, and
@@ -94,18 +95,14 @@ class CoverTable:
 
     `root` is the family's type key and `members` maps each union's
     canonical code to its cover count c(S0, X); `by_type` maps the type key
-    of each union to that count, which is constant on a type.  `self_cover`
-    is c(S0, S0), defined even when no member of the root type fits under
-    the vertex bound.  `nonspanning_roots` holds the codes of the members of
-    the root type with fewer than vmax vertices.
+    of each union to that count, which is constant on a type.  c(S0, S0)
+    is not stored: it is `multiset_symmetry(root)`, the block symmetry.
     """
 
     root: tuple
     vmax: int
     members: dict
     by_type: dict
-    self_cover: int
-    nonspanning_roots: tuple = ()
 
 
 # One entry per (partial union, block, vmax): 12 in a bench `decks` pass,
@@ -200,13 +197,14 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
     and gluing the largest first keeps the partial unions few.  A remainder
     in that division, or a count that is not constant on a type, raises
     ConsistencyError: either would contradict the type-grouping identity, not
-    merely signal bad input.
+    merely signal bad input.  So does a root row other than the divisor
+    every reader takes for c(S0, S0), `multiset_symmetry(root)`.
 
     This glues any root.  The deck pipeline reads the counts of a root
     with at most one block besides K2 from `_block_rows` instead, and glues
-    such a table only for the non-spanning members of a partition's root;
-    `verify`'s `whitney-chain` check and the tests hold the two against
-    each other.
+    such a table only for the members of a partition's root type with fewer
+    than vmax vertices; `verify`'s `whitney-chain` check and the tests hold
+    the two against each other.
     """
     if list(root) != sorted(root):
         raise DomainError("covers_of_type takes a type key: the sorted tuple of block codes")
@@ -221,22 +219,17 @@ def covers_of_type(root: tuple, vmax: int) -> CoverTable:
     fam_automorphisms = prod(code_automorphism_count(f) for f in fams)
     member_table = {}
     by_type = {}
-    nonspanning_roots = []
     for code, d in partials.items():
         c = exact_div(d * code_automorphism_count(code), fam_automorphisms,
                       f"cover count of a union from {d} gluings", ConsistencyError)
         member_table[code] = c
         tk = _code_type(code)
-        if tk == root and code[0] < vmax:
-            nonspanning_roots.append(code)
         if by_type.setdefault(tk, c) != c:
             raise ConsistencyError(
                 f"cover count differs within a type: {by_type[tk]} vs {c}")
-    self_cover = by_type.get(root, multiset_symmetry(root))
-    if self_cover != multiset_symmetry(root):
+    if by_type.get(root, multiset_symmetry(root)) != multiset_symmetry(root):
         raise ConsistencyError("self cover count disagrees with block symmetry")
-    return CoverTable(root, vmax, member_table, by_type, self_cover,
-                      tuple(nonspanning_roots))
+    return CoverTable(root, vmax, member_table, by_type)
 
 
 _K2 = bits_code(2, 1)  # the code of K2, the one block that is a bridge
@@ -283,8 +276,8 @@ def _ear_blocks(seed: bytes, vmax: int, emax: int) -> list:
 # n = 3..10 in one process.
 @lru_cache(maxsize=1024)
 def _block_rows(i: int, b: bytes, vmax: int) -> tuple:
-    """(by_type, self_cover) of `covers_of_type((K2,) * i + (b,), vmax)`
-    for a block b, K2 included, in closed form.
+    """The `by_type` of `covers_of_type((K2,) * i + (b,), vmax)` for a
+    block b, K2 included, in closed form.
 
     A cover tuple of a union X is a copy B' of b and i edges of X, and X has
     no isolated vertex, so the edges must use every edge of X outside B';
@@ -326,7 +319,7 @@ def _block_rows(i: int, b: bytes, vmax: int) -> tuple:
                 extend(k, key + (code,), v + dv, e + de, cop + dc)
 
     extend(0, (), 0, 0, 0)
-    return by_type, multiset_symmetry((_K2,) * i + (b,))
+    return by_type
 
 
 def count_type(g: Graph, members) -> int:
@@ -339,10 +332,11 @@ def _expand(count, n: int, root: tuple, memo: dict) -> int:
     """<G, root> for a graph G of order n and a type key `root`, by Kocay's identity.
 
     `count(code)` is the number of subgraphs of G isomorphic to the block
-    with that code.  The rows c(root, S) and c(root, root) come in closed
-    form for a root with at most one block besides K2 (`_block_rows`; a
-    type key is sorted and K2's code is the least, so its K2 blocks come
-    first) and from its cover table otherwise.  Memoised per type:
+    with that code.  The rows c(root, S) come in closed form for a root
+    with at most one block besides K2 (`_block_rows`; a type key is sorted
+    and K2's code is the least, so its K2 blocks come first) and from its
+    cover table otherwise; the divisor c(root, root) is the root's block
+    symmetry, `multiset_symmetry(root)`.  Memoised per type:
     strictly smaller types have strictly fewer blocks, so the recursion
     terminates.
     """
@@ -354,12 +348,11 @@ def _expand(count, n: int, root: tuple, memo: dict) -> int:
         if total == 0:
             break
     if len(root) == 1 or root[-2:-1] == (_K2,):
-        by_type, self_cover = _block_rows(len(root) - 1, root[-1], n)
+        by_type = _block_rows(len(root) - 1, root[-1], n)
     else:
-        table = covers_of_type(root, n)
-        by_type, self_cover = table.by_type, table.self_cover
+        by_type = covers_of_type(root, n).by_type
     total -= _other_types(by_type, n, root, count, memo)
-    memo[root] = exact_div(total, self_cover, f"type count for {root}",
+    memo[root] = exact_div(total, multiset_symmetry(root), f"type count for {root}",
                            InconsistentDeckError)
     return memo[root]
 
@@ -431,13 +424,14 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
         root = type_key(elementary_blocks(parts))
         cnt = _expand(kelly, n, root, w_memo)
         # strip the non-spanning members of the same type
-        for code in covers_of_type(root, n).nonspanning_roots:
-            cnt -= kelly(code)
+        for code in covers_of_type(root, n).members:
+            if code[0] < n and _code_type(code) == root:
+                cnt -= kelly(code)
         spanning[parts] = cnt
 
     # hamiltonian cycles from the n-fold K2 type: no subgraph has n K2 blocks,
     # and the n-cycle, an ear-grown block, is one of its types
-    by_type, _ = _block_rows(n - 1, _K2, n)
+    by_type = _block_rows(n - 1, _K2, n)
     cn_key = type_key([cycle(n)])
     rhs = kelly(_K2) ** n - _other_types(by_type, n, cn_key, kelly, w_memo)
     spanning[(n,)] = exact_div(rhs, by_type[cn_key], "hamiltonian count",

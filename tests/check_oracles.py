@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from reconkit.combi import exact_div
+from reconkit.combi import exact_div, multiset_symmetry
 from reconkit.deck import Elp, NMatrix
 from reconkit.errors import DomainError, InvalidMatrixError
 from reconkit.graphcore import Graph, adjacency_masks, elementary_graph
@@ -215,18 +215,19 @@ def chain_walk(g: Graph, members) -> int:
 
     Every chain S0 -> ... -> Sq = T of distinct types is walked again for g,
     and each adds (-1)^q prod <g, block of T> / c(T, T) times the product of
-    c(S_i, S_{i+1}) / c(S_i, S_i) along it, in Fractions.
+    c(S_i, S_{i+1}) / c(S_i, S_i) along it, in Fractions; c(S, S) is S's
+    block symmetry, `multiset_symmetry(S)`.
     """
     total = Fraction(0)
 
     def walk(root, q, acc):
         nonlocal total
-        table = covers_of_type(root, g.n)
+        sym = multiset_symmetry(root)
         p = prod(count_subgraphs(g, code_graph(code)) for code in root)
-        total += Fraction((-1) ** q * p, table.self_cover) * acc
-        for tk, c in table.by_type.items():
+        total += Fraction((-1) ** q * p, sym) * acc
+        for tk, c in covers_of_type(root, g.n).by_type.items():
             if tk != root:
-                walk(tk, q + 1, acc * Fraction(c, table.self_cover))
+                walk(tk, q + 1, acc * Fraction(c, sym))
 
     walk(type_key(members), 0, Fraction(1))
     if total.denominator != 1:

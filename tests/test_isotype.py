@@ -695,6 +695,22 @@ def test_the_patterns_do_the_pinned_work(monkeypatch):
     assert (digest, prefixed) == ("6c4fe49fc59c95c17e6b498865b4511fcccade40", 5)
 
 
+def test_relabelled_patterns_search_only_their_codes():
+    """A pattern is planned on its canonical form: C5, K4 and the prism on
+    seeded relabellings count as many copies in K7 as their forms do, and
+    once the form's search is cached they make no `_search` miss."""
+    rng = random.Random(59)
+    prism = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    k7 = complete(7)
+    for f in (cycle(5), complete(4), prism):
+        want = count_subgraphs(k7, code_graph(canonical_code(f)))
+        relabelled = _random_relabel(f, rng)
+        canonical_code(relabelled)
+        misses = isotype._search.cache_info().misses
+        assert count_subgraphs(k7, relabelled) == want, f
+        assert isotype._search.cache_info().misses == misses, f
+
+
 def test_the_pattern_cache_holds_every_type_of_a_seven_vertex_subject():
     """An n = 7 subject's counts walk all these types in the same order, so a
     smaller cache would evict each pattern before the walk came back to it."""

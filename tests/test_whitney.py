@@ -9,10 +9,12 @@ from math import comb, perm
 
 import pytest
 
-from reconkit import isotype, whitney
-from reconkit.errors import DomainError, InconsistentDeckError
+from reconkit import isotype, verify, whitney
+from reconkit.combi import partitions_min2
+from reconkit.errors import ConsistencyError, DomainError, InconsistentDeckError
 from reconkit.graphcore import (all_graphs, blocks, complete, cycle, disjoint_union,
-                                empty_graph, graph, parse_graph6, path, vertex_deck)
+                                elementary_blocks, empty_graph, graph, parse_graph6, path,
+                                vertex_deck)
 from reconkit.isotype import canonical_code, code_graph, count_subgraphs, edge_bits
 from reconkit.oracle import charpoly_oracle, cover_count_oracle
 from reconkit.verify import CHAIN_TYPES, count_type_chain
@@ -39,7 +41,7 @@ def test_covers_of_type_examples():
     assert t4.members[canonical_code(disjoint_union(k2, k2))] == 2
     t1 = covers_of_type(type_key([k2]), 6)
     assert len(t1.members) == 1
-    assert t1.self_cover == 1
+    assert t1.by_type == {type_key([k2]): 1}
     with pytest.raises(DomainError, match="type key"):
         covers_of_type(type_key([k2, complete(3)])[::-1], 5)
 
@@ -52,6 +54,20 @@ def test_cover_count_constant_on_types():
     assert cover_count_oracle([k3, k3], bowtie) == cover_count_oracle([k3, k3], two) == 2
     table = covers_of_type(type_key([k3, k3]), 6)
     assert table.by_type[type_key([k3, k3])] == 2
+
+
+def test_a_root_row_other_than_the_block_symmetry_is_refused(monkeypatch, bowtie):
+    """Every reader divides by `multiset_symmetry(root)` for c(S0, S0), and
+    a glued table whose root row differs is refused.  With |Aut| of the
+    bowtie doubled, the bowtie, the one member of type {C3, C3} within 5
+    vertices, weighs 4 instead of 2! = 2."""
+    k3 = complete(3)
+    bow = canonical_code(bowtie)
+    real = whitney.code_automorphism_count
+    monkeypatch.setattr(whitney, "code_automorphism_count",
+                        lambda code: real(code) * (2 if code == bow else 1))
+    with pytest.raises(ConsistencyError, match="self cover count disagrees with block symmetry"):
+        covers_of_type.__wrapped__(type_key([k3, k3]), 5)
 
 
 # The all-K2 families (K2^j, vmax), 1 <= j <= vmax, 3 <= vmax <= 7: the
@@ -430,23 +446,24 @@ def _seeded_gnp(n):
 
 def test_a_cold_eight_vertex_deck_does_the_pinned_work():
     """Work pin: the cold vertex deck of `_seeded_gnp(8)` makes 43 `_glue`
-    and 270 `_labelled` misses, and gives the oracle's polynomial."""
+    and 300 `_labelled` misses, and gives the oracle's polynomial.  Each
+    new pattern of `count_subgraphs` is read through its code, one
+    `_labelled` descent of the pattern's own labels."""
     g = _seeded_gnp(8)
     deck = vertex_deck(g)
     _clear_every_cache()
     got = charpoly_from_vertex_deck(deck)
     assert (whitney._glue.cache_info().misses,
-            isotype._labelled.cache_info().misses) == (43, 270)
+            isotype._labelled.cache_info().misses) == (43, 300)
     assert got == charpoly_oracle(g)
 
 
 def test_block_rows_equal_the_glued_tables():
     """The closed-form rows of every root K2^i + B of `_one_block_roots` are
-    the glued table's `by_type` and `self_cover`."""
+    the glued table's `by_type`."""
     for root, vmax in _one_block_roots():
-        table = covers_of_type(root, vmax)
         assert whitney._block_rows(len(root) - 1, root[-1], vmax) == \
-            (table.by_type, table.self_cover), (root, vmax)
+            covers_of_type(root, vmax).by_type, (root, vmax)
 
 
 def test_ear_blocks_are_the_two_connected_graphs():
@@ -487,8 +504,7 @@ def test_fake_decks_meet_the_same_fate_with_glued_block_rows(monkeypatch):
 
     def glued(i, b, vmax):
         glued_calls.append((i, b, vmax))
-        table = covers_of_type((whitney._K2,) * i + (b,), vmax)
-        return table.by_type, table.self_cover
+        return covers_of_type((whitney._K2,) * i + (b,), vmax).by_type
 
     def outcome(deck, rows):
         with monkeypatch.context() as mp:
@@ -544,11 +560,20 @@ def test_cover_tables_do_not_depend_on_build_order(monkeypatch):
         assert list(table.members) == list(backward[key].members), key
 
 
-def test_nonspanning_roots_match_the_member_filter(pipeline_tables):
-    for t in pipeline_tables:
-        want = [code for code in t.members
-                if code[0] < t.vmax and block_type(code_graph(code)) == t.root]
-        assert list(t.nonspanning_roots) == want, t.root
+def test_partition_roots_below_n_are_the_small_graphs_of_their_type():
+    """For every partition of n = 4..7 into at least two parts >= 2, the
+    members of its root's cover table with fewer than n vertices and the
+    root's type, which the vertex deck subtracts, are the graphs of that
+    block type on at most n - 1 vertices, found by exhaustive generation."""
+    for n in range(4, 8):
+        small = verify._small_types(n - 1, False)
+        for parts in partitions_min2(n):
+            if len(parts) == 1:
+                continue
+            root = type_key(elementary_blocks(parts))
+            got = {code for code in covers_of_type(root, n).members
+                   if code[0] < n and whitney._code_type(code) == root}
+            assert got == {canonical_code(h) for h in small if block_type(h) == root}, parts
 
 
 def _cold():
@@ -557,19 +582,32 @@ def _cold():
     For n = 8, 9 and 10 in turn (or the orders given after `cold`), empties
     every cache and reconstructs the charpoly from the vertex deck of
     `_seeded_gnp(n)`, and prints the CPU seconds it takes, the
-    `covers_of_type` misses (the tables glued), the `_block_rows` misses (the
-    closed-form rows read), the `_glue`, `_labelled` and `_search` misses,
-    the peak RSS in MB so far (a larger n takes more, so it is that n's) and
-    a SHA-1 of the polynomial.
+    `covers_of_type` misses (the tables glued), split into the roots with
+    two or more blocks besides K2, glued for their rows, and the others,
+    glued only for their members of the root type below n vertices; the
+    `_block_rows` misses (the closed-form rows read), the `_glue`,
+    `_labelled` and `_search` misses, the peak RSS in MB so far (a larger n
+    takes more, so it is that n's) and a SHA-1 of the polynomial.
     """
+    build = whitney.covers_of_type
+    roots = set()
+
+    def recording(root, vmax):
+        roots.add(root)
+        return build(root, vmax)
+
+    whitney.covers_of_type = recording
     for n in map(int, sys.argv[2:] or (8, 9, 10)):
         deck = vertex_deck(_seeded_gnp(n))
         _clear_every_cache()
+        roots.clear()
         start = time.process_time()
         p = charpoly_from_vertex_deck(deck)
         seconds = time.process_time() - start
+        for_rows = sum(len(root) > 1 and root[-2:-1] != (whitney._K2,) for root in roots)
         print("n %d seconds %.3f" % (n, seconds),
-              "tables_glued", whitney.covers_of_type.cache_info().misses,
+              "tables_glued", build.cache_info().misses,
+              "for_rows", for_rows, "for_members", len(roots) - for_rows,
               "block_rows", whitney._block_rows.cache_info().misses,
               "glue_misses", whitney._glue.cache_info().misses,
               "labelled_misses", isotype._labelled.cache_info().misses,
