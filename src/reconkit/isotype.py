@@ -648,15 +648,20 @@ def count_subgraphs(g: Graph, f: Graph) -> int:
     return _embedding_count(plan, gmasks)
 
 
-def kelly_count(deck, f: Graph, induced: bool = False) -> int:
-    """Count copies of f in the graph behind a vertex deck of n = len(deck) cards.
+def kelly_count(cards, f: Graph, induced: bool = False) -> int:
+    """Count copies of f in the graph behind a vertex deck of n cards.
 
-    Valid for v(f) < n.  Exact division is a consistency certificate: a
-    remainder proves the deck is not the vertex deck of any graph.
+    `cards` is the deck as a multiset: (card, multiplicity) pairs whose
+    multiplicities sum to n, so each distinct card is counted once.  Valid
+    for v(f) < n.  Exact division is a consistency certificate: a remainder
+    proves the deck is not the vertex deck of any graph.
     """
-    n = len(deck)
+    n = sum(m for _card, m in cards)
     if f.n >= n:
         raise DomainError(f"kelly_count needs v(f) < n, got {f.n} >= {n}")
-    counter = count_induced if induced else count_subgraphs
-    return exact_div(sum(counter(card, f) for card in deck), n - f.n,
-                     "card counts for f", InconsistentDeckError)
+    if induced:
+        code = canonical_code(f)
+        total = sum(m * subset_table(card).counts.get(code, 0) for card, m in cards)
+    else:
+        total = sum(m * count_subgraphs(card, f) for card, m in cards)
+    return exact_div(total, n - f.n, "card counts for f", InconsistentDeckError)

@@ -23,6 +23,7 @@ chain sum over the tables that `covers_of_type` glues, those roots' included.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
@@ -51,6 +52,9 @@ def _block_types(pool: tuple, sizes: tuple) -> tuple:
 # the block types of the whitney-chain check and the factor lists of the Kocay check
 CHAIN_TYPES = _block_types((path(2), complete(3), cycle(4)), (1, 2, 3))
 _KOCAY_TYPES = _block_types((path(2), path(3), complete(3), cycle(4)), (2, 3))
+# their type keys and factor codes, canonicalised once per process
+_CHAIN_KEYS = tuple(type_key(fams) for fams in CHAIN_TYPES)
+_KOCAY_CODES = tuple(tuple(canonical_code(f) for f in fams) for fams in _KOCAY_TYPES)
 
 
 class _Subject:
@@ -86,8 +90,7 @@ class _Subject:
     @cached_property
     def subgraph_counts(self):
         """code -> copies in g, over the types without isolated vertices and v <= n."""
-        return {canonical_code(f): count_subgraphs(self.g, f)
-                for f in _small_types(self.g.n, with_isolated=False)}
+        return {code: count_subgraphs(self.g, f) for f, code in _small_codes(self.g.n)}
 
 
 def _check_roundtrip(s: _Subject) -> list:
@@ -170,21 +173,21 @@ def _chain_weights(root: tuple, n: int) -> tuple:
                  for tk, w in weights.items() if w), den
 
 
-def count_type_chain(g: Graph, members) -> int:
+def count_type_chain(g: Graph, key: tuple) -> int:
     """`whitney.count_type` as the chain sum of Kocay's identity.
 
-    The weights of `_chain_weights` depend on the type and g.n only, so the
-    `whitney-chain` check compares this sum with the memoised recursion.
+    The weights of `_chain_weights` depend on the type key and g.n only, so
+    the `whitney-chain` check compares this sum with the plan's evaluation.
     """
-    weights, den = _chain_weights(type_key(members), g.n)
+    weights, den = _chain_weights(key, g.n)
     total = sum(w * prod(count_subgraphs(g, code_graph(code)) for code in tk)
                 for tk, w in weights)
     return exact_div(total, den, "chain sum", ConsistencyError)
 
 
 def _check_whitney_chain(s: _Subject) -> list:
-    return [f"chain sum != recursion for {len(fams)}-block type" for fams in CHAIN_TYPES
-            if count_type(s.g, fams) != count_type_chain(s.g, fams)]
+    return [f"chain sum != recursion for {len(key)}-block type" for key in _CHAIN_KEYS
+            if count_type(s.g, key) != count_type_chain(s.g, key)]
 
 
 @lru_cache(maxsize=16)  # orders 1..8, with and without isolated vertices
@@ -193,13 +196,20 @@ def _small_types(max_n: int, with_isolated: bool) -> tuple:
                  if with_isolated or not h.has_isolated_vertex())
 
 
+@lru_cache(maxsize=8)  # orders 1..8
+def _small_codes(max_n: int) -> tuple:
+    """(f, code of f) for the types of `_small_types(max_n, False)`, in its order."""
+    return tuple((f, canonical_code(f)) for f in _small_types(max_n, with_isolated=False))
+
+
 def _check_kelly(s: _Subject) -> list:
-    g, d, fails = s.g, s.deck, []
+    g, fails = s.g, []
+    cards = tuple(Counter(s.deck).items())
     for f in _small_types(g.n - 1, with_isolated=False):
-        if kelly_count(d, f) != count_subgraphs(g, f):
+        if kelly_count(cards, f) != count_subgraphs(g, f):
             fails.append("kelly subgraph count mismatch")
     for f in _small_types(g.n - 1, with_isolated=True):
-        if kelly_count(d, f, induced=True) != count_induced(g, f):
+        if kelly_count(cards, f, induced=True) != count_induced(g, f):
             fails.append("kelly induced count mismatch")
     return fails
 
@@ -213,8 +223,8 @@ def _kocay_covers(code: bytes) -> tuple:
 def _check_kocay(s: _Subject) -> list:
     fails = []
     counts = s.subgraph_counts
-    for i, fams in enumerate(_KOCAY_TYPES):
-        lhs = prod(counts.get(canonical_code(f), 0) for f in fams)
+    for i, fams in enumerate(_KOCAY_CODES):
+        lhs = prod(counts.get(code, 0) for code in fams)
         rhs = sum(_kocay_covers(code)[i] * cnt for code, cnt in counts.items() if cnt)
         if lhs != rhs:
             fails.append(f"kocay identity violated for {len(fams)} factors")
@@ -256,7 +266,7 @@ def _eq1_rows(n: int) -> tuple:
     s(h, h) = 1 and s(f, h) = sum_x s(f, h - x) / (e(h) - e(f)).  A card with
     an isolated vertex holds no spanning f and adds nothing.
     """
-    types = [(h, canonical_code(h)) for h in _small_types(n, with_isolated=False)]
+    types = _small_codes(n)
     s = {}  # code of h -> {code of f: s(f, h)}
     for h, hc in sorted(types, key=lambda t: (t[0].n, t[0].e)):
         total = {}
@@ -274,9 +284,10 @@ def _eq1_rows(n: int) -> tuple:
 
 
 def _check_eq1(s: _Subject) -> list:
-    copies, induced = s.subgraph_counts, subset_table(s.g).counts
-    for f, row in _eq1_rows(s.g.n):
-        if copies[canonical_code(f)] != sum(induced.get(code, 0) * k for code, k in row):
+    induced = subset_table(s.g).counts
+    # both list the types of `_small_types(n, False)` in its order
+    for copies, (_f, row) in zip(s.subgraph_counts.values(), _eq1_rows(s.g.n)):
+        if copies != sum(induced.get(code, 0) * k for code, k in row):
             return ["subgraph/induced relation violated"]
     return []
 

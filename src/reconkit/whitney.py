@@ -15,6 +15,12 @@ vertex deck this reconstructs every elementary spanning count and finally the
 characteristic polynomial.  Blocks and unions are carried as codes, and
 decoded (`isotype.code_graph`) where a graph is needed, never re-coded.
 
+The polynomial's shape depends on the order n alone, never on G, so `_plan`
+compiles it once per (roots, n) into flat steps, sub-types first, and
+`_evaluate` runs them on one graph's block counts, dividing exactly at every
+type.  The vertex deck keeps its per-order constants with its plan
+(`_deck_plan`) and reads each distinct canonical card once per Kelly count.
+
 A cover table glues the blocks of its type one at a time onto partial
 unions (`_glue`).  Per number of shared vertices, the targets in the
 partial union u are listed once, one per Aut u-orbit, and the shared sets
@@ -45,6 +51,7 @@ tables.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -322,45 +329,67 @@ def _block_rows(i: int, b: bytes, vmax: int) -> tuple:
     return by_type
 
 
-def count_type(g: Graph, members) -> int:
-    """Number of subgraphs of g whose block multiset matches `members`."""
-    return _expand(lambda code: count_subgraphs(g, code_graph(code)), g.n,
-                   type_key(members), {})
+# One entry per (roots, n): 1 in a bench `decks` pass, 79 in a bench `sweep`
+# pass (the deck plans of n = 3..5 and the 19 `whitney-chain` keys at
+# n = 2..5), 81 in a whole n <= 7 sweep and 8 in the decks of n = 3..10.
+@lru_cache(maxsize=256)
+def _plan(roots: tuple, n: int) -> tuple:
+    """Kocay's expansion of the type keys `roots` at order n, as flat steps,
+    and the position of each type among them.
 
-
-def _expand(count, n: int, root: tuple, memo: dict) -> int:
-    """<G, root> for a graph G of order n and a type key `root`, by Kocay's identity.
-
-    `count(code)` is the number of subgraphs of G isomorphic to the block
-    with that code.  The rows c(root, S) come in closed form for a root
-    with at most one block besides K2 (`_block_rows`; a type key is sorted
-    and K2's code is the least, so its K2 blocks come first) and from its
-    cover table otherwise; the divisor c(root, root) is the root's block
-    symmetry, `multiset_symmetry(root)`.  Memoised per type:
-    strictly smaller types have strictly fewer blocks, so the recursion
-    terminates.
+    One step (key, terms, divisor, what) per type reachable from the roots,
+    sub-types first.  `terms` pairs each sub-type S's position with
+    c(key, S), read in closed form for a key with at most one block besides
+    K2 (`_block_rows`; K2's code is the least, so its K2 blocks come first)
+    and from its cover table otherwise.  The divisor c(key, key) is
+    `multiset_symmetry(key)`, and `what` names the key in a refusal.  A
+    sub-type has fewer blocks than its type, so the walk ends.
     """
-    if root in memo:
-        return memo[root]
-    total = 1
-    for code in root:
-        total *= count(code)
-        if total == 0:
-            break
-    if len(root) == 1 or root[-2:-1] == (_K2,):
-        by_type = _block_rows(len(root) - 1, root[-1], n)
-    else:
-        by_type = covers_of_type(root, n).by_type
-    total -= _other_types(by_type, n, root, count, memo)
-    memo[root] = exact_div(total, multiset_symmetry(root), f"type count for {root}",
-                           InconsistentDeckError)
-    return memo[root]
+    where, steps = {}, []
+
+    def visit(key):
+        if key in where:
+            return
+        if len(key) == 1 or key[-2:-1] == (_K2,):
+            rows = _block_rows(len(key) - 1, key[-1], n)
+        else:
+            rows = covers_of_type(key, n).by_type
+        for tk in rows:
+            if tk != key:
+                visit(tk)
+        where[key] = len(steps)
+        steps.append((key, tuple((where[tk], c) for tk, c in rows.items() if tk != key),
+                      multiset_symmetry(key), f"type count for {key}"))
+
+    for root in roots:
+        visit(root)
+    return tuple(steps), where
 
 
-def _other_types(by_type: dict, n: int, skip: tuple, count, memo: dict) -> int:
-    """Sum of c(S0, S) <G, S> over the types S of `by_type` other than `skip`."""
-    return sum(c * (memo[tk] if tk in memo else _expand(count, n, tk, memo))
-               for tk, c in by_type.items() if tk != skip)
+def _evaluate(steps: tuple, count) -> list:
+    """<G, S> for the type S of each step of a plan, by Kocay's identity:
+    the product of `count(code)`, G's copies of each block of S, less
+    c(S, T) <G, T> over the sub-types T, over c(S, S), which must divide it
+    (else InconsistentDeckError)."""
+    values = []
+    for key, terms, divisor, what in steps:
+        total = 1
+        for code in key:
+            total *= count(code)
+            if total == 0:
+                break
+        total -= sum([c * values[i] for i, c in terms])
+        values.append(exact_div(total, divisor, what, InconsistentDeckError))
+    return values
+
+
+def count_type(g: Graph, key: tuple) -> int:
+    """Number of subgraphs of g whose block type is the type key `key`, by
+    the plan of `key` at g's order (`_plan`) on g's subgraph counts."""
+    if list(key) != sorted(key):
+        raise DomainError("count_type takes a type key: the sorted tuple of block codes")
+    steps, _where = _plan((key,), g.n)
+    return _evaluate(steps, lambda code: count_subgraphs(g, code_graph(code)))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +402,28 @@ def _other_types(by_type: dict, n: int, skip: tuple, count, memo: dict) -> int:
 def _card_charpoly(code: bytes) -> Polynomial:
     """`polydeck.charpoly` of the card a code spells."""
     return charpoly(code_graph(code))
+
+
+# One entry per order: 1 in a bench `decks` pass, 5 in a whole n <= 7 sweep
+# and 8 in the decks of n = 3..10, every order the CLI accepts.
+@lru_cache(maxsize=16)
+def _deck_plan(n: int) -> tuple:
+    """The steps (`_plan`) of the roots of n's partitions into two or more
+    parts >= 2 and of the n-fold K2 row's types but the n-cycle's; per
+    partition, its root's position and its table's members of the root's
+    type below n vertices; that row's (position, c) terms and the n-cycle's c.
+    """
+    parts_roots = [(parts, type_key(elementary_blocks(parts)))
+                   for parts in partitions_min2(n) if len(parts) > 1]
+    ham_row = _block_rows(n - 1, _K2, n)
+    cn_key = type_key([cycle(n)])
+    others = [tk for tk in ham_row if tk != cn_key]
+    steps, where = _plan(tuple(root for _parts, root in parts_roots) + tuple(others), n)
+    spanning = tuple((parts, where[root],
+                      tuple(code for code in covers_of_type(root, n).members
+                            if code[0] < n and _code_type(code) == root))
+                     for parts, root in parts_roots)
+    return steps, spanning, tuple((where[tk], ham_row[tk]) for tk in others), ham_row[cn_key]
 
 
 def charpoly_from_vertex_deck(deck) -> Polynomial:
@@ -392,10 +443,12 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
 
     Each card is replaced by its canonical form, so isomorphic cards are
     equal graphs: in one deck or across decks they share one cached card
-    polynomial and the cached subgraph counts.  The values cannot change: a
-    card's polynomial and its subgraph counts are invariant under
-    relabelling, and every Kelly count sums over the same multiset of card
-    types, so its exact division checks the same total.
+    polynomial and the cached subgraph counts, and a Kelly count reads each
+    distinct card once.  The values cannot change: a card's polynomial and
+    its subgraph counts are invariant under relabelling, and every Kelly
+    count sums over the same multiset of card types, so its exact division
+    checks the same total.  The plan of order n (`_deck_plan`) is built on
+    the first deck of that order, so later decks read no row.
     """
     deck = list(deck)
     n = len(deck)
@@ -406,35 +459,23 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
             raise InconsistentDeckError(
                 f"card has {card.n} vertices, expected {n - 1}")
     codes = [canonical_code(card) for card in deck]
-    deck = [code_graph(code) for code in codes]
     coeffs = card_sum_coeffs([_card_charpoly(code) for code in codes], n)
-
+    cards = tuple((code_graph(code), m) for code, m in Counter(codes).items())
     kelly_memo = {}
 
     def kelly(code: bytes) -> int:
         if code not in kelly_memo:
-            kelly_memo[code] = kelly_count(deck, code_graph(code))
+            kelly_memo[code] = kelly_count(cards, code_graph(code))
         return kelly_memo[code]
 
-    w_memo = {}
-    spanning = {}
-    for parts in partitions_min2(n):
-        if len(parts) == 1:
-            continue
-        root = type_key(elementary_blocks(parts))
-        cnt = _expand(kelly, n, root, w_memo)
-        # strip the non-spanning members of the same type
-        for code in covers_of_type(root, n).members:
-            if code[0] < n and _code_type(code) == root:
-                cnt -= kelly(code)
-        spanning[parts] = cnt
-
+    steps, partitions, ham_terms, ham_divisor = _deck_plan(n)
+    values = _evaluate(steps, kelly)
+    # each partition's root type less its non-spanning members
+    spanning = {parts: values[at] - sum(kelly(code) for code in members)
+                for parts, at, members in partitions}
     # hamiltonian cycles from the n-fold K2 type: no subgraph has n K2 blocks,
     # and the n-cycle, an ear-grown block, is one of its types
-    by_type = _block_rows(n - 1, _K2, n)
-    cn_key = type_key([cycle(n)])
-    rhs = kelly(_K2) ** n - _other_types(by_type, n, cn_key, kelly, w_memo)
-    spanning[(n,)] = exact_div(rhs, by_type[cn_key], "hamiltonian count",
-                               InconsistentDeckError)
+    rhs = kelly(_K2) ** n - sum(c * values[at] for at, c in ham_terms)
+    spanning[(n,)] = exact_div(rhs, ham_divisor, "hamiltonian count", InconsistentDeckError)
 
     return Polynomial(coeffs + (sachs_constant(n, spanning.__getitem__),))

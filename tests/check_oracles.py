@@ -10,7 +10,10 @@ polynomial methods, whose cost grows with n alone.  `dense_fill` fills a
 poset's matrix entry by entry, the witness of the sparse fill in
 `deck.nmatrix_from_elp`.  `chain_walk` walks the chain sum of Kocay's
 identity for one graph, the witness of the weights per type and order in
-`verify.count_type_chain`.  `unguarded_subgraph_count` counts every
+`verify.count_type_chain`.  `expanded_vertex_deck` recurses through
+Kocay's identity per deck, memoised per type, the witness of the plan that
+`whitney.charpoly_from_vertex_deck` compiles once per order and evaluates.
+`unguarded_subgraph_count` counts every
 embedding by a plain backtrack, with no degree filter, no degree-dominance
 guard and no symmetry-breaking condition, and divides by the embeddings of f
 into itself: the witness of `isotype.count_subgraphs`, which visits one
@@ -24,13 +27,16 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from reconkit.combi import exact_div, multiset_symmetry
+from reconkit.combi import (card_sum_coeffs, exact_div, multiset_symmetry, partitions_min2,
+                            sachs_constant)
 from reconkit.deck import Elp, NMatrix
-from reconkit.errors import DomainError, InvalidMatrixError
-from reconkit.graphcore import Graph, adjacency_masks, elementary_graph
-from reconkit import isotype
-from reconkit.isotype import code_graph, count_subgraphs, edge_bits
+from reconkit.errors import DomainError, InconsistentDeckError, InvalidMatrixError
+from reconkit.graphcore import (Graph, adjacency_masks, cycle, elementary_blocks,
+                                elementary_graph)
+from reconkit import isotype, whitney
+from reconkit.isotype import code_graph, count_subgraphs, edge_bits, kelly_count
 from reconkit.oracle import _copies, _elementary, _unions, psi_oracle
+from reconkit.polydeck import charpoly
 from reconkit.whitney import covers_of_type, type_key
 
 
@@ -210,8 +216,9 @@ def dense_fill(elp: Elp) -> NMatrix:
     return NMatrix(tuple(tuple(r) for r in rows), None)
 
 
-def chain_walk(g: Graph, members) -> int:
-    """<g, members> as the chain sum of Kocay's identity, walked for g alone.
+def chain_walk(g: Graph, key: tuple) -> int:
+    """<g, S0> for the type key `key` of S0 as the chain sum of Kocay's
+    identity, walked for g alone.
 
     Every chain S0 -> ... -> Sq = T of distinct types is walked again for g,
     and each adds (-1)^q prod <g, block of T> / c(T, T) times the product of
@@ -229,10 +236,50 @@ def chain_walk(g: Graph, members) -> int:
             if tk != root:
                 walk(tk, q + 1, acc * Fraction(c, sym))
 
-    walk(type_key(members), 0, Fraction(1))
+    walk(key, 0, Fraction(1))
     if total.denominator != 1:
         raise ValueError("chain sum is not integral")
     return int(total)
+
+
+def expanded_vertex_deck(deck) -> tuple:
+    """c_0..c_n of P(G) from a vertex deck of n >= 3 cards of order n - 1,
+    each type count <G, S> expanded by the recursion of Kocay's identity,
+    memoised per type, over the rows that `whitney._plan` reads, and every
+    Kelly count taken over the labelled cards."""
+    n, cards = len(deck), tuple(Counter(deck).items())
+    coeffs = card_sum_coeffs([charpoly(card) for card in deck], n)
+    memo = {}
+
+    def kelly(code):
+        return kelly_count(cards, code_graph(code))
+
+    def expand(root):
+        if root not in memo:
+            total = 1
+            for code in root:
+                total *= kelly(code)
+                if total == 0:
+                    break
+            if len(root) == 1 or root[-2:-1] == (whitney._K2,):
+                rows = whitney._block_rows(len(root) - 1, root[-1], n)
+            else:
+                rows = covers_of_type(root, n).by_type
+            total -= sum(c * expand(tk) for tk, c in rows.items() if tk != root)
+            memo[root] = exact_div(total, multiset_symmetry(root), f"type count for {root}",
+                                   InconsistentDeckError)
+        return memo[root]
+
+    spanning = {}
+    for parts in [parts for parts in partitions_min2(n) if len(parts) > 1]:
+        root = type_key(elementary_blocks(parts))
+        spanning[parts] = expand(root) - sum(
+            kelly(code) for code in covers_of_type(root, n).members
+            if code[0] < n and whitney._code_type(code) == root)
+    row, cn = whitney._block_rows(n - 1, whitney._K2, n), type_key([cycle(n)])
+    rhs = kelly(whitney._K2) ** n - sum(c * expand(tk) for tk, c in row.items() if tk != cn)
+    spanning[(n,)] = exact_div(rhs, row[cn], "hamiltonian count", InconsistentDeckError)
+    return coeffs + (sachs_constant(n, spanning.__getitem__),)
 
 
 def _embeddings(f: Graph, g: Graph) -> int:

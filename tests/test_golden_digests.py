@@ -15,7 +15,10 @@ Two heavier digests stay hand-run, outside the suite, by the same command:
 - `graph6_8`, `write_graph6` over `all_graphs(8)`:
   329c044e7566ece97955fede6ae512b7ce23c058;
 - `sweep6`, the `sweep --max-n 6 --checks all` report without
-  `elapsed_seconds`: 57617b6ca69e1731af5fba5d3851039f97abd39c.
+  `elapsed_seconds`: 57617b6ca69e1731af5fba5d3851039f97abd39c;
+- `vertexdeck8`, `charpoly_from_vertex_deck` of every graph on 8 vertices,
+  hashed as `vertexdeck` is, and its mismatches against `charpoly_oracle`:
+  71ad7c867cfba5a03b7a8c9b0a5bf7f58e850bf7, 12346 graphs, 0 mismatches.
 """
 
 import contextlib
@@ -29,6 +32,7 @@ from reconkit.deck import (canonical_nmatrix, child_nmatrices, elp_from_nmatrix,
                            nmatrix, nmatrix_to_json, strip)
 from reconkit.graphcore import all_graphs, vertex_deck, write_graph6
 from reconkit.nrecon import reconstruct
+from reconkit.oracle import charpoly_oracle
 from reconkit.polydeck import build_polydeck, polydeck_to_json
 from reconkit.whitney import charpoly_from_vertex_deck
 
@@ -84,6 +88,18 @@ def vertexdeck_digest() -> str:
                   for g in all_graphs(7) if g.n >= 3])
 
 
+def vertexdeck8_digest() -> str:
+    """`vertexdeck_digest` over the graphs of `all_graphs(8)` with n = 8, then
+    the number of graphs and of those whose polynomial is not the oracle's."""
+    out, mismatches = [], 0
+    for g in all_graphs(8):
+        if g.n == 8:
+            coeffs = list(charpoly_from_vertex_deck(vertex_deck(g)).coeffs)
+            mismatches += coeffs != list(charpoly_oracle(g).coeffs)
+            out.append([write_graph6(g), coeffs])
+    return f"{_sha1(out)} graphs {len(out)} mismatches {mismatches}"
+
+
 def canonical_digest() -> str:
     """`canonical_nmatrix` and `child_nmatrices` of every graph with n <= 6 and an edge."""
     out = []
@@ -119,7 +135,8 @@ DIGESTS = {"graph6": graph6_digest, "matrices": matrices_digest,
            "reports": reports_digest, "polydecks": polydecks_digest,
            "vertexdeck": vertexdeck_digest, "sweep": sweep_digest,
            "canonical": canonical_digest, "direct": direct_digest,
-           "graph6_8": lambda: graph6_digest(8), "sweep6": lambda: sweep_digest(6)}
+           "graph6_8": lambda: graph6_digest(8), "sweep6": lambda: sweep_digest(6),
+           "vertexdeck8": vertexdeck8_digest}
 
 
 def test_graph6_digest():

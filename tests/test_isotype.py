@@ -853,10 +853,15 @@ def test_a_remainder_in_the_eq1_recurrence_is_an_error(monkeypatch):
         verify._eq1_rows.__wrapped__(3)
 
 
+def _cards(deck) -> tuple:
+    """A vertex deck as `kelly_count` takes it: (card, multiplicity) pairs."""
+    return tuple(Counter(deck).items())
+
+
 def test_kelly_count_examples(prism):
-    assert kelly_count(vertex_deck(complete(4)), complete(3)) == 4
-    assert kelly_count(vertex_deck(cycle(5)), path(2)) == 5
-    assert kelly_count(vertex_deck(prism), cycle(4)) == 3
+    assert kelly_count(_cards(vertex_deck(complete(4))), complete(3)) == 4
+    assert kelly_count(_cards(vertex_deck(cycle(5))), path(2)) == 5
+    assert kelly_count(_cards(vertex_deck(prism)), cycle(4)) == 3
 
 
 def test_kelly_count_matches_direct(corpus5):
@@ -865,7 +870,7 @@ def test_kelly_count_matches_direct(corpus5):
     for g in corpus5:
         if g.n < 3:
             continue
-        deck = vertex_deck(g)
+        deck = _cards(vertex_deck(g))
         for f in pool:
             if f.n >= g.n:
                 continue
@@ -876,11 +881,11 @@ def test_kelly_count_matches_direct(corpus5):
 
 def test_kelly_count_detects_bad_deck():
     # not the vertex deck of any 4-vertex graph: the K2 counts sum to 9
-    deck = [path(3), path(3), path(3), complete(3)]
+    deck = ((path(3), 3), (complete(3), 1))
     with pytest.raises(InconsistentDeckError):
         kelly_count(deck, path(2))
     with pytest.raises(DomainError):
-        kelly_count(vertex_deck(complete(3)), complete(3))
+        kelly_count(_cards(vertex_deck(complete(3))), complete(3))
 
 
 def test_isoclass_ordering_prefers_fewer_edges(paw):

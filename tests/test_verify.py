@@ -100,7 +100,7 @@ def test_whitney_chain_fails_on_a_recursion_off_by_one(bowtie, monkeypatch):
     whitney.covers_of_type.cache_clear()
     wrong, real = CHAIN_TYPES[4], verify.count_type
     monkeypatch.setattr(verify, "count_type",
-                        lambda g, fams: real(g, fams) + (type_key(fams) == type_key(wrong)))
+                        lambda g, key: real(g, key) + (key == type_key(wrong)))
     want = [f"chain sum != recursion for {len(wrong)}-block type"]
     assert run_checks(bowtie, ["whitney-chain"]) == {"whitney-chain": want}
 

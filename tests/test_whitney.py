@@ -21,7 +21,7 @@ from reconkit.verify import CHAIN_TYPES, count_type_chain
 from reconkit.whitney import (block_type, charpoly_from_vertex_deck,
                               count_type, covers_of_type, type_key)
 
-from check_oracles import chain_walk
+from check_oracles import chain_walk, expanded_vertex_deck
 
 
 def test_block_type_examples(bowtie):
@@ -70,6 +70,13 @@ def test_a_root_row_other_than_the_block_symmetry_is_refused(monkeypatch, bowtie
         covers_of_type.__wrapped__(type_key([k3, k3]), 5)
 
 
+def _clear_plans():
+    """Empty the plan caches, so that the next deck of each order reads its
+    rows again through `_block_rows` and `covers_of_type`."""
+    whitney._plan.cache_clear()
+    whitney._deck_plan.cache_clear()
+
+
 # The all-K2 families (K2^j, vmax), 1 <= j <= vmax, 3 <= vmax <= 7: the
 # pipeline reads their rows in closed form, so the table tests glue them here.
 ALL_K2 = [((whitney._K2,) * j, vmax) for vmax in range(3, 8) for j in range(1, vmax + 1)]
@@ -97,6 +104,7 @@ def pipeline_tables(corpus6):
         tables[root, vmax] = build(root, vmax)
         return tables[root, vmax]
 
+    _clear_plans()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(whitney, "covers_of_type", recording)
         for g in corpus6:
@@ -119,10 +127,12 @@ def test_cover_counts_match_the_cover_oracle(pipeline_tables):
 
 def test_count_type_examples():
     k2, k3 = path(2), complete(3)
-    assert count_type(k3, [k2, k2]) == 3
-    assert count_type(cycle(4), [k2, k2, k2]) == 4
+    assert count_type(k3, type_key([k2, k2])) == 3
+    assert count_type(cycle(4), type_key([k2, k2, k2])) == 4
     # single-block types reduce to plain subgraph counts
-    assert count_type(complete(4), [cycle(4)]) == count_subgraphs(complete(4), cycle(4))
+    assert count_type(complete(4), type_key([cycle(4)])) == count_subgraphs(complete(4), cycle(4))
+    with pytest.raises(DomainError, match="type key"):
+        count_type(k3, type_key([k2, k3])[::-1])
 
 
 def test_count_type_matches_direct_enumeration(corpus5):
@@ -143,7 +153,7 @@ def test_count_type_matches_direct_enumeration(corpus5):
         for r in (1, 2, 3):
             for fams in combinations_with_replacement(pool, r):
                 tk = type_key(fams)
-                assert count_type(g, fams) == direct.get(tk, 0), (g, tk)
+                assert count_type(g, tk) == direct.get(tk, 0), (g, tk)
 
 
 def test_chain_sum_equals_recursion(corpus5):
@@ -153,14 +163,16 @@ def test_chain_sum_equals_recursion(corpus5):
             continue
         for r in (1, 2, 3):
             for fams in combinations_with_replacement(pool, r):
-                assert count_type(g, fams) == count_type_chain(g, fams)
+                tk = type_key(fams)
+                assert count_type(g, tk) == count_type_chain(g, tk)
 
 
 def test_chain_sum_equals_its_walk_for_each_graph(corpus5):
     """The weights per type and order give the sum that walking every chain for g gives."""
     for g in corpus5:
         for fams in CHAIN_TYPES:
-            assert count_type_chain(g, fams) == chain_walk(g, fams), (g, type_key(fams))
+            tk = type_key(fams)
+            assert count_type_chain(g, tk) == chain_walk(g, tk), (g, tk)
 
 
 def test_kocay_identity_by_types(corpus5):
@@ -175,8 +187,7 @@ def test_kocay_identity_by_types(corpus5):
                 for f in fams:
                     lhs *= count_subgraphs(g, f)
                 table = covers_of_type(type_key(fams), g.n)
-                rhs = sum(c * count_type(g, map(code_graph, tk))
-                          for tk, c in table.by_type.items())
+                rhs = sum(c * count_type(g, tk) for tk, c in table.by_type.items())
                 assert lhs == rhs, (g, type_key(fams))
 
 
@@ -227,16 +238,17 @@ def _relabel(g, rng):
 
 def test_card_labelling_and_order_do_not_matter(corpus6, monkeypatch):
     """Relabelled, shuffled cards give the same polynomial, and every Kelly
-    count the pipeline takes on its canonical cards equals the raw deck's."""
+    count the pipeline takes on its distinct canonical cards equals the raw
+    deck's, taken over its labelled cards with their multiplicities."""
     rng = random.Random(11)
     eights = [graph(8, [e for e in combinations(range(8), 2) if rng.random() < 0.5])
               for _ in range(2)]
     kelly_count = whitney.kelly_count
     requested = []
 
-    def recording(deck, f):
-        requested.append((deck, f))
-        return kelly_count(deck, f)
+    def recording(cards, f):
+        requested.append((cards, f))
+        return kelly_count(cards, f)
 
     monkeypatch.setattr(whitney, "kelly_count", recording)
     for g in [h for h in corpus6 if h.n >= 3] + eights:
@@ -244,11 +256,69 @@ def test_card_labelling_and_order_do_not_matter(corpus6, monkeypatch):
         requested.clear()
         want = charpoly_from_vertex_deck(deck).coeffs
         assert requested
+        raw = tuple(Counter(deck).items())
         for cards, f in requested:
-            assert kelly_count(cards, f) == kelly_count(deck, f), (g, f)
+            assert sum(m for _card, m in cards) == g.n
+            assert kelly_count(cards, f) == kelly_count(raw, f), (g, f)
         shuffled = [_relabel(card, rng) for card in deck]
         rng.shuffle(shuffled)
         assert charpoly_from_vertex_deck(shuffled).coeffs == want, g
+
+
+def _fate(read, deck):
+    """The coefficients that `read` gives for a deck, or InconsistentDeckError."""
+    try:
+        return tuple(read(deck))
+    except InconsistentDeckError:
+        return InconsistentDeckError
+
+
+def test_the_plan_gives_what_the_recursion_gives():
+    """The compiled plan and the per-deck recursion of `expanded_vertex_deck`
+    give the same polynomial, or both refuse the deck, on the deck of every
+    graph with 3 <= n <= 6 and on 400 seeded decks of n = 4..7 in which one
+    or two cards are swapped for another card type of the same edge count."""
+    def plan(deck):
+        return charpoly_from_vertex_deck(deck).coeffs
+
+    for g in all_graphs(6):
+        if g.n >= 3:
+            deck = vertex_deck(g)
+            assert _fate(plan, deck) == _fate(expanded_vertex_deck, deck) == \
+                charpoly_oracle(g).coeffs, g
+    rng = random.Random(7)
+    by_edges = {}
+    for h in all_graphs(6):
+        by_edges.setdefault((h.n, h.e), []).append(h)
+    fates = Counter()
+    for _ in range(400):
+        n = rng.randrange(4, 8)
+        deck = vertex_deck(graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]))
+        swappable = [i for i in range(n) if len(by_edges[n - 1, deck[i].e]) > 1]
+        for i in rng.sample(swappable, min(len(swappable), rng.randrange(1, 3))):
+            code = canonical_code(deck[i])
+            deck[i] = rng.choice([h for h in by_edges[n - 1, deck[i].e]
+                                  if canonical_code(h) != code])
+        want = _fate(expanded_vertex_deck, deck)
+        assert _fate(plan, deck) == want, deck
+        fates[want is InconsistentDeckError] += 1
+    assert fates[True] and fates[False]
+
+
+def test_the_deck_plans_do_the_pinned_work(monkeypatch):
+    """Work pin: the deck plan of order n = 3..9 lists 2, 5, 10, 20, 38, 75
+    and 161 types, with 1, 5, 16, 48, 140, 425 and 1,417 sub-type terms.  A
+    second deck of an order already planned reads no row: it calls neither
+    `_block_rows` nor `covers_of_type`."""
+    shape = [(len(steps), sum(len(terms) for _key, terms, _div, _what in steps))
+             for steps, *_rest in map(whitney._deck_plan, range(3, 10))]
+    assert shape == [(2, 1), (5, 5), (10, 16), (20, 48), (38, 140), (75, 425), (161, 1417)]
+    read = []
+    for name in ("_block_rows", "covers_of_type"):
+        monkeypatch.setattr(whitney, name, lambda *args, name=name: read.append(name))
+    g = cycle(7)
+    assert charpoly_from_vertex_deck(vertex_deck(g)) == charpoly_oracle(g)
+    assert read == []
 
 
 def _reference_glue(ucode, fcode, vmax):
@@ -289,6 +359,7 @@ def test_orbit_gluing_builds_the_reference_tables(corpus6, monkeypatch):
         families.add((root, vmax))
         return build(root, vmax)
 
+    _clear_plans()
     with monkeypatch.context() as mp:
         mp.setattr(whitney, "covers_of_type", recording)
         for g in [h for h in corpus6 if h.n >= 3] + sevens:
@@ -507,6 +578,7 @@ def test_fake_decks_meet_the_same_fate_with_glued_block_rows(monkeypatch):
         return covers_of_type((whitney._K2,) * i + (b,), vmax).by_type
 
     def outcome(deck, rows):
+        _clear_plans()
         with monkeypatch.context() as mp:
             mp.setattr(whitney, "_block_rows", rows)
             try:
@@ -533,10 +605,13 @@ def test_cover_tables_do_not_depend_on_build_order(monkeypatch):
     """The tables one deck reaches at each n = 4..7, built by increasing and,
     after every cache is emptied, by decreasing vertex bound, are equal field
     by field and in member order: no table reads a cached gluing, union type
-    or decoded code that another table's bound left behind."""
+    or decoded code that another table's bound left behind.  Every cache is
+    emptied first too, so that the decks plan their orders anew and ask for
+    their tables."""
     rng = random.Random(19)
     families = set()
     build = whitney.covers_of_type
+    _clear_every_cache()
 
     def recording(root, vmax):
         families.add((vmax, root))
@@ -587,7 +662,9 @@ def _cold():
     glued only for their members of the root type below n vertices; the
     `_block_rows` misses (the closed-form rows read), the `_glue`,
     `_labelled` and `_search` misses, the peak RSS in MB so far (a larger n
-    takes more, so it is that n's) and a SHA-1 of the polynomial.
+    takes more, so it is that n's) and a SHA-1 of the polynomial; then the
+    deck plan's types and sub-type terms, and the CPU seconds of the same
+    deck again with every cache warm, the best of 5.
     """
     build = whitney.covers_of_type
     roots = set()
@@ -604,6 +681,12 @@ def _cold():
         start = time.process_time()
         p = charpoly_from_vertex_deck(deck)
         seconds = time.process_time() - start
+        warm = []
+        for _ in range(5):
+            start = time.process_time()
+            charpoly_from_vertex_deck(deck)
+            warm.append(time.process_time() - start)
+        steps = whitney._deck_plan(n)[0]
         for_rows = sum(len(root) > 1 and root[-2:-1] != (whitney._K2,) for root in roots)
         print("n %d seconds %.3f" % (n, seconds),
               "tables_glued", build.cache_info().misses,
@@ -613,7 +696,10 @@ def _cold():
               "labelled_misses", isotype._labelled.cache_info().misses,
               "search_misses", isotype._search.cache_info().misses,
               "peak_rss_mb %.1f" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
-              "charpoly", hashlib.sha1(repr(p.coeffs).encode()).hexdigest()[:12])
+              "charpoly", hashlib.sha1(repr(p.coeffs).encode()).hexdigest()[:12],
+              "plan_types", len(steps),
+              "plan_terms", sum(len(terms) for _key, terms, _div, _what in steps),
+              "warm_seconds %.5f" % min(warm))
 
 
 if __name__ == "__main__" and sys.argv[1:2] == ["cold"]:
