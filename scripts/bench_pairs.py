@@ -21,7 +21,8 @@ over the same seeds.  Each run prints one line as it ends,
 When a workload's pairs are done, its summary block follows: per end-to-end
 metric of the change's BENCHMARK.json, the parent's median and quartiles,
 the change's median and its difference in per cent, and the number of pairs
-in which the change is lower; last, the failed operations per side.
+in which the change is lower, then a line with the metric's verdict
+(`verdict`); last, the failed operations per side.
 Standard library only.
 """
 
@@ -88,6 +89,21 @@ def summary(runs: list, metrics: list) -> list:
     return rows
 
 
+def verdict(row: dict, bound: float) -> str:
+    """`gain` when the change is lower in at least 9 of 10 pairs, over 10
+    pairs or more, and its median is below the parent's by more than the
+    parent's interquartile range; `over bound` when its median is above the
+    parent's by more than `bound`, the metric's bound in BENCHMARK.json, a
+    fraction of the parent's median; else `within bound`.  Every end-to-end
+    metric is better lower."""
+    if row["pairs"] >= 10 and 10 * row["lower"] >= 9 * row["pairs"] \
+            and row["parent"] - row["change"] > row["q3"] - row["q1"]:
+        return "gain"
+    if row["change"] > row["parent"] * (1 + bound):
+        return "over bound"
+    return "within bound"
+
+
 def format_summary(rows: list) -> list:
     return [f"{r['metric']:<12} parent {r['parent']:.4f} [{r['q1']:.4f}-{r['q3']:.4f}]"
             f"  change {r['change']:.4f} ({r['pct']:+.1f} %)"
@@ -116,8 +132,10 @@ def main(argv=None) -> int:
                 print(json.dumps(runs[-1]), flush=True)
         print(f"workload {workload}: {args.pairs} pairs from seed {args.first_seed},"
               f" medians [parent quartiles]")
-        for line in format_summary(summary(runs, [m["name"] for m in spec["end_to_end"]])):
-            print(line)
+        metrics = spec["end_to_end"]
+        for m, row in zip(metrics, summary(runs, [m["name"] for m in metrics])):
+            print(*format_summary([row]))
+            print(f"{'':<12} verdict: {verdict(row, m['bound'])}")
         for side in SIDES:
             print(f"{side} failed {sum(r['result']['failed'] for r in runs if r['side'] == side)}",
                   flush=True)

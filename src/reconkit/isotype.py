@@ -648,20 +648,22 @@ def count_subgraphs(g: Graph, f: Graph) -> int:
     return _embedding_count(plan, gmasks)
 
 
-def kelly_count(cards, f: Graph, induced: bool = False) -> int:
-    """Count copies of f in the graph behind a vertex deck of n cards.
+def kelly_count(rows, orders) -> tuple:
+    """Kelly's lemma: the copies of graphs f_j in the graph G behind a vertex
+    deck of n cards, from their copies in the cards.
 
-    `cards` is the deck as a multiset: (card, multiplicity) pairs whose
-    multiplicities sum to n, so each distinct card is counted once.  Valid
-    for v(f) < n.  Exact division is a consistency certificate: a remainder
-    proves the deck is not the vertex deck of any graph.
+    `rows` is the deck as a multiset: (row, multiplicity) pairs whose
+    multiplicities sum to n, one per distinct card, where row[j] is the
+    number of copies of f_j in the card, or of induced copies for G's
+    induced count; `orders[j]` is v(f_j), which must be below n.  A copy of
+    f_j lies in the n - v(f_j) cards that keep its vertices, so G's count is
+    the column's sum weighted by multiplicity over n - v(f_j).  Exact
+    division is a consistency certificate: a remainder proves the deck is
+    not the vertex deck of any graph.
     """
-    n = sum(m for _card, m in cards)
-    if f.n >= n:
-        raise DomainError(f"kelly_count needs v(f) < n, got {f.n} >= {n}")
-    if induced:
-        code = canonical_code(f)
-        total = sum(m * subset_table(card).counts.get(code, 0) for card, m in cards)
-    else:
-        total = sum(m * count_subgraphs(card, f) for card, m in cards)
-    return exact_div(total, n - f.n, "card counts for f", InconsistentDeckError)
+    n = sum(m for _row, m in rows)
+    if max(orders, default=0) >= n:
+        raise DomainError(f"kelly_count needs v(f) < n, got {max(orders)} >= {n}")
+    totals = map(sum, zip(*[[m * c for c in row] for row, m in rows]))
+    return tuple(exact_div(t, n - v, "card counts for f", InconsistentDeckError)
+                 for t, v in zip(totals, orders))

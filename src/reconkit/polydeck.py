@@ -60,9 +60,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, factorial
+from operator import add
 from struct import Struct, calcsize
 
 from .combi import (Polynomial, card_sum_coeffs, exact_div, json_int, multiset_symmetry,
@@ -108,12 +109,20 @@ class PolyDeck:
                 raise InconsistentDeckError("single-vertex entries must equal lambda")
 
     def entries_of_degree(self, d: int) -> list:
-        return [p for p in self.polys if len(p) - 1 == d]
+        return list(self.by_length.get(d + 1, ()))
 
     @cached_property
     def low(self) -> tuple:
         """`low_coeffs(self)`, computed once per deck."""
         return low_coeffs(self)
+
+    @cached_property
+    def by_length(self) -> dict:
+        """The entries grouped by length, degree + 1, in deck order; computed once per deck."""
+        groups = {}
+        for p in self.polys:
+            groups.setdefault(len(p), []).append(p)
+        return groups
 
 
 def _elementary_sums(g: Graph) -> list:
@@ -158,6 +167,18 @@ def _field_code(n: int) -> str:
     raise DomainError(f"polynomial deck of {n} vertices: its fields need more than 64 bits")
 
 
+# One entry per order: 1 in a bench `decks` pass, 4 in a bench `sweep` pass
+# and 6 in a whole n <= 7 sweep.  An entry holds 2^n ints: 1,024 at the
+# CLI's limit of 10 vertices, 2^20 (42 MB, tracemalloc) at 20, where the
+# deck's own rows take several times more.
+@lru_cache(maxsize=8)
+def _masks_by_size(n: int) -> tuple:
+    """Per size k = 0..n, the vertex masks of the k-subsets of n vertices in
+    the lexicographic order of the subsets."""
+    bits = [1 << v for v in range(n)]
+    return tuple(tuple(sum(c) for c in combinations(bits, k)) for k in range(n + 1))
+
+
 def build_polydeck(g: Graph) -> PolyDeck:
     """P(G_Y) for every nonempty proper subset Y of the vertex set, for 2 <= n <= 20.
 
@@ -182,18 +203,24 @@ def build_polydeck(g: Graph) -> PolyDeck:
         rows.append((-val if k % 2 else val) << (width * k))
     bias = sum(1 << (width * k + width - 1) for k in range(n + 1))
     rows[0] += bias
+    # per vertex, the masks that hold its bit take the rows without it, as
+    # `bit` strided slices, one per low part, or as 2^n / step block slices,
+    # one per high part, whichever are fewer
+    full = 1 << n
     for i in range(n):
-        bit = 1 << i
-        for s in range(1 << n):
-            if s & bit:
-                rows[s] += rows[s ^ bit]
+        bit, step = 1 << i, 2 << i
+        if bit * step <= full:
+            for low in range(bit):
+                rows[low + bit::step] = map(add, rows[low + bit::step], rows[low::step])
+        else:
+            for high in range(bit, full, step):
+                rows[high:high + bit] = map(add, rows[high:high + bit], rows[high - bit:high])
     polys = []
-    bits = [1 << v for v in range(n)]
-    for size in range(1, n):
+    for size, masks in enumerate(_masks_by_size(n)[1:n], 1):
         # fields above |S| are 0 once the bias is flipped off, so size + 1 fields hold the row
         nbytes = (size + 1) * width // 8
         polys += Struct(f"<{size + 1}{code}").iter_unpack(b"".join(
-            [(rows[sum(c)] ^ bias).to_bytes(nbytes, "little") for c in combinations(bits, size)]))
+            [(rows[s] ^ bias).to_bytes(nbytes, "little") for s in masks]))
     return PolyDeck(n, tuple(polys))
 
 
@@ -202,14 +229,11 @@ def low_coeffs(d: PolyDeck) -> tuple:
     return card_sum_coeffs(d.entries_of_degree(d.n - 1), d.n)
 
 
-def _p_value(coeffs, parts) -> int:
-    """Sum over tuples of elementary subgraphs: prod of (-1)^a * c_a readings.
-
-    Every part must be below len(coeffs).
-    """
+def _product(coeffs, parts) -> int:
+    """The product of coeffs[a] over the parts a, each below len(coeffs)."""
     val = 1
     for a in parts:
-        val *= (-1) ** a * coeffs[a]
+        val *= coeffs[a]
         if val == 0:
             return 0
     return val
@@ -220,8 +244,13 @@ def c_lambda(d: PolyDeck, parts) -> int:
 
     Every part must be at most n-1: the subset sum needs the product of low
     coefficients on the full vertex set, and c_n(G) is exactly what the deck
-    withholds.  Entries of degree below the largest part are skipped: their
-    reading of that coefficient is 0, and so is their product.
+    withholds.  An entry of length L reads the product of its coefficients
+    at the parts with sign (-1)^(n - L + 1 + sum of parts), the Moebius sign
+    times the Sachs sign (-1)^a of each coefficient c_a; the low
+    coefficients, G's own, stand for length n + 1.  The sign is taken once
+    per length, over the entries that `PolyDeck.by_length` groups.  Entries
+    of degree below the largest part are skipped: their reading of that
+    coefficient is 0, and so is their product.
     """
     parts = tuple(sorted(parts, reverse=True))
     if not parts or parts[-1] < 2:
@@ -229,10 +258,11 @@ def c_lambda(d: PolyDeck, parts) -> int:
     top = parts[0]
     if top >= d.n:
         raise DomainError(f"part {top} >= n={d.n} is not computable from the deck")
-    total = _p_value(d.low, parts)
-    for p in d.polys:
-        if len(p) > top:
-            total += (-1) ** (d.n - len(p) + 1) * _p_value(p, parts)
+    total = 0
+    for length, entries in [(d.n + 1, [d.low]), *d.by_length.items()]:
+        if length > top:
+            total += (-1) ** (d.n - length + 1 + sum(parts)) * \
+                sum([_product(p, parts) for p in entries])
     return total
 
 

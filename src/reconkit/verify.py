@@ -203,14 +203,19 @@ def _small_codes(max_n: int) -> tuple:
 
 
 def _check_kelly(s: _Subject) -> list:
-    g, fails = s.g, []
-    cards = tuple(Counter(s.deck).items())
-    for f in _small_types(g.n - 1, with_isolated=False):
-        if kelly_count(cards, f) != count_subgraphs(g, f):
-            fails.append("kelly subgraph count mismatch")
-    for f in _small_types(g.n - 1, with_isolated=True):
-        if kelly_count(cards, f, induced=True) != count_induced(g, f):
-            fails.append("kelly induced count mismatch")
+    g, cards = s.g, Counter(s.deck).items()
+    pool = _small_types(g.n - 1, with_isolated=False)
+    rows = tuple((tuple(count_subgraphs(card, f) for f in pool), m) for card, m in cards)
+    fails = ["kelly subgraph count mismatch"
+             for f, got in zip(pool, kelly_count(rows, tuple(f.n for f in pool)))
+             if got != count_subgraphs(g, f)]
+    pool = _small_types(g.n - 1, with_isolated=True)
+    codes = [canonical_code(f) for f in pool]
+    rows = tuple((tuple(subset_table(card).counts.get(code, 0) for code in codes), m)
+                 for card, m in cards)
+    fails += ["kelly induced count mismatch"
+              for f, got in zip(pool, kelly_count(rows, tuple(f.n for f in pool)))
+              if got != count_induced(g, f)]
     return fails
 
 

@@ -19,7 +19,11 @@ The polynomial's shape depends on the order n alone, never on G, so `_plan`
 compiles it once per (roots, n) into flat steps, sub-types first, and
 `_evaluate` runs them on one graph's block counts, dividing exactly at every
 type.  The vertex deck keeps its per-order constants with its plan
-(`_deck_plan`) and reads each distinct canonical card once per Kelly count.
+(`_deck_plan`), among them the Kelly patterns, the codes whose counts the
+plan reads.  Each distinct canonical card has one cached row of its copies
+of its order's patterns (`_card_row`, keyed by the card's code), so a
+deck's Kelly counts are sums of at most n rows weighted by multiplicity,
+each divided exactly once (`isotype.kelly_count`).
 
 A cover table glues the blocks of its type one at a time onto partial
 unions (`_glue`).  Per number of shared vertices, the targets in the
@@ -409,9 +413,11 @@ def _card_charpoly(code: bytes) -> Polynomial:
 @lru_cache(maxsize=16)
 def _deck_plan(n: int) -> tuple:
     """The steps (`_plan`) of the roots of n's partitions into two or more
-    parts >= 2 and of the n-fold K2 row's types but the n-cycle's; per
-    partition, its root's position and its table's members of the root's
-    type below n vertices; that row's (position, c) terms and the n-cycle's c.
+    parts >= 2 and of the n-fold K2 row's types but the n-cycle's; the Kelly
+    patterns, the sorted codes of K2, of every block of a step's key and of
+    every member below; per partition, its root's position and its table's
+    members of the root's type below n vertices; that row's (position, c)
+    terms and the n-cycle's c.
     """
     parts_roots = [(parts, type_key(elementary_blocks(parts)))
                    for parts in partitions_min2(n) if len(parts) > 1]
@@ -423,7 +429,21 @@ def _deck_plan(n: int) -> tuple:
                       tuple(code for code in covers_of_type(root, n).members
                             if code[0] < n and _code_type(code) == root))
                      for parts, root in parts_roots)
-    return steps, spanning, tuple((where[tk], ham_row[tk]) for tk in others), ham_row[cn_key]
+    patterns = tuple(sorted({_K2, *(code for key, *_rest in steps for code in key),
+                             *(code for *_rest, members in spanning for code in members)}))
+    return (steps, patterns, spanning, tuple((where[tk], ham_row[tk]) for tk in others),
+            ham_row[cn_key])
+
+
+# One entry per card type, as `_card_charpoly`: 107 in a bench `decks` pass,
+# 17 in a bench `sweep` pass and 207 in a whole n <= 7 sweep.  An entry is
+# one int per pattern: 22 at n = 7, 269 at n = 10.
+@lru_cache(maxsize=1024)
+def _card_row(code: bytes) -> tuple:
+    """The copies of each Kelly pattern of its deck's order (`_deck_plan`)
+    in the card a code spells, by `count_subgraphs`."""
+    card = code_graph(code)
+    return tuple(count_subgraphs(card, code_graph(f)) for f in _deck_plan(card.n + 1)[1])
 
 
 def charpoly_from_vertex_deck(deck) -> Polynomial:
@@ -441,14 +461,18 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
     an integer, and one where some card's deleted vertex would have degree
     e - e(card) outside 0..n-1.
 
-    Each card is replaced by its canonical form, so isomorphic cards are
-    equal graphs: in one deck or across decks they share one cached card
-    polynomial and the cached subgraph counts, and a Kelly count reads each
-    distinct card once.  The values cannot change: a card's polynomial and
-    its subgraph counts are invariant under relabelling, and every Kelly
-    count sums over the same multiset of card types, so its exact division
-    checks the same total.  The plan of order n (`_deck_plan`) is built on
-    the first deck of that order, so later decks read no row.
+    Each card is replaced by its canonical code, so isomorphic cards are
+    one: in one deck or across decks they share one cached card polynomial
+    and one cached row of counts of the order's Kelly patterns, and each
+    Kelly count sums the distinct cards' rows, weighted by multiplicity.
+    The values cannot change: a card's polynomial and its subgraph counts
+    are invariant under relabelling, and every Kelly count sums over the
+    same multiset of card types, so its exact division checks the same
+    total.  Every pattern's count is divided before the plan is evaluated,
+    so a deck is refused for any pattern whose total leaves a remainder,
+    whether or not a zero block count would skip it.  The plan of order n
+    (`_deck_plan`) is built on the first deck of that order, so later decks
+    read no row of a cover table.
     """
     deck = list(deck)
     n = len(deck)
@@ -460,22 +484,17 @@ def charpoly_from_vertex_deck(deck) -> Polynomial:
                 f"card has {card.n} vertices, expected {n - 1}")
     codes = [canonical_code(card) for card in deck]
     coeffs = card_sum_coeffs([_card_charpoly(code) for code in codes], n)
-    cards = tuple((code_graph(code), m) for code, m in Counter(codes).items())
-    kelly_memo = {}
-
-    def kelly(code: bytes) -> int:
-        if code not in kelly_memo:
-            kelly_memo[code] = kelly_count(cards, code_graph(code))
-        return kelly_memo[code]
-
-    steps, partitions, ham_terms, ham_divisor = _deck_plan(n)
-    values = _evaluate(steps, kelly)
+    steps, patterns, partitions, ham_terms, ham_divisor = _deck_plan(n)
+    kelly = dict(zip(patterns, kelly_count(
+        tuple((_card_row(code), m) for code, m in Counter(codes).items()),
+        tuple(f[0] for f in patterns))))
+    values = _evaluate(steps, kelly.__getitem__)
     # each partition's root type less its non-spanning members
-    spanning = {parts: values[at] - sum(kelly(code) for code in members)
+    spanning = {parts: values[at] - sum(kelly[code] for code in members)
                 for parts, at, members in partitions}
     # hamiltonian cycles from the n-fold K2 type: no subgraph has n K2 blocks,
     # and the n-cycle, an ear-grown block, is one of its types
-    rhs = kelly(_K2) ** n - sum(c * values[at] for at, c in ham_terms)
+    rhs = kelly[_K2] ** n - sum(c * values[at] for at, c in ham_terms)
     spanning[(n,)] = exact_div(rhs, ham_divisor, "hamiltonian count", InconsistentDeckError)
 
     return Polynomial(coeffs + (sachs_constant(n, spanning.__getitem__),))

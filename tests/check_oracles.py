@@ -252,7 +252,9 @@ def expanded_vertex_deck(deck) -> tuple:
     memo = {}
 
     def kelly(code):
-        return kelly_count(cards, code_graph(code))
+        f = code_graph(code)
+        return kelly_count(tuple(((count_subgraphs(card, f),), m) for card, m in cards),
+                           (f.n,))[0]
 
     def expand(root):
         if root not in memo:

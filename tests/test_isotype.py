@@ -853,15 +853,21 @@ def test_a_remainder_in_the_eq1_recurrence_is_an_error(monkeypatch):
         verify._eq1_rows.__wrapped__(3)
 
 
-def _cards(deck) -> tuple:
-    """A vertex deck as `kelly_count` takes it: (card, multiplicity) pairs."""
-    return tuple(Counter(deck).items())
+def _kelly(deck, f, count=count_subgraphs) -> int:
+    """Kelly's count of f over a vertex deck: `kelly_count` on the rows of
+    the distinct cards, each holding the card's `count` of f."""
+    rows = tuple(((count(card, f),), m) for card, m in Counter(deck).items())
+    return kelly_count(rows, (f.n,))[0]
 
 
 def test_kelly_count_examples(prism):
-    assert kelly_count(_cards(vertex_deck(complete(4))), complete(3)) == 4
-    assert kelly_count(_cards(vertex_deck(cycle(5))), path(2)) == 5
-    assert kelly_count(_cards(vertex_deck(prism)), cycle(4)) == 3
+    assert _kelly(vertex_deck(complete(4)), complete(3)) == 4
+    assert _kelly(vertex_deck(cycle(5)), path(2)) == 5
+    assert _kelly(vertex_deck(prism), cycle(4)) == 3
+    # one row per distinct card, one column per graph
+    rows = tuple(((count_subgraphs(card, path(2)), count_subgraphs(card, path(3))), m)
+                 for card, m in Counter(vertex_deck(prism)).items())
+    assert kelly_count(rows, (2, 3)) == (9, count_subgraphs(prism, path(3)))
 
 
 def test_kelly_count_matches_direct(corpus5):
@@ -870,22 +876,22 @@ def test_kelly_count_matches_direct(corpus5):
     for g in corpus5:
         if g.n < 3:
             continue
-        deck = _cards(vertex_deck(g))
+        deck = vertex_deck(g)
         for f in pool:
             if f.n >= g.n:
                 continue
-            assert kelly_count(deck, f) == count_subgraphs(g, f)
+            assert _kelly(deck, f) == count_subgraphs(g, f)
         for f in all_graphs(g.n - 1):
-            assert kelly_count(deck, f, induced=True) == count_induced(g, f)
+            assert _kelly(deck, f, count_induced) == count_induced(g, f)
 
 
 def test_kelly_count_detects_bad_deck():
     # not the vertex deck of any 4-vertex graph: the K2 counts sum to 9
-    deck = ((path(3), 3), (complete(3), 1))
+    rows = (((2,), 3), ((3,), 1))  # P3 three times and K3 once, their K2 counts
     with pytest.raises(InconsistentDeckError):
-        kelly_count(deck, path(2))
+        kelly_count(rows, (2,))
     with pytest.raises(DomainError):
-        kelly_count(_cards(vertex_deck(complete(3))), complete(3))
+        _kelly(vertex_deck(complete(3)), complete(3))
 
 
 def test_isoclass_ordering_prefers_fewer_edges(paw):

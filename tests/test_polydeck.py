@@ -181,13 +181,17 @@ def test_low_coeffs_are_computed_once_per_deck(monkeypatch):
 
 
 def test_c_lambda_matches_signed_oracle(corpus5):
+    """On each graph of corpus5, every partition with parts in 2..n - 1 and
+    sum at most n: sums of both parities, so both signs that c_lambda folds
+    per entry length."""
     for g in corpus5:
         if g.n < 3:
             continue
         d = build_polydeck(g)
-        for parts in [(2,), (3,), (2, 2), (3, 2), (2, 2, 2), (4,)]:
-            if parts[0] < g.n and sum(parts) <= g.n:
-                assert c_lambda(d, parts) == signed_c_oracle(g, parts), (g, parts)
+        for total in range(2, g.n + 1):
+            for parts in partitions_min2(total):
+                if parts[0] < g.n:
+                    assert c_lambda(d, parts) == signed_c_oracle(g, parts), (g, parts)
 
 
 def test_c_lambda_examples():

@@ -72,9 +72,11 @@ def test_a_root_row_other_than_the_block_symmetry_is_refused(monkeypatch, bowtie
 
 def _clear_plans():
     """Empty the plan caches, so that the next deck of each order reads its
-    rows again through `_block_rows` and `covers_of_type`."""
+    rows again through `_block_rows` and `covers_of_type`, and the card rows
+    of the patterns the plans list."""
     whitney._plan.cache_clear()
     whitney._deck_plan.cache_clear()
+    whitney._card_row.cache_clear()
 
 
 # The all-K2 families (K2^j, vmax), 1 <= j <= vmax, 3 <= vmax <= 7: the
@@ -238,28 +240,33 @@ def _relabel(g, rng):
 
 def test_card_labelling_and_order_do_not_matter(corpus6, monkeypatch):
     """Relabelled, shuffled cards give the same polynomial, and every Kelly
-    count the pipeline takes on its distinct canonical cards equals the raw
-    deck's, taken over its labelled cards with their multiplicities."""
+    count the pipeline takes on the cached rows of its distinct canonical
+    cards equals the raw deck's, taken over its labelled cards with their
+    multiplicities, one `count_subgraphs` per card and pattern."""
     rng = random.Random(11)
     eights = [graph(8, [e for e in combinations(range(8), 2) if rng.random() < 0.5])
               for _ in range(2)]
     kelly_count = whitney.kelly_count
     requested = []
 
-    def recording(cards, f):
-        requested.append((cards, f))
-        return kelly_count(cards, f)
+    def recording(rows, orders):
+        counts = kelly_count(rows, orders)
+        requested.append((rows, orders, counts))
+        return counts
 
     monkeypatch.setattr(whitney, "kelly_count", recording)
     for g in [h for h in corpus6 if h.n >= 3] + eights:
         deck = vertex_deck(g)
         requested.clear()
         want = charpoly_from_vertex_deck(deck).coeffs
-        assert requested
-        raw = tuple(Counter(deck).items())
-        for cards, f in requested:
-            assert sum(m for _card, m in cards) == g.n
-            assert kelly_count(cards, f) == kelly_count(raw, f), (g, f)
+        [(rows, orders, counts)] = requested
+        assert len(rows) == len({canonical_code(card) for card in deck})
+        assert sum(m for _row, m in rows) == g.n
+        patterns = [code_graph(code) for code in whitney._deck_plan(g.n)[1]]
+        assert orders == tuple(f.n for f in patterns)
+        raw = tuple((tuple(count_subgraphs(card, f) for f in patterns), m)
+                    for card, m in Counter(deck).items())
+        assert counts == kelly_count(raw, orders), g
         shuffled = [_relabel(card, rng) for card in deck]
         rng.shuffle(shuffled)
         assert charpoly_from_vertex_deck(shuffled).coeffs == want, g
@@ -483,9 +490,13 @@ def test_glue_walks_the_targets_once_per_shared_set_size(monkeypatch):
 def test_cold_vertex_decks_do_the_pinned_work(monkeypatch):
     """Work pin: the cold vertex decks of all graphs with 3 <= n <= 6 and an
     edge make 12 `_glue` misses, in which `_glue` canonicalises 24 gluings,
-    57 codes asked while `_ear_blocks` grows blocks, and 276 `_labelled` and
-    56 `_search` misses.  Counts of work on a fixed input do not drift as timings do; a
-    change that moves one on purpose updates it here and says why."""
+    57 codes asked while `_ear_blocks` grows blocks, 276 `_labelled` and
+    56 `_search` misses, 51 `_card_row` misses, one per card type, and 512
+    `count_subgraphs` misses: the rows' 511 (card, pattern) pairs, 2 x 1,
+    4 x 3, 11 x 5 and 34 x 13 card types by patterns at n = 3..6, and the
+    13 pairs `_block_rows` asks first, of which the rows ask 12 again.
+    Counts of work on a fixed input do not drift as timings do; a change
+    that moves one on purpose updates it here and says why."""
     codes = {"glue": [], "ears": []}
     growing = []
     ear_blocks, bits_code = whitney._ear_blocks, whitney.bits_code
@@ -505,8 +516,9 @@ def test_cold_vertex_decks_do_the_pinned_work(monkeypatch):
     monkeypatch.setattr(whitney, "bits_code", counted_code)
     _cold_vertex_decks()
     assert (whitney._glue.cache_info().misses, len(codes["glue"]), len(codes["ears"]),
-            isotype._labelled.cache_info().misses,
-            isotype._search.cache_info().misses) == (12, 24, 57, 276, 56)
+            isotype._labelled.cache_info().misses, isotype._search.cache_info().misses,
+            whitney._card_row.cache_info().misses,
+            isotype.count_subgraphs.cache_info().misses) == (12, 24, 57, 276, 56, 51, 512)
 
 
 def _seeded_gnp(n):
@@ -661,7 +673,9 @@ def _cold():
     two or more blocks besides K2, glued for their rows, and the others,
     glued only for their members of the root type below n vertices; the
     `_block_rows` misses (the closed-form rows read), the `_glue`,
-    `_labelled` and `_search` misses, the peak RSS in MB so far (a larger n
+    `_labelled` and `_search` misses, the card rows filled (`_card_row`
+    misses, one per card type) and the Kelly patterns in each, the
+    `count_subgraphs` misses, the peak RSS in MB so far (a larger n
     takes more, so it is that n's) and a SHA-1 of the polynomial; then the
     deck plan's types and sub-type terms, and the CPU seconds of the same
     deck again with every cache warm, the best of 5.
@@ -686,7 +700,7 @@ def _cold():
             start = time.process_time()
             charpoly_from_vertex_deck(deck)
             warm.append(time.process_time() - start)
-        steps = whitney._deck_plan(n)[0]
+        steps, patterns = whitney._deck_plan(n)[:2]
         for_rows = sum(len(root) > 1 and root[-2:-1] != (whitney._K2,) for root in roots)
         print("n %d seconds %.3f" % (n, seconds),
               "tables_glued", build.cache_info().misses,
@@ -695,6 +709,9 @@ def _cold():
               "glue_misses", whitney._glue.cache_info().misses,
               "labelled_misses", isotype._labelled.cache_info().misses,
               "search_misses", isotype._search.cache_info().misses,
+              "card_rows", whitney._card_row.cache_info().misses,
+              "patterns", len(patterns),
+              "count_subgraphs_misses", isotype.count_subgraphs.cache_info().misses,
               "peak_rss_mb %.1f" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
               "charpoly", hashlib.sha1(repr(p.coeffs).encode()).hexdigest()[:12],
               "plan_types", len(steps),
